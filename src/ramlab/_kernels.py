@@ -1,8 +1,9 @@
 """Hot numeric kernels: BFS metrics, walk-kernel applications, tree DP.
 
-Every kernel has a numba ``@njit`` implementation and a vectorized pure-numpy
-twin; ``_backend.USING_NUMBA`` picks which one the module-level names bind to.
-``implementations()`` exposes both for the backend benchmark.
+The all-sources sweep ``eccentricities_and_girth`` is numpy only. Every other
+kernel has a numba ``@njit`` implementation and a vectorized pure-numpy twin;
+``_backend.USING_NUMBA`` picks which one the module-level names bind to.
+``implementations()`` exposes both for the equivalence tests.
 
 Conventions: a d-regular graph is its flat adjacency array ``indices`` of
 length n*d (row u = sorted neighbors of u). Directed edge e has tail e // d,
@@ -71,104 +72,72 @@ def _bfs_numpy(indices, d, src):
 
 
 # --------------------------------------------------------------------------
-# Per-source eccentricities (all-pairs BFS)
+# All-sources BFS: every eccentricity and the girth in one bit-parallel sweep
 # --------------------------------------------------------------------------
 
+# Sources per sweep are at most 64 * _BLOCK_WORDS; each of the sweep's six
+# (n, _BLOCK_WORDS) uint64 work arrays takes up to n * 8 * _BLOCK_WORDS bytes.
+_BLOCK_WORDS = 64
 
-@njit(cache=True, nogil=True)
-def _eccentricities_numba(indices, d):
+
+def _source_bits(words, width):
+    """Bit b of word w, as a bool per source 64*w + b < width."""
+    raw = words.astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:width].astype(bool)
+
+
+def eccentricities_and_girth(indices, d):
+    """Per-source eccentricities (-1 for a source that misses a vertex) and
+    the girth (2n+1 if acyclic), by multi-source BFS (Then et al., "The More
+    the Merrier", PVLDB 2014).
+
+    Vertex v holds the set of sources that have reached it, 64 per uint64
+    word, so one level of every BFS in a block is d row gathers plus bitwise
+    ops. Until the girth is found the same gathers look for the shortest
+    cycle through a source at level L: an edge inside the frontier closes
+    one of length 2L+1, and a new vertex reached from two frontier neighbors
+    closes one of length 2L+2. Every source on a shortest cycle sees it.
+    """
     n = indices.shape[0] // d
+    cols = [indices[j::d].astype(np.intp) for j in range(d)]
     ecc = np.empty(n, np.int32)
-    dist = np.empty(n, np.int32)
-    queue = np.empty(n, np.int32)
-    for s in range(n):
-        reached = _bfs_fill(indices, d, s, dist, queue)
-        if reached < n:
-            ecc[s] = -1
-        else:
-            m = 0
-            for i in range(n):
-                if dist[i] > m:
-                    m = dist[i]
-            ecc[s] = m
-    return ecc
-
-
-def _eccentricities_numpy(indices, d):
-    n = indices.shape[0] // d
-    ecc = np.empty(n, np.int32)
-    for s in range(n):
-        dist = _bfs_numpy(indices, d, s)
-        ecc[s] = -1 if (dist < 0).any() else int(dist.max())
-    return ecc
-
-
-# --------------------------------------------------------------------------
-# Girth via truncated per-source BFS
-# --------------------------------------------------------------------------
-
-
-@njit(cache=True, nogil=True)
-def _girth_numba(indices, d):
-    n = indices.shape[0] // d
     best = 2 * n + 1
-    dist = np.empty(n, np.int32)
-    parent = np.empty(n, np.int32)
-    queue = np.empty(n, np.int32)
-    stamp = np.zeros(n, np.int64)
-    cur = 0
-    for s in range(n):
-        cur += 1
-        stamp[s] = cur
-        dist[s] = 0
-        parent[s] = -1
-        queue[0] = s
-        qhead = 0
-        qtail = 1
-        while qhead < qtail:
-            u = queue[qhead]
-            qhead += 1
-            du = dist[u]
-            if 2 * du >= best:
-                break
-            base = u * d
-            for j in range(d):
-                v = indices[base + j]
-                if stamp[v] != cur:
-                    stamp[v] = cur
-                    dist[v] = du + 1
-                    parent[v] = u
-                    queue[qtail] = v
-                    qtail += 1
-                elif v != parent[u]:
-                    c = du + dist[v] + 1
-                    if c < best:
-                        best = c
-    return best
-
-
-def _girth_numpy(indices, d):
-    n = indices.shape[0] // d
-    best = 2 * n + 1
-    offsets = np.arange(d, dtype=np.int64)
-    for s in range(n):
-        dist = np.full(n, -1, np.int32)
-        dist[s] = 0
-        frontier = np.array([s], dtype=np.int64)
+    words = min(_BLOCK_WORDS, (n + 63) // 64)
+    frontier, unseen, reach, twice, gather, tmp = (
+        np.empty((n, words), np.uint64) for _ in range(6))
+    for start in range(0, n, 64 * words):
+        width = min(64 * words, n - start)
+        src = np.arange(width)
+        frontier.fill(0)
+        frontier[start + src, src >> 6] = np.uint64(1) << (src & 63).astype(np.uint64)
+        np.invert(frontier, out=unseen)
+        last = np.zeros(width, np.int32)
         level = 0
-        while frontier.size and 2 * level < best:
-            nbm = indices[frontier[:, None] * d + offsets]
-            dn = dist[nbm]
-            if (dn == level).any():
-                best = min(best, 2 * level + 1)
-            if level > 0 and ((dn == level - 1).sum(axis=1) >= 2).any():
-                best = min(best, 2 * level)
-            new = np.unique(nbm.ravel())
-            new = new[dist[new] < 0]
-            dist[new] = level + 1
-            frontier = new.astype(np.int64)
+        while True:
+            odd, even = 2 * level + 1 < best, 2 * level + 2 < best
+            reach.fill(0)
+            if even:
+                twice.fill(0)
+            for col in cols:
+                np.take(frontier, col, axis=0, out=gather)
+                if odd and np.bitwise_and(frontier, gather, out=tmp).any():
+                    best = 2 * level + 1
+                    odd = even = False
+                if even:
+                    twice |= np.bitwise_and(reach, gather, out=tmp)
+                reach |= gather
+            np.bitwise_and(reach, unseen, out=frontier)
+            if even and np.bitwise_and(twice, frontier, out=tmp).any():
+                best = 2 * level + 2
+            hit = np.bitwise_or.reduce(frontier, axis=0)
+            if not hit.any():
+                break
             level += 1
-    return best
+            last[_source_bits(hit, width)] = level
+            unseen ^= frontier
+        missed = _source_bits(np.bitwise_or.reduce(unseen, axis=0), width)
+        ecc[start:start + width] = np.where(missed, -1, last)
+    return ecc, best
 
 
 # --------------------------------------------------------------------------
@@ -331,8 +300,6 @@ def _tree_log_step_numpy(old, d):
 
 _NUMBA_IMPLS = {
     "bfs_distances": _bfs_numba,
-    "eccentricities": _eccentricities_numba,
-    "girth": _girth_numba,
     "srw_step": _srw_step_numba,
     "nbrw_step": _nbrw_step_numba,
     "b_apply": _b_apply_numba,
@@ -342,8 +309,6 @@ _NUMBA_IMPLS = {
 
 _NUMPY_IMPLS = {
     "bfs_distances": _bfs_numpy,
-    "eccentricities": _eccentricities_numpy,
-    "girth": _girth_numpy,
     "srw_step": _srw_step_numpy,
     "nbrw_step": _nbrw_step_numpy,
     "b_apply": _b_apply_numpy,
@@ -354,8 +319,6 @@ _NUMPY_IMPLS = {
 _ACTIVE = _NUMBA_IMPLS if USING_NUMBA else _NUMPY_IMPLS
 
 bfs_distances = _ACTIVE["bfs_distances"]
-eccentricities = _ACTIVE["eccentricities"]
-girth = _ACTIVE["girth"]
 srw_step = _ACTIVE["srw_step"]
 nbrw_step = _ACTIVE["nbrw_step"]
 b_apply = _ACTIVE["b_apply"]
@@ -364,7 +327,7 @@ tree_log_step = _ACTIVE["tree_log_step"]
 
 
 def implementations():
-    """Both kernel sets, keyed by backend name (for tests and benchmarks)."""
+    """Both kernel sets, keyed by backend name (for the equivalence tests)."""
     out = {"numpy": dict(_NUMPY_IMPLS)}
     from ._backend import NUMBA_AVAILABLE
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, builders, graph_core, spectral_lab, theory, walk_engine
 from ._backend import backend_name
-from .errors import RamlabError, VerificationFailed
+from .errors import RamlabError, UsageError, VerificationFailed
 
 THREADS_ENV = "RAMLAB_THREADS"
 
@@ -158,12 +158,17 @@ def cmd_build(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if args.window_radius is not None and not args.window_radius >= 0:
+        raise UsageError(f"--window-radius must be >= 0, got {args.window_radius}")
     graph = resolve_graph(args)
+    if not 0 <= args.source < graph.n:
+        raise UsageError(f"--source {args.source} outside [0, {graph.n})")
     sha = write_manifest(args.out_dir, "metrics", _config_of(args))
     metrics = graph_core.graph_metrics(graph)
     radius = args.window_radius
     if radius is None:
-        radius = 3 * math.log(math.log10(graph.n)) / math.log(graph.d - 1)
+        # log log n is negative below n = 10
+        radius = max(0.0, 3 * math.log(math.log10(graph.n)) / math.log(graph.d - 1))
     profile = graph_core.distance_profile(graph, args.source, radius)
     payload = {
         **metrics,
@@ -416,7 +421,7 @@ def main(argv=None) -> int:
     except (RamlabError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 4
+        return 2 if isinstance(exc, UsageError) else 4
 
 
 if __name__ == "__main__":

@@ -5,6 +5,12 @@ class RamlabError(Exception):
     """Base class for all errors raised by this package."""
 
 
+# --- command line -------------------------------------------------------------
+
+class UsageError(RamlabError):
+    """A command-line value is out of range for its input (exit code 2)."""
+
+
 # --- graph construction / validation ---------------------------------------
 
 class IrregularGraph(RamlabError):

@@ -41,9 +41,10 @@ class ProbabilityVector:
 
     def __post_init__(self):
         v = self.values
-        if (v < 0).any():
-            raise ValueError("probability vector has negative entries")
-        if abs(float(v.sum()) - 1.0) > _SUM_TOL:
+        # written so that NaN fails both checks
+        if not (v >= 0).all():
+            raise ValueError("probability vector has negative or NaN entries")
+        if not abs(float(v.sum()) - 1.0) <= _SUM_TOL:
             raise ValueError(f"probability vector sums to {v.sum()!r}, not 1")
 
     @property

@@ -155,6 +155,27 @@ def test_computation_error_exit_code(tmp_path):
                 "--out-dir", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("name", ["complete(4)", "complete_bipartite(3)"])
+def test_metrics_default_window_below_ten_vertices(tmp_path, name):
+    # the default radius 3 log(log10 n) / log(d-1) is negative for n < 10
+    assert run(["metrics", "--family", "named", "--name", name,
+                "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads(read(os.path.join(str(tmp_path), "metrics.json")))
+    assert payload["profile"]["window_radius"] == 0.0
+
+
+@pytest.mark.parametrize("flags", [["--source", "50"], ["--source", "-1"],
+                                   ["--window-radius", "-1"], ["--window-radius", "nan"]])
+def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
+    # a value argparse cannot range-check -> one JSON line on stderr, exit 2,
+    # and no artifacts
+    assert run(["metrics", "--family", "named", "--name", "petersen",
+                "--out-dir", str(tmp_path)] + flags) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "UsageError"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["not-a-subcommand"])

@@ -406,6 +406,13 @@ def test_probability_vector_validation():
     ProbabilityVector("vertices", np.array([0.5, 0.5]))
 
 
+@pytest.mark.parametrize("values", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0],
+                                    [np.inf, -np.inf]])
+def test_probability_vector_rejects_nan_and_inf(values):
+    with pytest.raises(ValueError):
+        ProbabilityVector("vertices", np.array(values))
+
+
 def test_lazy_nbrw_mixes_bipartite(k33):
     curve = mixing_curve(k33, "nbrw_lazy", 0, 40)
     assert curve.reference == "full"
