@@ -1,7 +1,7 @@
 """Kernel backend selection.
 
-Hot kernels (all but the numpy-only all-sources BFS sweep) ship in two
-implementations: numba ``@njit`` and pure numpy. numba is an optional extra
+Hot kernels other than the numpy-only all-sources BFS sweep and walk steps
+ship in two implementations: numba ``@njit`` and pure numpy. numba is an optional extra
 (``pip install -e .[numba]``). The numba path is used when numba imports
 cleanly, unless the environment variable ``RAMLAB_PURE_NUMPY`` is set to
 ``1``/``true``/``yes`` before the package is imported, which forces the

@@ -1,7 +1,8 @@
-"""Hot numeric kernels: BFS metrics, walk-kernel applications, tree DP.
+"""Hot numeric kernels: BFS metrics, the nonbacktracking operator, tree DP.
 
-The all-sources sweep ``eccentricities_and_girth`` is numpy only. Every other
-kernel has a numba ``@njit`` implementation and a vectorized pure-numpy twin;
+The all-sources sweep ``eccentricities_and_girth`` is numpy only, and so are
+the batched walk steps in ``walk_engine``. Every other kernel has a numba
+``@njit`` implementation and a vectorized pure-numpy twin;
 ``_backend.USING_NUMBA`` picks which one the module-level names bind to.
 ``implementations()`` exposes both for the equivalence tests.
 
@@ -141,47 +142,8 @@ def eccentricities_and_girth(indices, d):
 
 
 # --------------------------------------------------------------------------
-# Walk kernels: one SRW step on vertices, one NBRW step on directed edges,
-# and the nonbacktracking operator B applied to an edge function.
+# The nonbacktracking operator B applied to an edge function.
 # --------------------------------------------------------------------------
-
-
-@njit(cache=True, nogil=True)
-def _srw_step_numba(indices, d, vec):
-    n = vec.shape[0]
-    out = np.empty(n, np.float64)
-    inv = 1.0 / d
-    for v in range(n):
-        s = 0.0
-        base = v * d
-        for j in range(d):
-            s += vec[indices[base + j]]
-        out[v] = s * inv
-    return out
-
-
-def _srw_step_numpy(indices, d, vec):
-    return vec[indices].reshape(-1, d).sum(axis=1) / d
-
-
-@njit(cache=True, nogil=True)
-def _nbrw_step_numba(head, rev, d, vec):
-    N = vec.shape[0]
-    n = N // d
-    vsum = np.zeros(n, np.float64)
-    for e in range(N):
-        vsum[head[e]] += vec[e]
-    out = np.empty(N, np.float64)
-    inv = 1.0 / (d - 1)
-    for e in range(N):
-        out[e] = (vsum[e // d] - vec[rev[e]]) * inv
-    return out
-
-
-def _nbrw_step_numpy(head, rev, d, vec):
-    n = vec.shape[0] // d
-    vsum = np.bincount(head, weights=vec, minlength=n)
-    return (np.repeat(vsum, d) - vec[rev]) / (d - 1)
 
 
 @njit(cache=True, nogil=True)
@@ -300,8 +262,6 @@ def _tree_log_step_numpy(old, d):
 
 _NUMBA_IMPLS = {
     "bfs_distances": _bfs_numba,
-    "srw_step": _srw_step_numba,
-    "nbrw_step": _nbrw_step_numba,
     "b_apply": _b_apply_numba,
     "tree_step": _tree_step_numba,
     "tree_log_step": _tree_log_step_numba,
@@ -309,8 +269,6 @@ _NUMBA_IMPLS = {
 
 _NUMPY_IMPLS = {
     "bfs_distances": _bfs_numpy,
-    "srw_step": _srw_step_numpy,
-    "nbrw_step": _nbrw_step_numpy,
     "b_apply": _b_apply_numpy,
     "tree_step": _tree_step_numpy,
     "tree_log_step": _tree_log_step_numpy,
@@ -319,8 +277,6 @@ _NUMPY_IMPLS = {
 _ACTIVE = _NUMBA_IMPLS if USING_NUMBA else _NUMPY_IMPLS
 
 bfs_distances = _ACTIVE["bfs_distances"]
-srw_step = _ACTIVE["srw_step"]
-nbrw_step = _ACTIVE["nbrw_step"]
 b_apply = _ACTIVE["b_apply"]
 tree_step = _ACTIVE["tree_step"]
 tree_log_step = _ACTIVE["tree_log_step"]

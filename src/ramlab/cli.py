@@ -13,15 +13,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__, builders, graph_core, spectral_lab, theory, walk_engine
 from ._backend import backend_name
 from .errors import RamlabError, UsageError, VerificationFailed
-
-THREADS_ENV = "RAMLAB_THREADS"
 
 
 def _fmt(value) -> str:
@@ -70,13 +67,6 @@ def write_manifest(out_dir: str, subcommand: str, config: dict) -> str:
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
 
 
 # --------------------------------------------------------------------------
@@ -191,13 +181,16 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_mix(args) -> int:
+    if args.tmax < 0:
+        raise UsageError(f"--tmax must be >= 0, got {args.tmax}")
     graph = resolve_graph(args)
+    states = graph.n if args.kernel.startswith("srw") else graph.n * graph.d
+    if not 0 <= args.start < states:
+        raise UsageError(f"--start {args.start} outside [0, {states}) for {args.kernel}")
     sha = write_manifest(args.out_dir, "mix", _config_of(args))
     p_list = _parse_p_list(args.p_list) if args.p_list else list(range(1, args.pmax + 1))
-    finite_p = [p for p in p_list if not math.isinf(p)]
-    start = args.start
-    curve = walk_engine.mixing_curve(graph, args.kernel, start, args.tmax,
-                                     p_list=finite_p, reference=args.reference)
+    curve = walk_engine.mixing_curve(graph, args.kernel, args.start, args.tmax,
+                                     p_list=p_list, reference=args.reference)
     header = ["t", "d_tv"]
     header += [f"d_{p:g}" for p in sorted(curve.d_p)]
     header += ["d_inf"]
@@ -224,19 +217,7 @@ def cmd_profile(args) -> int:
     rng_starts = walk_engine.default_start_sample(graph, seed=args.seed,
                                                   sample_size=args.starts)
     s_grid = [float(s) for s in args.s_grid.split(",")]
-    workers = min(_threads(), len(rng_starts))
-    if workers > 1:
-        chunks = np.array_split(rng_starts, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda c: walk_engine.empirical_cutoff_profile(graph, c, s_grid),
-                [c for c in chunks if c.size]))
-        records = parts[0]
-        for part in parts[1:]:
-            for acc, rec in zip(records, part):
-                acc["empirical"] = max(acc["empirical"], rec["empirical"])
-    else:
-        records = walk_engine.empirical_cutoff_profile(graph, rng_starts, s_grid)
+    records = walk_engine.empirical_cutoff_profile(graph, rng_starts, s_grid)
     comments = [
         f"manifest_sha256={sha}",
         f"starts={','.join(str(int(x)) for x in rng_starts)}",
@@ -304,12 +285,15 @@ def cmd_certify(args) -> int:
 
 
 def cmd_theory(args) -> int:
+    try:
+        payload = theory.predictions_json(
+            args.n, args.d,
+            p=args.p if args.p else None,
+            lam=args.lam, eps=args.eps, delta=args.delta)
+    except ValueError as exc:  # the formulas' range checks on the flag values
+        raise UsageError(str(exc)) from exc
     os.makedirs(args.out_dir, exist_ok=True)
     sha = write_manifest(args.out_dir, "theory", _config_of(args))
-    payload = theory.predictions_json(
-        args.n, args.d,
-        p=args.p if args.p else None,
-        lam=args.lam, eps=args.eps, delta=args.delta)
     emit_json(os.path.join(args.out_dir, "theory.json"), payload, sha)
     print(json.dumps({k: v for k, v in payload.items() if not isinstance(v, dict)},
                      sort_keys=True, default=_json_default))
@@ -317,15 +301,17 @@ def cmd_theory(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    try:
+        table = walk_engine.tree_radial(args.d, args.horizon)
+    except ValueError as exc:  # d < 3, or a horizon outside [1, TABLE_HORIZON_CAP]
+        raise UsageError(str(exc)) from exc
     os.makedirs(args.out_dir, exist_ok=True)
     sha = write_manifest(args.out_dir, "tree", _config_of(args))
-    table = walk_engine.tree_radial(args.d, args.horizon)
     rows = []
     for t in range(args.horizon + 1):
-        row = table.row(t)
-        for k in range(t + 1):
-            if row[k] > 0:
-                rows.append([t, k, float(row[k])])
+        row = table.row(t)[: t + 1]
+        ks = np.flatnonzero(row > 0)
+        rows.extend(zip([t] * ks.size, ks.tolist(), row[ks].tolist()))
     out = os.path.join(args.out_dir, "tree_radial.csv")
     emit_csv(out, ["t", "k", "probability"], rows,
              [f"manifest_sha256={sha}", f"d={args.d} horizon={args.horizon}"])

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from . import _kernels
 from .errors import (
@@ -46,6 +47,14 @@ class RegularGraph:
         heads = self.indices.astype(np.int64)
         keep = tails < heads
         return list(zip(tails[keep].tolist(), heads[keep].tolist()))
+
+
+def adjacency_sparse(graph: RegularGraph) -> scipy.sparse.csr_matrix:
+    """Adjacency matrix in CSR form, each row's columns in neighbor order."""
+    indptr = np.arange(0, (graph.n + 1) * graph.d, graph.d)
+    data = np.ones(graph.n * graph.d)
+    return scipy.sparse.csr_matrix((data, graph.indices, indptr),
+                                   shape=(graph.n, graph.n))
 
 
 def from_adjacency(adj: dict | list, d: int, provenance: dict | None = None) -> RegularGraph:

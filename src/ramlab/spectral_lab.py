@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from . import _kernels, theory
@@ -29,7 +28,13 @@ from .errors import (
     SizeCap,
     VerificationFailed,
 )
-from .graph_core import DirectedEdgeSpace, RegularGraph, validate_and_index
+from .graph_core import (
+    DirectedEdgeSpace,
+    RegularGraph,
+    adjacency_sparse,
+    validate_and_index,
+)
+from .walk_engine import evolve, l2_squared_uniform
 
 DENSE_CAP_DEFAULT = 4000
 RAMANUJAN_TOL = 1e-9
@@ -42,13 +47,6 @@ def adjacency_dense(graph: RegularGraph) -> np.ndarray:
     tails = np.repeat(np.arange(graph.n), graph.d)
     a[tails, graph.indices] = 1.0
     return a
-
-
-def adjacency_sparse(graph: RegularGraph) -> scipy.sparse.csr_matrix:
-    indptr = np.arange(0, (graph.n + 1) * graph.d, graph.d)
-    data = np.ones(graph.n * graph.d)
-    return scipy.sparse.csr_matrix((data, graph.indices, indptr),
-                                   shape=(graph.n, graph.n))
 
 
 # --------------------------------------------------------------------------
@@ -557,20 +555,11 @@ def upsilon_l2_transitive(graph: RegularGraph, report: SpectrumReport,
     predicted = theory._iceil(
         (math.log(n) + math.log(ups + 2.0) + math.log(1.0 / eps)) / math.log(d - 1))
 
-    if edge_space is None:
-        edge_space = validate_and_index(graph)
-    N = edge_space.N
-    mu = np.zeros(N)
-    mu[start_edge] = 1.0
-    measured = None
-    for t in range(predicted + 16):
-        d2_sq = N * float((mu**2).sum()) - 1.0
-        if d2_sq <= eps:
-            measured = t
+    for measured, mu in evolve(graph, "nbrw", [start_edge], edge_space):
+        if measured > predicted + 15:
+            raise NotReached(predicted + 15)
+        if l2_squared_uniform(mu[:, 0], n * d) <= eps:
             break
-        mu = _kernels.nbrw_step(edge_space.head, edge_space.rev, d, mu)
-    if measured is None:
-        raise NotReached(predicted + 15)
     return {"k": k, "upsilon": ups, "predicted": predicted, "measured": measured,
             "match": predicted == measured}
 

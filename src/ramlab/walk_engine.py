@@ -1,12 +1,14 @@
 """Exact walk-distribution evolution and mixing measurements.
 
-Distributions are dense vectors over vertices (SRW) or directed edges
-(NBRW), evolved matrix-free from the compressed adjacency. The infinite
-d-regular tree enters through the radial dynamic program for the reflected
-biased walk, which supplies exact return probabilities, L^p norms, and the
-sphere-mixture identity for the SRW law.
+Distributions are dense arrays over vertices (SRW) or directed edges (NBRW).
+The generator ``evolve`` advances a batch of them, one column per start; the
+mixing curve, the all-starts cutoff profile and the NBRW projections are thin
+loops over it. The infinite d-regular tree enters through the radial dynamic
+program for the reflected biased walk, which supplies exact return
+probabilities, L^p norms, and the sphere-mixture identity for the SRW law.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,7 +21,12 @@ from .errors import (
     SpaceMismatch,
     SupportViolation,
 )
-from .graph_core import DirectedEdgeSpace, RegularGraph, validate_and_index
+from .graph_core import (
+    DirectedEdgeSpace,
+    RegularGraph,
+    adjacency_sparse,
+    validate_and_index,
+)
 
 VERTICES = "vertices"
 EDGES = "edges"
@@ -31,6 +38,21 @@ _SUM_TOL = 1e-12
 # Full-table horizon cap; longer horizons use the streaming helpers below.
 TABLE_HORIZON_CAP = 4096
 
+# Byte budget of one (states x block) float64 array in the all-starts cutoff
+# profile; a step holds a few such arrays at once.
+_BLOCK_BYTES = 4 << 20
+
+
+def _check_laws(x: np.ndarray) -> np.ndarray:
+    """Return x if x (or each column of a 2-D x) is a probability law."""
+    # written so that NaN fails both checks
+    if not (x >= 0).all():
+        raise ValueError("probability vector has negative or NaN entries")
+    sums = x.sum(axis=0)
+    if not (abs(sums - 1.0) <= _SUM_TOL).all():
+        raise ValueError(f"probability vector sums to {sums!r}, not 1")
+    return x
+
 
 @dataclass(frozen=True)
 class ProbabilityVector:
@@ -40,12 +62,7 @@ class ProbabilityVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = self.values
-        # written so that NaN fails both checks
-        if not (v >= 0).all():
-            raise ValueError("probability vector has negative or NaN entries")
-        if not abs(float(v.sum()) - 1.0) <= _SUM_TOL:
-            raise ValueError(f"probability vector sums to {v.sum()!r}, not 1")
+        _check_laws(self.values)
 
     @property
     def size(self) -> int:
@@ -88,16 +105,85 @@ def step(graph: RegularGraph, edge_space: DirectedEdgeSpace | None,
     if kernel == "srw":
         if dist.space != VERTICES:
             raise SpaceMismatch("SRW acts on vertex distributions")
-        out = _kernels.srw_step(graph.indices, graph.d, dist.values)
     elif kernel == "nbrw":
         if dist.space != EDGES:
             raise SpaceMismatch("NBRW acts on directed-edge distributions")
-        if edge_space is None:
-            edge_space = validate_and_index(graph)
-        out = _kernels.nbrw_step(edge_space.head, edge_space.rev, graph.d, dist.values)
     else:
         raise SpaceMismatch(f"unknown kernel {kernel!r}")
-    return ProbabilityVector(dist.space, out)
+    _, x = next(itertools.islice(evolve(graph, kernel, dist.values, edge_space), 1, None))
+    return ProbabilityVector(dist.space, x[:, 0])
+
+
+def evolve(graph: RegularGraph, kernel: str, starts,
+           edge_space: DirectedEdgeSpace | None = None):
+    """Yield (t, X) for t = 0, 1, ...: column j of X is the law at time t of
+    the walk from state starts[j] (a float ``starts`` holds initial laws).
+    Lazy kernels yield the mean of the pure laws at t-1 and t for t >= 1.
+    Each step is taken on demand and every array is checked column by
+    column; callers must not modify it."""
+    if kernel not in KERNELS:
+        raise SpaceMismatch(f"unknown kernel {kernel!r}")
+    base, d = kernel.removesuffix("_lazy"), graph.d
+    if base == "srw":
+        size, adj = graph.n, adjacency_sparse(graph)
+    else:
+        size, rev = graph.n * d, (edge_space or validate_and_index(graph)).rev
+    starts = np.asarray(starts)
+    if starts.dtype.kind == "f":
+        x = np.array(starts).reshape(size, -1)
+    else:
+        if not ((starts >= 0) & (starts < size)).all():
+            raise IndexError(f"start states must lie in [0, {size})")
+        x = np.zeros((size, starts.size))
+        x[starts, np.arange(starts.size)] = 1.0
+    prev = None
+    for t in itertools.count():
+        _check_laws(x)
+        yield t, x if prev is None or base == kernel else _check_laws(0.5 * (prev + x))
+        # Each state adds its d inflows one at a time in neighbor order (the
+        # CSR product sums a row in column order), so a column of a batch
+        # equals that law stepped alone, to the last bit.
+        prev = x
+        if base == "srw":
+            x = (adj @ prev) / d
+        else:  # edge (u, v) gets the inflow of u less the mass on (v, u)
+            inflow = prev[rev]
+            x = inflow[0::d].copy()
+            for j in range(1, d):
+                x += inflow[j::d]
+            x = (np.repeat(x, d, axis=0) - inflow) / (d - 1)
+
+
+class _Reference:
+    """A reference law with its support found once; per law, one difference
+    pass gives the TV and one ratio pass D_inf and every D_p."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.support = None if (values > 0).all() else values > 0
+        self.weights = values if self.support is None else values[self.support]
+
+    def tv(self, x: np.ndarray) -> list:
+        """TV distance of x, or of each row of a 2-D x; a row is summed as a
+        contiguous 1-D array, so it gives the bits of that law on its own."""
+        diff = np.subtract(np.atleast_2d(x), self.values, order="C")
+        return [0.5 * float(row.sum()) for row in np.abs(diff, out=diff)]
+
+    def lp(self, x: np.ndarray, p_list) -> list:
+        """L^p(reference) norm of x/ref - 1 for each p in p_list (inf allowed)."""
+        if self.support is None:
+            ratio = x / self.values
+        else:
+            outside = x[~self.support]
+            if outside.max() > 0:
+                raise SupportViolation(
+                    f"distribution puts mass {outside.max():g} outside the "
+                    "reference support")
+            ratio = x[self.support] / self.weights
+        ratio -= 1.0
+        a = np.abs(ratio, out=ratio)
+        return [float(a.max()) if math.isinf(p)
+                else float((self.weights * a ** p).sum() ** (1.0 / p)) for p in p_list]
 
 
 def distance_to_stationarity(dist: ProbabilityVector,
@@ -107,22 +193,13 @@ def distance_to_stationarity(dist: ProbabilityVector,
         raise SpaceMismatch("distribution and reference live on different spaces")
     if p < 1:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    ref = reference.values
-    support = ref > 0
-    outside = dist.values[~support]
-    if outside.size and outside.max() > 0:
-        raise SupportViolation(
-            f"distribution puts mass {outside.max():g} outside the reference support")
-    ratio = dist.values[support] / ref[support] - 1.0
-    if math.isinf(p):
-        return float(np.abs(ratio).max())
-    return float((ref[support] * np.abs(ratio) ** p).sum() ** (1.0 / p))
+    return _Reference(reference.values).lp(dist.values, [p])[0]
 
 
 def tv_distance(dist: ProbabilityVector, reference: ProbabilityVector) -> float:
     if dist.space != reference.space or dist.size != reference.size:
         raise SpaceMismatch("distribution and reference live on different spaces")
-    return 0.5 * float(np.abs(dist.values - reference.values).sum())
+    return _Reference(reference.values).tv(dist.values)[0]
 
 
 def l2_squared_uniform(values: np.ndarray, support_size: int) -> float:
@@ -155,12 +232,6 @@ class MixingCurve:
         raise KeyError(f"p={p} was not requested for this curve")
 
 
-def _start_parity(graph: RegularGraph, kernel: str, start: int) -> int:
-    if kernel.startswith("srw"):
-        return int(graph.bipartition[start])
-    return int(graph.bipartition[start // graph.d])
-
-
 def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
                  p_list=(), edge_space: DirectedEdgeSpace | None = None,
                  reference: str = "auto") -> MixingCurve:
@@ -172,49 +243,30 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
     kernels average the time-(t-1) and time-t pure distributions (the lazy
     first step) and always use the full reference.
     """
-    if kernel not in KERNELS:
-        raise SpaceMismatch(f"unknown kernel {kernel!r}")
     if reference not in ("auto", "full"):
         raise ValueError(f"unknown reference mode {reference!r}")
-    lazy = kernel.endswith("_lazy")
-    base = "srw" if kernel.startswith("srw") else "nbrw"
-    space = VERTICES if base == "srw" else EDGES
-    size = graph.n if space == VERTICES else graph.n * graph.d
-    if base == "nbrw" and edge_space is None:
-        edge_space = validate_and_index(graph)
-
-    alternating = reference == "auto" and graph.bipartite and not lazy
-    full_ref = stationary(space, graph)
-    if alternating:
-        p0 = _start_parity(graph, kernel, start)
-        refs = (stationary(space, graph, parity=p0),
-                stationary(space, graph, parity=1 - p0))
-
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    space = VERTICES if kernel.startswith("srw") else EDGES
+    if reference == "auto" and graph.bipartite and not kernel.endswith("_lazy"):
+        p0 = int(graph.bipartition[start if space == VERTICES else start // graph.d])
+        refs = [_Reference(stationary(space, graph, parity=q).values) for q in (p0, 1 - p0)]
+    else:
+        refs = [_Reference(stationary(space, graph).values)]
     p_list = sorted({float(p) for p in p_list if not math.isinf(float(p))})
-    times = np.arange(t_max + 1)
-    d_tv = np.empty(t_max + 1)
-    d_inf = np.empty(t_max + 1)
-    d_p = {p: np.empty(t_max + 1) for p in p_list}
 
-    cur = delta(space, size, start)
-    prev = None
-    for t in range(t_max + 1):
-        if lazy and t >= 1:
-            shown = ProbabilityVector(space, 0.5 * (prev.values + cur.values))
-        else:
-            shown = cur
-        ref = refs[t % 2] if alternating else full_ref
-        d_tv[t] = tv_distance(shown, ref)
-        d_inf[t] = distance_to_stationarity(shown, ref, math.inf)
-        for p in p_list:
-            d_p[p][t] = distance_to_stationarity(shown, ref, p)
-        if t < t_max:
-            prev = cur
-            cur = step(graph, edge_space, base, cur)
+    rows = []
+    for t, x in evolve(graph, kernel, [start], edge_space):
+        ref = refs[t % len(refs)]
+        rows.append(ref.tv(x[:, 0]) + ref.lp(x[:, 0], [math.inf, *p_list]))
+        if t == t_max:
+            break
+    d_tv, d_inf, *d_p = np.array(rows).T
 
     return MixingCurve(
-        kernel=kernel, start=start, times=times, d_tv=d_tv, d_p=d_p, d_inf=d_inf,
-        reference="parity-alternating" if alternating else "full",
+        kernel=kernel, start=start, times=np.arange(t_max + 1), d_tv=d_tv,
+        d_p=dict(zip(p_list, d_p)), d_inf=d_inf,
+        reference="parity-alternating" if len(refs) == 2 else "full",
         metadata={"graph": dict(graph.provenance), "n": graph.n, "d": graph.d,
                   "p_list": p_list, "t_max": t_max},
     )
@@ -245,6 +297,12 @@ def default_start_sample(graph: RegularGraph, seed: int = 0,
 # --------------------------------------------------------------------------
 
 
+def _uniform_out_edges(graph: RegularGraph, x: int) -> np.ndarray:
+    edge = np.zeros(graph.n * graph.d)
+    edge[x * graph.d : (x + 1) * graph.d] = 1.0 / graph.d
+    return edge
+
+
 def nbrw_projected(graph: RegularGraph, edge_space: DirectedEdgeSpace,
                    x: int, k: int) -> ProbabilityVector:
     """Law of the head vertex after k-1 NBRW steps from a uniform edge out
@@ -253,11 +311,9 @@ def nbrw_projected(graph: RegularGraph, edge_space: DirectedEdgeSpace,
         raise ValueError("k must be >= 0")
     if k == 0:
         return delta(VERTICES, graph.n, x)
-    edge = np.zeros(edge_space.N)
-    edge[x * graph.d : (x + 1) * graph.d] = 1.0 / graph.d
-    for _ in range(k - 1):
-        edge = _kernels.nbrw_step(edge_space.head, edge_space.rev, graph.d, edge)
-    values = np.bincount(edge_space.head, weights=edge, minlength=graph.n)
+    laws = evolve(graph, "nbrw", _uniform_out_edges(graph, x), edge_space)
+    _, edge = next(itertools.islice(laws, k - 1, None))
+    values = np.bincount(edge_space.head, weights=edge[:, 0], minlength=graph.n)
     return ProbabilityVector(VERTICES, values)
 
 
@@ -269,22 +325,17 @@ def srw_mixture_residual(graph: RegularGraph, x: int, t: int,
     """
     if edge_space is None:
         edge_space = validate_and_index(graph)
-    d = graph.d
-    srw = delta(VERTICES, graph.n, x)
-    for _ in range(t):
-        srw = step(graph, None, "srw", srw)
+    _, srw = next(itertools.islice(evolve(graph, "srw", [x]), t, None))
 
-    radial = tree_distance_row(d, t)
+    radial = tree_distance_row(graph.d, t)
     mixture = radial[0] * delta(VERTICES, graph.n, x).values
-    edge = np.zeros(edge_space.N)
-    edge[x * d : (x + 1) * d] = 1.0 / d
-    for k in range(1, t + 1):
+    edges = evolve(graph, "nbrw", _uniform_out_edges(graph, x), edge_space)
+    # zip asks range first, so no NBRW step is taken past k = t
+    for k, (_, edge) in zip(range(1, t + 1), edges):
         if radial[k] > 0:
-            proj = np.bincount(edge_space.head, weights=edge, minlength=graph.n)
+            proj = np.bincount(edge_space.head, weights=edge[:, 0], minlength=graph.n)
             mixture = mixture + radial[k] * proj
-        if k < t:
-            edge = _kernels.nbrw_step(edge_space.head, edge_space.rev, d, edge)
-    return float(np.abs(srw.values - mixture).max())
+    return float(np.abs(srw[:, 0] - mixture).max())
 
 
 # --------------------------------------------------------------------------
@@ -410,7 +461,8 @@ def tree_return_log_probabilities(d: int, t_max: int) -> np.ndarray:
 def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
     """Max-over-starts TV distance at t = round(t_star + s*window) for each
     s, paired with the Gaussian profile prediction. The graph must already
-    be certified (weakly) Ramanujan by the caller."""
+    be certified (weakly) Ramanujan by the caller. Starts evolve together
+    in blocks of at most _BLOCK_BYTES per (n x block) array."""
     from . import theory
 
     starts = list(starts)
@@ -419,18 +471,17 @@ def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
     pred = theory.cutoff_prediction(graph.n, graph.d)
     s_grid = [float(s) for s in s_grid]
     t_of_s = {s: max(0, round(pred.t_star + s * pred.window)) for s in s_grid}
-    t_need = sorted(set(t_of_s.values()))
-    t_max = t_need[-1]
+    t_max = max(t_of_s.values())
 
-    best = {t: 0.0 for t in t_need}
-    ref = stationary(VERTICES, graph)
-    for x in starts:
-        cur = delta(VERTICES, graph.n, int(x))
-        for t in range(t_max + 1):
+    best = dict.fromkeys(t_of_s.values(), 0.0)
+    ref = _Reference(stationary(VERTICES, graph).values)
+    width = max(1, _BLOCK_BYTES // (8 * graph.n))
+    for i in range(0, len(starts), width):
+        for t, x in evolve(graph, "srw", starts[i : i + width]):
             if t in best:
-                best[t] = max(best[t], tv_distance(cur, ref))
-            if t < t_max:
-                cur = step(graph, None, "srw", cur)
+                best[t] = max(best[t], *ref.tv(x.T))
+            if t == t_max:
+                break
 
     return [
         {"s": s, "t": t_of_s[s], "empirical": best[t_of_s[s]],

@@ -5,6 +5,7 @@ package kernels: dict-based BFS, dense matrix powers from the operator
 definitions, and exact-fraction dynamic programs.
 """
 
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -60,6 +61,52 @@ def srw_dense(graph, x: int, t: int) -> np.ndarray:
     for _ in range(t):
         mu = mu @ p
     return mu
+
+
+def srw_step_rows(graph, mu: np.ndarray) -> np.ndarray:
+    """One SRW step of a single law as a row sum over sorted neighbors; numpy
+    adds fewer than 8 terms in sequence, so for d <= 7 this matches any
+    in-order summation to the last bit."""
+    return mu[graph.indices].reshape(-1, graph.d).sum(axis=1) / graph.d
+
+
+def nbrw_step_bincount(graph, edge_space, mu: np.ndarray) -> np.ndarray:
+    """One NBRW step of a single law: the mass into each vertex (bincount
+    over heads, in edge order), less the reversal, over d-1."""
+    into = np.bincount(edge_space.head, weights=mu, minlength=graph.n)
+    return (np.repeat(into, graph.d) - mu[edge_space.rev]) / (graph.d - 1)
+
+
+def cutoff_profile_records(graph, starts, s_grid) -> list:
+    """(s, t, max-over-starts TV at t, Gaussian prediction) per s, with
+    t = round(t_star + s * window), by a per-start loop over Python lists.
+
+    Each SRW step adds a vertex's neighbors one at a time in sorted order
+    and divides by d, and each TV is half numpy's 1-D sum of |mu - 1/n|, so
+    the records are exact to the last bit, not just close."""
+    n, d = graph.n, graph.d
+    log_n = math.log(n) / math.log(d - 1)
+    t_star, window = d / (d - 2) * log_n, math.sqrt(log_n)
+    c_d = (d - 2) ** 1.5 / (2 * math.sqrt(d * (d - 1)))
+    times = {s: max(0, round(t_star + s * window)) for s in s_grid}
+    nbrs = adjacency_dict(graph)
+    best = dict.fromkeys(times.values(), 0.0)
+    for x in starts:
+        mu = [0.0] * n
+        mu[x] = 1.0
+        for t in range(max(times.values()) + 1):
+            if t in best:
+                tv = 0.5 * float(np.abs(np.array(mu) - 1.0 / n).sum())
+                best[t] = max(best[t], tv)
+            new = []
+            for u in range(n):
+                total = 0.0
+                for v in nbrs[u]:
+                    total += mu[v]
+                new.append(total / d)
+            mu = new
+    return [(s, times[s], best[times[s]], 0.5 * math.erfc(c_d * s / math.sqrt(2)))
+            for s in s_grid]
 
 
 def nbrw_dense_matrix(graph, edge_space) -> np.ndarray:

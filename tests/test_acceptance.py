@@ -7,6 +7,7 @@ return-probability prefactor); they are implemented faithfully and marked
 strict-xfail, with the analysis recorded in the repository notes.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -104,10 +105,8 @@ def test_criterion_3_nbrw_l2_bound(lps29_certified):
     at_threshold = 0.0
     min_ratio = math.inf
     for e0 in starts:
-        mu = np.zeros(N)
-        mu[e0] = 1.0
-        for t in range(1, 31):
-            mu = walk_engine._kernels.nbrw_step(es.head, es.rev, d, mu)
+        for t, mu in itertools.islice(walk_engine.evolve(g, "nbrw", [e0], es), 1, 31):
+            mu = mu[:, 0]
             d2_sq = N * float((mu * mu).sum()) - 1.0
             bound = 2 * N * 5.0 ** (-t) * (20 * t * t + 1)
             assert d2_sq <= bound, (int(e0), t, d2_sq, bound)

@@ -2,9 +2,10 @@ import json
 import math
 import os
 
+import oracles
 import pytest
 
-from ramlab import cli
+from ramlab import cli, walk_engine
 
 
 def run(args):
@@ -93,6 +94,17 @@ def test_tree_csv(tmp_path):
     assert records[(4, 0)] == pytest.approx(5 / 27)
 
 
+@pytest.mark.parametrize("d, horizon", [(3, 400), (6, 200)])
+def test_tree_csv_lists_every_positive_entry(tmp_path, d, horizon):
+    assert run(["tree", "--d", str(d), "--horizon", str(horizon),
+                "--out-dir", str(tmp_path)]) == 0
+    lines = read(os.path.join(str(tmp_path), "tree_radial.csv")).decode().splitlines()
+    table = walk_engine.tree_radial(d, horizon).table
+    expected = [f"{t},{k},{float(table[t, k]):.17g}" for t in range(horizon + 1)
+                for k in range(t + 1) if table[t, k] > 0]
+    assert lines[3:] == expected
+
+
 def test_decompose_exit_code(tmp_path):
     out = str(tmp_path)
     assert run(["decompose", "--family", "named", "--name", "complete(4)",
@@ -137,16 +149,29 @@ def test_outputs_reference_manifest(tmp_path):
     assert cert["_manifest_sha256"] == sha
 
 
-def test_threaded_profile_is_deterministic(tmp_path, monkeypatch):
-    args = ["profile", "--family", "named", "--name", "petersen",
-            "--s-grid=-1,0,1", "--starts", "10"]
-    a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    monkeypatch.delenv("RAMLAB_THREADS", raising=False)
-    assert run(args + ["--out-dir", a]) == 0
-    monkeypatch.setenv("RAMLAB_THREADS", "2")
-    assert run(args + ["--out-dir", b]) == 0
-    assert read(os.path.join(a, "cutoff_profile.csv")) == \
-        read(os.path.join(b, "cutoff_profile.csv"))
+_PROFILE_GRAPHS = {  # conftest fixture -> the CLI flags that build it
+    "petersen": ["--family", "named", "--name", "petersen"],
+    "rand3_50": ["--family", "random_regular", "--n", "50", "--d", "3", "--seed", "100"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILE_GRAPHS))
+@pytest.mark.parametrize("width", [1, 3, "all"])
+def test_profile_matches_per_start_oracle(tmp_path, monkeypatch, request, name, width):
+    # the batched evolution gives the per-start loop's records to the last
+    # bit, whether a block holds 1 start, 3 starts or every start at once
+    g = request.getfixturevalue(name)
+    block = width if width != "all" else g.n + 1
+    monkeypatch.setattr(walk_engine, "_BLOCK_BYTES", 8 * g.n * block)
+    s_grid = [-1.5, -1.0, 0.0, 0.5, 1.0, 2.0]
+    assert run(["profile", *_PROFILE_GRAPHS[name], "--s-grid=" + ",".join(map(str, s_grid)),
+                "--out-dir", str(tmp_path)]) == 0
+    lines = [l for l in read(os.path.join(str(tmp_path), "cutoff_profile.csv"))
+             .decode().splitlines() if not l.startswith("#")]
+    expected = [",".join([format(s, ".17g"), str(t), format(tv, ".17g"),
+                          format(pred, ".17g")])
+                for s, t, tv, pred in oracles.cutoff_profile_records(g, range(g.n), s_grid)]
+    assert lines == ["s,t,empirical,predicted"] + expected
 
 
 def test_computation_error_exit_code(tmp_path):
@@ -164,16 +189,37 @@ def test_metrics_default_window_below_ten_vertices(tmp_path, name):
     assert payload["profile"]["window_radius"] == 0.0
 
 
-@pytest.mark.parametrize("flags", [["--source", "50"], ["--source", "-1"],
-                                   ["--window-radius", "-1"], ["--window-radius", "nan"]])
-def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
+def _assert_usage_error(tmp_path, capsys, argv):
     # a value argparse cannot range-check -> one JSON line on stderr, exit 2,
     # and no artifacts
-    assert run(["metrics", "--family", "named", "--name", "petersen",
-                "--out-dir", str(tmp_path)] + flags) == 2
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "UsageError"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [["--source", "50"], ["--source", "-1"],
+                                   ["--window-radius", "-1"], ["--window-radius", "nan"]])
+def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
+    _assert_usage_error(tmp_path, capsys,
+                        ["metrics", "--family", "named", "--name", "petersen"] + flags)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mix", "--name", "petersen", "--start", "99999"],
+    ["mix", "--name", "petersen", "--start", "-1"],
+    ["mix", "--name", "petersen", "--kernel", "nbrw", "--start", "30"],
+    ["mix", "--name", "petersen", "--tmax", "-1"],
+    ["tree", "--d", "2"],
+    ["tree", "--d", "3", "--horizon", "0"],
+    ["tree", "--d", "3", "--horizon", str(walk_engine.TABLE_HORIZON_CAP + 1)],
+    ["theory", "--n", "1", "--d", "3"],
+    ["theory", "--n", "100", "--d", "2"],
+    ["theory", "--n", "100", "--d", "3", "--eps", "2"],
+    ["theory", "--n", "100", "--d", "3", "--delta", "-1"],
+], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_out_of_range_exit_code(tmp_path, capsys, argv):
+    _assert_usage_error(tmp_path, capsys, argv)
 
 
 def test_usage_error_exit_code():

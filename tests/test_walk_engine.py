@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramlab import graph_core, walk_engine
+from ramlab import builders, graph_core, walk_engine
 from ramlab.errors import NotReached, ParityOnNonBipartite, SpaceMismatch, SupportViolation
 from ramlab.walk_engine import (
     MixingCurve,
     ProbabilityVector,
     delta,
     distance_to_stationarity,
+    evolve,
     mixing_curve,
     mixing_time,
     nbrw_projected,
@@ -124,6 +125,127 @@ def test_kernels_match_dense_oracles(petersen, k33):
             for _ in range(t):
                 mu = step(g, es, "nbrw", mu)
             assert np.abs(mu.values - oracles.nbrw_dense(g, es, 0, t)).max() < 1e-14
+
+
+# --- batched evolution --------------------------------------------------------------
+
+
+def _single_laws(g, es, kernel, start, t_max):
+    """Laws at times 0..t_max by repeated single-vector stepping with the
+    oracle kernels (exact to the last bit for d <= 7); a lazy kernel shows
+    the mean of consecutive pure laws."""
+    base = kernel.removesuffix("_lazy")
+    mu = np.zeros(g.n if base == "srw" else es.N)
+    mu[start] = 1.0
+    pure = [mu]
+    for _ in range(t_max):
+        mu = (oracles.srw_step_rows(g, mu) if base == "srw"
+              else oracles.nbrw_step_bincount(g, es, mu))
+        pure.append(mu)
+    if kernel == base:
+        return pure
+    return pure[:1] + [0.5 * (a + b) for a, b in zip(pure, pure[1:])]
+
+
+@pytest.mark.parametrize("kernel", walk_engine.KERNELS)
+@pytest.mark.parametrize("name", ["petersen", "k33", "rand3_50", "lps13"])
+def test_evolve_equals_single_vector_stepping(name, kernel, request):
+    g = request.getfixturevalue(name)
+    es = graph_core.validate_and_index(g)
+    size = g.n if kernel.startswith("srw") else es.N
+    starts = [0, 1, size // 2, size - 1]
+    t_max = 12
+    single = [_single_laws(g, es, kernel, x, t_max) for x in starts]
+    for t, laws in evolve(g, kernel, starts, es):
+        assert laws.shape == (size, len(starts))
+        for j in range(len(starts)):
+            assert np.array_equal(laws[:, j], single[j][t]), (t, starts[j])
+        if t == t_max:
+            break
+
+
+def test_evolve_matches_dense_oracles_beyond_unrolled_sums():
+    # d = 9 rows are longer than numpy's 8-way unrolled pairwise sums; the
+    # kernels still add inflows one at a time
+    g = builders.build_named("complete(10)")
+    es = graph_core.validate_and_index(g)
+    srw = evolve(g, "srw", [0, 3, 9])
+    nbrw = evolve(g, "nbrw", [0, 40, 89], es)
+    for (t, laws), (_, edge_laws) in zip(srw, nbrw):
+        for j, x in enumerate((0, 3, 9)):
+            assert np.abs(laws[:, j] - oracles.srw_dense(g, x, t)).max() <= 1e-15
+        for j, e in enumerate((0, 40, 89)):
+            assert np.abs(edge_laws[:, j] - oracles.nbrw_dense(g, es, e, t)).max() <= 1e-15
+        if t == 10:
+            break
+
+
+def test_evolve_from_initial_laws(petersen):
+    es = graph_core.validate_and_index(petersen)
+    law = stationary("edges", petersen).values
+    for t, x in evolve(petersen, "nbrw", law, es):
+        assert x.shape == (es.N, 1)
+        assert np.abs(x[:, 0] - law).max() < 1e-16
+        if t == 5:
+            break
+
+
+@pytest.mark.parametrize("starts", [[10], [-1], [0, 30]])
+def test_evolve_rejects_states_outside_the_space(petersen, starts):
+    with pytest.raises(IndexError):
+        next(evolve(petersen, "srw", starts))
+
+
+def test_evolve_checks_every_column(petersen):
+    bad = np.full((petersen.n, 2), 1.0 / petersen.n)
+    bad[0, 1] = 0.5
+    with pytest.raises(ValueError):
+        next(evolve(petersen, "srw", bad))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5])
+def test_profile_blocks_keep_every_start(rand3_50, monkeypatch, width):
+    # the start with the largest TV sits at every position of a block in
+    # turn, among starts whose TV is strictly smaller
+    g = rand3_50
+    monkeypatch.setattr(walk_engine, "_BLOCK_BYTES", 8 * g.n * width)
+    tv = {x: oracles.cutoff_profile_records(g, [x], [0.0])[0][2] for x in range(g.n)}
+    top = max(tv, key=tv.get)
+    others = [x for x in range(g.n) if tv[x] < tv[top]][:9]
+    for pos in range(len(others) + 1):
+        starts = others[:pos] + [top] + others[pos:]
+        record, = walk_engine.empirical_cutoff_profile(g, starts, [0.0])
+        assert record["empirical"] == tv[top], pos
+
+
+@pytest.mark.parametrize("reference", ["auto", "full"])
+@pytest.mark.parametrize("kernel", ["srw", "nbrw"])
+@pytest.mark.parametrize("name", ["k33", "lps13"])
+def test_curve_columns_equal_public_distances(name, kernel, reference, request):
+    # one ratio pass per time gives the same bits as the public reductions;
+    # k33 and lps13 are bipartite, so 'auto' alternates the parity reference
+    g = request.getfixturevalue(name)
+    es = graph_core.validate_and_index(g)
+    space = "vertices" if kernel == "srw" else "edges"
+    p_list = [1.0, 1.5, 2.0, 3.0]
+    curve = mixing_curve(g, kernel, 1, 15, p_list=p_list, edge_space=es,
+                         reference=reference)
+    p0 = int(g.bipartition[1 if kernel == "srw" else 1 // g.d])
+    for t, values in enumerate(_single_laws(g, es, kernel, 1, 15)):
+        mu = ProbabilityVector(space, values)
+        ref = (stationary(space, g, parity=(p0 + t) % 2) if reference == "auto"
+               else stationary(space, g))
+        assert curve.d_tv[t] == tv_distance(mu, ref)
+        assert curve.d_inf[t] == distance_to_stationarity(mu, ref, math.inf)
+        for p in p_list:
+            assert curve.d_p[p][t] == distance_to_stationarity(mu, ref, p)
+
+
+def test_curve_rejects_bad_start_and_horizon(petersen):
+    with pytest.raises(IndexError):
+        mixing_curve(petersen, "nbrw", 30, 5)
+    with pytest.raises(ValueError):
+        mixing_curve(petersen, "srw", 0, -1)
 
 
 # --- distances ------------------------------------------------------------------
