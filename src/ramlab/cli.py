@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, builders, graph_core, spectral_lab, theory, walk_engine
 from ._backend import backend_name
-from .errors import RamlabError, UsageError, VerificationFailed
+from .errors import LambdaOutOfRange, POutOfRange, RamlabError, UsageError, VerificationFailed
 
 
 def _fmt(value) -> str:
@@ -120,14 +120,13 @@ def _config_of(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _parse_p_list(arg: str) -> list:
-    out = []
-    for tok in arg.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        out.append(math.inf if tok in ("inf", "oo") else float(tok))
-    return out
+def _parse_floats(flag: str, arg: str) -> list:
+    """Comma list of floats, blank entries skipped, inf or oo for infinity."""
+    try:
+        return [math.inf if tok.strip() in ("inf", "oo") else float(tok)
+                for tok in arg.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -183,12 +182,13 @@ def cmd_metrics(args) -> int:
 def cmd_mix(args) -> int:
     if args.tmax < 0:
         raise UsageError(f"--tmax must be >= 0, got {args.tmax}")
+    p_list = (_parse_floats("--p-list", args.p_list) if args.p_list
+              else list(range(1, args.pmax + 1)))
     graph = resolve_graph(args)
     states = graph.n if args.kernel.startswith("srw") else graph.n * graph.d
     if not 0 <= args.start < states:
         raise UsageError(f"--start {args.start} outside [0, {states}) for {args.kernel}")
     sha = write_manifest(args.out_dir, "mix", _config_of(args))
-    p_list = _parse_p_list(args.p_list) if args.p_list else list(range(1, args.pmax + 1))
     curve = walk_engine.mixing_curve(graph, args.kernel, args.start, args.tmax,
                                      p_list=p_list, reference=args.reference)
     header = ["t", "d_tv"]
@@ -212,11 +212,16 @@ def cmd_mix(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    s_grid = _parse_floats("--s-grid", args.s_grid)
+    if not s_grid or not all(map(math.isfinite, s_grid)):
+        raise UsageError(f"--s-grid needs finite values, got {args.s_grid!r}")
     graph = resolve_graph(args)
+    try:
+        rng_starts = walk_engine.default_start_sample(graph, seed=args.seed,
+                                                      sample_size=args.starts)
+    except ValueError as exc:  # a sample size outside [1, n]
+        raise UsageError(f"--starts: {exc}") from exc
     sha = write_manifest(args.out_dir, "profile", _config_of(args))
-    rng_starts = walk_engine.default_start_sample(graph, seed=args.seed,
-                                                  sample_size=args.starts)
-    s_grid = [float(s) for s in args.s_grid.split(",")]
     records = walk_engine.empirical_cutoff_profile(graph, rng_starts, s_grid)
     comments = [
         f"manifest_sha256={sha}",
@@ -290,7 +295,7 @@ def cmd_theory(args) -> int:
             args.n, args.d,
             p=args.p if args.p else None,
             lam=args.lam, eps=args.eps, delta=args.delta)
-    except ValueError as exc:  # the formulas' range checks on the flag values
+    except (ValueError, POutOfRange, LambdaOutOfRange) as exc:  # range checks on the flags
         raise UsageError(str(exc)) from exc
     os.makedirs(args.out_dir, exist_ok=True)
     sha = write_manifest(args.out_dir, "theory", _config_of(args))

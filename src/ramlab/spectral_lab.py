@@ -270,27 +270,8 @@ class BlockDecomposition:
     plus_one_multiplicity: int
     metadata: dict = field(default_factory=dict)
 
-    def lambda_dense(self) -> np.ndarray:
-        lam = np.zeros((self.N, self.N), dtype=complex)
-        lam[0, 0] = self.d - 1
-        col = 2 if self.bipartite else 1
-        if self.bipartite:
-            lam[1, 1] = -(self.d - 1)
-        for b in self.blocks:
-            lam[b.col, b.col] = b.theta
-            lam[b.col, b.col + 1] = b.alpha
-            lam[b.col + 1, b.col + 1] = b.theta_prime
-            col = b.col + 2
-        for _ in range(self.minus_one_multiplicity):
-            lam[col, col] = -1.0
-            col += 1
-        for _ in range(self.plus_one_multiplicity):
-            lam[col, col] = 1.0
-            col += 1
-        return lam
-
     def eigenvalue_multiset(self) -> np.ndarray:
-        """Predicted spectrum of B (with algebraic multiplicity)."""
+        """Predicted spectrum of B with multiplicity: the diagonal of Lambda."""
         eigs = [complex(self.d - 1)]
         if self.bipartite:
             eigs.append(complex(-(self.d - 1)))
@@ -301,28 +282,25 @@ class BlockDecomposition:
         return np.array(eigs)
 
 
-def _halfedge_star_columns(edge_space: DirectedEdgeSpace, n: int, sign: int):
-    """Star-vector coordinates in the (anti)symmetric half-edge basis.
-
-    Half-edge j is the undirected pair {rep_j, rev(rep_j)} with basis vector
-    (delta_rep + sign*delta_rev)/sqrt(2); entry [j, x] holds the coordinate
-    of the star vector s^sign_x."""
+def _star_complement(edge_space: DirectedEdgeSpace, n: int, sign: int) -> np.ndarray:
+    """Orthonormal basis of the -sign eigenspace of B: edge functions with
+    f(rev e) = sign f(e) orthogonal to the star vectors 1_{tail x} + sign
+    1_{head x}. In the half-edge basis (delta_rep + sign delta_rev)/sqrt(2)
+    the stars are the columns of `coords`; the columns of a pivoted QR's Q
+    past the numerical rank (scipy.linalg.null_space's threshold) span their
+    complement."""
     reps = np.flatnonzero(np.arange(edge_space.N) < edge_space.rev)
-    u = edge_space.tail[reps].astype(np.int64)
-    v = edge_space.head[reps].astype(np.int64)
-    m = reps.size
-    coords = np.zeros((m, n))
-    rows = np.arange(m)
-    coords[rows, u] += math.sqrt(2)
-    coords[rows, v] += sign * math.sqrt(2)
-    return reps, coords
-
-
-def _expand_halfedge(z: np.ndarray, reps: np.ndarray, rev: np.ndarray,
-                     N: int, sign: int) -> np.ndarray:
-    cols = np.zeros((N, z.shape[1]))
-    cols[reps] = z / math.sqrt(2)
-    cols[rev[reps]] = sign * z / math.sqrt(2)
+    rows = np.arange(reps.size)
+    coords = np.zeros((reps.size, n))
+    coords[rows, edge_space.tail[reps].astype(np.int64)] += math.sqrt(2)
+    coords[rows, edge_space.head[reps].astype(np.int64)] += sign * math.sqrt(2)
+    q, r, _ = scipy.linalg.qr(coords, pivoting=True)
+    r_diag = np.abs(np.diag(r))
+    rank = int((r_diag > max(coords.shape) * np.finfo(float).eps * r_diag[0]).sum())
+    z = q[:, rank:] / math.sqrt(2)
+    cols = np.zeros((edge_space.N, z.shape[1]))
+    cols[reps] = z
+    cols[edge_space.rev[reps]] = sign * z
     return cols
 
 
@@ -406,14 +384,8 @@ def build_decomposition(graph: RegularGraph,
         U[:, col + 1] = w2
         col += 2
 
-    # +1 eigenvectors: antisymmetric edge functions orthogonal to the stars.
-    reps, s_minus = _halfedge_star_columns(edge_space, n, sign=-1)
-    z_plus = scipy.linalg.null_space(s_minus.T)
-    plus_cols = _expand_halfedge(z_plus, reps, edge_space.rev, N, sign=-1)
-    # -1 eigenvectors: symmetric edge functions orthogonal to the stars.
-    _, s_plus = _halfedge_star_columns(edge_space, n, sign=+1)
-    z_minus = scipy.linalg.null_space(s_plus.T)
-    minus_cols = _expand_halfedge(z_minus, reps, edge_space.rev, N, sign=+1)
+    plus_cols = _star_complement(edge_space, n, sign=-1)
+    minus_cols = _star_complement(edge_space, n, sign=+1)
 
     m_plus_expected = N // 2 - n + 1
     m_minus_expected = N // 2 - n + 1 if graph.bipartite else N // 2 - n
@@ -444,21 +416,41 @@ def verify_decomposition(b_dense: np.ndarray, dec: BlockDecomposition,
                          tol_bass: float = 1e-6, tol_alpha: float = 1e-8,
                          tol_opnorm: float = 1e-8,
                          raise_on_fail: bool = False) -> dict:
-    """Residual report: reconstruction |B - U Lambda U*|, unitarity, the Bass
-    eigenvalue-multiset match, the operator-norm identity via B B^T, and the
-    off-diagonal moduli against their closed form."""
-    U = dec.U
-    recon = float(np.abs(b_dense - U @ dec.lambda_dense() @ U.conj().T).max())
-    unitary = float(np.abs(U.conj().T @ U - np.eye(dec.N)).max())
+    """Residual report: bounds on every entry of |B - U Lambda U*| and on
+    | ||B|| - (d-1) |, unitarity, the Bass eigenvalue-multiset match, and the
+    off-diagonal moduli against their closed form.
 
-    actual = np.linalg.eigvals(b_dense)
-    predicted = dec.eigenvalue_multiset()
-    bass = _multiset_distance(actual, predicted)
+    With R = B U - U Lambda, B - U Lambda U* = R U* + B (I - U U*), so every
+    entry is at most max_i |R_i| max_j |U_j| + max_i |B_i| ||U*U - I||_F, with
+    |X_i| the 2-norm of row i (for square U, ||I - U U*||_2 = ||I - U*U||_2).
+    ||B||^2, the top eigenvalue of B B^T, lies between the Rayleigh quotient
+    |B^T 1|^2 / N and the largest row sum of |B| |B|^T. B U is sparse and
+    U Lambda a column scaling: eigvals(B) and U*U are the only cubic steps."""
+    U, N, top = dec.U, dec.N, dec.d - 1
+    diag = dec.eigenvalue_multiset()
+    gram = U.conj().T @ U
+    gram[np.diag_indices(N)] -= 1.0
+    unitary = float(np.abs(gram).max())
+    gram_err = float(np.linalg.norm(gram))
+    del gram
 
-    bbt = b_dense @ b_dense.T
-    opnorm = math.sqrt(float(scipy.linalg.eigh(bbt, eigvals_only=True,
-                                               subset_by_index=(dec.N - 1, dec.N - 1))[0]))
-    opnorm_err = abs(opnorm - (dec.d - 1))
+    b_csr = scipy.sparse.csr_array(b_dense)
+    resid = b_csr @ U
+    resid -= U * diag
+    cols = np.array([blk.col for blk in dec.blocks], dtype=np.int64)
+    resid[:, cols + 1] -= U[:, cols] * np.array([blk.alpha for blk in dec.blocks])
+    b_row = math.sqrt(float(b_csr.power(2).sum(axis=1).max()))
+    recon = (float(np.linalg.norm(resid, axis=1).max())
+             * float(np.linalg.norm(U, axis=1).max()) + b_row * gram_err)
+    del resid
+
+    bass = _multiset_distance(np.linalg.eigvals(b_dense), diag)
+
+    col_sums = b_csr.sum(axis=0)
+    low = math.sqrt(float(col_sums @ col_sums) / N)
+    b_abs = abs(b_csr)
+    high = math.sqrt(float((b_abs @ b_abs.sum(axis=0)).max()))
+    opnorm_err = max(abs(high - top), abs(low - top))
 
     alpha_err = 0.0
     for b in dec.blocks:

@@ -285,7 +285,10 @@ def mixing_time(curve: MixingCurve, eps: float, p="tv") -> int:
 def default_start_sample(graph: RegularGraph, seed: int = 0,
                          sample_size: int = 16) -> np.ndarray:
     """Start vertices for max-over-starts measurements: every vertex up to
-    n=2000, a seeded sample above."""
+    n=2000, a seeded sample above; ValueError if the sample size is below 1
+    or, where a sample is drawn, above n."""
+    if sample_size < 1 or (graph.n > 2000 and sample_size > graph.n):
+        raise ValueError(f"sample size {sample_size} outside [1, n={graph.n}]")
     if graph.n <= 2000:
         return np.arange(graph.n)
     rng = np.random.default_rng(seed)

@@ -78,3 +78,14 @@ def test_graphs(k4, k33, petersen, rand3_50, lift20, lps13):
         "lift20": lift20,
         "lps13": lps13,
     }
+
+
+@pytest.fixture(scope="session")
+def criterion1_graphs(k4, k33, petersen):
+    """The graphs of acceptance criterion 1 (decomposition exactness)."""
+    graphs = {"K4": k4, "K3,3": k33, "Petersen": petersen}
+    for seed in (100, 200, 300, 400, 500):
+        graphs[f"rand3(50,seed={seed})"] = builders.build_random_regular(50, 3, seed)
+    graphs["20-lift(Petersen)"] = builders.build_random_lift(
+        LiftSpec(base=petersen, n=20, seed=5))
+    return graphs

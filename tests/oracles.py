@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive and shares no code path with the
 package kernels: dict-based BFS, dense matrix powers from the operator
-definitions, and exact-fraction dynamic programs.
+definitions, and exact-fraction dynamic programs. The dense decomposition
+check borrows only the package's eigenvalue matching and alpha closed form,
+which it is not meant to replace.
 """
 
 import math
@@ -10,6 +12,9 @@ from collections import deque
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
+
+from ramlab.spectral_lab import _multiset_distance, alpha_exact
 
 
 def adjacency_dict(graph):
@@ -158,3 +163,73 @@ def lp_distance_direct(mu: np.ndarray, ref: np.ndarray, p: float) -> float:
     if np.isinf(p):
         return float(np.abs(ratio).max())
     return float((ref[mask] * np.abs(ratio) ** p).sum() ** (1 / p))
+
+
+def lambda_dense(dec) -> np.ndarray:
+    """Lambda of a BlockDecomposition written out entry by entry."""
+    lam = np.zeros((dec.N, dec.N), dtype=complex)
+    lam[0, 0] = dec.d - 1
+    col = 2 if dec.bipartite else 1
+    if dec.bipartite:
+        lam[1, 1] = -(dec.d - 1)
+    for b in dec.blocks:
+        lam[b.col, b.col] = b.theta
+        lam[b.col, b.col + 1] = b.alpha
+        lam[b.col + 1, b.col + 1] = b.theta_prime
+        col = b.col + 2
+    for _ in range(dec.minus_one_multiplicity):
+        lam[col, col] = -1.0
+        col += 1
+    for _ in range(dec.plus_one_multiplicity):
+        lam[col, col] = 1.0
+        col += 1
+    return lam
+
+
+# verify_decomposition's default tolerance for each report key
+DECOMPOSITION_TOLERANCES = {"reconstruction": 1e-8, "unitarity": 1e-10,
+                            "bass_multiset": 1e-6, "operator_norm": 1e-8, "alpha": 1e-8}
+
+
+def verify_decomposition_dense(b_dense, dec) -> dict:
+    """spectral_lab.verify_decomposition's report by dense products: the
+    largest entry of |B - U Lambda U*| itself, and | ||B|| - (d-1) | from the
+    top eigenvalue of B B^T, with the verdict at the default tolerances.
+    unitarity, bass_multiset and alpha are computed as in the package."""
+    U = dec.U
+    top = scipy.linalg.eigh(b_dense @ b_dense.T, eigvals_only=True,
+                            subset_by_index=(dec.N - 1, dec.N - 1))[0]
+    report = {
+        "reconstruction": float(np.abs(b_dense - U @ lambda_dense(dec) @ U.conj().T).max()),
+        "unitarity": float(np.abs(U.conj().T @ U - np.eye(dec.N)).max()),
+        "bass_multiset": _multiset_distance(np.linalg.eigvals(b_dense),
+                                            dec.eigenvalue_multiset()),
+        "operator_norm": abs(math.sqrt(float(top)) - (dec.d - 1)),
+        "alpha": max((abs(abs(b.alpha) - alpha_exact(b.lam, dec.d)) for b in dec.blocks),
+                     default=0.0),
+    }
+    report["ok"] = all(report[k] <= tol for k, tol in DECOMPOSITION_TOLERANCES.items())
+    return report
+
+
+def ihara_bass_logs(graph, edge_space, multiset, u: complex) -> tuple:
+    """Logs of the three sides of the Ihara-Bass identity at complex u,
+    det(I - uB) = (1 - u^2)^(m-n) det((1 + (d-1)u^2) I - uA)
+                = prod over the multiset of (1 - u mu),
+    with B and A written out from their definitions (m = nd/2 edges). Each
+    log is defined up to a multiple of 2 pi i."""
+    n, d = graph.n, graph.d
+    a = np.zeros((n, n))
+    for x, nbrs in adjacency_dict(graph).items():
+        a[x, nbrs] = 1.0
+    b = nbrw_dense_matrix(graph, edge_space)
+
+    def logdet(mat):
+        sign, logabs = np.linalg.slogdet(mat)
+        return complex(logabs, np.angle(sign))
+
+    lhs = logdet(np.eye(edge_space.N) - u * b)
+    bass = ((n * d // 2 - n) * complex(np.log(1 - u * u))
+            + logdet((1 + (d - 1) * u * u) * np.eye(n) - u * a))
+    product = complex(np.log(1 - u * np.asarray(multiset)).sum())
+    return lhs, bass, product

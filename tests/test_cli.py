@@ -217,6 +217,15 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["theory", "--n", "100", "--d", "2"],
     ["theory", "--n", "100", "--d", "3", "--eps", "2"],
     ["theory", "--n", "100", "--d", "3", "--delta", "-1"],
+    ["theory", "--n", "100", "--d", "3", "--p", "1"],
+    ["theory", "--n", "100", "--d", "3", "--p", "0.5"],
+    ["theory", "--n", "100", "--d", "3", "--lam", "5"],
+    ["profile", "--family", "random_regular", "--n", "2002", "--starts", "5000"],
+    ["profile", "--family", "random_regular", "--n", "2002", "--starts", "-1"],
+    ["profile", "--name", "petersen", "--starts", "0"],
+    ["profile", "--name", "petersen", "--s-grid", "a,b"],
+    ["profile", "--name", "petersen", "--s-grid", "0,inf"],
+    ["mix", "--name", "petersen", "--p-list", "1,x"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_out_of_range_exit_code(tmp_path, capsys, argv):
     _assert_usage_error(tmp_path, capsys, argv)

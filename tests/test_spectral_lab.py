@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramlab import graph_core, spectral_lab
-from ramlab.errors import GraphIsBipartite, NotRamanujan, SizeCap
+from ramlab import builders, graph_core, spectral_lab
+from ramlab.errors import GraphIsBipartite, NotRamanujan, SizeCap, VerificationFailed
 from ramlab.spectral_lab import (
     adjacency_spectrum,
     alpha_exact,
@@ -225,8 +226,7 @@ def test_k33_block_structure(k33):
     assert dec.minus_one_multiplicity == 4  # N/2 - n + 1 = 9 - 6 + 1
     assert dec.plus_one_multiplicity == 4
     assert len(dec.blocks) == 4  # nontrivial eigenvalue 0 with multiplicity 4
-    lam_dense = dec.lambda_dense()
-    assert lam_dense[1, 1] == -(k33.d - 1)  # the -(d-1) principal pair entry
+    assert dec.eigenvalue_multiset()[1] == -(k33.d - 1)  # the -(d-1) principal pair entry
 
 
 def test_petersen_alpha_values(petersen):
@@ -278,17 +278,137 @@ def test_alpha_below_2d_minus_2(test_graphs):
             assert abs(b.alpha) < 2 * (g.d - 1)
 
 
-def test_verify_detects_corruption(k4):
-    es = graph_core.validate_and_index(k4)
-    dec = build_decomposition(k4, es)
-    b = build_B(k4, es).dense()
-    u_bad = dec.U.copy()
-    u_bad[0, 3] += 1e-3
-    from dataclasses import replace
+# the dense oracle's eigh(B B^T) reads up to ~1e-15 where the exact
+# | ||B|| - (d-1) | is 0 (0/1 matrix with row and column sums d-1)
+_DENSE_EIGH_ROUNDING = 1e-14
 
-    bad = replace(dec, U=u_bad)
-    rep = verify_decomposition(b, bad)
-    assert not rep["ok"]
+
+def _decomposed(g):
+    es = graph_core.validate_and_index(g)
+    return build_decomposition(g, es), build_B(g, es).dense()
+
+
+def _assert_bounds_oracle(rep, oracle):
+    assert rep["ok"] == oracle["ok"]
+    assert rep["reconstruction"] >= oracle["reconstruction"]
+    assert rep["operator_norm"] >= oracle["operator_norm"] - _DENSE_EIGH_ROUNDING
+    for key in ("unitarity", "bass_multiset", "alpha"):
+        assert rep[key] == oracle[key], key
+
+
+def test_verify_bounds_dense_oracle(criterion1_graphs):
+    # the residual and row-sum bounds are never below the dense values, and
+    # every verdict agrees with the dense check
+    graphs = {**criterion1_graphs,
+              "rand4(100)": builders.build_random_regular(100, 4, 0),
+              "rand3(200)": builders.build_random_regular(200, 3, 0)}
+    for name, g in graphs.items():
+        dec, b = _decomposed(g)
+        rep = verify_decomposition(b, dec)
+        assert rep["ok"], (name, rep)
+        _assert_bounds_oracle(rep, oracles.verify_decomposition_dense(b, dec))
+
+
+def _add_b_entry(b, dec):
+    b[0, np.flatnonzero(b[0] == 0)[0]] = 1.0
+    return b, dec
+
+
+def _drop_b_entry(b, dec):
+    b[0, np.flatnonzero(b[0])[0]] = 0.0
+    return b, dec
+
+
+def _negative_b_entry(b, dec):
+    # ||B|| rises above d-1 while the signed row sums of B B^T stay at most
+    # (d-1)^2: only the row sums of |B| |B|^T show it
+    b[2, np.flatnonzero(b[2] == 0)[0]] = -1.0
+    return b, dec
+
+
+def _damp_b_rows(b, dec):
+    # halve all rows but one per head vertex: ||B|| falls further below d-1
+    # than the largest row sum of B B^T shows, so the lower bound must see it
+    head = np.argmax(b > 0, axis=1) // dec.d
+    damp = np.full(dec.N, 0.5)
+    damp[np.unique(head, return_index=True)[1]] = 1.0
+    return b * damp[:, None], dec
+
+
+def _scale_alpha(b, dec):
+    blocks = list(dec.blocks)
+    blocks[0] = replace(blocks[0], alpha=blocks[0].alpha * (1 + 1e-6))
+    return b, replace(dec, blocks=blocks)
+
+
+def _move_theta(b, dec):
+    blocks = list(dec.blocks)
+    blocks[-1] = replace(blocks[-1], theta=blocks[-1].theta + 1e-3)
+    return b, replace(dec, blocks=blocks)
+
+
+def _move_u_entry(b, dec):
+    u = dec.U.copy()
+    u[0, 3] += 1e-3
+    return b, replace(dec, U=u)
+
+
+def _scale_u_column(b, dec):
+    # B U = U Lambda still holds; only the B (I - U U*) term sees it
+    u = dec.U.copy()
+    u[:, 0] *= 1 + 1e-3
+    return b, replace(dec, U=u)
+
+
+def _swap_u_columns(b, dec):
+    # the principal column (eigenvalue d-1) and the last (+1 eigenspace)
+    u = dec.U.copy()
+    u[:, [0, -1]] = u[:, [-1, 0]]
+    return b, replace(dec, U=u)
+
+
+_MUTATIONS = {  # mutation -> the report key that must catch it
+    _add_b_entry: "reconstruction",
+    _drop_b_entry: "reconstruction",
+    _negative_b_entry: "reconstruction",
+    _damp_b_rows: "operator_norm",
+    _scale_alpha: "alpha",
+    _move_theta: "bass_multiset",
+    _move_u_entry: "unitarity",
+    _scale_u_column: "unitarity",
+    _swap_u_columns: "reconstruction",
+}
+def test_verify_detects_corruption(k4, k33, petersen, c6_x_k4):
+    # each one-entry corruption flips the verdict through the key it targets,
+    # and the bounds stay at or above the dense values
+    for g in (k4, k33, petersen, c6_x_k4):
+        dec, b = _decomposed(g)
+        for mutate, key in _MUTATIONS.items():
+            b_bad, dec_bad = mutate(b.copy(), dec)
+            rep = verify_decomposition(b_bad, dec_bad)
+            assert not rep["ok"], (mutate.__name__, rep)
+            assert rep[key] > oracles.DECOMPOSITION_TOLERANCES[key], (mutate.__name__, rep)
+            with pytest.raises(VerificationFailed):
+                verify_decomposition(b_bad, dec_bad, raise_on_fail=True)
+            _assert_bounds_oracle(rep, oracles.verify_decomposition_dense(b_bad, dec_bad))
+
+
+def test_ihara_bass_determinant(criterion1_graphs):
+    # det(I - uB) = (1 - u^2)^(m-n) det((1 + (d-1)u^2) I - uA)
+    #             = prod (1 - u mu) over the predicted multiset,
+    # a check of the multiset that does not go through eigvals
+    rng = np.random.default_rng(7)
+    for name, g in criterion1_graphs.items():
+        es = graph_core.validate_and_index(g)
+        multiset = build_decomposition(g, es).eigenvalue_multiset()
+        for _ in range(3):
+            u = cmath.rect(rng.uniform(0.1, 0.95) / (g.d - 1), rng.uniform(-math.pi, math.pi))
+            lhs, bass, product = oracles.ihara_bass_logs(g, es, multiset, u)
+            for other in (bass, product):
+                diff = lhs - other
+                # logs agree up to a multiple of 2 pi i
+                diff -= 2j * math.pi * round(diff.imag / (2 * math.pi))
+                assert abs(diff) <= 1e-9 * max(1.0, abs(lhs)), (name, u, lhs, other)
 
 
 def test_decomposition_size_cap(petersen):
