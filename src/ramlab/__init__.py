@@ -6,8 +6,11 @@ operator, and compare measured mixing behavior against closed-form
 predictions.
 """
 
-from ._backend import backend_name
-
 __version__ = "0.1.0"
 
 __all__ = ["backend_name", "__version__"]
+
+
+def backend_name() -> str:
+    """Name of the kernel backend recorded in every manifest: always 'numpy'."""
+    return "numpy"

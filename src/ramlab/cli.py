@@ -15,10 +15,15 @@ import os
 import sys
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from scipy.sparse.linalg import ArpackError
 
-from . import __version__, builders, graph_core, spectral_lab, theory, walk_engine
-from ._backend import backend_name
+from . import __version__, backend_name, builders, graph_core, spectral_lab, theory, walk_engine
 from .errors import LambdaOutOfRange, POutOfRange, RamlabError, UsageError, VerificationFailed
+
+# Largest `tree --horizon`. It bounds the CSV, which lists every positive
+# (t, k) cell: about horizon^2 / 4 lines.
+TABLE_HORIZON_CAP = 4096
 
 
 def _fmt(value) -> str:
@@ -27,14 +32,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def emit_csv(path: str, header: list, rows: list, comments: list):
+def emit_csv(path: str, header: list, rows, comments: list):
     """Deterministic CSV: '#' comment lines, a header row, then records with
-    floats printed at 17 significant digits and '\\n' newlines."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    floats printed at 17 significant digits and '\\n' newlines. rows may be
+    any iterable; each record is written as it comes."""
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def emit_json(path: str, payload: dict, manifest_sha256: str):
@@ -184,6 +189,8 @@ def cmd_mix(args) -> int:
         raise UsageError(f"--tmax must be >= 0, got {args.tmax}")
     p_list = (_parse_floats("--p-list", args.p_list) if args.p_list
               else list(range(1, args.pmax + 1)))
+    if not all(p >= 1 for p in p_list):  # NaN fails too
+        raise UsageError(f"--p-list entries must be in [1, inf], got {args.p_list!r}")
     graph = resolve_graph(args)
     states = graph.n if args.kernel.startswith("srw") else graph.n * graph.d
     if not 0 <= args.start < states:
@@ -293,7 +300,7 @@ def cmd_theory(args) -> int:
     try:
         payload = theory.predictions_json(
             args.n, args.d,
-            p=args.p if args.p else None,
+            p=args.p,
             lam=args.lam, eps=args.eps, delta=args.delta)
     except (ValueError, POutOfRange, LambdaOutOfRange) as exc:  # range checks on the flags
         raise UsageError(str(exc)) from exc
@@ -306,19 +313,17 @@ def cmd_theory(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    if not 1 <= args.horizon <= TABLE_HORIZON_CAP:
+        raise UsageError(f"--horizon must be in [1, {TABLE_HORIZON_CAP}], got {args.horizon}")
     try:
-        table = walk_engine.tree_radial(args.d, args.horizon)
-    except ValueError as exc:  # d < 3, or a horizon outside [1, TABLE_HORIZON_CAP]
+        rows = walk_engine.tree_rows(args.d, args.horizon)
+    except ValueError as exc:  # d < 3
         raise UsageError(str(exc)) from exc
     os.makedirs(args.out_dir, exist_ok=True)
     sha = write_manifest(args.out_dir, "tree", _config_of(args))
-    rows = []
-    for t in range(args.horizon + 1):
-        row = table.row(t)[: t + 1]
-        ks = np.flatnonzero(row > 0)
-        rows.extend(zip([t] * ks.size, ks.tolist(), row[ks].tolist()))
     out = os.path.join(args.out_dir, "tree_radial.csv")
-    emit_csv(out, ["t", "k", "probability"], rows,
+    emit_csv(out, ["t", "k", "probability"],
+             ((t, k, p) for t, row in rows for k, p in enumerate(row.tolist()) if p > 0),
              [f"manifest_sha256={sha}", f"d={args.d} horizon={args.horizon}"])
     print(f"wrote {out}")
     return 0
@@ -409,7 +414,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "verification", "component": exc.component,
                           "message": str(exc)}), file=sys.stderr)
         return 3
-    except (RamlabError, OSError) as exc:
+    except (RamlabError, OSError, MemoryError, LinAlgError, ArpackError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 4

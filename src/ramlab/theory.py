@@ -10,6 +10,7 @@ the additive 3 log_{d-1} log n window terms is base 10, which pins the
 threshold time at 9 for (n, d) = (12180, 6).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -149,7 +150,7 @@ def lp_lower_bound(n: int, d: int, p: float, t: int) -> float:
     with the tree norm taken from the exact radial DP."""
     if t < 1:
         raise ValueError("t must be >= 1")
-    row = walk_engine.tree_distance_row(d, t)
+    _, row = next(itertools.islice(walk_engine.tree_rows(d, t), t, None))
     norm = walk_engine.tree_lp_norm(d, row, p)
     return n ** _frac(p, "pm1_over_p") * norm - 1.0
 

@@ -3,9 +3,10 @@
 Distributions are dense arrays over vertices (SRW) or directed edges (NBRW).
 The generator ``evolve`` advances a batch of them, one column per start; the
 mixing curve, the all-starts cutoff profile and the NBRW projections are thin
-loops over it. The infinite d-regular tree enters through the radial dynamic
-program for the reflected biased walk, which supplies exact return
-probabilities, L^p norms, and the sphere-mixture identity for the SRW law.
+loops over it. The infinite d-regular tree enters through ``tree_rows``, the
+radial dynamic program for the reflected biased walk, which supplies exact
+return probabilities, L^p norms, and the sphere-mixture identity for the SRW
+law.
 """
 
 import itertools
@@ -14,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     NotReached,
     ParityOnNonBipartite,
@@ -34,9 +34,6 @@ EDGES = "edges"
 KERNELS = ("srw", "nbrw", "srw_lazy", "nbrw_lazy")
 
 _SUM_TOL = 1e-12
-
-# Full-table horizon cap; longer horizons use the streaming helpers below.
-TABLE_HORIZON_CAP = 4096
 
 # Byte budget of one (states x block) float64 array in the all-starts cutoff
 # profile; a step holds a few such arrays at once.
@@ -253,7 +250,10 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
         refs = [_Reference(stationary(space, graph, parity=q).values) for q in (p0, 1 - p0)]
     else:
         refs = [_Reference(stationary(space, graph).values)]
-    p_list = sorted({float(p) for p in p_list if not math.isinf(float(p))})
+    p_list = [float(p) for p in p_list]
+    if not all(p >= 1 for p in p_list):  # NaN fails too
+        raise ValueError(f"every p must be in [1, inf], got {p_list}")
+    p_list = sorted({p for p in p_list if not math.isinf(p)})
 
     rows = []
     for t, x in evolve(graph, kernel, [start], edge_space):
@@ -330,7 +330,7 @@ def srw_mixture_residual(graph: RegularGraph, x: int, t: int,
         edge_space = validate_and_index(graph)
     _, srw = next(itertools.islice(evolve(graph, "srw", [x]), t, None))
 
-    radial = tree_distance_row(graph.d, t)
+    _, radial = next(itertools.islice(tree_rows(graph.d, t), t, None))
     mixture = radial[0] * delta(VERTICES, graph.n, x).values
     edges = evolve(graph, "nbrw", _uniform_out_edges(graph, x), edge_space)
     # zip asks range first, so no NBRW step is taken past k = t
@@ -357,29 +357,6 @@ def sphere_sizes(d: int, k_max: int) -> np.ndarray:
     return sizes
 
 
-@dataclass(frozen=True)
-class TreeRadialTable:
-    """Radial law of SRW on the infinite d-regular tree up to a horizon.
-
-    table[t, k] = probability the walk sits at distance k from the root at
-    time t; zero unless k <= t and k = t (mod 2).
-    """
-
-    d: int
-    horizon: int
-    table: np.ndarray
-
-    def row(self, t: int) -> np.ndarray:
-        return self.table[t]
-
-    def return_probability(self, t: int) -> float:
-        """Q^t(root, root); zero at odd t."""
-        return float(self.table[t, 0])
-
-    def lp_norm(self, t: int, p: float) -> float:
-        return tree_lp_norm(self.d, self.table[t], p)
-
-
 def tree_lp_norm(d: int, radial_row: np.ndarray, p: float) -> float:
     """L^p norm of the tree vertex law whose radial distribution is given:
     the law is uniform on each sphere, so the p-th power sums
@@ -394,66 +371,45 @@ def tree_lp_norm(d: int, radial_row: np.ndarray, p: float) -> float:
     return float(terms.sum() ** (1.0 / p))
 
 
-def tree_radial(d: int, horizon: int) -> TreeRadialTable:
-    """Exact radial DP table for times 0..horizon."""
+def tree_rows(d: int, t_max: int, log: bool = False):
+    """Iterator over (t, row) for t = 0..t_max: row[k] = P(|X_t| = k), k <= t,
+    or its log if log=True (the deep tail sits too many e-folds below the
+    mode for the linear row to hold it). Every row is a fresh array.
+
+    Only k = t (mod 2) can be reached, so the DP keeps those entries alone,
+    packed as c[j] = row[t % 2 + 2j] plus one padding zero, and step t
+    touches about t/2 of them.
+    """
     if d < 3:
         raise ValueError("tree walk requires d >= 3")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if horizon > TABLE_HORIZON_CAP:
-        raise ValueError(
-            f"full table capped at horizon {TABLE_HORIZON_CAP}; use "
-            "tree_distance_row / tree_return_probabilities for long horizons")
-    table = np.zeros((horizon + 1, horizon + 1))
-    table[0, 0] = 1.0
-    row = table[0]
-    for t in range(1, horizon + 1):
-        row = _kernels.tree_step(row, d)
-        table[t] = row
-    return TreeRadialTable(d=d, horizon=horizon, table=table)
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if log:
+        one, up, down, zero = 0.0, math.log((d - 1.0) / d), math.log(1.0 / d), -math.inf
+        add, scale = np.logaddexp, np.add
+    else:
+        one, up, down, zero = 1.0, (d - 1.0) / d, 1.0 / d, 0.0
+        add, scale = np.add, np.multiply
 
+    def step(c, t):
+        # c[i] = old[o + 2i] packs the row at t-1, o = (t-1) % 2; new entry
+        # j sits at k = 1 - o + 2j and reads old[k-1] = c[j-o] and
+        # old[k+1] = c[j+1-o]: row[k] = up * old[k-1] + down * old[k+1] for
+        # k >= 2, row[0] = down * old[1], row[1] = old[0] + down * old[2]
+        m, o = t // 2 + 1, 1 - t % 2
+        new = np.empty(m + 1)
+        add(scale(up, c[1 - o : m - o]), scale(down, c[2 - o : m + 1 - o]), out=new[1:m])
+        new[0] = scale(down, c[0]) if o else add(c[0], scale(down, c[1]))
+        new[m] = zero
+        return new
 
-def tree_distance_row(d: int, t: int) -> np.ndarray:
-    """Radial distribution at a single time t (memory O(t))."""
-    row = np.zeros(t + 1 if t > 0 else 2)
-    row[0] = 1.0
-    for _ in range(t):
-        row = _kernels.tree_step(row, d)
-    return row[: t + 1]
+    def spread(t, c):
+        row = np.full(t + 1, zero)
+        row[t % 2 :: 2] = c[:-1]
+        return t, row
 
-
-def tree_return_probabilities(d: int, t_max: int) -> np.ndarray:
-    """Q^t(root, root) for t = 0..t_max without storing the full table."""
-    row = np.zeros(t_max + 1 if t_max > 0 else 2)
-    row[0] = 1.0
-    out = np.zeros(t_max + 1)
-    out[0] = 1.0
-    for t in range(1, t_max + 1):
-        row = _kernels.tree_step(row, d)
-        out[t] = row[0]
-    return out
-
-
-def tree_log_row(d: int, t: int) -> np.ndarray:
-    """log P(|X_t| = k) for k = 0..t via the log-space DP (the deep tail
-    sits too many e-folds below the mode for the linear DP to hold it)."""
-    row = np.full(t + 1 if t > 0 else 2, -np.inf)
-    row[0] = 0.0
-    for _ in range(t):
-        row = _kernels.tree_log_step(row, d)
-    return row[: t + 1]
-
-
-def tree_return_log_probabilities(d: int, t_max: int) -> np.ndarray:
-    """log Q^t(root, root) for t = 0..t_max (-inf at odd t)."""
-    row = np.full(t_max + 1 if t_max > 0 else 2, -np.inf)
-    row[0] = 0.0
-    out = np.full(t_max + 1, -np.inf)
-    out[0] = 0.0
-    for t in range(1, t_max + 1):
-        row = _kernels.tree_log_step(row, d)
-        out[t] = row[0]
-    return out
+    packed = itertools.accumulate(range(1, t_max + 1), step, initial=np.array([one, zero]))
+    return itertools.starmap(spread, enumerate(packed))
 
 
 # --------------------------------------------------------------------------

@@ -152,6 +152,39 @@ def tree_radial_fractions(d: int, t: int) -> dict:
     return row
 
 
+def tree_step(old: np.ndarray, d: int) -> np.ndarray:
+    """One step of the radial DP on a full-length row (every entry up to the
+    row's end is recomputed): the exact float reference for tree_rows."""
+    K = old.shape[0]
+    up = (d - 1.0) / d
+    down = 1.0 / d
+    new = np.zeros(K, np.float64)
+    new[0] = down * old[1]
+    if K > 2:
+        new[1] = old[0] + down * old[2]
+        new[2:-1] = up * old[1:-2] + down * old[3:]
+        new[-1] = up * old[-2]
+    else:
+        new[1] = old[0]
+    return new
+
+
+def tree_log_step(old: np.ndarray, d: int) -> np.ndarray:
+    """tree_step on a row of logs."""
+    K = old.shape[0]
+    lup = math.log((d - 1.0) / d)
+    ldown = math.log(1.0 / d)
+    new = np.full(K, -np.inf)
+    new[0] = ldown + old[1]
+    if K > 2:
+        new[1] = np.logaddexp(old[0], ldown + old[2])
+        new[2:-1] = np.logaddexp(lup + old[1:-2], ldown + old[3:])
+        new[-1] = lup + old[-2]
+    else:
+        new[1] = old[0]
+    return new
+
+
 def gamma_direct(theta: complex, alpha: complex, t: int) -> complex:
     bar = complex(theta).conjugate()
     return alpha * sum(theta**j * bar ** (t - 1 - j) for j in range(t))

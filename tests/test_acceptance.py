@@ -270,17 +270,16 @@ def test_criterion_8_lp_theory(suite):
 
 def test_criterion_9a_tree_exact_values():
     for d in (3, 4, 6):
-        tab = walk_engine.tree_radial(d, 4)
-        assert tab.return_probability(2) == 1 / d
-        assert math.isclose(tab.return_probability(4), (2 * d - 1) / d**3,
-                            rel_tol=1e-15)
+        rows = dict(walk_engine.tree_rows(d, 4))
+        assert rows[2][0] == 1 / d
+        assert math.isclose(rows[4][0], (2 * d - 1) / d**3, rel_tol=1e-15)
     _report("9a", True, "Q^2 = 1/d and Q^4 = (2d-1)/d^3 exact for d in {3,4,6}")
 
 
 def _return_ratio(d: int, t: int) -> float:
-    lq = walk_engine.tree_return_log_probabilities(d, 2 * t)
+    _, row = next(itertools.islice(walk_engine.tree_rows(d, 2 * t, log=True), 2 * t, None))
     rho = 2 * math.sqrt(d - 1) / d
-    return math.exp(lq[2 * t] - 2 * t * math.log(rho) + 1.5 * math.log(t))
+    return math.exp(row[0] - 2 * t * math.log(rho) + 1.5 * math.log(t))
 
 
 @pytest.mark.xfail(
@@ -320,7 +319,7 @@ def test_criterion_9b_return_ratio_derived_constant():
 def test_criterion_9c_radial_clt():
     worst = 0.0
     for d in (3, 4, 6):
-        row = walk_engine.tree_distance_row(d, 10_000)
+        _, row = next(itertools.islice(walk_engine.tree_rows(d, 10_000), 10_000, None))
         k = np.arange(row.size, dtype=float)
         mean = float((k * row).sum())
         var = float((k * k * row).sum()) - mean**2

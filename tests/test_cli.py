@@ -2,8 +2,10 @@ import json
 import math
 import os
 
+import numpy as np
 import oracles
 import pytest
+import scipy.sparse.linalg
 
 from ramlab import cli, walk_engine
 
@@ -99,9 +101,13 @@ def test_tree_csv_lists_every_positive_entry(tmp_path, d, horizon):
     assert run(["tree", "--d", str(d), "--horizon", str(horizon),
                 "--out-dir", str(tmp_path)]) == 0
     lines = read(os.path.join(str(tmp_path), "tree_radial.csv")).decode().splitlines()
-    table = walk_engine.tree_radial(d, horizon).table
-    expected = [f"{t},{k},{float(table[t, k]):.17g}" for t in range(horizon + 1)
-                for k in range(t + 1) if table[t, k] > 0]
+    row = np.zeros(horizon + 1)
+    row[0] = 1.0
+    expected = []
+    for t in range(horizon + 1):
+        if t:
+            row = oracles.tree_step(row, d)
+        expected += [f"{t},{k},{row[k]:.17g}" for k in range(t + 1) if row[k] > 0]
     assert lines[3:] == expected
 
 
@@ -212,13 +218,14 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["mix", "--name", "petersen", "--tmax", "-1"],
     ["tree", "--d", "2"],
     ["tree", "--d", "3", "--horizon", "0"],
-    ["tree", "--d", "3", "--horizon", str(walk_engine.TABLE_HORIZON_CAP + 1)],
+    ["tree", "--d", "3", "--horizon", str(cli.TABLE_HORIZON_CAP + 1)],
     ["theory", "--n", "1", "--d", "3"],
     ["theory", "--n", "100", "--d", "2"],
     ["theory", "--n", "100", "--d", "3", "--eps", "2"],
     ["theory", "--n", "100", "--d", "3", "--delta", "-1"],
     ["theory", "--n", "100", "--d", "3", "--p", "1"],
     ["theory", "--n", "100", "--d", "3", "--p", "0.5"],
+    ["theory", "--n", "100", "--d", "3", "--p", "0"],
     ["theory", "--n", "100", "--d", "3", "--lam", "5"],
     ["profile", "--family", "random_regular", "--n", "2002", "--starts", "5000"],
     ["profile", "--family", "random_regular", "--n", "2002", "--starts", "-1"],
@@ -226,9 +233,27 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["profile", "--name", "petersen", "--s-grid", "a,b"],
     ["profile", "--name", "petersen", "--s-grid", "0,inf"],
     ["mix", "--name", "petersen", "--p-list", "1,x"],
+    ["mix", "--name", "petersen", "--p-list", "nan,0.5", "--tmax", "3"],
+    ["mix", "--name", "petersen", "--p-list", "2,0.5"],
+    ["mix", "--name", "petersen", "--p-list", "nan"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_out_of_range_exit_code(tmp_path, capsys, argv):
     _assert_usage_error(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("exc", [MemoryError("out of memory"),
+                                 np.linalg.LinAlgError("SVD did not converge"),
+                                 scipy.sparse.linalg.ArpackError(-9999)],
+                         ids=lambda exc: type(exc).__name__)
+def test_library_failure_exit_code(tmp_path, capsys, monkeypatch, exc):
+    # a failure inside numpy/scipy -> one JSON line on stderr, exit 4
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)  # the dense spectrum
+    assert run(["spectrum", "--name", "petersen", "--out-dir", str(tmp_path)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == type(exc).__name__
 
 
 def test_usage_error_exit_code():

@@ -1,10 +1,8 @@
-"""Kernel checks: the all-sources BFS sweep against brute-force oracles, and
-backend equivalence of every numba kernel with its numpy twin (the walk
-steps are numpy only and are checked in test_walk_engine.py)."""
+"""Kernel checks: the all-sources BFS sweep against brute-force oracles
+(bfs_distances and b_apply are checked in test_graph_core.py and
+test_spectral_lab.py, the tree DP in test_walk_engine.py)."""
 
 import random
-import subprocess
-import sys
 from unittest import mock
 
 import numpy as np
@@ -14,10 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ramlab import _kernels, builders, graph_core
-from ramlab._backend import NUMBA_AVAILABLE
 from ramlab.builders import LiftSpec
-
-needs_numba = pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
 
 # lift bases: Petersen (girth 5) and Heawood (girth 6, LCF notation [5,-5]^7)
 _CUBIC_BASES = {
@@ -111,71 +106,3 @@ def test_disjoint_petersens_have_no_eccentricity(petersen):
     ecc, girth = _kernels.eccentricities_and_girth(indices, petersen.d)
     assert ecc.tolist() == [-1] * (2 * petersen.n)
     assert girth == 5
-
-
-@pytest.fixture(scope="module")
-def impls():
-    return _kernels.implementations()
-
-
-@pytest.fixture(scope="module")
-def graphs(petersen, rand3_50, lift20, k33):
-    return [petersen, rand3_50, lift20, k33]
-
-
-@needs_numba
-def test_bfs_equivalence(impls, graphs):
-    for g in graphs:
-        for src in (0, g.n - 1):
-            a = impls["numba"]["bfs_distances"](g.indices, g.d, src)
-            b = impls["numpy"]["bfs_distances"](g.indices, g.d, src)
-            assert np.array_equal(a, b)
-
-
-@needs_numba
-def test_b_apply_equivalence(impls, graphs):
-    rng = np.random.default_rng(0)
-    for g in graphs:
-        es = graph_core.validate_and_index(g)
-        e = rng.random(es.N)
-        e /= e.sum()
-        a = impls["numba"]["b_apply"](es.head, es.rev, g.d, e)
-        b = impls["numpy"]["b_apply"](es.head, es.rev, g.d, e)
-        assert np.abs(a - b).max() < 1e-14
-
-
-@needs_numba
-def test_tree_step_equivalence(impls):
-    for d in (3, 6):
-        row = np.zeros(64)
-        row[0] = 1.0
-        row_np = row.copy()
-        for _ in range(60):
-            row = impls["numba"]["tree_step"](row, d)
-            row_np = impls["numpy"]["tree_step"](row_np, d)
-        assert np.abs(row - row_np).max() < 1e-16
-        lrow = np.full(64, -np.inf)
-        lrow[0] = 0.0
-        lrow_np = lrow.copy()
-        for _ in range(60):
-            lrow = impls["numba"]["tree_log_step"](lrow, d)
-            lrow_np = impls["numpy"]["tree_log_step"](lrow_np, d)
-        mask = np.isfinite(lrow_np)
-        assert np.array_equal(np.isfinite(lrow), mask)
-        assert np.abs(lrow[mask] - lrow_np[mask]).max() < 1e-12
-
-
-@needs_numba
-def test_env_flag_forces_numpy_backend():
-    code = (
-        "import os; os.environ['RAMLAB_PURE_NUMPY'] = '1'; "
-        "import ramlab; assert ramlab.backend_name() == 'numpy', ramlab.backend_name(); "
-        "from ramlab import builders, graph_core; "
-        "g = builders.build_named('petersen'); "
-        "m = graph_core.graph_metrics(g); "
-        "assert m == {'diameter': 2, 'girth': 5, 'bipartite': False}, m; "
-        "print('numpy backend ok')"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert "numpy backend ok" in out.stdout

@@ -115,7 +115,7 @@ def test_lp_lower_bound_p1_trivial():
 
 def test_lp_lower_bound_infty_formula():
     d, n, t = 3, 100, 6
-    row = walk_engine.tree_distance_row(d, t)
+    row = dict(walk_engine.tree_rows(d, t))[t]
     sizes = walk_engine.sphere_sizes(d, t)
     want = n * float((row / sizes).max()) - 1
     assert theory.lp_lower_bound(n, d, math.inf, t) == pytest.approx(want)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -20,12 +21,8 @@ from ramlab.walk_engine import (
     srw_mixture_residual,
     stationary,
     step,
-    tree_distance_row,
-    tree_log_row,
     tree_lp_norm,
-    tree_radial,
-    tree_return_log_probabilities,
-    tree_return_probabilities,
+    tree_rows,
     tv_distance,
 )
 
@@ -248,6 +245,12 @@ def test_curve_rejects_bad_start_and_horizon(petersen):
         mixing_curve(petersen, "srw", 0, -1)
 
 
+@pytest.mark.parametrize("p_list", [[math.nan], [2.0, 0.5], [0], [-math.inf]])
+def test_curve_rejects_p_below_one_or_nan(petersen, p_list):
+    with pytest.raises(ValueError):
+        mixing_curve(petersen, "srw", 0, 3, p_list=p_list)
+
+
 # --- distances ------------------------------------------------------------------
 
 
@@ -391,56 +394,82 @@ def test_mixture_residual_examples(k4, petersen, lps13):
 # --- tree radial walk -------------------------------------------------------------
 
 
+def _tree_row(d, t, log=False):
+    return next(itertools.islice(tree_rows(d, t, log), t, None))[1]
+
+
 def test_tree_first_steps():
-    tab = tree_radial(3, 4)
-    assert tab.table[1, 1] == 1.0
-    assert math.isclose(tab.table[2, 0], 1 / 3)
-    assert math.isclose(tab.table[2, 2], 2 / 3)
+    rows = dict(tree_rows(3, 4))
+    assert rows[1][1] == 1.0
+    assert math.isclose(rows[2][0], 1 / 3)
+    assert math.isclose(rows[2][2], 2 / 3)
 
 
 def test_tree_q2_q4_exact():
     for d in (3, 4, 6):
-        tab = tree_radial(d, 4)
-        assert tab.return_probability(2) == 1 / d
-        assert math.isclose(tab.return_probability(4), (2 * d - 1) / d**3,
-                            rel_tol=1e-15)
+        rows = dict(tree_rows(d, 4))
+        assert rows[2][0] == 1 / d
+        assert math.isclose(rows[4][0], (2 * d - 1) / d**3, rel_tol=1e-15)
 
 
 def test_tree_matches_fraction_oracle():
     for d in (3, 5):
-        tab = tree_radial(d, 10)
+        rows = dict(tree_rows(d, 10))
         for t in (1, 2, 5, 10):
             exact = oracles.tree_radial_fractions(d, t)
             for k in range(t + 1):
-                assert math.isclose(tab.table[t, k], float(exact.get(k, 0)),
+                assert math.isclose(rows[t][k], float(exact.get(k, 0)),
                                     rel_tol=1e-13, abs_tol=1e-15)
 
 
 def test_tree_rows_sum_and_parity():
-    tab = tree_radial(4, 31)
-    for t in range(32):
-        row = tab.row(t)
+    for t, row in tree_rows(4, 31):
+        assert row.shape == (t + 1,)
         assert math.isclose(row.sum(), 1.0, rel_tol=1e-13)
         assert np.all(row[(np.arange(row.size) + t) % 2 == 1] == 0)
-        assert np.all(row[t + 1 :] == 0)
 
 
 def test_tree_recursion_property():
     d = 6
-    tab = tree_radial(d, 20)
+    rows = dict(tree_rows(d, 20))
     up, down = (d - 1) / d, 1 / d
     for t in range(20):
-        row, nxt = tab.row(t), tab.row(t + 1)
+        row, nxt = rows[t], rows[t + 1]
         expect = np.zeros_like(nxt)
         expect[1] += row[0]
-        for k in range(1, row.size - 1):
+        for k in range(1, row.size):
             expect[k + 1] += up * row[k]
             expect[k - 1] += down * row[k]
         assert np.abs(nxt - expect).max() < 1e-15
 
 
+@pytest.mark.parametrize("log", [False, True])
+@pytest.mark.parametrize("d", [3, 4, 6, 7])
+def test_tree_rows_match_full_length_oracle_bitwise(d, log):
+    # the oracle recomputes all 301 entries every step; tree_rows only the
+    # k <= t of the right parity, which must not change a bit
+    t_max = 300
+    step = oracles.tree_log_step if log else oracles.tree_step
+    full = np.full(t_max + 1, -np.inf if log else 0.0)
+    full[0] = 0.0 if log else 1.0
+    for t, row in tree_rows(d, t_max, log):
+        if t:
+            full = step(full, d)
+        assert np.array_equal(row, full[: t + 1])
+
+
+def test_tree_rows_stay_valid_and_reject_bad_input():
+    rows = list(tree_rows(3, 50))
+    assert [t for t, _ in rows] == list(range(51))
+    assert all(np.array_equal(row, _tree_row(3, t)) for t, row in rows)
+    assert [row.tolist() for _, row in tree_rows(5, 0, log=True)] == [[0.0]]
+    for d, t_max in ((2, 5), (3, -1)):
+        with pytest.raises(ValueError):
+            tree_rows(d, t_max)
+
+
 def test_tree_lp_norms():
-    row = tree_distance_row(3, 9)
+    row = _tree_row(3, 9)
     assert math.isclose(tree_lp_norm(3, row, 1), 1.0, rel_tol=1e-12)
     # p=2 norm against direct summation over tree vertices
     sizes = walk_engine.sphere_sizes(3, 9)
@@ -452,19 +481,10 @@ def test_tree_lp_norms():
 
 def test_tree_log_matches_linear():
     for d in (3, 6):
-        lin = tree_return_probabilities(d, 60)
-        log = tree_return_log_probabilities(d, 60)
-        even = np.arange(2, 61, 2)
-        assert np.abs(np.exp(log[even]) / lin[even] - 1).max() < 1e-12
-        row_lin = tree_distance_row(d, 25)
-        row_log = tree_log_row(d, 25)
-        mask = row_lin > 0
-        assert np.abs(np.exp(row_log[mask]) / row_lin[mask] - 1).max() < 1e-12
-
-
-def test_tree_radial_horizon_cap():
-    with pytest.raises(ValueError):
-        tree_radial(3, walk_engine.TABLE_HORIZON_CAP + 1)
+        for (t, lin), (_, log) in zip(tree_rows(d, 60), tree_rows(d, 60, log=True)):
+            mask = lin > 0
+            assert np.array_equal(mask, np.isfinite(log))
+            assert np.abs(np.exp(log[mask]) / lin[mask] - 1).max() < 1e-12, t
 
 
 def test_ballot_reflection_ratio_bounded():
@@ -476,7 +496,7 @@ def test_ballot_reflection_ratio_bounded():
     for d in (3, 6):
         ratios = []
         for t in (10, 100, 500, 2000):
-            logrow = tree_log_row(d, t)
+            logrow = _tree_row(d, t, log=True)
             k = np.arange(t + 1)
             valid = (k + t) % 2 == 0
             k = k[valid]
