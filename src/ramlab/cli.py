@@ -244,6 +244,10 @@ def cmd_profile(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    try:
+        spectral_lab.check_certify_limits(args.delta_threshold, args.exceptional_budget)
+    except ValueError as exc:
+        raise UsageError(f"--delta-threshold/--exceptional-budget: {exc}") from exc
     graph = resolve_graph(args)
     sha = write_manifest(args.out_dir, "spectrum", _config_of(args))
     report = spectral_lab.adjacency_spectrum(graph, dense_cap=args.dense_cap)
@@ -271,8 +275,7 @@ def cmd_decompose(args) -> int:
     sha = write_manifest(args.out_dir, "decompose", _config_of(args))
     es = graph_core.validate_and_index(graph)
     dec = spectral_lab.build_decomposition(graph, es, dense_cap=args.dense_cap)
-    b_dense = spectral_lab.build_B(graph, es, dense_cap=args.dense_cap).dense()
-    report = spectral_lab.verify_decomposition(b_dense, dec)
+    report = spectral_lab.verify_decomposition(spectral_lab.build_B(graph, es).sparse(), dec)
     rows = [[b.lam, b.theta.real, b.theta.imag, b.theta_prime.real,
              b.theta_prime.imag, abs(b.alpha), int(b.jordan)] for b in dec.blocks]
     emit_csv(os.path.join(args.out_dir, "blocks.csv"),

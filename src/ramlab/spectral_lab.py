@@ -149,11 +149,21 @@ class Certificate:
         return self.kind != "not_certified"
 
 
+def check_certify_limits(delta_threshold: float, exceptional_budget: int):
+    """ValueError unless the delta threshold is finite and >= 0 and the
+    exceptional budget is >= 0."""
+    if not (math.isfinite(delta_threshold) and delta_threshold >= 0):
+        raise ValueError(f"delta threshold must be finite and >= 0, got {delta_threshold}")
+    if not exceptional_budget >= 0:
+        raise ValueError(f"exceptional budget must be >= 0, got {exceptional_budget}")
+
+
 def certify(report: SpectrumReport, delta_threshold: float = 0.1,
             exceptional_budget: int = 0, eps_prime: float = 0.01) -> Certificate:
     """Classify the spectrum. Exceptions beyond the delta threshold are
     tolerated up to the budget provided they stay below d - eps_prime; a
     partial (extreme-bracketed) report supports the first two verdicts."""
+    check_certify_limits(delta_threshold, exceptional_budget)
     bound = report.ramanujan_bound
     if report.max_nontrivial_abs >= report.d - eps_prime:
         return Certificate(kind="not_certified",
@@ -212,7 +222,7 @@ def alpha_exact(lam: float, d: int) -> float:
 
 @dataclass(frozen=True)
 class BOperator:
-    """Matrix-free handle on B with optional dense materialization."""
+    """Matrix-free handle on B with sparse and (capped) dense materialization."""
 
     graph: RegularGraph
     edge_space: DirectedEdgeSpace
@@ -222,16 +232,19 @@ class BOperator:
         es = self.edge_space
         return _kernels.b_apply(es.head, es.rev, self.graph.d, vec)
 
-    def dense(self) -> np.ndarray:
+    def sparse(self) -> scipy.sparse.csr_array:
+        """B in CSR form: row e holds the out-edges of head[e] except rev[e]."""
         es, d = self.edge_space, self.graph.d
-        if es.N > self.dense_cap:
-            raise SizeCap(f"dense B demanded for N={es.N} > cap={self.dense_cap}")
-        mat = np.zeros((es.N, es.N))
-        rows = np.arange(es.N)
-        for j in range(d):
-            mat[rows, es.head * d + j] = 1.0
-        mat[rows, es.rev] = 0.0
-        return mat
+        cols = es.head.astype(np.int64)[:, None] * d + np.arange(d)
+        cols = cols[cols != es.rev[:, None]]
+        return scipy.sparse.csr_array(
+            (np.ones(cols.size), cols, np.arange(0, cols.size + 1, d - 1)),
+            shape=(es.N, es.N))
+
+    def dense(self) -> np.ndarray:
+        if self.edge_space.N > self.dense_cap:
+            raise SizeCap(f"dense B demanded for N={self.edge_space.N} > cap={self.dense_cap}")
+        return self.sparse().toarray()
 
 
 def build_B(graph: RegularGraph, edge_space: DirectedEdgeSpace | None = None,
@@ -411,21 +424,64 @@ def build_decomposition(graph: RegularGraph,
     )
 
 
-def verify_decomposition(b_dense: np.ndarray, dec: BlockDecomposition,
+def bass_points(d: int) -> list:
+    """The points u = e^{i phi} / (2(d-1)) at which the Bass check compares
+    det(I - uB) with the predicted multiset. The phases are fixed, not
+    drawn, so that identical runs write identical reports."""
+    return [cmath.rect(1.0 / (2 * (d - 1)), phi) for phi in (0.3, 1.3, 2.3, 3.3)]
+
+
+def _lu_i_minus_ub(b_csc, u: complex):
+    """SuperLU factors of I - uB with the diagonal as pivots. For |u| (d-1)
+    < 1, I - uB is strictly diagonally dominant by rows and by columns, so
+    elimination needs no pivoting; SymmetricMode then keeps the row
+    permutation equal to the column one, and det(I - uB) is the product of
+    U's diagonal with no permutation sign."""
+    m = scipy.sparse.eye_array(b_csc.shape[0], dtype=complex, format="csc") - u * b_csc
+    return scipy.sparse.linalg.splu(m, diag_pivot_thresh=0, options=dict(SymmetricMode=True))
+
+
+def _bass_mismatch(b_csr, multiset: np.ndarray, d: int) -> float:
+    """Largest |log det(I - uB) - sum log(1 - u mu)| over the Bass points,
+    modulo 2 pi i, with mu running over the predicted multiset. inf when
+    I - uB is singular or needs an off-diagonal pivot (as only a corrupted B
+    can), or when the multiset holds NaN."""
+    b_csc = b_csr.tocsc()
+    worst = 0.0
+    for u in bass_points(d):
+        try:
+            lu = _lu_i_minus_ub(b_csc, u)
+        except RuntimeError:  # SuperLU: factor is exactly singular
+            return math.inf
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            return math.inf
+        diff = complex(np.log(lu.U.diagonal()).sum() - np.log(1 - u * multiset).sum())
+        if not cmath.isfinite(diff):
+            return math.inf
+        diff -= 2j * math.pi * round(diff.imag / (2 * math.pi))
+        worst = max(worst, abs(diff))
+    return worst
+
+
+def verify_decomposition(b, dec: BlockDecomposition,
                          tol_recon: float = 1e-8, tol_unitary: float = 1e-10,
-                         tol_bass: float = 1e-6, tol_alpha: float = 1e-8,
+                         tol_bass: float = 1e-9, tol_alpha: float = 1e-8,
                          tol_opnorm: float = 1e-8,
                          raise_on_fail: bool = False) -> dict:
-    """Residual report: bounds on every entry of |B - U Lambda U*| and on
-    | ||B|| - (d-1) |, unitarity, the Bass eigenvalue-multiset match, and the
+    """Residual report for B, given as a dense or a sparse array: bounds on
+    every entry of |B - U Lambda U*| and on | ||B|| - (d-1) |, unitarity,
+    the Ihara-Bass determinant check of the eigenvalue multiset, and the
     off-diagonal moduli against their closed form.
 
     With R = B U - U Lambda, B - U Lambda U* = R U* + B (I - U U*), so every
     entry is at most max_i |R_i| max_j |U_j| + max_i |B_i| ||U*U - I||_F, with
     |X_i| the 2-norm of row i (for square U, ||I - U U*||_2 = ||I - U*U||_2).
     ||B||^2, the top eigenvalue of B B^T, lies between the Rayleigh quotient
-    |B^T 1|^2 / N and the largest row sum of |B| |B|^T. B U is sparse and
-    U Lambda a column scaling: eigvals(B) and U*U are the only cubic steps."""
+    |B^T 1|^2 / N and the largest row sum of |B| |B|^T. The multiset check
+    compares log det(I - uB), from a sparse LU, with sum log(1 - u mu) over
+    the diagonal of Lambda at the fixed Bass points (Ihara-Bass:
+    det(I - uB) = prod (1 - u mu) over the spectrum of B). B U is sparse,
+    U Lambda a column scaling and the LU sparse: U*U is the only cubic step."""
     U, N, top = dec.U, dec.N, dec.d - 1
     diag = dec.eigenvalue_multiset()
     gram = U.conj().T @ U
@@ -434,7 +490,7 @@ def verify_decomposition(b_dense: np.ndarray, dec: BlockDecomposition,
     gram_err = float(np.linalg.norm(gram))
     del gram
 
-    b_csr = scipy.sparse.csr_array(b_dense)
+    b_csr = scipy.sparse.csr_array(b)
     resid = b_csr @ U
     resid -= U * diag
     cols = np.array([blk.col for blk in dec.blocks], dtype=np.int64)
@@ -444,7 +500,7 @@ def verify_decomposition(b_dense: np.ndarray, dec: BlockDecomposition,
              * float(np.linalg.norm(U, axis=1).max()) + b_row * gram_err)
     del resid
 
-    bass = _multiset_distance(np.linalg.eigvals(b_dense), diag)
+    bass = _bass_mismatch(b_csr, diag, dec.d)
 
     col_sums = b_csr.sum(axis=0)
     low = math.sqrt(float(col_sums @ col_sums) / N)
@@ -453,8 +509,8 @@ def verify_decomposition(b_dense: np.ndarray, dec: BlockDecomposition,
     opnorm_err = max(abs(high - top), abs(low - top))
 
     alpha_err = 0.0
-    for b in dec.blocks:
-        alpha_err = max(alpha_err, abs(abs(b.alpha) - alpha_exact(b.lam, dec.d)))
+    for blk in dec.blocks:
+        alpha_err = max(alpha_err, abs(abs(blk.alpha) - alpha_exact(blk.lam, dec.d)))
 
     report = {
         "reconstruction": recon,
@@ -472,27 +528,6 @@ def verify_decomposition(b_dense: np.ndarray, dec: BlockDecomposition,
             if report[key] > tol:
                 raise VerificationFailed(key, f"residual {report[key]:g} > {tol:g}")
     return report
-
-
-def _multiset_distance(actual: np.ndarray, predicted: np.ndarray) -> float:
-    """Greedy nearest matching of two complex multisets; returns the largest
-    matched distance (inf on size mismatch)."""
-    if actual.shape != predicted.shape:
-        return math.inf
-    order_a = np.lexsort((actual.imag, actual.real))
-    order_p = np.lexsort((predicted.imag, predicted.real))
-    a, p = actual[order_a], predicted[order_p]
-    direct = float(np.abs(a - p).max())
-    if direct < 1e-8:
-        return direct
-    used = np.zeros(a.size, dtype=bool)
-    worst = 0.0
-    for val in p:
-        idx = np.flatnonzero(~used)
-        j = idx[np.argmin(np.abs(a[idx] - val))]
-        used[j] = True
-        worst = max(worst, float(abs(a[j] - val)))
-    return worst
 
 
 # --------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 Everything here is deliberately naive and shares no code path with the
 package kernels: dict-based BFS, dense matrix powers from the operator
 definitions, and exact-fraction dynamic programs. The dense decomposition
-check borrows only the package's eigenvalue matching and alpha closed form,
-which it is not meant to replace.
+check borrows only the package's alpha closed form and the points at which
+it evaluates det(I - uB), which it is not meant to replace.
 """
 
 import math
@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
-from ramlab.spectral_lab import _multiset_distance, alpha_exact
+from ramlab.spectral_lab import alpha_exact, bass_points
 
 
 def adjacency_dict(graph):
@@ -221,27 +221,72 @@ def lambda_dense(dec) -> np.ndarray:
 
 # verify_decomposition's default tolerance for each report key
 DECOMPOSITION_TOLERANCES = {"reconstruction": 1e-8, "unitarity": 1e-10,
-                            "bass_multiset": 1e-6, "operator_norm": 1e-8, "alpha": 1e-8}
+                            "bass_multiset": 1e-9, "operator_norm": 1e-8, "alpha": 1e-8}
+
+
+def multiset_distance(actual: np.ndarray, predicted: np.ndarray) -> float:
+    """Greedy nearest matching of two complex multisets; returns the largest
+    matched distance (inf on size mismatch)."""
+    if actual.shape != predicted.shape:
+        return math.inf
+    order_a = np.lexsort((actual.imag, actual.real))
+    order_p = np.lexsort((predicted.imag, predicted.real))
+    a, p = actual[order_a], predicted[order_p]
+    direct = float(np.abs(a - p).max())
+    if direct < 1e-8:
+        return direct
+    used = np.zeros(a.size, dtype=bool)
+    worst = 0.0
+    for val in p:
+        idx = np.flatnonzero(~used)
+        j = idx[np.argmin(np.abs(a[idx] - val))]
+        used[j] = True
+        worst = max(worst, float(abs(a[j] - val)))
+    return worst
+
+
+def logdet(mat: np.ndarray) -> complex:
+    """log det of a dense matrix, up to a multiple of 2 pi i."""
+    sign, logabs = np.linalg.slogdet(mat)
+    return complex(logabs, np.angle(sign))
+
+
+def bass_mismatch_dense(b_dense, dec) -> float:
+    """Largest |log det(I - uB) - sum log(1 - u mu)| modulo 2 pi i over the
+    package's Bass points, with det from a dense LU (slogdet) and mu running
+    over the predicted multiset."""
+    multiset = dec.eigenvalue_multiset()
+    if multiset.size != dec.N:
+        return math.inf
+    worst = 0.0
+    for u in bass_points(dec.d):
+        diff = logdet(np.eye(dec.N) - u * b_dense) - complex(np.log(1 - u * multiset).sum())
+        diff -= 2j * math.pi * round(diff.imag / (2 * math.pi))
+        worst = max(worst, abs(diff))
+    return worst
 
 
 def verify_decomposition_dense(b_dense, dec) -> dict:
     """spectral_lab.verify_decomposition's report by dense products: the
-    largest entry of |B - U Lambda U*| itself, and | ||B|| - (d-1) | from the
-    top eigenvalue of B B^T, with the verdict at the default tolerances.
-    unitarity, bass_multiset and alpha are computed as in the package."""
+    largest entry of |B - U Lambda U*| itself, | ||B|| - (d-1) | from the
+    top eigenvalue of B B^T, and the Bass determinant mismatch from dense
+    slogdet, with the verdict at the default tolerances. unitarity and alpha
+    are computed as in the package. eigvals_multiset, outside the verdict,
+    is the distance from the dense eigvals(B) to the predicted multiset."""
     U = dec.U
     top = scipy.linalg.eigh(b_dense @ b_dense.T, eigvals_only=True,
                             subset_by_index=(dec.N - 1, dec.N - 1))[0]
     report = {
         "reconstruction": float(np.abs(b_dense - U @ lambda_dense(dec) @ U.conj().T).max()),
         "unitarity": float(np.abs(U.conj().T @ U - np.eye(dec.N)).max()),
-        "bass_multiset": _multiset_distance(np.linalg.eigvals(b_dense),
-                                            dec.eigenvalue_multiset()),
+        "bass_multiset": bass_mismatch_dense(b_dense, dec),
         "operator_norm": abs(math.sqrt(float(top)) - (dec.d - 1)),
         "alpha": max((abs(abs(b.alpha) - alpha_exact(b.lam, dec.d)) for b in dec.blocks),
                      default=0.0),
     }
     report["ok"] = all(report[k] <= tol for k, tol in DECOMPOSITION_TOLERANCES.items())
+    report["eigvals_multiset"] = multiset_distance(np.linalg.eigvals(b_dense),
+                                                   dec.eigenvalue_multiset())
     return report
 
 
@@ -256,11 +301,6 @@ def ihara_bass_logs(graph, edge_space, multiset, u: complex) -> tuple:
     for x, nbrs in adjacency_dict(graph).items():
         a[x, nbrs] = 1.0
     b = nbrw_dense_matrix(graph, edge_space)
-
-    def logdet(mat):
-        sign, logabs = np.linalg.slogdet(mat)
-        return complex(logabs, np.angle(sign))
-
     lhs = logdet(np.eye(edge_space.N) - u * b)
     bass = ((n * d // 2 - n) * complex(np.log(1 - u * u))
             + logdet((1 + (d - 1) * u * u) * np.eye(n) - u * a))

@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from ramlab import graph_core, spectral_lab, theory, walk_engine
@@ -42,24 +43,29 @@ def lps29_certified(lps29):
 
 
 def test_criterion_1_decomposition_exactness(criterion1_graphs):
+    # bass_multiset is the Ihara-Bass determinant mismatch; the multiset of
+    # the dense eigvals(B) is also matched to the prediction at 1e-6
     worst = {"reconstruction": 0.0, "unitarity": 0.0, "bass_multiset": 0.0,
-             "alpha": 0.0}
+             "alpha": 0.0, "eigvals_multiset": 0.0}
     for name, g in criterion1_graphs.items():
         es = graph_core.validate_and_index(g)
         dec = spectral_lab.build_decomposition(g, es)
         b = spectral_lab.build_B(g, es).dense()
         rep = spectral_lab.verify_decomposition(
-            b, dec, tol_recon=1e-8, tol_unitary=1e-10, tol_bass=1e-6,
+            b, dec, tol_recon=1e-8, tol_unitary=1e-10, tol_bass=1e-9,
             tol_alpha=1e-8)
+        rep["eigvals_multiset"] = oracles.multiset_distance(
+            np.linalg.eigvals(b), dec.eigenvalue_multiset())
         n, N = g.n, g.n * g.d
         want_minus = N // 2 - n + 1 if g.bipartite else N // 2 - n
         assert dec.minus_one_multiplicity == want_minus, name
         assert dec.plus_one_multiplicity == N // 2 - n + 1, name
         assert rep["ok"], (name, rep)
+        assert rep["eigvals_multiset"] <= 1e-6, (name, rep)
         for key in worst:
             worst[key] = max(worst[key], rep[key])
     _report("1", True,
-            "decomposition exact on 8 graphs; worst residuals "
+            f"decomposition exact on {len(criterion1_graphs)} graphs; worst residuals "
             + ", ".join(f"{k}={v:.2e}" for k, v in worst.items()))
 
 

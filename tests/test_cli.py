@@ -7,7 +7,7 @@ import oracles
 import pytest
 import scipy.sparse.linalg
 
-from ramlab import cli, walk_engine
+from ramlab import cli, spectral_lab, walk_engine
 
 
 def run(args):
@@ -119,6 +119,22 @@ def test_decompose_exit_code(tmp_path):
     assert payload["ok"] is True
     assert payload["minus_one_multiplicity"] == 2
     assert payload["plus_one_multiplicity"] == 3
+
+
+def test_decompose_builds_no_dense_b(tmp_path, monkeypatch):
+    # the residual report comes from sparse B alone: no dense B, no eigvals(B)
+    def fail(*args, **kwargs):
+        raise AssertionError("dense path called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    monkeypatch.setattr(spectral_lab.BOperator, "dense", fail)
+    outs = [str(tmp_path / "a"), str(tmp_path / "b")]
+    for out in outs:
+        assert run(["decompose", "--family", "random_regular", "--n", "200", "--d", "3",
+                    "--out-dir", out]) == 0
+    assert json.loads(read(os.path.join(outs[0], "decomposition.json")))["ok"] is True
+    for name in ("blocks.csv", "decomposition.json", "manifest.json"):
+        assert read(os.path.join(outs[0], name)) == read(os.path.join(outs[1], name)), name
 
 
 def test_profile_csv(tmp_path):
@@ -236,6 +252,10 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["mix", "--name", "petersen", "--p-list", "nan,0.5", "--tmax", "3"],
     ["mix", "--name", "petersen", "--p-list", "2,0.5"],
     ["mix", "--name", "petersen", "--p-list", "nan"],
+    ["spectrum", "--name", "petersen", "--delta-threshold", "nan"],
+    ["spectrum", "--name", "petersen", "--delta-threshold", "-1"],
+    ["certify", "--name", "petersen", "--delta-threshold", "inf"],
+    ["certify", "--name", "petersen", "--exceptional-budget", "-1"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_out_of_range_exit_code(tmp_path, capsys, argv):
     _assert_usage_error(tmp_path, capsys, argv)

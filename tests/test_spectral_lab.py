@@ -1,9 +1,11 @@
 import cmath
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,6 +107,20 @@ def test_certify_with_exceptions():
     assert certify(rep, delta_threshold=0.01, exceptional_budget=0).kind == "not_certified"
 
 
+def test_certify_rejects_bad_limits():
+    # the prism C20 x K2: max nontrivial |lambda| 2.902 against the bound 2.828
+    edges = [(i, (i + 1) % 20) for i in range(20)]
+    edges += [(20 + i, 20 + (i + 1) % 20) for i in range(20)]
+    edges += [(i, 20 + i) for i in range(20)]
+    prism = graph_core.from_edges(40, 3, sorted((min(e), max(e)) for e in edges),
+                                  {"family": "prism"})
+    rep = adjacency_spectrum(prism)
+    assert certify(rep).kind == "weakly_ramanujan"
+    for delta, budget in ((-1.0, 100), (math.nan, 0), (math.inf, 0), (0.1, -1)):
+        with pytest.raises(ValueError):
+            certify(rep, delta_threshold=delta, exceptional_budget=budget)
+
+
 # --- theta / alpha ---------------------------------------------------------------
 
 
@@ -162,11 +178,15 @@ def test_b_row_sums_and_principal(k4):
     assert np.allclose(op.apply(ones), 2 * ones)
 
 
-def test_b_matches_definition(small_graphs, rand3_50):
-    for g in list(small_graphs.values()) + [rand3_50]:
+def test_b_matches_definition(criterion1_graphs, rand3_50, c6_x_k4):
+    # the CSR form, and the dense form made from it, entry for entry
+    for name, g in {**criterion1_graphs, "rand3_50": rand3_50, "c6_x_k4": c6_x_k4}.items():
         es = graph_core.validate_and_index(g)
-        dense = build_B(g, es).dense()
-        assert np.array_equal(dense, oracles.nbrw_dense_matrix(g, es))
+        op = build_B(g, es)
+        b = op.sparse()
+        assert b.has_canonical_format, name
+        assert np.array_equal(b.toarray(), oracles.nbrw_dense_matrix(g, es)), name
+        assert np.array_equal(op.dense(), b.toarray()), name
 
 
 def test_b_apply_matches_dense(petersen):
@@ -193,6 +213,20 @@ def test_bbstar_three_case_formula(k4):
                 assert bbt[e, f] == d - 2
             else:
                 assert bbt[e, f] == 0
+
+
+def test_bass_lu_keeps_diagonal_pivots(criterion1_graphs, c6_x_k4):
+    # at |u| (d-1) = 1/2, I - uB factors with no pivoting, and the sum of the
+    # logs of U's diagonal is log det(I - uB)
+    for name, g in {**criterion1_graphs, "c6_x_k4": c6_x_k4}.items():
+        es = graph_core.validate_and_index(g)
+        b = build_B(g, es).sparse()
+        for u in spectral_lab.bass_points(g.d):
+            lu = spectral_lab._lu_i_minus_ub(b.tocsc(), u)
+            assert np.array_equal(lu.perm_r, lu.perm_c), (name, u)
+            diff = np.log(lu.U.diagonal()).sum() - oracles.logdet(np.eye(es.N) - u * b.toarray())
+            diff -= 2j * math.pi * round(diff.imag / (2 * math.pi))
+            assert abs(diff) <= 1e-12, (name, u, diff)
 
 
 def test_b_dense_size_cap(petersen):
@@ -257,8 +291,9 @@ def test_jordan_branch(c6_x_k4):
         assert abs(b.theta - 2.0) < 1e-8
         assert abs(b.theta - b.theta_prime) < 1e-12
         assert abs(abs(b.alpha) - 3.0) < 1e-8  # d - 2
-    rep = verify_decomposition(build_B(c6_x_k4, es).dense(), dec)
+    rep = verify_decomposition(build_B(c6_x_k4, es).sparse(), dec)
     assert rep["ok"], rep
+    assert rep["bass_multiset"] <= 1e-12, rep
 
 
 def test_parseval_rows(petersen):
@@ -288,12 +323,27 @@ def _decomposed(g):
     return build_decomposition(g, es), build_B(g, es).dense()
 
 
+# SuperLU and LAPACK's dense LU round log det(I - uB) differently
+_LOGDET_ROUNDING = 1e-12
+
+
 def _assert_bounds_oracle(rep, oracle):
     assert rep["ok"] == oracle["ok"]
     assert rep["reconstruction"] >= oracle["reconstruction"]
     assert rep["operator_norm"] >= oracle["operator_norm"] - _DENSE_EIGH_ROUNDING
-    for key in ("unitarity", "bass_multiset", "alpha"):
+    for key in ("unitarity", "alpha"):
         assert rep[key] == oracle[key], key
+    bass, tol = rep["bass_multiset"], oracles.DECOMPOSITION_TOLERANCES["bass_multiset"]
+    assert math.isclose(bass, oracle["bass_multiset"], rel_tol=0, abs_tol=_LOGDET_ROUNDING)
+    assert (bass <= tol) == (oracle["bass_multiset"] <= tol)
+
+
+def test_default_tolerances_match_oracle():
+    params = inspect.signature(verify_decomposition).parameters
+    defaults = {"reconstruction": "tol_recon", "unitarity": "tol_unitary",
+                "bass_multiset": "tol_bass", "operator_norm": "tol_opnorm", "alpha": "tol_alpha"}
+    assert {key: params[name].default for key, name in defaults.items()} == \
+        oracles.DECOMPOSITION_TOLERANCES
 
 
 def test_verify_bounds_dense_oracle(criterion1_graphs):
@@ -306,6 +356,9 @@ def test_verify_bounds_dense_oracle(criterion1_graphs):
         dec, b = _decomposed(g)
         rep = verify_decomposition(b, dec)
         assert rep["ok"], (name, rep)
+        # the CSR that build_B makes gives the report the dense B gives
+        es = graph_core.validate_and_index(g)
+        assert verify_decomposition(build_B(g, es).sparse(), dec) == rep, name
         _assert_bounds_oracle(rep, oracles.verify_decomposition_dense(b, dec))
 
 
@@ -347,6 +400,13 @@ def _move_theta(b, dec):
     return b, replace(dec, blocks=blocks)
 
 
+def _nudge_theta(b, dec):
+    # below the 1e-6 at which the eigvals(B) multiset check passed
+    blocks = list(dec.blocks)
+    blocks[-1] = replace(blocks[-1], theta=blocks[-1].theta + 1e-7)
+    return b, replace(dec, blocks=blocks)
+
+
 def _move_u_entry(b, dec):
     u = dec.U.copy()
     u[0, 3] += 1e-3
@@ -374,6 +434,7 @@ _MUTATIONS = {  # mutation -> the report key that must catch it
     _damp_b_rows: "operator_norm",
     _scale_alpha: "alpha",
     _move_theta: "bass_multiset",
+    _nudge_theta: "bass_multiset",
     _move_u_entry: "unitarity",
     _scale_u_column: "unitarity",
     _swap_u_columns: "reconstruction",
@@ -390,7 +451,30 @@ def test_verify_detects_corruption(k4, k33, petersen, c6_x_k4):
             assert rep[key] > oracles.DECOMPOSITION_TOLERANCES[key], (mutate.__name__, rep)
             with pytest.raises(VerificationFailed):
                 verify_decomposition(b_bad, dec_bad, raise_on_fail=True)
-            _assert_bounds_oracle(rep, oracles.verify_decomposition_dense(b_bad, dec_bad))
+            oracle = oracles.verify_decomposition_dense(b_bad, dec_bad)
+            _assert_bounds_oracle(rep, oracle)
+            if mutate is _nudge_theta:  # the eigvals(B) multiset check at 1e-6 misses it
+                assert oracle["eigvals_multiset"] <= 1e-6, oracle
+
+
+def test_bass_check_survives_a_failed_factor(petersen, monkeypatch):
+    # a NaN in B or in the multiset, or an I - uB that SuperLU finds
+    # singular: the check reports inf and the verdict fails, with no exception
+    dec, b = _decomposed(petersen)
+    b_nan = b.copy()
+    b_nan[0, 1] = np.nan
+    blocks = list(dec.blocks)
+    blocks[0] = replace(blocks[0], theta=complex(math.nan))
+    for b_bad, dec_bad in ((b_nan, dec), (b, replace(dec, blocks=blocks))):
+        rep = verify_decomposition(b_bad, dec_bad)
+        assert rep["bass_multiset"] == math.inf and not rep["ok"], rep
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    rep = verify_decomposition(b, dec)
+    assert rep["bass_multiset"] == math.inf and not rep["ok"], rep
 
 
 def test_ihara_bass_determinant(criterion1_graphs):
