@@ -1,9 +1,8 @@
-"""Hot numeric kernels, numpy only: BFS distances, the all-sources sweep
-for eccentricities and girth, and the nonbacktracking operator B.
+"""Hot numeric kernels, numpy only: BFS distances and the all-sources
+sweep for eccentricities and girth.
 
 Conventions: a d-regular graph is its flat adjacency array ``indices`` of
-length n*d (row u = sorted neighbors of u). Directed edge e has tail e // d,
-head ``head[e]`` and reversal ``rev[e]``.
+length n*d (row u = sorted neighbors of u).
 """
 
 import numpy as np
@@ -94,14 +93,3 @@ def eccentricities_and_girth(indices, d):
         missed = _source_bits(np.bitwise_or.reduce(unseen, axis=0), width)
         ecc[start:start + width] = np.where(missed, -1, last)
     return ecc, best
-
-
-# --------------------------------------------------------------------------
-# The nonbacktracking operator B applied to an edge function.
-# --------------------------------------------------------------------------
-
-
-def b_apply(head, rev, d, vec):
-    """(B vec)[e] = sum of vec over the d out-edges of head[e], less vec[rev[e]]."""
-    outsum = vec.reshape(-1, d).sum(axis=1)
-    return outsum[head] - vec[rev]

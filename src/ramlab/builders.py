@@ -214,6 +214,8 @@ def build_random_regular(n: int, d: int, seed: int) -> RegularGraph:
         raise BadParams(f"n*d must be even, got n={n}, d={d}")
     if n <= d:
         raise BadParams(f"need n > d, got n={n}, d={d}")
+    if seed < 0:
+        raise BadParams(f"seed must be >= 0, got {seed}")
     provenance = {"family": "random_regular", "n": n, "d": d, "seed": seed}
     for attempt in range(RETRY_BUDGET):
         rng = np.random.default_rng(seed + attempt)
@@ -249,6 +251,8 @@ class LiftSpec:
     def __post_init__(self):
         if self.n < 1:
             raise BadParams(f"cover number must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise BadParams(f"seed must be >= 0, got {self.seed}")
 
 
 def build_random_lift(spec: LiftSpec) -> RegularGraph:

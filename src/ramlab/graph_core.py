@@ -17,6 +17,7 @@ import scipy.sparse
 from . import _kernels
 from .errors import (
     Asymmetric,
+    DegreeTooSmall,
     Disconnected,
     IrregularGraph,
     NonSimple,
@@ -60,6 +61,8 @@ def adjacency_sparse(graph: RegularGraph) -> scipy.sparse.csr_matrix:
 def from_adjacency(adj: dict | list, d: int, provenance: dict | None = None) -> RegularGraph:
     """Build and validate a RegularGraph from a neighbor-list mapping."""
     n = len(adj)
+    if d < 3:
+        raise DegreeTooSmall(f"this package requires d >= 3, got d={d}")
     if n <= d:
         raise IrregularGraph(f"need n > d, got n={n}, d={d}")
     indices = np.empty(n * d, dtype=np.int32)
@@ -76,7 +79,7 @@ def from_adjacency(adj: dict | list, d: int, provenance: dict | None = None) -> 
         indices[u * d : (u + 1) * d] = nbrs
     graph = RegularGraph(n=n, d=d, indices=indices, bipartition=None,
                          provenance=provenance or {})
-    _check_symmetry(graph)
+    _reverse_rank(graph)
     dist = _connected_distances(graph, 0)
     bipartition = _two_coloring(graph, dist)
     indices.setflags(write=False)
@@ -95,17 +98,21 @@ def from_edges(n: int, d: int, edges, provenance: dict | None = None) -> Regular
     return from_adjacency(adj, d, provenance)
 
 
-def _check_symmetry(graph: RegularGraph):
+def _reverse_rank(graph: RegularGraph) -> np.ndarray:
+    """rank[e] = position of the tail of edge e in the sorted neighbor list
+    of its head, so that d * head[e] + rank[e] is the reverse of e; raises
+    Asymmetric if some head does not list the tail."""
     n, d = graph.n, graph.d
     rows = graph.indices.reshape(n, d)
     tails = np.repeat(np.arange(n, dtype=np.int64), d)
     heads = graph.indices.astype(np.int64)
     rank = (rows[heads] < tails[:, None]).sum(axis=1)
     back = rows[heads, rank.clip(max=d - 1)]
-    if not np.all((rank < d) & (back == tails)):
-        bad = int(np.flatnonzero((rank >= d) | (back != tails))[0])
+    bad = np.flatnonzero((rank >= d) | (back != tails))
+    if bad.size:
         raise Asymmetric(
-            f"edge ({bad // d}, {graph.indices[bad]}) has no reverse entry")
+            f"edge ({bad[0] // d}, {graph.indices[bad[0]]}) has no reverse entry")
+    return rank
 
 
 def _connected_distances(graph: RegularGraph, src: int) -> np.ndarray:
@@ -140,13 +147,7 @@ def validate_and_index(graph: RegularGraph) -> DirectedEdgeSpace:
     tail = np.repeat(np.arange(n, dtype=np.int32), d)
     if (head == tail).any():
         raise SelfLoop("adjacency contains a self-loop")
-    rows = graph.indices.reshape(n, d)
-    rank = (rows[head] < tail[:, None]).sum(axis=1)
-    ok = rank < d
-    back = rows[head, np.where(ok, rank, 0)]
-    if not np.all(ok & (back == tail)):
-        raise Asymmetric("adjacency is not symmetric")
-    rev = (head.astype(np.int64) * d + rank).astype(np.int32)
+    rev = (head.astype(np.int64) * d + _reverse_rank(graph)).astype(np.int32)
     if not np.array_equal(rev[rev], np.arange(n * d, dtype=np.int32)):
         raise Asymmetric("edge reversal is not an involution")
     for arr in (tail, head, rev):

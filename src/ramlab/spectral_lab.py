@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from . import _kernels, theory
+from . import theory
 from .errors import (
     EigenbasisNotOrthonormal,
     GraphIsBipartite,
@@ -220,38 +220,15 @@ def alpha_exact(lam: float, d: int) -> float:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BOperator:
-    """Matrix-free handle on B with sparse and (capped) dense materialization."""
-
-    graph: RegularGraph
-    edge_space: DirectedEdgeSpace
-    dense_cap: int = DENSE_CAP_DEFAULT
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        es = self.edge_space
-        return _kernels.b_apply(es.head, es.rev, self.graph.d, vec)
-
-    def sparse(self) -> scipy.sparse.csr_array:
-        """B in CSR form: row e holds the out-edges of head[e] except rev[e]."""
-        es, d = self.edge_space, self.graph.d
-        cols = es.head.astype(np.int64)[:, None] * d + np.arange(d)
-        cols = cols[cols != es.rev[:, None]]
-        return scipy.sparse.csr_array(
-            (np.ones(cols.size), cols, np.arange(0, cols.size + 1, d - 1)),
-            shape=(es.N, es.N))
-
-    def dense(self) -> np.ndarray:
-        if self.edge_space.N > self.dense_cap:
-            raise SizeCap(f"dense B demanded for N={self.edge_space.N} > cap={self.dense_cap}")
-        return self.sparse().toarray()
-
-
-def build_B(graph: RegularGraph, edge_space: DirectedEdgeSpace | None = None,
-            dense_cap: int = DENSE_CAP_DEFAULT) -> BOperator:
-    if edge_space is None:
-        edge_space = validate_and_index(graph)
-    return BOperator(graph=graph, edge_space=edge_space, dense_cap=dense_cap)
+def build_B(graph: RegularGraph,
+            edge_space: DirectedEdgeSpace | None = None) -> scipy.sparse.csr_array:
+    """B in CSR form: row e holds the out-edges of head[e] except rev[e]."""
+    es, d = edge_space or validate_and_index(graph), graph.d
+    cols = es.head.astype(np.int64)[:, None] * d + np.arange(d)
+    cols = cols[cols != es.rev[:, None]]
+    return scipy.sparse.csr_array(
+        (np.ones(cols.size), cols, np.arange(0, cols.size + 1, d - 1)),
+        shape=(es.N, es.N))
 
 
 # --------------------------------------------------------------------------

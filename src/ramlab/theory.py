@@ -202,8 +202,8 @@ def nbrw_threshold_time(n: int, d: int) -> int:
 def weakly_adjusted_time(n: int, d: int, delta: float) -> int:
     """ceil((1 + 5 sqrt(delta)) log_{d-1} n + 3 log_{d-1} log n); at
     delta=0 this is the Ramanujan threshold time."""
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     main = (1 + 5 * math.sqrt(delta)) * _log_base(n, d - 1)
     window = 3 * _log_base(math.log10(n), d - 1)
     return _iceil(main + window)

@@ -51,29 +51,8 @@ def _check_laws(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Exact distribution over vertices or directed edges."""
-
-    space: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_laws(self.values)
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-
-def delta(space: str, size: int, state: int) -> ProbabilityVector:
-    values = np.zeros(size)
-    values[state] = 1.0
-    return ProbabilityVector(space, values)
-
-
 def stationary(space: str, graph: RegularGraph,
-               parity: int | None = None) -> ProbabilityVector:
+               parity: int | None = None) -> np.ndarray:
     """Uniform stationary measure, optionally restricted to a parity class.
 
     For vertices, parity selects one side of the bipartition; for edges it
@@ -83,7 +62,7 @@ def stationary(space: str, graph: RegularGraph,
         raise SpaceMismatch(f"unknown space {space!r}")
     if parity is None:
         size = graph.n if space == VERTICES else graph.n * graph.d
-        return ProbabilityVector(space, np.full(size, 1.0 / size))
+        return np.full(size, 1.0 / size)
     if not graph.bipartite:
         raise ParityOnNonBipartite("parity restriction requires a bipartite graph")
     if parity not in (0, 1):
@@ -92,23 +71,7 @@ def stationary(space: str, graph: RegularGraph,
         mask = graph.bipartition == parity
     else:
         mask = np.repeat(graph.bipartition == parity, graph.d)
-    values = np.where(mask, 1.0 / int(mask.sum()), 0.0)
-    return ProbabilityVector(space, values)
-
-
-def step(graph: RegularGraph, edge_space: DirectedEdgeSpace | None,
-         kernel: str, dist: ProbabilityVector) -> ProbabilityVector:
-    """One application of the SRW kernel P or the NBRW kernel B/(d-1)."""
-    if kernel == "srw":
-        if dist.space != VERTICES:
-            raise SpaceMismatch("SRW acts on vertex distributions")
-    elif kernel == "nbrw":
-        if dist.space != EDGES:
-            raise SpaceMismatch("NBRW acts on directed-edge distributions")
-    else:
-        raise SpaceMismatch(f"unknown kernel {kernel!r}")
-    _, x = next(itertools.islice(evolve(graph, kernel, dist.values, edge_space), 1, None))
-    return ProbabilityVector(dist.space, x[:, 0])
+    return np.where(mask, 1.0 / int(mask.sum()), 0.0)
 
 
 def evolve(graph: RegularGraph, kernel: str, starts,
@@ -127,6 +90,8 @@ def evolve(graph: RegularGraph, kernel: str, starts,
         size, rev = graph.n * d, (edge_space or validate_and_index(graph)).rev
     starts = np.asarray(starts)
     if starts.dtype.kind == "f":
+        if starts.shape[:1] != (size,):
+            raise SpaceMismatch(f"{kernel} laws live on {size} states, got {starts.shape}")
         x = np.array(starts).reshape(size, -1)
     else:
         if not ((starts >= 0) & (starts < size)).all():
@@ -183,22 +148,6 @@ class _Reference:
                 else float((self.weights * a ** p).sum() ** (1.0 / p)) for p in p_list]
 
 
-def distance_to_stationarity(dist: ProbabilityVector,
-                             reference: ProbabilityVector, p: float) -> float:
-    """L^p(reference) norm of dist/reference - 1; p=1 equals twice the TV."""
-    if dist.space != reference.space or dist.size != reference.size:
-        raise SpaceMismatch("distribution and reference live on different spaces")
-    if p < 1:
-        raise ValueError(f"p must be in [1, inf], got {p}")
-    return _Reference(reference.values).lp(dist.values, [p])[0]
-
-
-def tv_distance(dist: ProbabilityVector, reference: ProbabilityVector) -> float:
-    if dist.space != reference.space or dist.size != reference.size:
-        raise SpaceMismatch("distribution and reference live on different spaces")
-    return _Reference(reference.values).tv(dist.values)[0]
-
-
 def l2_squared_uniform(values: np.ndarray, support_size: int) -> float:
     """Chi-square expansion under the uniform reference on the support:
     m * sum(values^2) - 1."""
@@ -247,9 +196,9 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
     space = VERTICES if kernel.startswith("srw") else EDGES
     if reference == "auto" and graph.bipartite and not kernel.endswith("_lazy"):
         p0 = int(graph.bipartition[start if space == VERTICES else start // graph.d])
-        refs = [_Reference(stationary(space, graph, parity=q).values) for q in (p0, 1 - p0)]
+        refs = [_Reference(stationary(space, graph, parity=q)) for q in (p0, 1 - p0)]
     else:
-        refs = [_Reference(stationary(space, graph).values)]
+        refs = [_Reference(stationary(space, graph))]
     p_list = [float(p) for p in p_list]
     if not all(p >= 1 for p in p_list):  # NaN fails too
         raise ValueError(f"every p must be in [1, inf], got {p_list}")
@@ -307,17 +256,18 @@ def _uniform_out_edges(graph: RegularGraph, x: int) -> np.ndarray:
 
 
 def nbrw_projected(graph: RegularGraph, edge_space: DirectedEdgeSpace,
-                   x: int, k: int) -> ProbabilityVector:
+                   x: int, k: int) -> np.ndarray:
     """Law of the head vertex after k-1 NBRW steps from a uniform edge out
     of x (k=0 gives the point mass at x, k=1 the uniform neighbor)."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
-        return delta(VERTICES, graph.n, x)
+        point = np.zeros(graph.n)
+        point[x] = 1.0
+        return point
     laws = evolve(graph, "nbrw", _uniform_out_edges(graph, x), edge_space)
     _, edge = next(itertools.islice(laws, k - 1, None))
-    values = np.bincount(edge_space.head, weights=edge[:, 0], minlength=graph.n)
-    return ProbabilityVector(VERTICES, values)
+    return np.bincount(edge_space.head, weights=edge[:, 0], minlength=graph.n)
 
 
 def srw_mixture_residual(graph: RegularGraph, x: int, t: int,
@@ -331,7 +281,8 @@ def srw_mixture_residual(graph: RegularGraph, x: int, t: int,
     _, srw = next(itertools.islice(evolve(graph, "srw", [x]), t, None))
 
     _, radial = next(itertools.islice(tree_rows(graph.d, t), t, None))
-    mixture = radial[0] * delta(VERTICES, graph.n, x).values
+    mixture = np.zeros(graph.n)
+    mixture[x] = radial[0]
     edges = evolve(graph, "nbrw", _uniform_out_edges(graph, x), edge_space)
     # zip asks range first, so no NBRW step is taken past k = t
     for k, (_, edge) in zip(range(1, t + 1), edges):
@@ -433,7 +384,7 @@ def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
     t_max = max(t_of_s.values())
 
     best = dict.fromkeys(t_of_s.values(), 0.0)
-    ref = _Reference(stationary(VERTICES, graph).values)
+    ref = _Reference(stationary(VERTICES, graph))
     width = max(1, _BLOCK_BYTES // (8 * graph.n))
     for i in range(0, len(starts), width):
         for t, x in evolve(graph, "srw", starts[i : i + width]):

@@ -190,6 +190,10 @@ def gamma_direct(theta: complex, alpha: complex, t: int) -> complex:
     return alpha * sum(theta**j * bar ** (t - 1 - j) for j in range(t))
 
 
+def tv_direct(mu: np.ndarray, ref: np.ndarray) -> float:
+    return 0.5 * float(np.abs(mu - ref).sum())
+
+
 def lp_distance_direct(mu: np.ndarray, ref: np.ndarray, p: float) -> float:
     mask = ref > 0
     ratio = mu[mask] / ref[mask] - 1.0

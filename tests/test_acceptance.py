@@ -50,7 +50,7 @@ def test_criterion_1_decomposition_exactness(criterion1_graphs):
     for name, g in criterion1_graphs.items():
         es = graph_core.validate_and_index(g)
         dec = spectral_lab.build_decomposition(g, es)
-        b = spectral_lab.build_B(g, es).dense()
+        b = spectral_lab.build_B(g, es).toarray()
         rep = spectral_lab.verify_decomposition(
             b, dec, tol_recon=1e-8, tol_unitary=1e-10, tol_bass=1e-9,
             tol_alpha=1e-8)
@@ -161,12 +161,7 @@ def test_criterion_4_reported_deviations(lps29_certified):
     assert abs(records[-1]["empirical"] - records[-1]["predicted"]) <= 0.1  # s = +2
 
     pred = theory.cutoff_prediction(g.n, g.d)
-    ref = walk_engine.stationary("vertices", g)
-    cur = walk_engine.delta("vertices", g.n, 0)
-    tvs = []
-    for _ in range(16):
-        tvs.append(walk_engine.tv_distance(cur, ref))
-        cur = walk_engine.step(g, None, "srw", cur)
+    tvs = walk_engine.mixing_curve(g, "srw", 0, 15, reference="full").d_tv
     t_half = next(i + (tvs[i] - 0.5) / (tvs[i] - tvs[i + 1])
                   for i in range(15) if tvs[i] >= 0.5 > tvs[i + 1])
     shift = (t_half - pred.t_star) / pred.window

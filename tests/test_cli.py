@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import oracles
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ramlab import cli, spectral_lab, walk_engine
+from ramlab import cli, walk_engine
 
 
 def run(args):
@@ -122,12 +128,18 @@ def test_decompose_exit_code(tmp_path):
 
 
 def test_decompose_builds_no_dense_b(tmp_path, monkeypatch):
-    # the residual report comes from sparse B alone: no dense B, no eigvals(B)
+    # the residual report comes from sparse B alone: no sparse array or
+    # matrix is densified, and no eigvals(B)
     def fail(*args, **kwargs):
         raise AssertionError("dense path called")
 
     monkeypatch.setattr(np.linalg, "eigvals", fail)
-    monkeypatch.setattr(spectral_lab.BOperator, "dense", fail)
+    sparse_types = [cls for cls in vars(scipy.sparse).values() if isinstance(cls, type)
+                    and issubclass(cls, (scipy.sparse.sparray, scipy.sparse.spmatrix))]
+    for cls in {base for cls in sparse_types for base in cls.__mro__}:
+        for name in ("toarray", "todense"):
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, fail)
     outs = [str(tmp_path / "a"), str(tmp_path / "b")]
     for out in outs:
         assert run(["decompose", "--family", "random_regular", "--n", "200", "--d", "3",
@@ -211,19 +223,19 @@ def test_metrics_default_window_below_ten_vertices(tmp_path, name):
     assert payload["profile"]["window_radius"] == 0.0
 
 
-def _assert_usage_error(tmp_path, capsys, argv):
-    # a value argparse cannot range-check -> one JSON line on stderr, exit 2,
-    # and no artifacts
-    assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+def _assert_rejected(out_dir, capsys, argv, code=2, error="UsageError"):
+    # a rejected input -> one JSON line on stderr naming the error, the exit
+    # code, and no artifacts
+    assert run(argv + ["--out-dir", str(out_dir)]) == code
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == "UsageError"
-    assert list(tmp_path.iterdir()) == []
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == error
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [["--source", "50"], ["--source", "-1"],
                                    ["--window-radius", "-1"], ["--window-radius", "nan"]])
 def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
-    _assert_usage_error(tmp_path, capsys,
+    _assert_rejected(tmp_path, capsys,
                         ["metrics", "--family", "named", "--name", "petersen"] + flags)
 
 
@@ -239,6 +251,7 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["theory", "--n", "100", "--d", "2"],
     ["theory", "--n", "100", "--d", "3", "--eps", "2"],
     ["theory", "--n", "100", "--d", "3", "--delta", "-1"],
+    ["theory", "--n", "100", "--d", "3", "--delta", "inf"],
     ["theory", "--n", "100", "--d", "3", "--p", "1"],
     ["theory", "--n", "100", "--d", "3", "--p", "0.5"],
     ["theory", "--n", "100", "--d", "3", "--p", "0"],
@@ -258,7 +271,92 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["certify", "--name", "petersen", "--exceptional-budget", "-1"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_out_of_range_exit_code(tmp_path, capsys, argv):
-    _assert_usage_error(tmp_path, capsys, argv)
+    _assert_rejected(tmp_path, capsys, argv)
+
+
+@pytest.mark.parametrize("source", ["random_regular", "file"])
+@pytest.mark.parametrize("argv", [["metrics"], ["profile"], ["mix", "--kernel", "nbrw"],
+                                  ["spectrum"], ["decompose"]],
+                         ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_degree_below_three_exit_code(tmp_path, capsys, argv, source):
+    # the triangle is 2-regular: every subcommand refuses it with exit 4
+    if source == "file":
+        path = tmp_path / "triangle.edges"
+        path.write_text("3 2\n0 1\n0 2\n1 2\n")
+        graph, error = ["--file", str(path)], "InvariantViolation"
+    else:
+        graph, error = ["--family", "random_regular", "--n", "3", "--d", "2"], "DegreeTooSmall"
+    _assert_rejected(tmp_path / "out", capsys, argv + graph, 4, error)
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "random_regular", "--n", "10", "--seed", "-1"],
+    ["build", "--family", "random_lift", "--cover", "3", "--seed", "-1"],
+], ids=["random_regular", "random_lift"])
+def test_negative_seed_exit_code(tmp_path, capsys, argv):
+    _assert_rejected(tmp_path, capsys, argv, 4, "BadParams")
+
+
+# Numeric flag values: small integers with 0 and negatives, a fraction, NaN
+# and infinities. No value exceeds 12, which bounds every graph (n <= 12),
+# --tmax, --horizon, --pmax, --starts and the --s-grid entries.
+_NUMBER = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["0.5", "nan", "inf", "-inf"]))
+_NUMBERS = st.lists(_NUMBER, max_size=3).map(",".join)
+_GRAPH = st.one_of(
+    st.sampled_from(["petersen", "complete(3)", "complete(4)", "complete(7)",
+                     "complete_bipartite(2)", "complete_bipartite(3)", "cycle(5)"])
+    .map(lambda name: ["--family", "named", "--name", name]),
+    st.tuples(st.integers(-1, 12), st.integers(1, 5), st.integers(-1, 3))
+    .map(lambda t: ["--family", "random_regular", "--n", str(t[0]), "--d", str(t[1]),
+                    "--seed", str(t[2])]),
+)
+_SPECTRUM_FLAGS = {"--delta-threshold": _NUMBER, "--exceptional-budget": _NUMBER}
+_FLAGS = {
+    "build": {},
+    "metrics": {"--source": _NUMBER, "--window-radius": _NUMBER},
+    "mix": {"--kernel": st.sampled_from(walk_engine.KERNELS), "--start": _NUMBER,
+            "--tmax": _NUMBER, "--pmax": _NUMBER, "--p-list": _NUMBERS,
+            "--reference": st.sampled_from(["auto", "full"])},
+    "profile": {"--s-grid": _NUMBERS, "--starts": _NUMBER},
+    "spectrum": _SPECTRUM_FLAGS,
+    "decompose": {},
+    "certify": _SPECTRUM_FLAGS,
+    "theory": {"--p": _NUMBER, "--lam": _NUMBER, "--eps": _NUMBER, "--delta": _NUMBER},
+    "tree": {"--horizon": _NUMBER},
+}
+
+
+@st.composite
+def _argv(draw):
+    sub = draw(st.sampled_from(sorted(_FLAGS)))
+    if sub == "theory":
+        argv = [sub, "--n", draw(_NUMBER), "--d", draw(_NUMBER)]
+    elif sub == "tree":
+        argv = [sub, "--d", draw(_NUMBER)]
+    else:
+        argv = [sub, *draw(_GRAPH)]
+        if draw(st.booleans()):
+            argv += ["--dense-cap", draw(_NUMBER)]
+    for flag, values in _FLAGS[sub].items():
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@given(argv=_argv())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fuzzed_argv_exit_code(argv):
+    # every argument vector ends in a documented exit code, never a
+    # traceback; derandomized, so every run draws the same 300 vectors
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = run(argv + ["--out-dir", out])
+        except SystemExit as exc:  # argparse rejects the vector
+            code = exc.code
+    assert code in (0, 2, 3, 4), code
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("exc", [MemoryError("out of memory"),

@@ -5,6 +5,7 @@ import oracles
 from ramlab import graph_core
 from ramlab.errors import (
     Asymmetric,
+    DegreeTooSmall,
     Disconnected,
     IrregularGraph,
     NonSimple,
@@ -142,6 +143,23 @@ def test_rejects_asymmetric():
     adj = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 1]]
     with pytest.raises((Asymmetric, NonSimple)):
         graph_core.from_adjacency(adj, 3)
+
+
+def test_asymmetric_rows_name_the_edge():
+    # 4 lists 2 but 2 does not list 4; validate_and_index re-checks a graph
+    # made without from_adjacency
+    rows = [[1, 2, 3], [0, 2, 4], [0, 1, 3], [0, 2, 4], [1, 2, 3]]
+    with pytest.raises(Asymmetric, match=r"edge \(4, 2\)"):
+        graph_core.from_adjacency(rows, 3)
+    graph = graph_core.RegularGraph(n=5, d=3, indices=np.array(rows, np.int32).ravel())
+    with pytest.raises(Asymmetric, match=r"edge \(4, 2\)"):
+        graph_core.validate_and_index(graph)
+
+
+@pytest.mark.parametrize("n, d, edges", [(3, 2, [(0, 1), (0, 2), (1, 2)]), (2, 1, [(0, 1)])])
+def test_rejects_degree_below_three(n, d, edges):
+    with pytest.raises(DegreeTooSmall):
+        graph_core.from_edges(n, d, edges)
 
 
 def test_rejects_disconnected():

@@ -1,6 +1,6 @@
 """Kernel checks: the all-sources BFS sweep against brute-force oracles
-(bfs_distances and b_apply are checked in test_graph_core.py and
-test_spectral_lab.py, the tree DP in test_walk_engine.py)."""
+(bfs_distances is checked in test_graph_core.py, the tree DP in
+test_walk_engine.py)."""
 
 import random
 from unittest import mock

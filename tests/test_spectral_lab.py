@@ -170,38 +170,24 @@ def test_alpha_exact_cases():
 
 
 def test_b_row_sums_and_principal(k4):
-    es = graph_core.validate_and_index(k4)
-    op = build_B(k4, es)
-    dense = op.dense()
-    assert np.all(dense.sum(axis=1) == 2)
+    b = build_B(k4)
+    assert np.all(b.toarray().sum(axis=1) == 2)
     ones = np.ones(12)
-    assert np.allclose(op.apply(ones), 2 * ones)
+    assert np.allclose(b @ ones, 2 * ones)
 
 
 def test_b_matches_definition(criterion1_graphs, rand3_50, c6_x_k4):
-    # the CSR form, and the dense form made from it, entry for entry
+    # the CSR form, entry for entry
     for name, g in {**criterion1_graphs, "rand3_50": rand3_50, "c6_x_k4": c6_x_k4}.items():
         es = graph_core.validate_and_index(g)
-        op = build_B(g, es)
-        b = op.sparse()
+        b = build_B(g, es)
         assert b.has_canonical_format, name
         assert np.array_equal(b.toarray(), oracles.nbrw_dense_matrix(g, es)), name
-        assert np.array_equal(op.dense(), b.toarray()), name
-
-
-def test_b_apply_matches_dense(petersen):
-    es = graph_core.validate_and_index(petersen)
-    op = build_B(petersen, es)
-    dense = op.dense()
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        v = rng.standard_normal(es.N)
-        assert np.abs(op.apply(v) - dense @ v).max() < 1e-12
 
 
 def test_bbstar_three_case_formula(k4):
     es = graph_core.validate_and_index(k4)
-    b = build_B(k4, es).dense()
+    b = build_B(k4, es).toarray()
     bbt = b @ b.T
     d = k4.d
     for e in range(es.N):
@@ -220,19 +206,13 @@ def test_bass_lu_keeps_diagonal_pivots(criterion1_graphs, c6_x_k4):
     # logs of U's diagonal is log det(I - uB)
     for name, g in {**criterion1_graphs, "c6_x_k4": c6_x_k4}.items():
         es = graph_core.validate_and_index(g)
-        b = build_B(g, es).sparse()
+        b = build_B(g, es)
         for u in spectral_lab.bass_points(g.d):
             lu = spectral_lab._lu_i_minus_ub(b.tocsc(), u)
             assert np.array_equal(lu.perm_r, lu.perm_c), (name, u)
             diff = np.log(lu.U.diagonal()).sum() - oracles.logdet(np.eye(es.N) - u * b.toarray())
             diff -= 2j * math.pi * round(diff.imag / (2 * math.pi))
             assert abs(diff) <= 1e-12, (name, u, diff)
-
-
-def test_b_dense_size_cap(petersen):
-    es = graph_core.validate_and_index(petersen)
-    with pytest.raises(SizeCap):
-        build_B(petersen, es, dense_cap=10).dense()
 
 
 # --- block decomposition -----------------------------------------------------------
@@ -291,7 +271,7 @@ def test_jordan_branch(c6_x_k4):
         assert abs(b.theta - 2.0) < 1e-8
         assert abs(b.theta - b.theta_prime) < 1e-12
         assert abs(abs(b.alpha) - 3.0) < 1e-8  # d - 2
-    rep = verify_decomposition(build_B(c6_x_k4, es).sparse(), dec)
+    rep = verify_decomposition(build_B(c6_x_k4, es), dec)
     assert rep["ok"], rep
     assert rep["bass_multiset"] <= 1e-12, rep
 
@@ -320,7 +300,7 @@ _DENSE_EIGH_ROUNDING = 1e-14
 
 def _decomposed(g):
     es = graph_core.validate_and_index(g)
-    return build_decomposition(g, es), build_B(g, es).dense()
+    return build_decomposition(g, es), build_B(g, es).toarray()
 
 
 # SuperLU and LAPACK's dense LU round log det(I - uB) differently
@@ -358,7 +338,7 @@ def test_verify_bounds_dense_oracle(criterion1_graphs):
         assert rep["ok"], (name, rep)
         # the CSR that build_B makes gives the report the dense B gives
         es = graph_core.validate_and_index(g)
-        assert verify_decomposition(build_B(g, es).sparse(), dec) == rep, name
+        assert verify_decomposition(build_B(g, es), dec) == rep, name
         _assert_bounds_oracle(rep, oracles.verify_decomposition_dense(b, dec))
 
 

@@ -11,19 +11,14 @@ from ramlab import builders, graph_core, walk_engine
 from ramlab.errors import NotReached, ParityOnNonBipartite, SpaceMismatch, SupportViolation
 from ramlab.walk_engine import (
     MixingCurve,
-    ProbabilityVector,
-    delta,
-    distance_to_stationarity,
     evolve,
     mixing_curve,
     mixing_time,
     nbrw_projected,
     srw_mixture_residual,
     stationary,
-    step,
     tree_lp_norm,
     tree_rows,
-    tv_distance,
 )
 
 
@@ -32,22 +27,22 @@ from ramlab.walk_engine import (
 
 def test_stationary_vertices_k4(k4):
     pi = stationary("vertices", k4)
-    assert np.allclose(pi.values, 0.25)
+    assert np.allclose(pi, 0.25)
 
 
 def test_stationary_edges_k4(k4):
     pi = stationary("edges", k4)
-    assert np.allclose(pi.values, 1 / 12)
+    assert np.allclose(pi, 1 / 12)
 
 
 def test_stationary_parity_k33(k33):
     pi0 = stationary("vertices", k33, parity=0)
     side = k33.bipartition == 0
-    assert np.allclose(pi0.values[side], 1 / 3)
-    assert np.allclose(pi0.values[~side], 0.0)
+    assert np.allclose(pi0[side], 1 / 3)
+    assert np.allclose(pi0[~side], 0.0)
     pie = stationary("edges", k33, parity=0)
-    assert np.isclose(pie.values.sum(), 1.0)
-    assert (pie.values > 0).sum() == 9  # N/2 directed edges out of one side
+    assert np.isclose(pie.sum(), 1.0)
+    assert (pie > 0).sum() == 9  # N/2 directed edges out of one side
 
 
 def test_parity_requires_bipartite(k4):
@@ -58,19 +53,24 @@ def test_parity_requires_bipartite(k4):
 # --- kernel steps ---------------------------------------------------------------
 
 
+def _law_at(g, kernel, start, t, es=None):
+    """Column 0 of evolve's law at time t from one start state or law."""
+    return next(itertools.islice(evolve(g, kernel, start, es), t, None))[1][:, 0]
+
+
 def test_srw_step_k4(k4):
-    out = step(k4, None, "srw", delta("vertices", 4, 0))
-    assert np.allclose(out.values, [0, 1 / 3, 1 / 3, 1 / 3])
+    out = _law_at(k4, "srw", [0], 1)
+    assert np.allclose(out, [0, 1 / 3, 1 / 3, 1 / 3])
 
 
 def test_nbrw_step_k4(k4):
     es = graph_core.validate_and_index(k4)
     e01 = 0 * 3 + 0  # edge (0,1): first neighbor of 0
-    out = step(k4, es, "nbrw", delta("edges", 12, e01))
+    out = _law_at(k4, "nbrw", [e01], 1, es)
     # successors are (1,2) and (1,3), each with mass 1/2
-    nz = np.flatnonzero(out.values)
+    nz = np.flatnonzero(out)
     assert len(nz) == 2
-    assert np.allclose(out.values[nz], 0.5)
+    assert np.allclose(out[nz], 0.5)
     assert all(es.tail[e] == 1 and es.head[e] in (2, 3) for e in nz)
 
 
@@ -78,16 +78,21 @@ def test_nbrw_uniform_fixed_point(test_graphs):
     for g in test_graphs.values():
         es = graph_core.validate_and_index(g)
         pi = stationary("edges", g)
-        out = step(g, es, "nbrw", pi)
-        assert np.abs(out.values - pi.values).max() < 1e-16
+        out = _law_at(g, "nbrw", pi, 1, es)
+        assert np.abs(out - pi).max() < 1e-16
 
 
 def test_space_mismatch(k4):
+    # a law over the other state space, an unknown kernel, an unknown space
     es = graph_core.validate_and_index(k4)
     with pytest.raises(SpaceMismatch):
-        step(k4, es, "nbrw", delta("vertices", 4, 0))
+        next(evolve(k4, "nbrw", stationary("vertices", k4), es))
     with pytest.raises(SpaceMismatch):
-        step(k4, None, "srw", delta("edges", 12, 0))
+        next(evolve(k4, "srw", stationary("edges", k4)))
+    with pytest.raises(SpaceMismatch):
+        next(evolve(k4, "lazy", [0]))
+    with pytest.raises(SpaceMismatch):
+        stationary("arcs", k4)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -97,11 +102,9 @@ def test_mass_conservation(seed):
     es = graph_core.validate_and_index(g)
     rng = np.random.default_rng(seed)
     v = rng.random(g.n)
-    mu = ProbabilityVector("vertices", v / v.sum())
-    assert abs(step(g, None, "srw", mu).values.sum() - 1.0) < 1e-14
+    assert abs(_law_at(g, "srw", v / v.sum(), 1).sum() - 1.0) < 1e-14
     e = rng.random(es.N)
-    nu = ProbabilityVector("edges", e / e.sum())
-    assert abs(step(g, es, "nbrw", nu).values.sum() - 1.0) < 1e-14
+    assert abs(_law_at(g, "nbrw", e / e.sum(), 1, es).sum() - 1.0) < 1e-14
 
 
 def _petersen():
@@ -114,14 +117,10 @@ def test_kernels_match_dense_oracles(petersen, k33):
     for g in (petersen, k33):
         es = graph_core.validate_and_index(g)
         for t in (1, 3, 7, 12):
-            mine = delta("vertices", g.n, 0)
-            for _ in range(t):
-                mine = step(g, None, "srw", mine)
-            assert np.abs(mine.values - oracles.srw_dense(g, 0, t)).max() < 1e-14
-            mu = delta("edges", es.N, 0)
-            for _ in range(t):
-                mu = step(g, es, "nbrw", mu)
-            assert np.abs(mu.values - oracles.nbrw_dense(g, es, 0, t)).max() < 1e-14
+            mine = _law_at(g, "srw", [0], t)
+            assert np.abs(mine - oracles.srw_dense(g, 0, t)).max() < 1e-14
+            mu = _law_at(g, "nbrw", [0], t, es)
+            assert np.abs(mu - oracles.nbrw_dense(g, es, 0, t)).max() < 1e-14
 
 
 # --- batched evolution --------------------------------------------------------------
@@ -179,7 +178,7 @@ def test_evolve_matches_dense_oracles_beyond_unrolled_sums():
 
 def test_evolve_from_initial_laws(petersen):
     es = graph_core.validate_and_index(petersen)
-    law = stationary("edges", petersen).values
+    law = stationary("edges", petersen)
     for t, x in evolve(petersen, "nbrw", law, es):
         assert x.shape == (es.N, 1)
         assert np.abs(x[:, 0] - law).max() < 1e-16
@@ -219,7 +218,7 @@ def test_profile_blocks_keep_every_start(rand3_50, monkeypatch, width):
 @pytest.mark.parametrize("kernel", ["srw", "nbrw"])
 @pytest.mark.parametrize("name", ["k33", "lps13"])
 def test_curve_columns_equal_public_distances(name, kernel, reference, request):
-    # one ratio pass per time gives the same bits as the public reductions;
+    # one ratio pass per time gives the same bits as the naive reductions;
     # k33 and lps13 are bipartite, so 'auto' alternates the parity reference
     g = request.getfixturevalue(name)
     es = graph_core.validate_and_index(g)
@@ -228,14 +227,13 @@ def test_curve_columns_equal_public_distances(name, kernel, reference, request):
     curve = mixing_curve(g, kernel, 1, 15, p_list=p_list, edge_space=es,
                          reference=reference)
     p0 = int(g.bipartition[1 if kernel == "srw" else 1 // g.d])
-    for t, values in enumerate(_single_laws(g, es, kernel, 1, 15)):
-        mu = ProbabilityVector(space, values)
+    for t, mu in enumerate(_single_laws(g, es, kernel, 1, 15)):
         ref = (stationary(space, g, parity=(p0 + t) % 2) if reference == "auto"
                else stationary(space, g))
-        assert curve.d_tv[t] == tv_distance(mu, ref)
-        assert curve.d_inf[t] == distance_to_stationarity(mu, ref, math.inf)
+        assert curve.d_tv[t] == oracles.tv_direct(mu, ref)
+        assert curve.d_inf[t] == oracles.lp_distance_direct(mu, ref, math.inf)
         for p in p_list:
-            assert curve.d_p[p][t] == distance_to_stationarity(mu, ref, p)
+            assert curve.d_p[p][t] == oracles.lp_distance_direct(mu, ref, p)
 
 
 def test_curve_rejects_bad_start_and_horizon(petersen):
@@ -254,57 +252,49 @@ def test_curve_rejects_p_below_one_or_nan(petersen, p_list):
 # --- distances ------------------------------------------------------------------
 
 
-def test_distance_examples():
-    mu = ProbabilityVector("vertices", np.array([1.0, 0, 0, 0]))
-    ref = ProbabilityVector("vertices", np.full(4, 0.25))
-    assert math.isclose(distance_to_stationarity(mu, ref, 1), 1.5)
-    assert math.isclose(tv_distance(mu, ref), 0.75)
-    assert distance_to_stationarity(ref, ref, 2) == 0.0
+def test_distance_examples(k4, k33):
+    # the point mass at t = 0 on K4; on K3,3 the law at t = 1 is exactly
+    # the parity reference
+    curve = mixing_curve(k4, "srw", 0, 0, p_list=[1.0])
+    assert math.isclose(curve.d_p[1.0][0], 1.5)
+    assert math.isclose(curve.d_tv[0], 0.75)
+    curve = mixing_curve(k33, "srw", 0, 1, p_list=[2.0])
+    assert curve.reference == "parity-alternating"
+    assert curve.d_p[2.0][1] == curve.d_tv[1] == curve.d_inf[1] == 0.0
 
 
 def test_distance_srw_k4_t1(k4):
-    mu = step(k4, None, "srw", delta("vertices", 4, 0))
-    ref = stationary("vertices", k4)
-    assert math.isclose(distance_to_stationarity(mu, ref, 1), 0.5)
-    assert math.isclose(tv_distance(mu, ref), 0.25)
+    curve = mixing_curve(k4, "srw", 0, 1, p_list=[1.0])
+    assert math.isclose(curve.d_p[1.0][1], 0.5)
+    assert math.isclose(curve.d_tv[1], 0.25)
 
 
 def test_d1_equals_twice_tv(test_graphs):
     for g in test_graphs.values():
-        ref = stationary("vertices", g)
-        mu = delta("vertices", g.n, 0)
-        for _ in range(3):
-            mu = step(g, None, "srw", mu)
-        assert math.isclose(distance_to_stationarity(mu, ref, 1),
-                            2 * tv_distance(mu, ref), rel_tol=1e-12)
+        curve = mixing_curve(g, "srw", 0, 3, p_list=[1.0], reference="full")
+        assert math.isclose(curve.d_p[1.0][3], 2 * curve.d_tv[3], rel_tol=1e-12)
 
 
 def test_dp_monotone_in_p(petersen):
-    ref = stationary("vertices", petersen)
-    mu = delta("vertices", petersen.n, 0)
-    for _ in range(4):
-        mu = step(petersen, None, "srw", mu)
-    values = [distance_to_stationarity(mu, ref, p)
-              for p in (1, 1.5, 2, 3, 5, 25, math.inf)]
+    p_list = [1, 1.5, 2, 3, 5, 25]
+    curve = mixing_curve(petersen, "srw", 0, 4, p_list=p_list)
+    values = [curve.d_p[float(p)][4] for p in p_list] + [curve.d_inf[4]]
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
 
 def test_chi2_expansion_cross_check(petersen):
     # n * sum(mu^2) - 1 equals the squared L2 distance under uniform
-    ref = stationary("vertices", petersen)
-    mu = delta("vertices", petersen.n, 0)
-    for _ in range(5):
-        mu = step(petersen, None, "srw", mu)
-    direct = distance_to_stationarity(mu, ref, 2) ** 2
-    expansion = walk_engine.l2_squared_uniform(mu.values, petersen.n)
+    direct = mixing_curve(petersen, "srw", 0, 5, p_list=[2.0]).d_p[2.0][5] ** 2
+    mu = _law_at(petersen, "srw", [0], 5)
+    expansion = walk_engine.l2_squared_uniform(mu, petersen.n)
     assert math.isclose(direct, expansion, rel_tol=1e-10)
 
 
 def test_support_violation(k33):
-    mu = delta("vertices", 6, 0)
-    wrong_side = stationary("vertices", k33, parity=1 - int(k33.bipartition[0]))
+    side = int(k33.bipartition[0])
+    wrong_side = walk_engine._Reference(stationary("vertices", k33, parity=1 - side))
     with pytest.raises(SupportViolation):
-        distance_to_stationarity(mu, wrong_side, 2)
+        wrong_side.lp(stationary("vertices", k33, parity=side), [2.0])
 
 
 # --- mixing curves ---------------------------------------------------------------
@@ -343,16 +333,12 @@ def test_lazy_kernel_mixes_bipartite(k33):
 
 
 def test_lazy_is_half_sum_of_pure(k33):
-    pure = []
-    mu = delta("vertices", 6, 0)
-    for _ in range(6):
-        pure.append(mu.values.copy())
-        mu = step(k33, None, "srw", mu)
+    pure = [x[:, 0].copy() for _, x in itertools.islice(evolve(k33, "srw", [0]), 6)]
     lazy = mixing_curve(k33, "srw_lazy", 0, 5, p_list=[2.0])
     ref = stationary("vertices", k33)
     for t in range(1, 6):
-        mixed = ProbabilityVector("vertices", 0.5 * (pure[t - 1] + pure[t]))
-        assert math.isclose(lazy.d_tv[t], tv_distance(mixed, ref), abs_tol=1e-15)
+        mixed = 0.5 * (pure[t - 1] + pure[t])
+        assert math.isclose(lazy.d_tv[t], oracles.tv_direct(mixed, ref), abs_tol=1e-15)
 
 
 def test_mixing_time_first_crossing():
@@ -370,8 +356,8 @@ def test_mixing_time_first_crossing():
 
 def test_nbrw_projected_small_k(k4):
     es = graph_core.validate_and_index(k4)
-    assert np.allclose(nbrw_projected(k4, es, 0, 0).values, [1, 0, 0, 0])
-    assert np.allclose(nbrw_projected(k4, es, 0, 1).values, [0, 1 / 3, 1 / 3, 1 / 3])
+    assert np.allclose(nbrw_projected(k4, es, 0, 0), [1, 0, 0, 0])
+    assert np.allclose(nbrw_projected(k4, es, 0, 1), [0, 1 / 3, 1 / 3, 1 / 3])
 
 
 def test_nbrw_projected_petersen_depth2(petersen):
@@ -381,8 +367,8 @@ def test_nbrw_projected_petersen_depth2(petersen):
     dist = graph_core.bfs_distances(petersen, 0)
     far = dist == 2
     assert far.sum() == 6
-    assert np.allclose(mu.values[far], 1 / 6)
-    assert np.allclose(mu.values[~far], 0.0)
+    assert np.allclose(mu[far], 1 / 6)
+    assert np.allclose(mu[~far], 0.0)
 
 
 def test_mixture_residual_examples(k4, petersen, lps13):
@@ -540,19 +526,23 @@ def test_lps29_nbrw_tmix_counting_example(lps29):
     assert t_mix >= theory.nbrw_tmix_lower(lps29.n, lps29.d, 1 / 5) == 6
 
 
-def test_probability_vector_validation():
+def _first_law(k4, values):
+    return next(evolve(k4, "srw", np.array(values + [0.0, 0.0])))[1]
+
+
+def test_probability_vector_validation(k4):
     with pytest.raises(ValueError):
-        ProbabilityVector("vertices", np.array([0.5, 0.6]))
+        _first_law(k4, [0.5, 0.6])
     with pytest.raises(ValueError):
-        ProbabilityVector("vertices", np.array([1.2, -0.2]))
-    ProbabilityVector("vertices", np.array([0.5, 0.5]))
+        _first_law(k4, [1.2, -0.2])
+    assert _first_law(k4, [0.5, 0.5])[:2, 0].tolist() == [0.5, 0.5]
 
 
 @pytest.mark.parametrize("values", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0],
                                     [np.inf, -np.inf]])
-def test_probability_vector_rejects_nan_and_inf(values):
+def test_probability_vector_rejects_nan_and_inf(k4, values):
     with pytest.raises(ValueError):
-        ProbabilityVector("vertices", np.array(values))
+        _first_law(k4, values)
 
 
 def test_lazy_nbrw_mixes_bipartite(k33):
