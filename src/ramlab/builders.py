@@ -29,6 +29,7 @@ from .errors import (
 from .graph_core import RegularGraph
 
 RETRY_BUDGET = 100
+MAX_EXPECTED_ATTEMPTS = 1e5  # of random_regular pairings per simple graph
 
 
 # --------------------------------------------------------------------------
@@ -162,32 +163,23 @@ def build_lps(params: LpsParams) -> RegularGraph:
     gens = lps_generator_matrices(params)
     identity = _canon((1, 0, 0, 1), q)
 
-    # Orbit of the identity under right multiplication by the generators.
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for s in gens:
-                ms = _canon(_matmul(m, s, q), q)
-                if ms not in seen:
-                    seen.add(ms)
-                    nxt.append(ms)
-        frontier = nxt
-    if len(seen) != params.expected_n:
-        raise BadParams(
-            f"generated group has order {len(seen)}, expected {params.expected_n}")
-
-    elements = sorted(seen)
-    index = {m: i for i, m in enumerate(elements)}
-    d = params.degree
-    adj = []
-    for m in elements:
-        nbrs = sorted(index[_canon(_matmul(m, s, q), q)] for s in gens)
-        adj.append(nbrs)
-    for u, nbrs in enumerate(adj):
-        if len(set(nbrs)) != d or u in nbrs:
-            raise NonSimple(f"LPS({params.p},{q}) produced a loop or parallel edge at {u}")
+    # BFS orbit of the identity under right multiplication by the generators
+    # (the loop visits what it appends); heads[d*k + j] is the position of
+    # orbit[k] * gens[j]. Vertices are numbered in sorted element order.
+    position = {identity: 0}
+    orbit, heads = [identity], []
+    for m in orbit:
+        for s in gens:
+            ms = _canon(_matmul(m, s, q), q)
+            if ms not in position:
+                position[ms] = len(orbit)
+                orbit.append(ms)
+            heads.append(position[ms])
+    n, d = len(orbit), params.degree
+    if n != params.expected_n:
+        raise BadParams(f"generated group has order {n}, expected {params.expected_n}")
+    order = np.array(sorted(range(n), key=orbit.__getitem__))  # vertex -> orbit position
+    rows = np.argsort(order)[np.array(heads).reshape(n, d)[order]]
 
     provenance = {
         "family": "lps",
@@ -196,7 +188,7 @@ def build_lps(params: LpsParams) -> RegularGraph:
         "group": params.group,
         "bipartite": not params.psl_case,
     }
-    graph = graph_core.from_adjacency(adj, d, provenance)
+    graph = graph_core.from_adjacency(rows, d, provenance)
     if graph.bipartite != (not params.psl_case):
         raise InvariantViolation("LPS bipartiteness disagrees with the residue test")
     return graph
@@ -208,17 +200,27 @@ def build_lps(params: LpsParams) -> RegularGraph:
 
 
 def build_random_regular(n: int, d: int, seed: int) -> RegularGraph:
-    """Simple connected d-regular graph on n vertices; rejection-sampled
-    pairings, deterministic in the seed, derived seeds seed+i on retry."""
+    """Simple connected d-regular graph on n vertices, rejection-sampled from
+    the configuration model. All attempts draw from one default_rng(seed)
+    stream, so different seeds give independent samples. A uniform pairing
+    is simple with probability about e^{-(d^2-1)/4}, so at most
+    ceil(20 e^{(d^2-1)/4}) pairings are drawn; where e^{(d^2-1)/4} exceeds
+    MAX_EXPECTED_ATTEMPTS (d >= 7), SamplingExhausted is raised at once."""
     if (n * d) % 2:
         raise BadParams(f"n*d must be even, got n={n}, d={d}")
     if n <= d:
         raise BadParams(f"need n > d, got n={n}, d={d}")
     if seed < 0:
         raise BadParams(f"seed must be >= 0, got {seed}")
+    log_expected = (d * d - 1) / 4
+    if log_expected > math.log(MAX_EXPECTED_ATTEMPTS):
+        raise SamplingExhausted(
+            f"d={d} needs about e^{log_expected:g} pairings per simple graph, "
+            f"more than {MAX_EXPECTED_ATTEMPTS:g}; random_regular takes d <= 6")
+    budget = math.ceil(20 * math.exp(log_expected))
     provenance = {"family": "random_regular", "n": n, "d": d, "seed": seed}
-    for attempt in range(RETRY_BUDGET):
-        rng = np.random.default_rng(seed + attempt)
+    rng = np.random.default_rng(seed)
+    for _ in range(budget):
         stubs = rng.permutation(np.repeat(np.arange(n, dtype=np.int64), d))
         u, v = stubs[0::2], stubs[1::2]
         if (u == v).any():
@@ -228,11 +230,11 @@ def build_random_regular(n: int, d: int, seed: int) -> RegularGraph:
         if np.unique(keys).size != keys.size:
             continue
         try:
-            return graph_core.from_edges(n, d, zip(lo.tolist(), hi.tolist()), provenance)
+            return graph_core.from_edges(n, d, np.stack([lo, hi], 1), provenance)
         except Disconnected:
             continue
     raise SamplingExhausted(
-        f"no simple connected pairing in {RETRY_BUDGET} attempts (n={n}, d={d}, seed={seed})")
+        f"no simple connected pairing in {budget} attempts (n={n}, d={d}, seed={seed})")
 
 
 # --------------------------------------------------------------------------
@@ -258,29 +260,28 @@ class LiftSpec:
 def build_random_lift(spec: LiftSpec) -> RegularGraph:
     """Uniform random lift: vertex (u, i) maps to u*n + i; each base edge
     {u, v} (u < v) is replaced by the matching i ~ sigma(i) between the
-    fibers. Retries with derived seeds if the sample is disconnected."""
+    fibers. A disconnected sample is redrawn from the same seeded stream."""
     base, n = spec.base, spec.n
     tails = np.repeat(np.arange(base.n, dtype=np.int64), base.d)
     if (tails == base.indices).any():
         raise BaseHasSelfLoop("lift base contains a self-loop")
-    base_edges = base.edges()
     provenance = {
         "family": "random_lift",
         "base": base.provenance or {"n": base.n, "d": base.d},
         "cover": n,
         "seed": spec.seed,
     }
-    fibers = np.arange(n, dtype=np.int64)
-    for attempt in range(RETRY_BUDGET):
-        rng = np.random.default_rng(spec.seed + attempt)
-        edges = []
-        for u, v in base_edges:
-            sigma = rng.permutation(n)
-            lo = u * n + fibers
-            hi = v * n + sigma
-            edges.extend(zip(np.minimum(lo, hi).tolist(), np.maximum(lo, hi).tolist()))
+    # Fiber i of base edge {u, v} (u < v) joins u*n + i to v*n + sigma(i),
+    # one permutation sigma per base edge in base.edges() order.
+    keep = tails < base.indices
+    lo = (tails[keep, None] * n + np.arange(n)).ravel()
+    hi_fiber = np.repeat(base.indices[keep].astype(np.int64) * n, n)
+    rng = np.random.default_rng(spec.seed)
+    for _ in range(RETRY_BUDGET):
+        sigma = np.concatenate([rng.permutation(n) for _ in range(keep.sum())])
         try:
-            return graph_core.from_edges(base.n * n, base.d, edges, provenance)
+            return graph_core.from_edges(base.n * n, base.d,
+                                         np.stack([lo, hi_fiber + sigma], 1), provenance)
         except Disconnected:
             continue
     raise SamplingExhausted(
@@ -291,11 +292,9 @@ def is_covering_map(lift: RegularGraph, base: RegularGraph, cover: int) -> bool:
     """Check that w -> w // cover is a locally bijective homomorphism."""
     if lift.n != base.n * cover or lift.d != base.d:
         return False
-    for w in range(lift.n):
-        projected = sorted(int(v) // cover for v in lift.neighbors(w))
-        if projected != sorted(int(v) for v in base.neighbors(w // cover)):
-            return False
-    return True
+    projected = np.sort(lift.indices.reshape(-1, lift.d) // cover, axis=1)
+    base_rows = base.indices.reshape(-1, base.d)[np.arange(lift.n) // cover]
+    return bool(np.array_equal(projected, base_rows))
 
 
 # --------------------------------------------------------------------------
@@ -331,8 +330,7 @@ def build_named(name: str) -> RegularGraph:
             edges.append((i, (i + 1) % 5))          # outer cycle
             edges.append((i, 5 + i))                # spokes
             edges.append((5 + i, 5 + (i + 2) % 5))  # inner pentagram
-        norm = sorted((min(u, v), max(u, v)) for u, v in edges)
-        return graph_core.from_edges(10, 3, norm, {"family": "petersen"})
+        return graph_core.from_edges(10, 3, edges, {"family": "petersen"})
     raise UnknownName(f"unknown graph name {name!r}")
 
 

@@ -8,8 +8,9 @@ runs. Instances are immutable after construction and safe to share across
 threads.
 """
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
@@ -58,44 +59,61 @@ def adjacency_sparse(graph: RegularGraph) -> scipy.sparse.csr_matrix:
                                    shape=(graph.n, graph.n))
 
 
-def from_adjacency(adj: dict | list, d: int, provenance: dict | None = None) -> RegularGraph:
-    """Build and validate a RegularGraph from a neighbor-list mapping."""
+def from_adjacency(adj: list | dict | np.ndarray, d: int,
+                   provenance: dict | None = None) -> RegularGraph:
+    """Build and validate a RegularGraph from neighbour rows in any order: a
+    list of n rows, a dict from each vertex 0..n-1 to its row, or an (n, d)
+    int array. Each fault raises its own error naming the first bad vertex."""
     n = len(adj)
+    if isinstance(adj, np.ndarray) and adj.ndim == 2:
+        lengths = np.full(n, adj.shape[1])
+    else:
+        if isinstance(adj, dict):  # adj.get(u, ()) for each vertex u
+            adj = list(map(adj.get, range(n), itertools.repeat(())))
+        lengths = np.fromiter(map(len, adj), dtype=np.int64, count=n)
+    _check_degrees(n, d, lengths)
+    rows = np.sort(np.asarray(adj, dtype=np.int64).reshape(n, d), axis=1)
+    for fault, error, what in (
+            ((rows < 0) | (rows >= n), IrregularGraph, f"lists a neighbor outside [0, {n})"),
+            (rows == np.arange(n)[:, None], SelfLoop, "is adjacent to itself"),
+            (rows[:, 1:] == rows[:, :-1], NonSimple, "has a parallel edge")):
+        bad = np.flatnonzero(fault.any(axis=1))
+        if bad.size:
+            raise error(f"vertex {bad[0]} {what}")
+    indices = rows.astype(np.int32).ravel()
+    indices.setflags(write=False)
+    graph = RegularGraph(n=n, d=d, indices=indices, provenance=provenance or {})
+    _reverse_rank(graph)
+    bipartition = _two_coloring(graph, _connected_distances(graph, 0))
+    if bipartition is None:
+        return graph
+    bipartition.setflags(write=False)
+    return replace(graph, bipartition=bipartition)
+
+
+def from_edges(n: int, d: int, edges, provenance: dict | None = None) -> RegularGraph:
+    """Build and validate a RegularGraph from undirected edges, each listed
+    once in any order and orientation: (u, v) pairs or an (m, 2) int array."""
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
+    if outside.size:
+        edge = tuple(pairs[outside[0]].tolist())
+        raise IrregularGraph(f"edge {edge} has an endpoint outside [0, {n})")
+    tails, heads = pairs.ravel(), pairs[:, ::-1].ravel()
+    _check_degrees(n, d, np.bincount(tails, minlength=max(n, 0)))
+    # grouped by tail only: from_adjacency sorts each row
+    return from_adjacency(heads[np.argsort(tails)].reshape(n, d), d, provenance)
+
+
+def _check_degrees(n: int, d: int, degree: np.ndarray):
+    """Raise unless d >= 3, n > d and every vertex has degree d."""
     if d < 3:
         raise DegreeTooSmall(f"this package requires d >= 3, got d={d}")
     if n <= d:
         raise IrregularGraph(f"need n > d, got n={n}, d={d}")
-    indices = np.empty(n * d, dtype=np.int32)
-    for u in range(n):
-        nbrs = sorted(adj[u])
-        if len(nbrs) != d:
-            raise IrregularGraph(f"vertex {u} has degree {len(adj[u])}, expected {d}")
-        if any(v == u for v in nbrs):
-            raise SelfLoop(f"vertex {u} is adjacent to itself")
-        if len(set(nbrs)) != d:
-            raise NonSimple(f"vertex {u} has a parallel edge")
-        if any(v < 0 or v >= n for v in nbrs):
-            raise IrregularGraph(f"vertex {u} lists a neighbor outside [0, {n})")
-        indices[u * d : (u + 1) * d] = nbrs
-    graph = RegularGraph(n=n, d=d, indices=indices, bipartition=None,
-                         provenance=provenance or {})
-    _reverse_rank(graph)
-    dist = _connected_distances(graph, 0)
-    bipartition = _two_coloring(graph, dist)
-    indices.setflags(write=False)
-    if bipartition is not None:
-        bipartition.setflags(write=False)
-    return RegularGraph(n=n, d=d, indices=indices, bipartition=bipartition,
-                        provenance=provenance or {})
-
-
-def from_edges(n: int, d: int, edges, provenance: dict | None = None) -> RegularGraph:
-    """Build and validate a RegularGraph from an undirected edge list."""
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return from_adjacency(adj, d, provenance)
+    bad = np.flatnonzero(degree != d)
+    if bad.size:
+        raise IrregularGraph(f"vertex {bad[0]} has degree {degree[bad[0]]}, expected {d}")
 
 
 def _reverse_rank(graph: RegularGraph) -> np.ndarray:

@@ -14,6 +14,14 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
+from ramlab.errors import (
+    Asymmetric,
+    DegreeTooSmall,
+    Disconnected,
+    IrregularGraph,
+    NonSimple,
+    SelfLoop,
+)
 from ramlab.spectral_lab import alpha_exact, bass_points
 
 
@@ -31,6 +39,53 @@ def bfs_dict(adj: dict, src: int) -> dict:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def regular_graph_loop(adj, d: int):
+    """(indices, bipartition) of a simple connected d-regular graph by a
+    per-vertex loop over its neighbour rows (a list or a dict), raising the
+    package's error for the same first fault: rows are checked vertex by
+    vertex for degree, self-loop, parallel edge and range, then every arc for
+    its reverse, then connectivity by dict BFS from vertex 0, whose distance
+    parities give the two-colouring."""
+    n = len(adj)
+    if d < 3:
+        raise DegreeTooSmall(f"this package requires d >= 3, got d={d}")
+    if n <= d:
+        raise IrregularGraph(f"need n > d, got n={n}, d={d}")
+    indices = np.empty(n * d, dtype=np.int32)
+    rows = {}
+    for u in range(n):
+        nbrs = sorted(adj[u])
+        if len(nbrs) != d:
+            raise IrregularGraph(f"vertex {u} has degree {len(nbrs)}, expected {d}")
+        if any(v == u for v in nbrs):
+            raise SelfLoop(f"vertex {u} is adjacent to itself")
+        if len(set(nbrs)) != d:
+            raise NonSimple(f"vertex {u} has a parallel edge")
+        if any(v < 0 or v >= n for v in nbrs):
+            raise IrregularGraph(f"vertex {u} lists a neighbor outside [0, {n})")
+        indices[u * d : (u + 1) * d] = nbrs
+        rows[u] = [int(v) for v in nbrs]
+    for u in range(n):
+        for v in rows[u]:
+            if u not in rows[v]:
+                raise Asymmetric(f"edge ({u}, {v}) has no reverse entry")
+    dist = bfs_dict(rows, 0)
+    if len(dist) < n:
+        raise Disconnected(f"{n - len(dist)} vertices unreachable from 0")
+    if all(dist[u] % 2 != dist[v] % 2 for u in range(n) for v in rows[u]):
+        return indices, np.array([dist[u] % 2 for u in range(n)], dtype=np.int8)
+    return indices, None
+
+
+def rows_from_edges(n: int, edges) -> list:
+    """Neighbour rows of an undirected edge list, by appending both ends."""
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return rows
 
 
 def diameter_dict(adj: dict) -> int:

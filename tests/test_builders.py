@@ -8,6 +8,7 @@ from ramlab.errors import (
     DegreeTooSmall,
     InvariantViolation,
     ParseError,
+    SamplingExhausted,
     UnknownName,
 )
 
@@ -87,6 +88,28 @@ def test_random_regular_deterministic():
     assert np.array_equal(a.indices, b.indices)
 
 
+def test_random_regular_seeds_give_distinct_graphs():
+    # one stream per seed: a retry must not land on the next seed's graph
+    graphs = {builders.build_random_regular(600, 3, seed).indices.tobytes()
+              for seed in range(1, 6)}
+    assert len(graphs) == 5
+
+
+@pytest.mark.parametrize("n, d", [(60, 4), (100, 5)])
+def test_random_regular_budget_grows_with_degree(n, d):
+    for seed in range(20):
+        assert builders.build_random_regular(n, d, seed).d == d
+
+
+def test_random_regular_refuses_degree_seven_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(SamplingExhausted, match="d=7"):
+        builders.build_random_regular(100, 7, 0)
+
+
 def test_random_regular_rejects_odd_total():
     with pytest.raises(BadParams):
         builders.build_random_regular(5, 3, 0)
@@ -109,6 +132,16 @@ def test_lift_projects_onto_base(k4):
 def test_lift20_covering_map(lift20, petersen):
     assert (lift20.n, lift20.d) == (200, 3)
     assert builders.is_covering_map(lift20, petersen, 20)
+
+
+def test_covering_map_rejects_non_cover(lift20, petersen):
+    assert not builders.is_covering_map(builders.build_random_regular(200, 3, 0), petersen, 20)
+    # swapping two vertices of different fibers breaks the projection
+    perm = np.arange(200)
+    perm[[0, 199]] = [199, 0]
+    rows = perm[lift20.indices.reshape(200, 3)][perm]
+    swapped = graph_core.from_adjacency(rows, 3)
+    assert not builders.is_covering_map(swapped, petersen, 20)
 
 
 def test_lift_deterministic(petersen):

@@ -297,6 +297,16 @@ def test_negative_seed_exit_code(tmp_path, capsys, argv):
     _assert_rejected(tmp_path, capsys, argv, 4, "BadParams")
 
 
+def test_random_regular_degree_seven_exit_code(tmp_path, capsys, monkeypatch):
+    # refused before any pairing is drawn
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    _assert_rejected(tmp_path, capsys, ["build", "--family", "random_regular",
+                                        "--n", "100", "--d", "7"], 4, "SamplingExhausted")
+
+
 # Numeric flag values: small integers with 0 and negatives, a fraction, NaN
 # and infinities. No value exceeds 12, which bounds every graph (n <= 12),
 # --tmax, --horizon, --pmax, --starts and the --s-grid entries.

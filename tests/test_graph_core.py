@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ramlab import graph_core
+from ramlab import builders, graph_core
+from ramlab.builders import LiftSpec
 from ramlab.errors import (
     Asymmetric,
     DegreeTooSmall,
@@ -168,6 +169,105 @@ def test_rejects_disconnected():
     edges += [(u + 4, v + 4) for u, v in edges]
     with pytest.raises(Disconnected):
         graph_core.from_edges(8, 3, edges)
+
+
+@pytest.mark.parametrize("edges, named", [
+    ([(0, 1), (0, 2), (0, 4), (1, 2), (1, 3), (2, 3)], r"edge \(0, 4\)"),
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, -1)], r"edge \(2, -1\)"),
+], ids=["above", "negative"])
+def test_from_edges_rejects_endpoint_outside(edges, named):
+    with pytest.raises(IrregularGraph, match=named + r" has an endpoint outside \[0, 4\)"):
+        graph_core.from_edges(4, 3, edges)
+
+
+@pytest.fixture(scope="module")
+def constructed_graphs(test_graphs, lps29, c6_x_k4, criterion1_graphs, petersen):
+    graphs = dict(test_graphs, lps29=lps29, c6_x_k4=c6_x_k4, **criterion1_graphs)
+    graphs["lift200"] = builders.build_random_lift(LiftSpec(base=petersen, n=200, seed=0))
+    return graphs
+
+
+def _same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_constructor_matches_loop_oracle(constructed_graphs):
+    # every builder's graph has the indices and bipartition that the
+    # per-vertex reference constructor gives for its edges
+    for name, g in constructed_graphs.items():
+        indices, bipartition = oracles.regular_graph_loop(
+            oracles.rows_from_edges(g.n, g.edges()), g.d)
+        assert _same_bits(g.indices, indices), name
+        assert _same_bits(g.bipartition, bipartition), name
+
+
+def test_from_edges_ignores_order_and_orientation(constructed_graphs):
+    rng = np.random.default_rng(0)
+    for name, g in constructed_graphs.items():
+        edges = rng.permutation(np.array(g.edges()))
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        for form in (edges, edges.tolist()):
+            h = graph_core.from_edges(g.n, g.d, form)
+            assert _same_bits(h.indices, g.indices), name
+            assert _same_bits(h.bipartition, g.bipartition), name
+
+
+def _inject(rows, fault, u):
+    """Petersen rows with one fault at vertex u, and the error it raises."""
+    rows = [list(r) for r in rows]
+    v = rows[u][0]
+    if fault == "degree":
+        rows[u] = rows[u][1:]
+        return rows, IrregularGraph
+    if fault == "self_loop":
+        rows[u][0] = u
+        return rows, SelfLoop
+    if fault == "parallel":
+        rows[u][1] = v
+        return rows, NonSimple
+    if fault in ("above", "negative"):
+        rows[u][0] = len(rows) if fault == "above" else -1
+        return rows, IrregularGraph
+    # asymmetric: u lists w in place of v, so neither v -> u nor u -> w has
+    # a reverse; the first such arc has tail min(u, v)
+    rows[u][0] = next(w for w in range(len(rows)) if w != u and w not in rows[u])
+    return rows, Asymmetric
+
+
+# an (n, d) array has no row of another length
+_FAULTS = [(fault, form)
+           for fault in ["degree", "self_loop", "parallel", "above", "negative", "asymmetric"]
+           for form in ["list", "dict", "array"] if (fault, form) != ("degree", "array")]
+
+
+@pytest.mark.parametrize("u", [0, 4, 9])
+@pytest.mark.parametrize("fault, form", _FAULTS)
+def test_single_fault_names_first_vertex(petersen, fault, form, u):
+    rows, error = _inject(petersen.indices.reshape(10, 3).tolist(), fault, u)
+    first = min(u, int(petersen.neighbors(u)[0])) if fault == "asymmetric" else u
+    adj = dict(enumerate(rows)) if form == "dict" else np.array(rows) if form == "array" else rows
+    named = rf"^(?:vertex |edge \(){first}\b"
+    with pytest.raises(error, match=named):
+        graph_core.from_adjacency(adj, 3)
+    with pytest.raises(error, match=named):
+        oracles.regular_graph_loop(rows, 3)
+
+
+def test_array_of_wrong_width_names_vertex_zero(petersen):
+    rows = np.hstack([petersen.indices.reshape(10, 3), np.zeros((10, 1), np.int32)])
+    with pytest.raises(IrregularGraph, match="vertex 0 has degree 4, expected 3"):
+        graph_core.from_adjacency(rows, 3)
+
+
+def test_dict_missing_a_vertex(petersen):
+    rows = dict(enumerate(petersen.indices.reshape(10, 3).tolist()))
+    del rows[9]
+    rows[10] = [0, 1, 2]
+    with pytest.raises(IrregularGraph, match="vertex 9 has degree 0"):
+        graph_core.from_adjacency(rows, 3)
 
 
 def test_graph_immutable(k4):
