@@ -10,19 +10,21 @@ import numpy as np
 
 def bfs_distances(indices, d, src):
     """Distances from src (-1 where unreachable), one frontier per level."""
-    n = indices.shape[0] // d
-    dist = np.full(n, -1, np.int32)
+    rows = indices.reshape(-1, d)
+    dist = np.full(rows.shape[0], -1, np.int32)
     dist[src] = 0
-    frontier = np.array([src], dtype=np.int64)
-    offsets = np.arange(d, dtype=np.int64)
+    frontier = np.array([src])
     level = 0
     while frontier.size:
-        nb = indices[(frontier[:, None] * d + offsets).ravel()]
-        nb = np.unique(nb)
-        nb = nb[dist[nb] < 0]
+        # sorting, not np.unique's hashing, drops the repeats; the cost
+        # follows the frontier, not n, so long thin graphs stay cheap
+        nb = rows[frontier].ravel()
+        nb = np.sort(nb[dist[nb] < 0])
         level += 1
         dist[nb] = level
-        frontier = nb.astype(np.int64)
+        keep = np.ones(nb.size, bool)
+        keep[1:] = nb[1:] != nb[:-1]
+        frontier = nb[keep]
     return dist
 
 

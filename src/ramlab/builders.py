@@ -206,6 +206,8 @@ def build_random_regular(n: int, d: int, seed: int) -> RegularGraph:
     is simple with probability about e^{-(d^2-1)/4}, so at most
     ceil(20 e^{(d^2-1)/4}) pairings are drawn; where e^{(d^2-1)/4} exceeds
     MAX_EXPECTED_ATTEMPTS (d >= 7), SamplingExhausted is raised at once."""
+    if d < 3:
+        raise DegreeTooSmall(f"this package requires d >= 3, got d={d}")
     if (n * d) % 2:
         raise BadParams(f"n*d must be even, got n={n}, d={d}")
     if n <= d:

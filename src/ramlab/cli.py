@@ -9,6 +9,7 @@ traced back to the exact invocation. Exit codes: 0 success, 2 usage error,
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -26,20 +27,20 @@ from .errors import LambdaOutOfRange, POutOfRange, RamlabError, UsageError, Veri
 TABLE_HORIZON_CAP = 4096
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
-def emit_csv(path: str, header: list, rows, comments: list):
-    """Deterministic CSV: '#' comment lines, a header row, then records with
-    floats printed at 17 significant digits and '\\n' newlines. rows may be
-    any iterable; each record is written as it comes."""
+def emit_csv(path: str, header: list, blocks, comments: list):
+    """Deterministic CSV: '#' comment lines, a header row, then the records
+    of each block, written as it comes; ``blocks`` may be any iterable. A
+    block is a tuple of equal-length columns. An integer column prints as
+    %d and any other column as %.17g (floats at 17 significant digits), and
+    lines end in '\\n'. Each block is formatted by one % operation."""
     with open(path, "w", newline="\n") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+        for block in blocks:
+            cols = [np.asarray(col) for col in block]
+            line = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in cols)
+            cells = itertools.chain.from_iterable(zip(*(col.tolist() for col in cols)))
+            fh.write((line + "\n") * len(cols[0]) % tuple(cells))
 
 
 def emit_json(path: str, payload: dict, manifest_sha256: str):
@@ -201,19 +202,15 @@ def cmd_mix(args) -> int:
     header = ["t", "d_tv"]
     header += [f"d_{p:g}" for p in sorted(curve.d_p)]
     header += ["d_inf"]
-    rows = []
-    for i, t in enumerate(curve.times):
-        row = [int(t), curve.d_tv[i]]
-        row += [curve.d_p[p][i] for p in sorted(curve.d_p)]
-        row += [curve.d_inf[i]]
-        rows.append(row)
+    columns = (curve.times, curve.d_tv, *(curve.d_p[p] for p in sorted(curve.d_p)),
+               curve.d_inf)
     comments = [
         f"manifest_sha256={sha}",
         f"kernel={curve.kernel} start={curve.start} reference={curve.reference}",
         f"graph={json.dumps(graph.provenance, sort_keys=True)}",
     ]
     out = os.path.join(args.out_dir, "mixing_curve.csv")
-    emit_csv(out, header, rows, comments)
+    emit_csv(out, header, [columns], comments)
     print(f"wrote {out} ({args.tmax + 1} times)")
     return 0
 
@@ -237,7 +234,7 @@ def cmd_profile(args) -> int:
     ]
     out = os.path.join(args.out_dir, "cutoff_profile.csv")
     emit_csv(out, ["s", "t", "empirical", "predicted"],
-             [[r["s"], r["t"], r["empirical"], r["predicted"]] for r in records],
+             [[[r[key] for r in records] for key in ("s", "t", "empirical", "predicted")]],
              comments)
     print(f"wrote {out}")
     return 0
@@ -255,7 +252,7 @@ def cmd_spectrum(args) -> int:
                                 exceptional_budget=args.exceptional_budget)
     out = os.path.join(args.out_dir, "spectrum.csv")
     emit_csv(out, ["i", "eigenvalue"],
-             [[i, float(v)] for i, v in enumerate(report.eigenvalues)],
+             [(np.arange(report.eigenvalues.size), report.eigenvalues)],
              [f"manifest_sha256={sha}",
               f"partial={report.partial} n={report.n} d={report.d}"])
     emit_json(os.path.join(args.out_dir, "certificate.json"), {
@@ -276,13 +273,13 @@ def cmd_decompose(args) -> int:
     es = graph_core.validate_and_index(graph)
     dec = spectral_lab.build_decomposition(graph, es, dense_cap=args.dense_cap)
     report = spectral_lab.verify_decomposition(spectral_lab.build_B(graph, es), dec)
-    rows = [[b.lam, b.theta.real, b.theta.imag, b.theta_prime.real,
-             b.theta_prime.imag, abs(b.alpha), int(b.jordan)] for b in dec.blocks]
+    rows = [(b.lam, b.theta.real, b.theta.imag, b.theta_prime.real,
+             b.theta_prime.imag, abs(b.alpha), int(b.jordan)) for b in dec.blocks]
     emit_csv(os.path.join(args.out_dir, "blocks.csv"),
              ["lambda", "theta_re", "theta_im", "theta_prime_re",
               "theta_prime_im", "alpha_abs", "jordan"],
-             rows, [f"manifest_sha256={sha}",
-                    f"n={dec.n} d={dec.d} N={dec.N} bipartite={dec.bipartite}"])
+             [tuple(zip(*rows))], [f"manifest_sha256={sha}",
+                                   f"n={dec.n} d={dec.d} N={dec.N} bipartite={dec.bipartite}"])
     emit_json(os.path.join(args.out_dir, "decomposition.json"), {
         **{k: v for k, v in report.items()},
         "minus_one_multiplicity": dec.minus_one_multiplicity,
@@ -321,7 +318,8 @@ def cmd_tree(args) -> int:
     sha = write_manifest(args.out_dir, "tree", _config_of(args))
     out = os.path.join(args.out_dir, "tree_radial.csv")
     emit_csv(out, ["t", "k", "probability"],
-             ((t, k, p) for t, row in rows for k, p in enumerate(row.tolist()) if p > 0),
+             ((np.full(k.size, t), k, row[k])
+              for t, row in rows for k in [np.flatnonzero(row > 0)]),
              [f"manifest_sha256={sha}", f"d={args.d} horizon={args.horizon}"])
     print(f"wrote {out}")
     return 0

@@ -37,7 +37,7 @@ _SUM_TOL = 1e-12
 
 # Byte budget of one (states x block) float64 array in the all-starts cutoff
 # profile; a step holds a few such arrays at once.
-_BLOCK_BYTES = 4 << 20
+_BLOCK_BYTES = 1 << 20
 
 
 def _check_laws(x: np.ndarray) -> np.ndarray:
@@ -107,7 +107,8 @@ def evolve(graph: RegularGraph, kernel: str, starts,
         # equals that law stepped alone, to the last bit.
         prev = x
         if base == "srw":
-            x = (adj @ prev) / d
+            x = adj @ prev
+            x /= d
         else:  # edge (u, v) gets the inflow of u less the mass on (v, u)
             inflow = prev[rev]
             x = inflow[0::d].copy()

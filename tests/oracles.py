@@ -88,6 +88,12 @@ def rows_from_edges(n: int, edges) -> list:
     return rows
 
 
+def bfs_array(adj: dict, src: int) -> list:
+    """bfs_dict's distances as a list over every vertex, -1 where unreachable."""
+    dist = bfs_dict(adj, src)
+    return [dist.get(v, -1) for v in range(len(adj))]
+
+
 def diameter_dict(adj: dict) -> int:
     return max(max(bfs_dict(adj, s).values()) for s in adj)
 
@@ -365,3 +371,19 @@ def ihara_bass_logs(graph, edge_space, multiset, u: complex) -> tuple:
             + logdet((1 + (d - 1) * u * u) * np.eye(n) - u * a))
     product = complex(np.log(1 - u * np.asarray(multiset)).sum())
     return lhs, bass, product
+
+
+def csv_value(value) -> str:
+    """One CSV cell, printed value by value: a float (np.float64 included)
+    at 17 significant digits, anything else through str."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def csv_text(header, records, comments) -> str:
+    """A CSV file rendered record by record: '# ' comment lines, the header,
+    then one comma-joined line of csv_value cells per record."""
+    lines = [f"# {c}" for c in comments] + [",".join(header)]
+    lines += [",".join(map(csv_value, record)) for record in records]
+    return "".join(line + "\n" for line in lines)

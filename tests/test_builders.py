@@ -110,6 +110,16 @@ def test_random_regular_refuses_degree_seven_before_sampling(monkeypatch):
         builders.build_random_regular(100, 7, 0)
 
 
+@pytest.mark.parametrize("n, d", [(5, -2), (10, -1), (10, 0), (5, 1), (10, 2)])
+def test_random_regular_refuses_degree_below_three_before_sampling(monkeypatch, n, d):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    with pytest.raises(DegreeTooSmall, match=f"d={d}"):
+        builders.build_random_regular(n, d, 0)
+
+
 def test_random_regular_rejects_odd_total():
     with pytest.raises(BadParams):
         builders.build_random_regular(5, 3, 0)

@@ -13,7 +13,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramlab import cli, walk_engine
+from ramlab import cli, graph_core, spectral_lab, walk_engine
 
 
 def run(args):
@@ -307,6 +307,13 @@ def test_random_regular_degree_seven_exit_code(tmp_path, capsys, monkeypatch):
                                         "--n", "100", "--d", "7"], 4, "SamplingExhausted")
 
 
+@pytest.mark.parametrize("d", ["-2", "0", "1"])
+def test_random_regular_degree_below_three_exit_code(tmp_path, capsys, d):
+    # refused before sampling, where a negative degree used to reach np.repeat
+    _assert_rejected(tmp_path, capsys, ["build", "--family", "random_regular",
+                                        "--n", "5", "--d", d], 4, "DegreeTooSmall")
+
+
 # Numeric flag values: small integers with 0 and negatives, a fraction, NaN
 # and infinities. No value exceeds 12, which bounds every graph (n <= 12),
 # --tmax, --horizon, --pmax, --starts and the --s-grid entries.
@@ -316,7 +323,7 @@ _GRAPH = st.one_of(
     st.sampled_from(["petersen", "complete(3)", "complete(4)", "complete(7)",
                      "complete_bipartite(2)", "complete_bipartite(3)", "cycle(5)"])
     .map(lambda name: ["--family", "named", "--name", name]),
-    st.tuples(st.integers(-1, 12), st.integers(1, 5), st.integers(-1, 3))
+    st.tuples(st.integers(-1, 12), st.integers(-2, 5), st.integers(-1, 3))
     .map(lambda t: ["--family", "random_regular", "--n", str(t[0]), "--d", str(t[1]),
                     "--seed", str(t[2])]),
 )
@@ -394,6 +401,105 @@ def test_emit_csv_empty_records(tmp_path):
     path = str(tmp_path / "empty.csv")
     cli.emit_csv(path, ["a", "b"], [], ["note=1"])
     assert read(path).decode() == "# note=1\na,b\n"
+    assert read(path).decode() == oracles.csv_text(["a", "b"], [], ["note=1"])
+
+
+_CSV_VALUES = {
+    "minus_zero": -0.0, "inf": math.inf, "minus_inf": -math.inf, "nan": math.nan,
+    "subnormal": 5e-324, "max": 1.7976931348623157e308, "tenth": 0.1,
+    "np_float64": np.float64(-1 / 3), "np_int64": np.int64(-7), "int": 2**62,
+}
+
+
+@pytest.mark.parametrize("value", list(_CSV_VALUES.values()), ids=list(_CSV_VALUES))
+def test_emit_csv_value_matches_oracle(tmp_path, value):
+    path = str(tmp_path / "v.csv")
+    cli.emit_csv(path, ["i", "x"], [([3, 4], [value, value])], ["note=1"])
+    assert read(path).decode() == oracles.csv_text(["i", "x"], [[3, value], [4, value]],
+                                                   ["note=1"])
+
+
+def test_emit_csv_blocks_match_oracle(tmp_path):
+    # blocks of 0, 1 and several rows; int columns as lists, numpy int32 and
+    # int64 arrays and numpy scalars; float columns as arrays and lists
+    blocks = [
+        (np.arange(3, dtype=np.int32), np.array([0.5, -0.0, 1e-300]), [1, -2, 0]),
+        ([], [], []),
+        ([np.int64(9)], [np.float64(math.nan)], np.array([-(2**40)])),
+        (np.array([], np.int64), np.array([]), np.array([], np.int64)),
+        (range(10, 14), [0.1, 0.2, math.inf, 2.0], np.arange(4) - 2),
+    ]
+    path = str(tmp_path / "b.csv")
+    cli.emit_csv(path, ["a", "b", "c"], iter(blocks), ["x", "y"])
+    records = [record for block in blocks for record in zip(*block)]
+    assert read(path).decode() == oracles.csv_text(["a", "b", "c"], records, ["x", "y"])
+
+
+def _comments(text: str) -> list:
+    return [line[2:] for line in text.splitlines() if line.startswith("# ")]
+
+
+@pytest.mark.parametrize("d", [3, 4, 7])
+@pytest.mark.parametrize("horizon", [1, 2, 57])
+def test_tree_csv_matches_oracle_rendering(tmp_path, d, horizon):
+    assert run(["tree", "--d", str(d), "--horizon", str(horizon),
+                "--out-dir", str(tmp_path)]) == 0
+    text = read(os.path.join(str(tmp_path), "tree_radial.csv")).decode()
+    records = [(t, k, p) for t, row in walk_engine.tree_rows(d, horizon)
+               for k, p in enumerate(row.tolist()) if p > 0]
+    assert text == oracles.csv_text(["t", "k", "probability"], records, _comments(text))
+
+
+def _mix_records(g):
+    curve = walk_engine.mixing_curve(g, "nbrw", 5, 12, p_list=[1.0, 2.0, math.inf],
+                                     reference="auto")
+    p_list = sorted(curve.d_p)
+    header = ["t", "d_tv", *(f"d_{p:g}" for p in p_list), "d_inf"]
+    return header, [[int(t), curve.d_tv[i], *(curve.d_p[p][i] for p in p_list),
+                     curve.d_inf[i]] for i, t in enumerate(curve.times)]
+
+
+def _profile_records(g):
+    starts = walk_engine.default_start_sample(g, seed=100, sample_size=7)
+    records = walk_engine.empirical_cutoff_profile(g, starts, [-1.0, 0.0, 0.5, 2.0])
+    return (["s", "t", "empirical", "predicted"],
+            [[r["s"], r["t"], r["empirical"], r["predicted"]] for r in records])
+
+
+def _spectrum_records(g):
+    report = spectral_lab.adjacency_spectrum(g, dense_cap=spectral_lab.DENSE_CAP_DEFAULT)
+    return ["i", "eigenvalue"], [[i, float(v)] for i, v in enumerate(report.eigenvalues)]
+
+
+def _decompose_records(g):
+    dec = spectral_lab.build_decomposition(g, graph_core.validate_and_index(g),
+                                           dense_cap=spectral_lab.DENSE_CAP_DEFAULT)
+    return (["lambda", "theta_re", "theta_im", "theta_prime_re", "theta_prime_im",
+             "alpha_abs", "jordan"],
+            [[b.lam, b.theta.real, b.theta.imag, b.theta_prime.real, b.theta_prime.imag,
+              abs(b.alpha), int(b.jordan)] for b in dec.blocks])
+
+
+_ARTIFACTS = {  # subcommand -> (its flags past the graph, CSV file, oracle records)
+    "mix": (["--kernel", "nbrw", "--start", "5", "--tmax", "12", "--p-list", "1,2,inf"],
+            "mixing_curve.csv", _mix_records),
+    "profile": (["--s-grid=-1,0,0.5,2", "--starts", "7"], "cutoff_profile.csv",
+                _profile_records),
+    "spectrum": ([], "spectrum.csv", _spectrum_records),
+    "decompose": ([], "blocks.csv", _decompose_records),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_ARTIFACTS))
+def test_artifact_csv_matches_oracle_rendering(tmp_path, rand3_50, sub):
+    # every graph CSV the CLI writes (tree's is checked above) has the bytes
+    # of its records printed value by value; rand3_50's spectrum and blocks
+    # hold irrational values
+    flags, name, records_of = _ARTIFACTS[sub]
+    assert run([sub, *_PROFILE_GRAPHS["rand3_50"], *flags, "--out-dir", str(tmp_path)]) == 0
+    text = read(os.path.join(str(tmp_path), name)).decode()
+    header, records = records_of(rand3_50)
+    assert text == oracles.csv_text(header, records, _comments(text))
 
 
 def test_build_json_echoes_provenance(tmp_path):

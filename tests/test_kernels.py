@@ -1,6 +1,5 @@
-"""Kernel checks: the all-sources BFS sweep against brute-force oracles
-(bfs_distances is checked in test_graph_core.py, the tree DP in
-test_walk_engine.py)."""
+"""Kernel checks: the single-source BFS and the all-sources BFS sweep
+against brute-force oracles (the tree DP is checked in test_walk_engine.py)."""
 
 import random
 from unittest import mock
@@ -58,6 +57,20 @@ def _random_regular_adjacency(n: int, d: int, seed: int) -> dict:
         adj[a].append(b)
         adj[b].append(a)
     return {u: sorted(nbrs) for u, nbrs in adj.items()}
+
+
+@pytest.mark.parametrize("name", ["lift20", "lps13", "two_k4"])
+def test_bfs_distances_match_deque_oracle(request, k4, name):
+    # two disjoint copies of K4 go to the kernel directly: from_adjacency
+    # refuses a disconnected graph
+    if name == "two_k4":
+        indices, d = np.concatenate([k4.indices, k4.indices + k4.n]), k4.d
+    else:
+        g = request.getfixturevalue(name)
+        indices, d = g.indices, g.d
+    adj = {u: indices[u * d:(u + 1) * d].tolist() for u in range(indices.size // d)}
+    for src in sorted({0, len(adj) // 2 - 1, len(adj) // 2, len(adj) - 1}):
+        assert _kernels.bfs_distances(indices, d, src).tolist() == oracles.bfs_array(adj, src)
 
 
 def _check_sweep(adj: dict, d: int, block_words: int):
