@@ -98,25 +98,23 @@ def resolve_graph(args) -> graph_core.RegularGraph:
     raise RamlabError(f"unknown family {family!r}")
 
 
-def _graph_args(sub, need_source=True):
-    if need_source:
-        sub.add_argument("--file", help="edge-list file (overrides --family)")
-        sub.add_argument("--family",
-                         choices=["lps", "random_regular", "random_lift", "named"],
-                         default="named")
-        sub.add_argument("--p", "--p-prime", dest="p_prime", type=int, default=5,
-                         help="LPS prime p (degree p+1)")
-        sub.add_argument("--q", "--q-prime", dest="q_prime", type=int, default=13,
-                         help="LPS prime q")
-        sub.add_argument("--n", type=int, default=100)
-        sub.add_argument("--d", type=int, default=3)
-        sub.add_argument("--seed", type=int, default=0)
-        sub.add_argument("--base", default="petersen",
-                         help="lift base: named graph or edge-list path")
-        sub.add_argument("--cover", type=int, default=2, help="lift fiber size")
-        sub.add_argument("--name", default="petersen", help="named graph")
+def _graph_args(sub):
+    sub.add_argument("--file", help="edge-list file (overrides --family)")
+    sub.add_argument("--family",
+                     choices=["lps", "random_regular", "random_lift", "named"],
+                     default="named")
+    sub.add_argument("--p", "--p-prime", dest="p_prime", type=int, default=5,
+                     help="LPS prime p (degree p+1)")
+    sub.add_argument("--q", "--q-prime", dest="q_prime", type=int, default=13,
+                     help="LPS prime q")
+    sub.add_argument("--n", type=int, default=100)
+    sub.add_argument("--d", type=int, default=3)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--base", default="petersen",
+                     help="lift base: named graph or edge-list path")
+    sub.add_argument("--cover", type=int, default=2, help="lift fiber size")
+    sub.add_argument("--name", default="petersen", help="named graph")
     sub.add_argument("--out-dir", default=".")
-    sub.add_argument("--dense-cap", type=int, default=spectral_lab.DENSE_CAP_DEFAULT)
 
 
 def _config_of(args) -> dict:
@@ -270,9 +268,8 @@ def cmd_spectrum(args) -> int:
 def cmd_decompose(args) -> int:
     graph = resolve_graph(args)
     sha = write_manifest(args.out_dir, "decompose", _config_of(args))
-    es = graph_core.validate_and_index(graph)
-    dec = spectral_lab.build_decomposition(graph, es, dense_cap=args.dense_cap)
-    report = spectral_lab.verify_decomposition(spectral_lab.build_B(graph, es), dec)
+    dec = spectral_lab.build_decomposition(graph, dense_cap=args.dense_cap)
+    report = spectral_lab.verify_decomposition(spectral_lab.build_B(graph), dec)
     rows = [(b.lam, b.theta.real, b.theta.imag, b.theta_prime.real,
              b.theta_prime.imag, abs(b.alpha), int(b.jordan)) for b in dec.blocks]
     emit_csv(os.path.join(args.out_dir, "blocks.csv"),
@@ -370,12 +367,14 @@ def build_parser() -> argparse.ArgumentParser:
                        ("certify", "Ramanujan / weakly-Ramanujan certificate")):
         p = subs.add_parser(name, help=text)
         _graph_args(p)
+        p.add_argument("--dense-cap", type=int, default=spectral_lab.DENSE_CAP_DEFAULT)
         p.add_argument("--delta-threshold", type=float, default=0.1)
         p.add_argument("--exceptional-budget", type=int, default=0)
         p.set_defaults(func=cmd_spectrum)
 
     p = subs.add_parser("decompose", help="block decomposition residual report")
     _graph_args(p)
+    p.add_argument("--dense-cap", type=int, default=spectral_lab.DENSE_CAP_DEFAULT)
     p.set_defaults(func=cmd_decompose)
 
     p = subs.add_parser("theory", help="closed-form prediction JSON")

@@ -148,29 +148,18 @@ def _two_coloring(graph: RegularGraph, dist0: np.ndarray) -> np.ndarray | None:
     return None
 
 
-@dataclass(frozen=True)
-class DirectedEdgeSpace:
-    """Indexing of the N = d*n directed edges with the reversal involution."""
-
-    N: int
-    tail: np.ndarray
-    head: np.ndarray
-    rev: np.ndarray
-
-
-def validate_and_index(graph: RegularGraph) -> DirectedEdgeSpace:
-    """Canonical directed-edge indexing; re-checks symmetry and simplicity."""
+def validate_and_index(graph: RegularGraph) -> np.ndarray:
+    """The edge reversal: read-only int32 rev with rev[e] the id of the
+    reverse of directed edge e (tail e // d, head indices[e]); re-checks
+    symmetry and simplicity, for a graph built without from_adjacency."""
     n, d = graph.n, graph.d
-    head = graph.indices.astype(np.int32)
-    tail = np.repeat(np.arange(n, dtype=np.int32), d)
-    if (head == tail).any():
+    if (graph.indices == np.repeat(np.arange(n), d)).any():
         raise SelfLoop("adjacency contains a self-loop")
-    rev = (head.astype(np.int64) * d + _reverse_rank(graph)).astype(np.int32)
+    rev = (graph.indices.astype(np.int64) * d + _reverse_rank(graph)).astype(np.int32)
     if not np.array_equal(rev[rev], np.arange(n * d, dtype=np.int32)):
         raise Asymmetric("edge reversal is not an involution")
-    for arr in (tail, head, rev):
-        arr.setflags(write=False)
-    return DirectedEdgeSpace(N=n * d, tail=tail, head=head, rev=rev)
+    rev.setflags(write=False)
+    return rev
 
 
 def bfs_distances(graph: RegularGraph, x: int) -> np.ndarray:

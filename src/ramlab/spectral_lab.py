@@ -28,25 +28,13 @@ from .errors import (
     SizeCap,
     VerificationFailed,
 )
-from .graph_core import (
-    DirectedEdgeSpace,
-    RegularGraph,
-    adjacency_sparse,
-    validate_and_index,
-)
+from .graph_core import RegularGraph, adjacency_sparse, validate_and_index
 from .walk_engine import evolve, l2_squared_uniform
 
 DENSE_CAP_DEFAULT = 4000
 RAMANUJAN_TOL = 1e-9
 JORDAN_TOL = 1e-9
 TRIVIAL_TOL = 1e-8
-
-
-def adjacency_dense(graph: RegularGraph) -> np.ndarray:
-    a = np.zeros((graph.n, graph.n))
-    tails = np.repeat(np.arange(graph.n), graph.d)
-    a[tails, graph.indices] = 1.0
-    return a
 
 
 # --------------------------------------------------------------------------
@@ -113,17 +101,15 @@ def report_from_eigenvalues(eigenvalues, n: int, d: int,
                           partial=False, max_nontrivial_abs=max_abs)
 
 
-def adjacency_spectrum(graph: RegularGraph, dense_cap: int = DENSE_CAP_DEFAULT,
-                       full: bool = False) -> SpectrumReport:
+def adjacency_spectrum(graph: RegularGraph,
+                       dense_cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
     """Full dense symmetric eigensolve up to the cap; above it, only the
     bracketing extreme eigenvalues are computed by Lanczos iteration and the
-    report is marked partial. Demanding full above the cap raises SizeCap."""
-    if graph.n <= dense_cap:
-        eigs = np.linalg.eigvalsh(adjacency_dense(graph))[::-1]
-        return report_from_eigenvalues(eigs, graph.n, graph.d, graph.bipartite)
-    if full:
-        raise SizeCap(f"full spectrum demanded for n={graph.n} > cap={dense_cap}")
+    report is marked partial."""
     a = adjacency_sparse(graph)
+    if graph.n <= dense_cap:
+        eigs = np.linalg.eigvalsh(a.toarray())[::-1]
+        return report_from_eigenvalues(eigs, graph.n, graph.d, graph.bipartite)
     v0 = np.ones(graph.n)
     top = np.sort(scipy.sparse.linalg.eigsh(a, k=2, which="LA", v0=v0,
                                             return_eigenvectors=False))[::-1]
@@ -220,15 +206,15 @@ def alpha_exact(lam: float, d: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def build_B(graph: RegularGraph,
-            edge_space: DirectedEdgeSpace | None = None) -> scipy.sparse.csr_array:
-    """B in CSR form: row e holds the out-edges of head[e] except rev[e]."""
-    es, d = edge_space or validate_and_index(graph), graph.d
-    cols = es.head.astype(np.int64)[:, None] * d + np.arange(d)
-    cols = cols[cols != es.rev[:, None]]
+def build_B(graph: RegularGraph) -> scipy.sparse.csr_array:
+    """B in CSR form: row e holds the out-edges of the head of e (its
+    neighbor entry indices[e]) except the reverse of e."""
+    rev, d, N = validate_and_index(graph), graph.d, graph.n * graph.d
+    cols = graph.indices.astype(np.int64)[:, None] * d + np.arange(d)
+    cols = cols[cols != rev[:, None]]
     return scipy.sparse.csr_array(
         (np.ones(cols.size), cols, np.arange(0, cols.size + 1, d - 1)),
-        shape=(es.N, es.N))
+        shape=(N, N))
 
 
 # --------------------------------------------------------------------------
@@ -272,30 +258,29 @@ class BlockDecomposition:
         return np.array(eigs)
 
 
-def _star_complement(edge_space: DirectedEdgeSpace, n: int, sign: int) -> np.ndarray:
+def _star_complement(graph: RegularGraph, rev: np.ndarray, sign: int) -> np.ndarray:
     """Orthonormal basis of the -sign eigenspace of B: edge functions with
     f(rev e) = sign f(e) orthogonal to the star vectors 1_{tail x} + sign
     1_{head x}. In the half-edge basis (delta_rep + sign delta_rev)/sqrt(2)
     the stars are the columns of `coords`; the columns of a pivoted QR's Q
     past the numerical rank (scipy.linalg.null_space's threshold) span their
     complement."""
-    reps = np.flatnonzero(np.arange(edge_space.N) < edge_space.rev)
+    reps = np.flatnonzero(np.arange(rev.size) < rev)
     rows = np.arange(reps.size)
-    coords = np.zeros((reps.size, n))
-    coords[rows, edge_space.tail[reps].astype(np.int64)] += math.sqrt(2)
-    coords[rows, edge_space.head[reps].astype(np.int64)] += sign * math.sqrt(2)
+    coords = np.zeros((reps.size, graph.n))
+    coords[rows, reps // graph.d] += math.sqrt(2)
+    coords[rows, graph.indices[reps].astype(np.int64)] += sign * math.sqrt(2)
     q, r, _ = scipy.linalg.qr(coords, pivoting=True)
     r_diag = np.abs(np.diag(r))
     rank = int((r_diag > max(coords.shape) * np.finfo(float).eps * r_diag[0]).sum())
     z = q[:, rank:] / math.sqrt(2)
-    cols = np.zeros((edge_space.N, z.shape[1]))
+    cols = np.zeros((rev.size, z.shape[1]))
     cols[reps] = z
-    cols[edge_space.rev[reps]] = sign * z
+    cols[rev[reps]] = sign * z
     return cols
 
 
 def build_decomposition(graph: RegularGraph,
-                        edge_space: DirectedEdgeSpace | None = None,
                         dense_cap: int = DENSE_CAP_DEFAULT) -> BlockDecomposition:
     """Explicit unitary U and block data such that B = U Lambda U*.
 
@@ -310,12 +295,11 @@ def build_decomposition(graph: RegularGraph,
     N = n * d
     if N > dense_cap:
         raise SizeCap(f"decomposition demanded for N={N} > cap={dense_cap}")
-    if edge_space is None:
-        edge_space = validate_and_index(graph)
-    head = edge_space.head.astype(np.int64)
-    tail = edge_space.tail.astype(np.int64)
+    rev = validate_and_index(graph)
+    head = graph.indices.astype(np.int64)
+    tail = np.repeat(np.arange(n, dtype=np.int64), d)
 
-    eigs, vecs = np.linalg.eigh(adjacency_dense(graph))
+    eigs, vecs = np.linalg.eigh(adjacency_sparse(graph).toarray())
     order = np.argsort(eigs)[::-1]
     eigs, vecs = eigs[order], vecs[:, order]
     ortho = np.abs(vecs.T @ vecs - np.eye(n)).max()
@@ -374,8 +358,8 @@ def build_decomposition(graph: RegularGraph,
         U[:, col + 1] = w2
         col += 2
 
-    plus_cols = _star_complement(edge_space, n, sign=-1)
-    minus_cols = _star_complement(edge_space, n, sign=+1)
+    plus_cols = _star_complement(graph, rev, sign=-1)
+    minus_cols = _star_complement(graph, rev, sign=+1)
 
     m_plus_expected = N // 2 - n + 1
     m_minus_expected = N // 2 - n + 1 if graph.bipartite else N // 2 - n
@@ -443,8 +427,7 @@ def _bass_mismatch(b_csr, multiset: np.ndarray, d: int) -> float:
 def verify_decomposition(b, dec: BlockDecomposition,
                          tol_recon: float = 1e-8, tol_unitary: float = 1e-10,
                          tol_bass: float = 1e-9, tol_alpha: float = 1e-8,
-                         tol_opnorm: float = 1e-8,
-                         raise_on_fail: bool = False) -> dict:
+                         tol_opnorm: float = 1e-8) -> dict:
     """Residual report for B, given as a dense or a sparse array: bounds on
     every entry of |B - U Lambda U*| and on | ||B|| - (d-1) |, unitarity,
     the Ihara-Bass determinant check of the eigenvalue multiset, and the
@@ -489,7 +472,7 @@ def verify_decomposition(b, dec: BlockDecomposition,
     for blk in dec.blocks:
         alpha_err = max(alpha_err, abs(abs(blk.alpha) - alpha_exact(blk.lam, dec.d)))
 
-    report = {
+    return {
         "reconstruction": recon,
         "unitarity": unitary,
         "bass_multiset": bass,
@@ -498,13 +481,6 @@ def verify_decomposition(b, dec: BlockDecomposition,
         "ok": (recon <= tol_recon and unitary <= tol_unitary and bass <= tol_bass
                and opnorm_err <= tol_opnorm and alpha_err <= tol_alpha),
     }
-    if raise_on_fail and not report["ok"]:
-        for key, tol in (("reconstruction", tol_recon), ("unitarity", tol_unitary),
-                         ("bass_multiset", tol_bass), ("operator_norm", tol_opnorm),
-                         ("alpha", tol_alpha)):
-            if report[key] > tol:
-                raise VerificationFailed(key, f"residual {report[key]:g} > {tol:g}")
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -539,8 +515,7 @@ def nbrw_l2_bound(n: int, d: int, t: int) -> dict:
 
 
 def upsilon_l2_transitive(graph: RegularGraph, report: SpectrumReport,
-                          eps: float, edge_space: DirectedEdgeSpace | None = None,
-                          start_edge: int = 0) -> dict:
+                          eps: float, start_edge: int = 0) -> dict:
     """Exact L^2 mixing-time prediction for the NBRW on a vertex-transitive
     non-bipartite Ramanujan graph, cross-checked against the measured first
     time the squared edge-space L^2 distance drops to eps.
@@ -559,7 +534,7 @@ def upsilon_l2_transitive(graph: RegularGraph, report: SpectrumReport,
     predicted = theory._iceil(
         (math.log(n) + math.log(ups + 2.0) + math.log(1.0 / eps)) / math.log(d - 1))
 
-    for measured, mu in evolve(graph, "nbrw", [start_edge], edge_space):
+    for measured, mu in evolve(graph, "nbrw", [start_edge]):
         if measured > predicted + 15:
             raise NotReached(predicted + 15)
         if l2_squared_uniform(mu[:, 0], n * d) <= eps:

@@ -21,12 +21,7 @@ from .errors import (
     SpaceMismatch,
     SupportViolation,
 )
-from .graph_core import (
-    DirectedEdgeSpace,
-    RegularGraph,
-    adjacency_sparse,
-    validate_and_index,
-)
+from .graph_core import RegularGraph, adjacency_sparse, validate_and_index
 
 VERTICES = "vertices"
 EDGES = "edges"
@@ -74,8 +69,7 @@ def stationary(space: str, graph: RegularGraph,
     return np.where(mask, 1.0 / int(mask.sum()), 0.0)
 
 
-def evolve(graph: RegularGraph, kernel: str, starts,
-           edge_space: DirectedEdgeSpace | None = None):
+def evolve(graph: RegularGraph, kernel: str, starts):
     """Yield (t, X) for t = 0, 1, ...: column j of X is the law at time t of
     the walk from state starts[j] (a float ``starts`` holds initial laws).
     Lazy kernels yield the mean of the pure laws at t-1 and t for t >= 1.
@@ -87,7 +81,7 @@ def evolve(graph: RegularGraph, kernel: str, starts,
     if base == "srw":
         size, adj = graph.n, adjacency_sparse(graph)
     else:
-        size, rev = graph.n * d, (edge_space or validate_and_index(graph)).rev
+        size, rev = graph.n * d, validate_and_index(graph)
     starts = np.asarray(starts)
     if starts.dtype.kind == "f":
         if starts.shape[:1] != (size,):
@@ -180,8 +174,7 @@ class MixingCurve:
 
 
 def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
-                 p_list=(), edge_space: DirectedEdgeSpace | None = None,
-                 reference: str = "auto") -> MixingCurve:
+                 p_list=(), reference: str = "auto") -> MixingCurve:
     """Evolve one start state and record all requested distances per time.
 
     reference='auto' compares bipartite pure chains against the uniform
@@ -206,7 +199,7 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
     p_list = sorted({p for p in p_list if not math.isinf(p)})
 
     rows = []
-    for t, x in evolve(graph, kernel, [start], edge_space):
+    for t, x in evolve(graph, kernel, [start]):
         ref = refs[t % len(refs)]
         rows.append(ref.tv(x[:, 0]) + ref.lp(x[:, 0], [math.inf, *p_list]))
         if t == t_max:
@@ -256,8 +249,7 @@ def _uniform_out_edges(graph: RegularGraph, x: int) -> np.ndarray:
     return edge
 
 
-def nbrw_projected(graph: RegularGraph, edge_space: DirectedEdgeSpace,
-                   x: int, k: int) -> np.ndarray:
+def nbrw_projected(graph: RegularGraph, x: int, k: int) -> np.ndarray:
     """Law of the head vertex after k-1 NBRW steps from a uniform edge out
     of x (k=0 gives the point mass at x, k=1 the uniform neighbor)."""
     if k < 0:
@@ -266,30 +258,29 @@ def nbrw_projected(graph: RegularGraph, edge_space: DirectedEdgeSpace,
         point = np.zeros(graph.n)
         point[x] = 1.0
         return point
-    laws = evolve(graph, "nbrw", _uniform_out_edges(graph, x), edge_space)
+    laws = evolve(graph, "nbrw", _uniform_out_edges(graph, x))
     _, edge = next(itertools.islice(laws, k - 1, None))
-    return np.bincount(edge_space.head, weights=edge[:, 0], minlength=graph.n)
+    return np.bincount(graph.indices, weights=edge[:, 0], minlength=graph.n)
 
 
-def srw_mixture_residual(graph: RegularGraph, x: int, t: int,
-                         edge_space: DirectedEdgeSpace | None = None) -> float:
+def srw_mixture_residual(graph: RegularGraph, x: int, t: int) -> float:
     """Sup-norm gap between the t-step SRW law from x and its expansion as a
     mixture of projected NBRW laws weighted by the tree radial distribution.
     The identity is exact; the residual only measures accumulated rounding.
     """
-    if edge_space is None:
-        edge_space = validate_and_index(graph)
-    _, srw = next(itertools.islice(evolve(graph, "srw", [x]), t, None))
-
     _, radial = next(itertools.islice(tree_rows(graph.d, t), t, None))
     mixture = np.zeros(graph.n)
     mixture[x] = radial[0]
-    edges = evolve(graph, "nbrw", _uniform_out_edges(graph, x), edge_space)
-    # zip asks range first, so no NBRW step is taken past k = t
+    edges = evolve(graph, "nbrw", _uniform_out_edges(graph, x))
+    # zip asks range first, so no NBRW step is taken past k = t. The NBRW
+    # laws come first so that an asymmetric graph raises Asymmetric, not
+    # the SRW law's mass check
     for k, (_, edge) in zip(range(1, t + 1), edges):
         if radial[k] > 0:
-            proj = np.bincount(edge_space.head, weights=edge[:, 0], minlength=graph.n)
+            proj = np.bincount(graph.indices, weights=edge[:, 0], minlength=graph.n)
             mixture = mixture + radial[k] * proj
+
+    _, srw = next(itertools.islice(evolve(graph, "srw", [x]), t, None))
     return float(np.abs(srw[:, 0] - mixture).max())
 
 

@@ -136,11 +136,22 @@ def srw_step_rows(graph, mu: np.ndarray) -> np.ndarray:
     return mu[graph.indices].reshape(-1, graph.d).sum(axis=1) / graph.d
 
 
-def nbrw_step_bincount(graph, edge_space, mu: np.ndarray) -> np.ndarray:
+def directed_edges(graph) -> tuple:
+    """(tail, head, rev) arrays over the directed edges e = d*u + rank, rank
+    the position of the head in u's sorted neighbor list; rev[e] is found by
+    looking the edge (head, tail) up among all of them."""
+    edges = [(u, v) for u, nbrs in adjacency_dict(graph).items() for v in sorted(nbrs)]
+    ids = {edge: e for e, edge in enumerate(edges)}
+    tail, head = np.array(edges, dtype=np.int64).T
+    return tail, head, np.array([ids[v, u] for u, v in edges], dtype=np.int64)
+
+
+def nbrw_step_bincount(graph, mu: np.ndarray) -> np.ndarray:
     """One NBRW step of a single law: the mass into each vertex (bincount
     over heads, in edge order), less the reversal, over d-1."""
-    into = np.bincount(edge_space.head, weights=mu, minlength=graph.n)
-    return (np.repeat(into, graph.d) - mu[edge_space.rev]) / (graph.d - 1)
+    _, head, rev = directed_edges(graph)
+    into = np.bincount(head, weights=mu, minlength=graph.n)
+    return (np.repeat(into, graph.d) - mu[rev]) / (graph.d - 1)
 
 
 def cutoff_profile_records(graph, starts, s_grid) -> list:
@@ -175,22 +186,23 @@ def cutoff_profile_records(graph, starts, s_grid) -> list:
             for s in s_grid]
 
 
-def nbrw_dense_matrix(graph, edge_space) -> np.ndarray:
+def nbrw_dense_matrix(graph) -> np.ndarray:
     """B from its definition, by double loop over directed edge pairs."""
-    N = edge_space.N
+    tail, head, _ = directed_edges(graph)
+    N = tail.size
     b = np.zeros((N, N))
     for e in range(N):
-        u, v = int(edge_space.tail[e]), int(edge_space.head[e])
+        u, v = int(tail[e]), int(head[e])
         for f in range(N):
-            x, y = int(edge_space.tail[f]), int(edge_space.head[f])
+            x, y = int(tail[f]), int(head[f])
             if v == x and u != y:
                 b[e, f] = 1.0
     return b
 
 
-def nbrw_dense(graph, edge_space, start: int, t: int) -> np.ndarray:
-    b = nbrw_dense_matrix(graph, edge_space)
-    mu = np.zeros(edge_space.N)
+def nbrw_dense(graph, start: int, t: int) -> np.ndarray:
+    b = nbrw_dense_matrix(graph)
+    mu = np.zeros(b.shape[0])
     mu[start] = 1.0
     for _ in range(t):
         mu = mu @ b / (graph.d - 1)
@@ -355,7 +367,7 @@ def verify_decomposition_dense(b_dense, dec) -> dict:
     return report
 
 
-def ihara_bass_logs(graph, edge_space, multiset, u: complex) -> tuple:
+def ihara_bass_logs(graph, multiset, u: complex) -> tuple:
     """Logs of the three sides of the Ihara-Bass identity at complex u,
     det(I - uB) = (1 - u^2)^(m-n) det((1 + (d-1)u^2) I - uA)
                 = prod over the multiset of (1 - u mu),
@@ -365,8 +377,8 @@ def ihara_bass_logs(graph, edge_space, multiset, u: complex) -> tuple:
     a = np.zeros((n, n))
     for x, nbrs in adjacency_dict(graph).items():
         a[x, nbrs] = 1.0
-    b = nbrw_dense_matrix(graph, edge_space)
-    lhs = logdet(np.eye(edge_space.N) - u * b)
+    b = nbrw_dense_matrix(graph)
+    lhs = logdet(np.eye(n * d) - u * b)
     bass = ((n * d // 2 - n) * complex(np.log(1 - u * u))
             + logdet((1 + (d - 1) * u * u) * np.eye(n) - u * a))
     product = complex(np.log(1 - u * np.asarray(multiset)).sum())

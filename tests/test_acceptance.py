@@ -48,9 +48,8 @@ def test_criterion_1_decomposition_exactness(criterion1_graphs):
     worst = {"reconstruction": 0.0, "unitarity": 0.0, "bass_multiset": 0.0,
              "alpha": 0.0, "eigvals_multiset": 0.0}
     for name, g in criterion1_graphs.items():
-        es = graph_core.validate_and_index(g)
-        dec = spectral_lab.build_decomposition(g, es)
-        b = spectral_lab.build_B(g, es).toarray()
+        dec = spectral_lab.build_decomposition(g)
+        b = spectral_lab.build_B(g).toarray()
         rep = spectral_lab.verify_decomposition(
             b, dec, tol_recon=1e-8, tol_unitary=1e-10, tol_bass=1e-9,
             tol_alpha=1e-8)
@@ -79,9 +78,8 @@ def test_criterion_2_srw_mixture_identity(suite):
     for name, g in suite.items():
         if g.n > 5000:
             continue
-        es = graph_core.validate_and_index(g)
         for t in range(1, 31):
-            r = walk_engine.srw_mixture_residual(g, 0, t, edge_space=es)
+            r = walk_engine.srw_mixture_residual(g, 0, t)
             worst = max(worst, r)
             assert r <= 1e-11, (name, t, r)
     _report("2", True, f"sup-norm mixture residual <= 1e-11 for t <= 30; worst {worst:.2e}")
@@ -94,7 +92,6 @@ def test_criterion_2_srw_mixture_identity(suite):
 
 def test_criterion_3_nbrw_l2_bound(lps29_certified):
     g = lps29_certified
-    es = graph_core.validate_and_index(g)
     n, d, N = g.n, g.d, g.n * g.d
     assert (n, d, N) == (12180, 6, 73080)
     rng = np.random.default_rng(0)
@@ -105,7 +102,7 @@ def test_criterion_3_nbrw_l2_bound(lps29_certified):
     at_threshold = 0.0
     min_ratio = math.inf
     for e0 in starts:
-        for t, mu in itertools.islice(walk_engine.evolve(g, "nbrw", [e0], es), 1, 31):
+        for t, mu in itertools.islice(walk_engine.evolve(g, "nbrw", [e0]), 1, 31):
             mu = mu[:, 0]
             d2_sq = N * float((mu * mu).sum()) - 1.0
             bound = 2 * N * 5.0 ** (-t) * (20 * t * t + 1)

@@ -13,7 +13,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramlab import cli, graph_core, spectral_lab, walk_engine
+from ramlab import cli, spectral_lab, walk_engine
 
 
 def run(args):
@@ -128,10 +128,20 @@ def test_decompose_exit_code(tmp_path):
 
 
 def test_decompose_builds_no_dense_b(tmp_path, monkeypatch):
-    # the residual report comes from sparse B alone: no sparse array or
-    # matrix is densified, and no eigvals(B)
+    # the residual report comes from sparse B alone: no N x N sparse array or
+    # matrix is densified, and no eigvals(B); the n x n adjacency matrix is
+    # densified once for its eigendecomposition
+    n, d = 200, 3
+
     def fail(*args, **kwargs):
         raise AssertionError("dense path called")
+
+    def refuse_edge_sized(densify):
+        def guarded(self, *args, **kwargs):
+            if self.shape[0] == n * d:
+                fail()
+            return densify(self, *args, **kwargs)
+        return guarded
 
     monkeypatch.setattr(np.linalg, "eigvals", fail)
     sparse_types = [cls for cls in vars(scipy.sparse).values() if isinstance(cls, type)
@@ -139,10 +149,10 @@ def test_decompose_builds_no_dense_b(tmp_path, monkeypatch):
     for cls in {base for cls in sparse_types for base in cls.__mro__}:
         for name in ("toarray", "todense"):
             if name in vars(cls):
-                monkeypatch.setattr(cls, name, fail)
+                monkeypatch.setattr(cls, name, refuse_edge_sized(vars(cls)[name]))
     outs = [str(tmp_path / "a"), str(tmp_path / "b")]
     for out in outs:
-        assert run(["decompose", "--family", "random_regular", "--n", "200", "--d", "3",
+        assert run(["decompose", "--family", "random_regular", "--n", str(n), "--d", str(d),
                     "--out-dir", out]) == 0
     assert json.loads(read(os.path.join(outs[0], "decomposition.json")))["ok"] is True
     for name in ("blocks.csv", "decomposition.json", "manifest.json"):
@@ -327,7 +337,8 @@ _GRAPH = st.one_of(
     .map(lambda t: ["--family", "random_regular", "--n", str(t[0]), "--d", str(t[1]),
                     "--seed", str(t[2])]),
 )
-_SPECTRUM_FLAGS = {"--delta-threshold": _NUMBER, "--exceptional-budget": _NUMBER}
+_SPECTRUM_FLAGS = {"--dense-cap": _NUMBER, "--delta-threshold": _NUMBER,
+                   "--exceptional-budget": _NUMBER}
 _FLAGS = {
     "build": {},
     "metrics": {"--source": _NUMBER, "--window-radius": _NUMBER},
@@ -336,7 +347,7 @@ _FLAGS = {
             "--reference": st.sampled_from(["auto", "full"])},
     "profile": {"--s-grid": _NUMBERS, "--starts": _NUMBER},
     "spectrum": _SPECTRUM_FLAGS,
-    "decompose": {},
+    "decompose": {"--dense-cap": _NUMBER},
     "certify": _SPECTRUM_FLAGS,
     "theory": {"--p": _NUMBER, "--lam": _NUMBER, "--eps": _NUMBER, "--delta": _NUMBER},
     "tree": {"--horizon": _NUMBER},
@@ -352,8 +363,6 @@ def _argv(draw):
         argv = [sub, "--d", draw(_NUMBER)]
     else:
         argv = [sub, *draw(_GRAPH)]
-        if draw(st.booleans()):
-            argv += ["--dense-cap", draw(_NUMBER)]
     for flag, values in _FLAGS[sub].items():
         if draw(st.booleans()):
             argv += [flag, draw(values)]
@@ -394,6 +403,14 @@ def test_library_failure_exit_code(tmp_path, capsys, monkeypatch, exc):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["not-a-subcommand"])
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize("sub", ["build", "metrics", "mix", "profile"])
+def test_dense_cap_only_where_read(tmp_path, sub):
+    # only spectrum, certify and decompose read --dense-cap
+    with pytest.raises(SystemExit) as err:
+        cli.main([sub, "--dense-cap", "5", "--out-dir", str(tmp_path)])
     assert err.value.code == 2
 
 
@@ -472,8 +489,7 @@ def _spectrum_records(g):
 
 
 def _decompose_records(g):
-    dec = spectral_lab.build_decomposition(g, graph_core.validate_and_index(g),
-                                           dense_cap=spectral_lab.DENSE_CAP_DEFAULT)
+    dec = spectral_lab.build_decomposition(g, dense_cap=spectral_lab.DENSE_CAP_DEFAULT)
     return (["lambda", "theta_re", "theta_im", "theta_prime_re", "theta_prime_im",
              "alpha_abs", "jordan"],
             [[b.lam, b.theta.real, b.theta.imag, b.theta_prime.real, b.theta_prime.imag,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ramlab import builders, graph_core
+from ramlab import builders, graph_core, spectral_lab, walk_engine
 from ramlab.builders import LiftSpec
 from ramlab.errors import (
     Asymmetric,
@@ -15,34 +15,38 @@ from ramlab.errors import (
 
 
 def test_k4_edge_space(k4):
-    es = graph_core.validate_and_index(k4)
-    assert es.N == 12
-    rev = es.rev
+    rev = graph_core.validate_and_index(k4)
+    assert rev.shape == (12,) and rev.dtype == np.int32 and not rev.flags.writeable
     assert np.array_equal(rev[rev], np.arange(12))
     assert (rev != np.arange(12)).all()  # fixed-point free
-    assert np.array_equal(es.tail[rev], es.head)
+    # the tail of the reverse is the head
+    assert np.array_equal(rev // k4.d, k4.indices)
 
 
 def test_petersen_edge_space(petersen):
-    es = graph_core.validate_and_index(petersen)
-    assert es.N == 30
-    assert np.array_equal(es.rev[es.rev], np.arange(30))
+    rev = graph_core.validate_and_index(petersen)
+    assert rev.shape == (30,)
+    assert np.array_equal(rev[rev], np.arange(30))
 
 
 def test_edge_id_convention(petersen):
-    # id = d*u + rank of head in u's sorted neighbor list
-    es = graph_core.validate_and_index(petersen)
-    for e in range(es.N):
-        u = e // petersen.d
-        assert es.tail[e] == u
-        assert es.head[e] == petersen.neighbors(u)[e % petersen.d]
+    # id = d*u + rank of head in u's sorted neighbor list, so the reverse of
+    # e = (u, v) is d*v + rank of u in v's list
+    rev = graph_core.validate_and_index(petersen)
+    d = petersen.d
+    for e in range(petersen.n * d):
+        u, v = e // d, petersen.neighbors(e // d)[e % d]
+        assert rev[e] // d == v
+        assert petersen.neighbors(v)[rev[e] % d] == u
 
 
 def test_ids_partition_by_tail(lift20):
-    es = graph_core.validate_and_index(lift20)
+    # the reverse of e lies in the id block d*v .. d*v + d - 1 of its head v
+    rev = graph_core.validate_and_index(lift20)
+    head = lift20.indices.astype(np.int64)
     d = lift20.d
-    assert np.all(es.tail * d <= np.arange(es.N))
-    assert np.all(np.arange(es.N) < (es.tail + 1) * d)
+    assert np.all(head * d <= rev)
+    assert np.all(rev < (head + 1) * d)
 
 
 def test_bfs_k4(k4):
@@ -148,13 +152,21 @@ def test_rejects_asymmetric():
 
 def test_asymmetric_rows_name_the_edge():
     # 4 lists 2 but 2 does not list 4; validate_and_index re-checks a graph
-    # made without from_adjacency
+    # made without from_adjacency, and every NBRW entry point asks it for
+    # the edge reversal
     rows = [[1, 2, 3], [0, 2, 4], [0, 1, 3], [0, 2, 4], [1, 2, 3]]
     with pytest.raises(Asymmetric, match=r"edge \(4, 2\)"):
         graph_core.from_adjacency(rows, 3)
     graph = graph_core.RegularGraph(n=5, d=3, indices=np.array(rows, np.int32).ravel())
-    with pytest.raises(Asymmetric, match=r"edge \(4, 2\)"):
-        graph_core.validate_and_index(graph)
+    for entry in (graph_core.validate_and_index,
+                  lambda g: next(walk_engine.evolve(g, "nbrw", [0])),
+                  lambda g: walk_engine.mixing_curve(g, "nbrw", 0, 3),
+                  lambda g: walk_engine.nbrw_projected(g, 0, 2),
+                  lambda g: walk_engine.srw_mixture_residual(g, 0, 2),
+                  spectral_lab.build_B,
+                  spectral_lab.build_decomposition):
+        with pytest.raises(Asymmetric, match=r"edge \(4, 2\)"):
+            entry(graph)
 
 
 @pytest.mark.parametrize("n, d, edges", [(3, 2, [(0, 1), (0, 2), (1, 2)]), (2, 1, [(0, 1)])])

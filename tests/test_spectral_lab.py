@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ramlab import builders, graph_core, spectral_lab
-from ramlab.errors import GraphIsBipartite, NotRamanujan, SizeCap, VerificationFailed
+from ramlab.errors import GraphIsBipartite, NotRamanujan, SizeCap
 from ramlab.spectral_lab import (
     adjacency_spectrum,
     alpha_exact,
@@ -67,8 +67,6 @@ def test_partial_spectrum_pipeline(petersen):
     assert rep.partial
     assert abs(rep.max_nontrivial_abs - 2.0) < 1e-8
     assert certify(rep).kind == "ramanujan"
-    with pytest.raises(SizeCap):
-        adjacency_spectrum(petersen, dense_cap=4, full=True)
     with pytest.raises(SizeCap):
         rep.nontrivial()
 
@@ -179,23 +177,22 @@ def test_b_row_sums_and_principal(k4):
 def test_b_matches_definition(criterion1_graphs, rand3_50, c6_x_k4):
     # the CSR form, entry for entry
     for name, g in {**criterion1_graphs, "rand3_50": rand3_50, "c6_x_k4": c6_x_k4}.items():
-        es = graph_core.validate_and_index(g)
-        b = build_B(g, es)
+        b = build_B(g)
         assert b.has_canonical_format, name
-        assert np.array_equal(b.toarray(), oracles.nbrw_dense_matrix(g, es)), name
+        assert np.array_equal(b.toarray(), oracles.nbrw_dense_matrix(g)), name
 
 
 def test_bbstar_three_case_formula(k4):
-    es = graph_core.validate_and_index(k4)
-    b = build_B(k4, es).toarray()
+    tail, head, _ = oracles.directed_edges(k4)
+    b = build_B(k4).toarray()
     bbt = b @ b.T
     d = k4.d
-    for e in range(es.N):
-        for f in range(es.N):
-            same_head = es.head[e] == es.head[f]
+    for e in range(tail.size):
+        for f in range(tail.size):
+            same_head = head[e] == head[f]
             if e == f:
                 assert bbt[e, f] == d - 1
-            elif same_head and es.tail[e] != es.tail[f]:
+            elif same_head and tail[e] != tail[f]:
                 assert bbt[e, f] == d - 2
             else:
                 assert bbt[e, f] == 0
@@ -205,12 +202,11 @@ def test_bass_lu_keeps_diagonal_pivots(criterion1_graphs, c6_x_k4):
     # at |u| (d-1) = 1/2, I - uB factors with no pivoting, and the sum of the
     # logs of U's diagonal is log det(I - uB)
     for name, g in {**criterion1_graphs, "c6_x_k4": c6_x_k4}.items():
-        es = graph_core.validate_and_index(g)
-        b = build_B(g, es)
+        b = build_B(g)
         for u in spectral_lab.bass_points(g.d):
             lu = spectral_lab._lu_i_minus_ub(b.tocsc(), u)
             assert np.array_equal(lu.perm_r, lu.perm_c), (name, u)
-            diff = np.log(lu.U.diagonal()).sum() - oracles.logdet(np.eye(es.N) - u * b.toarray())
+            diff = np.log(lu.U.diagonal()).sum() - oracles.logdet(np.eye(b.shape[0]) - u * b.toarray())
             diff -= 2j * math.pi * round(diff.imag / (2 * math.pi))
             assert abs(diff) <= 1e-12, (name, u, diff)
 
@@ -219,8 +215,7 @@ def test_bass_lu_keeps_diagonal_pivots(criterion1_graphs, c6_x_k4):
 
 
 def test_k4_block_structure(k4):
-    es = graph_core.validate_and_index(k4)
-    dec = build_decomposition(k4, es)
+    dec = build_decomposition(k4)
     assert (dec.minus_one_multiplicity, dec.plus_one_multiplicity) == (2, 3)
     assert len(dec.blocks) == 3
     want = {(-1 + 1j * math.sqrt(7)) / 2, (-1 - 1j * math.sqrt(7)) / 2}
@@ -234,8 +229,7 @@ def test_k4_block_structure(k4):
 
 
 def test_k33_block_structure(k33):
-    es = graph_core.validate_and_index(k33)
-    dec = build_decomposition(k33, es)
+    dec = build_decomposition(k33)
     assert dec.bipartite
     assert dec.minus_one_multiplicity == 4  # N/2 - n + 1 = 9 - 6 + 1
     assert dec.plus_one_multiplicity == 4
@@ -244,8 +238,7 @@ def test_k33_block_structure(k33):
 
 
 def test_petersen_alpha_values(petersen):
-    es = graph_core.validate_and_index(petersen)
-    dec = build_decomposition(petersen, es)
+    dec = build_decomposition(petersen)
     assert len(dec.blocks) == 9
     for b in dec.blocks:
         assert math.isclose(abs(b.alpha), 1.0, rel_tol=1e-10)  # d - 2
@@ -254,8 +247,7 @@ def test_petersen_alpha_values(petersen):
 def test_ramanujan_blocks_conjugate(petersen, rand3_50):
     for g in (petersen, rand3_50):
         rep = adjacency_spectrum(g)
-        es = graph_core.validate_and_index(g)
-        dec = build_decomposition(g, es)
+        dec = build_decomposition(g)
         if rep.ramanujan and not g.bipartite:
             for b in dec.blocks:
                 assert abs(b.theta_prime - b.theta.conjugate()) < 1e-9
@@ -263,22 +255,20 @@ def test_ramanujan_blocks_conjugate(petersen, rand3_50):
 
 
 def test_jordan_branch(c6_x_k4):
-    es = graph_core.validate_and_index(c6_x_k4)
-    dec = build_decomposition(c6_x_k4, es)
+    dec = build_decomposition(c6_x_k4)
     jordan = [b for b in dec.blocks if b.jordan]
     assert len(jordan) == 2  # eigenvalue 4 = 2 sqrt(4) has multiplicity 2
     for b in jordan:
         assert abs(b.theta - 2.0) < 1e-8
         assert abs(b.theta - b.theta_prime) < 1e-12
         assert abs(abs(b.alpha) - 3.0) < 1e-8  # d - 2
-    rep = verify_decomposition(build_B(c6_x_k4, es), dec)
+    rep = verify_decomposition(build_B(c6_x_k4), dec)
     assert rep["ok"], rep
     assert rep["bass_multiset"] <= 1e-12, rep
 
 
 def test_parseval_rows(petersen):
-    es = graph_core.validate_and_index(petersen)
-    dec = build_decomposition(petersen, es)
+    dec = build_decomposition(petersen)
     row_norms = (np.abs(dec.U) ** 2).sum(axis=1)
     assert np.abs(row_norms - 1.0).max() < 1e-10
 
@@ -287,8 +277,7 @@ def test_alpha_below_2d_minus_2(test_graphs):
     for g in test_graphs.values():
         if g.n * g.d > 800:
             continue
-        es = graph_core.validate_and_index(g)
-        dec = build_decomposition(g, es)
+        dec = build_decomposition(g)
         for b in dec.blocks:
             assert abs(b.alpha) < 2 * (g.d - 1)
 
@@ -299,8 +288,7 @@ _DENSE_EIGH_ROUNDING = 1e-14
 
 
 def _decomposed(g):
-    es = graph_core.validate_and_index(g)
-    return build_decomposition(g, es), build_B(g, es).toarray()
+    return build_decomposition(g), build_B(g).toarray()
 
 
 # SuperLU and LAPACK's dense LU round log det(I - uB) differently
@@ -337,8 +325,7 @@ def test_verify_bounds_dense_oracle(criterion1_graphs):
         rep = verify_decomposition(b, dec)
         assert rep["ok"], (name, rep)
         # the CSR that build_B makes gives the report the dense B gives
-        es = graph_core.validate_and_index(g)
-        assert verify_decomposition(build_B(g, es), dec) == rep, name
+        assert verify_decomposition(build_B(g), dec) == rep, name
         _assert_bounds_oracle(rep, oracles.verify_decomposition_dense(b, dec))
 
 
@@ -429,8 +416,6 @@ def test_verify_detects_corruption(k4, k33, petersen, c6_x_k4):
             rep = verify_decomposition(b_bad, dec_bad)
             assert not rep["ok"], (mutate.__name__, rep)
             assert rep[key] > oracles.DECOMPOSITION_TOLERANCES[key], (mutate.__name__, rep)
-            with pytest.raises(VerificationFailed):
-                verify_decomposition(b_bad, dec_bad, raise_on_fail=True)
             oracle = oracles.verify_decomposition_dense(b_bad, dec_bad)
             _assert_bounds_oracle(rep, oracle)
             if mutate is _nudge_theta:  # the eigvals(B) multiset check at 1e-6 misses it
@@ -463,11 +448,10 @@ def test_ihara_bass_determinant(criterion1_graphs):
     # a check of the multiset that does not go through eigvals
     rng = np.random.default_rng(7)
     for name, g in criterion1_graphs.items():
-        es = graph_core.validate_and_index(g)
-        multiset = build_decomposition(g, es).eigenvalue_multiset()
+        multiset = build_decomposition(g).eigenvalue_multiset()
         for _ in range(3):
             u = cmath.rect(rng.uniform(0.1, 0.95) / (g.d - 1), rng.uniform(-math.pi, math.pi))
-            lhs, bass, product = oracles.ihara_bass_logs(g, es, multiset, u)
+            lhs, bass, product = oracles.ihara_bass_logs(g, multiset, u)
             for other in (bass, product):
                 diff = lhs - other
                 # logs agree up to a multiple of 2 pi i

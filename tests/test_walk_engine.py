@@ -53,9 +53,9 @@ def test_parity_requires_bipartite(k4):
 # --- kernel steps ---------------------------------------------------------------
 
 
-def _law_at(g, kernel, start, t, es=None):
+def _law_at(g, kernel, start, t):
     """Column 0 of evolve's law at time t from one start state or law."""
-    return next(itertools.islice(evolve(g, kernel, start, es), t, None))[1][:, 0]
+    return next(itertools.islice(evolve(g, kernel, start), t, None))[1][:, 0]
 
 
 def test_srw_step_k4(k4):
@@ -64,29 +64,26 @@ def test_srw_step_k4(k4):
 
 
 def test_nbrw_step_k4(k4):
-    es = graph_core.validate_and_index(k4)
     e01 = 0 * 3 + 0  # edge (0,1): first neighbor of 0
-    out = _law_at(k4, "nbrw", [e01], 1, es)
+    out = _law_at(k4, "nbrw", [e01], 1)
     # successors are (1,2) and (1,3), each with mass 1/2
     nz = np.flatnonzero(out)
     assert len(nz) == 2
     assert np.allclose(out[nz], 0.5)
-    assert all(es.tail[e] == 1 and es.head[e] in (2, 3) for e in nz)
+    assert all(e // k4.d == 1 and k4.indices[e] in (2, 3) for e in nz)
 
 
 def test_nbrw_uniform_fixed_point(test_graphs):
     for g in test_graphs.values():
-        es = graph_core.validate_and_index(g)
         pi = stationary("edges", g)
-        out = _law_at(g, "nbrw", pi, 1, es)
+        out = _law_at(g, "nbrw", pi, 1)
         assert np.abs(out - pi).max() < 1e-16
 
 
 def test_space_mismatch(k4):
     # a law over the other state space, an unknown kernel, an unknown space
-    es = graph_core.validate_and_index(k4)
     with pytest.raises(SpaceMismatch):
-        next(evolve(k4, "nbrw", stationary("vertices", k4), es))
+        next(evolve(k4, "nbrw", stationary("vertices", k4)))
     with pytest.raises(SpaceMismatch):
         next(evolve(k4, "srw", stationary("edges", k4)))
     with pytest.raises(SpaceMismatch):
@@ -99,12 +96,11 @@ def test_space_mismatch(k4):
 @settings(max_examples=25, deadline=None)
 def test_mass_conservation(seed):
     g = _petersen()
-    es = graph_core.validate_and_index(g)
     rng = np.random.default_rng(seed)
     v = rng.random(g.n)
     assert abs(_law_at(g, "srw", v / v.sum(), 1).sum() - 1.0) < 1e-14
-    e = rng.random(es.N)
-    assert abs(_law_at(g, "nbrw", e / e.sum(), 1, es).sum() - 1.0) < 1e-14
+    e = rng.random(g.n * g.d)
+    assert abs(_law_at(g, "nbrw", e / e.sum(), 1).sum() - 1.0) < 1e-14
 
 
 def _petersen():
@@ -115,28 +111,27 @@ def _petersen():
 
 def test_kernels_match_dense_oracles(petersen, k33):
     for g in (petersen, k33):
-        es = graph_core.validate_and_index(g)
         for t in (1, 3, 7, 12):
             mine = _law_at(g, "srw", [0], t)
             assert np.abs(mine - oracles.srw_dense(g, 0, t)).max() < 1e-14
-            mu = _law_at(g, "nbrw", [0], t, es)
-            assert np.abs(mu - oracles.nbrw_dense(g, es, 0, t)).max() < 1e-14
+            mu = _law_at(g, "nbrw", [0], t)
+            assert np.abs(mu - oracles.nbrw_dense(g, 0, t)).max() < 1e-14
 
 
 # --- batched evolution --------------------------------------------------------------
 
 
-def _single_laws(g, es, kernel, start, t_max):
+def _single_laws(g, kernel, start, t_max):
     """Laws at times 0..t_max by repeated single-vector stepping with the
     oracle kernels (exact to the last bit for d <= 7); a lazy kernel shows
     the mean of consecutive pure laws."""
     base = kernel.removesuffix("_lazy")
-    mu = np.zeros(g.n if base == "srw" else es.N)
+    mu = np.zeros(g.n if base == "srw" else g.n * g.d)
     mu[start] = 1.0
     pure = [mu]
     for _ in range(t_max):
         mu = (oracles.srw_step_rows(g, mu) if base == "srw"
-              else oracles.nbrw_step_bincount(g, es, mu))
+              else oracles.nbrw_step_bincount(g, mu))
         pure.append(mu)
     if kernel == base:
         return pure
@@ -147,12 +142,11 @@ def _single_laws(g, es, kernel, start, t_max):
 @pytest.mark.parametrize("name", ["petersen", "k33", "rand3_50", "lps13"])
 def test_evolve_equals_single_vector_stepping(name, kernel, request):
     g = request.getfixturevalue(name)
-    es = graph_core.validate_and_index(g)
-    size = g.n if kernel.startswith("srw") else es.N
+    size = g.n if kernel.startswith("srw") else g.n * g.d
     starts = [0, 1, size // 2, size - 1]
     t_max = 12
-    single = [_single_laws(g, es, kernel, x, t_max) for x in starts]
-    for t, laws in evolve(g, kernel, starts, es):
+    single = [_single_laws(g, kernel, x, t_max) for x in starts]
+    for t, laws in evolve(g, kernel, starts):
         assert laws.shape == (size, len(starts))
         for j in range(len(starts)):
             assert np.array_equal(laws[:, j], single[j][t]), (t, starts[j])
@@ -164,23 +158,21 @@ def test_evolve_matches_dense_oracles_beyond_unrolled_sums():
     # d = 9 rows are longer than numpy's 8-way unrolled pairwise sums; the
     # kernels still add inflows one at a time
     g = builders.build_named("complete(10)")
-    es = graph_core.validate_and_index(g)
     srw = evolve(g, "srw", [0, 3, 9])
-    nbrw = evolve(g, "nbrw", [0, 40, 89], es)
+    nbrw = evolve(g, "nbrw", [0, 40, 89])
     for (t, laws), (_, edge_laws) in zip(srw, nbrw):
         for j, x in enumerate((0, 3, 9)):
             assert np.abs(laws[:, j] - oracles.srw_dense(g, x, t)).max() <= 1e-15
         for j, e in enumerate((0, 40, 89)):
-            assert np.abs(edge_laws[:, j] - oracles.nbrw_dense(g, es, e, t)).max() <= 1e-15
+            assert np.abs(edge_laws[:, j] - oracles.nbrw_dense(g, e, t)).max() <= 1e-15
         if t == 10:
             break
 
 
 def test_evolve_from_initial_laws(petersen):
-    es = graph_core.validate_and_index(petersen)
     law = stationary("edges", petersen)
-    for t, x in evolve(petersen, "nbrw", law, es):
-        assert x.shape == (es.N, 1)
+    for t, x in evolve(petersen, "nbrw", law):
+        assert x.shape == (30, 1)
         assert np.abs(x[:, 0] - law).max() < 1e-16
         if t == 5:
             break
@@ -221,13 +213,11 @@ def test_curve_columns_equal_public_distances(name, kernel, reference, request):
     # one ratio pass per time gives the same bits as the naive reductions;
     # k33 and lps13 are bipartite, so 'auto' alternates the parity reference
     g = request.getfixturevalue(name)
-    es = graph_core.validate_and_index(g)
     space = "vertices" if kernel == "srw" else "edges"
     p_list = [1.0, 1.5, 2.0, 3.0]
-    curve = mixing_curve(g, kernel, 1, 15, p_list=p_list, edge_space=es,
-                         reference=reference)
+    curve = mixing_curve(g, kernel, 1, 15, p_list=p_list, reference=reference)
     p0 = int(g.bipartition[1 if kernel == "srw" else 1 // g.d])
-    for t, mu in enumerate(_single_laws(g, es, kernel, 1, 15)):
+    for t, mu in enumerate(_single_laws(g, kernel, 1, 15)):
         ref = (stationary(space, g, parity=(p0 + t) % 2) if reference == "auto"
                else stationary(space, g))
         assert curve.d_tv[t] == oracles.tv_direct(mu, ref)
@@ -355,15 +345,13 @@ def test_mixing_time_first_crossing():
 
 
 def test_nbrw_projected_small_k(k4):
-    es = graph_core.validate_and_index(k4)
-    assert np.allclose(nbrw_projected(k4, es, 0, 0), [1, 0, 0, 0])
-    assert np.allclose(nbrw_projected(k4, es, 0, 1), [0, 1 / 3, 1 / 3, 1 / 3])
+    assert np.allclose(nbrw_projected(k4, 0, 0), [1, 0, 0, 0])
+    assert np.allclose(nbrw_projected(k4, 0, 1), [0, 1 / 3, 1 / 3, 1 / 3])
 
 
 def test_nbrw_projected_petersen_depth2(petersen):
     # girth 5: no collisions at depth 2, uniform over the six distance-2 vertices
-    es = graph_core.validate_and_index(petersen)
-    mu = nbrw_projected(petersen, es, 0, 2)
+    mu = nbrw_projected(petersen, 0, 2)
     dist = graph_core.bfs_distances(petersen, 0)
     far = dist == 2
     assert far.sum() == 6
