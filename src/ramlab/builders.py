@@ -16,7 +16,6 @@ import numpy as np
 from . import graph_core
 from .errors import (
     BadParams,
-    BaseHasSelfLoop,
     DegreeTooSmall,
     Disconnected,
     InvariantViolation,
@@ -43,16 +42,17 @@ def _is_prime(m: int) -> bool:
     return all(m % k for k in range(2, int(math.isqrt(m)) + 1))
 
 
+def _grid(*axes) -> np.ndarray:
+    """Rows of the Cartesian product of the axes, in lexicographic order
+    when every axis is sorted."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
+
+
 def _sqrt_minus_one(q: int) -> int:
-    for i in range(2, q):
-        if (i * i) % q == q - 1:
-            return i
-    raise BadParams(f"-1 is not a square mod {q}; need q = 1 (mod 4)")
-
-
-def _is_quadratic_residue(a: int, q: int) -> bool:
-    a %= q
-    return any((x * x) % q == a for x in range(1, q))
+    roots = np.flatnonzero(np.arange(q) ** 2 % q == q - 1)
+    if roots.size == 0:
+        raise BadParams(f"-1 is not a square mod {q}; need q = 1 (mod 4)")
+    return int(roots[0])
 
 
 @dataclass(frozen=True)
@@ -84,102 +84,79 @@ class LpsParams:
 
     @property
     def psl_case(self) -> bool:
-        return _is_quadratic_residue(self.p, self.q)
+        return pow(self.p, (self.q - 1) // 2, self.q) == 1  # Euler's criterion
 
     @property
     def group(self) -> str:
         return "PSL(2,%d)" % self.q if self.psl_case else "PGL(2,%d)" % self.q
 
-    @property
-    def expected_n(self) -> int:
-        order = self.q * (self.q * self.q - 1)
-        return order // 2 if self.psl_case else order
 
-
-def _quaternion_generators(p: int):
+def _quaternion_generators(p: int) -> np.ndarray:
     """The p+1 integer solutions of a0^2+a1^2+a2^2+a3^2 = p with a0 odd
-    positive and a1, a2, a3 even."""
-    sols = []
-    r = int(math.isqrt(p))
-    for a0 in range(1, r + 1, 2):
-        for a1 in range(-r, r + 1):
-            if a1 % 2:
-                continue
-            for a2 in range(-r, r + 1):
-                if a2 % 2:
-                    continue
-                rem = p - a0 * a0 - a1 * a1 - a2 * a2
-                if rem < 0:
-                    continue
-                a3 = int(math.isqrt(rem))
-                if a3 * a3 == rem and a3 % 2 == 0:
-                    for s3 in {a3, -a3}:
-                        sols.append((a0, a1, a2, s3))
-    sols = sorted(set(sols))
+    positive and a1, a2, a3 even, as sorted rows (a0, a1, a2, a3)."""
+    r = math.isqrt(p)
+    even = np.arange(-(r // 2) * 2, r + 1, 2)
+    sols = _grid(np.arange(1, r + 1, 2), even, even, even)
+    sols = sols[(sols**2).sum(axis=1) == p]
     if len(sols) != p + 1:
         raise BadParams(f"found {len(sols)} quaternion solutions for p={p}, expected {p + 1}")
     return sols
 
 
-def _canon(m: tuple, q: int) -> tuple:
-    """Projective canonical form: scale so the first nonzero entry is 1."""
-    for x in m:
-        if x % q:
-            inv = pow(x, q - 2, q)
-            return tuple((inv * y) % q for y in m)
-    raise BadParams("zero matrix is not a group element")
+def _canon(m: np.ndarray, q: int) -> np.ndarray:
+    """Projective canonical forms of the rows (a, b, c, d) of m, entries in
+    [0, q): each row scaled so that its first nonzero entry is 1. An
+    invertible matrix has a or b nonzero; a row with a = b = 0 maps to 0."""
+    f = np.arange(q)
+    inverse = (np.outer(f, f) % q == 1).argmax(axis=1)  # inverse[0] = 0
+    lead = np.where(m[:, 0] != 0, m[:, 0], m[:, 1])
+    return m * inverse[lead, None] % q
 
 
-def _matmul(a: tuple, b: tuple, q: int) -> tuple:
-    return (
-        (a[0] * b[0] + a[1] * b[2]) % q,
-        (a[0] * b[1] + a[1] * b[3]) % q,
-        (a[2] * b[0] + a[3] * b[2]) % q,
-        (a[2] * b[1] + a[3] * b[3]) % q,
-    )
+def _group_elements(q: int, psl: bool) -> np.ndarray:
+    """Canonical forms of PGL(2, F_q) in lexicographic order: (0, 1, c, d)
+    with c != 0, then (1, b, c, d) with d != bc. For PSL(2, F_q), only those
+    with a square determinant (a class that scaling by a unit preserves)."""
+    f = np.arange(q)
+    elems = np.concatenate([_grid(0, 1, f[1:], f), _grid(1, f, f, f)])
+    det = (elems[:, 0] * elems[:, 3] - elems[:, 1] * elems[:, 2]) % q
+    if not psl:
+        return elems[det != 0]
+    square = np.zeros(q, dtype=bool)
+    square[f[1:] ** 2 % q] = True
+    return elems[square[det]]
 
 
-def lps_generator_matrices(params: LpsParams):
-    """Canonicalized generator set in PGL(2, F_q); closed under inversion."""
+def lps_generator_matrices(params: LpsParams) -> np.ndarray:
+    """Canonical generator rows (a, b, c, d) in PGL(2, F_q), one per
+    quaternion solution; closed under inversion."""
     p, q = params.p, params.q
     i = _sqrt_minus_one(q)
-    gens = []
-    for a0, a1, a2, a3 in _quaternion_generators(p):
-        m = (
-            (a0 + i * a1) % q,
-            (a2 + i * a3) % q,
-            (-a2 + i * a3) % q,
-            (a0 - i * a1) % q,
-        )
-        gens.append(_canon(m, q))
-    if len(set(gens)) != p + 1:
+    a0, a1, a2, a3 = _quaternion_generators(p).T
+    gens = _canon(np.stack([a0 + i * a1, a2 + i * a3, -a2 + i * a3, a0 - i * a1], 1) % q, q)
+    if len(np.unique(gens, axis=0)) != p + 1:
         raise NonSimple(f"generators collide in PGL(2,{q}); parameters too small")
     return gens
 
 
 def build_lps(params: LpsParams) -> RegularGraph:
-    """Connected (p+1)-regular LPS Cayley graph on PSL or PGL(2, F_q)."""
-    q = params.q
-    gens = lps_generator_matrices(params)
-    identity = _canon((1, 0, 0, 1), q)
+    """Connected (p+1)-regular LPS Cayley graph on PSL or PGL(2, F_q).
 
-    # BFS orbit of the identity under right multiplication by the generators
-    # (the loop visits what it appends); heads[d*k + j] is the position of
-    # orbit[k] * gens[j]. Vertices are numbered in sorted element order.
-    position = {identity: 0}
-    orbit, heads = [identity], []
-    for m in orbit:
-        for s in gens:
-            ms = _canon(_matmul(m, s, q), q)
-            if ms not in position:
-                position[ms] = len(orbit)
-                orbit.append(ms)
-            heads.append(position[ms])
-    n, d = len(orbit), params.degree
-    if n != params.expected_n:
-        raise BadParams(f"generated group has order {n}, expected {params.expected_n}")
-    order = np.array(sorted(range(n), key=orbit.__getitem__))  # vertex -> orbit position
-    rows = np.argsort(order)[np.array(heads).reshape(n, d)[order]]
+    Vertex v is the v-th canonical group element in lexicographic order and
+    its neighbours are the products v * s over the generators s. Every
+    product must be an enumerated element, and from_adjacency's
+    connectivity check proves that the generators generate the group."""
+    q, d = params.q, params.degree
+    elems = _group_elements(q, params.psl_case)
+    place = q ** np.arange(3, -1, -1)  # sorted rows have sorted keys
+    keys = elems @ place
+    mats = elems.reshape(-1, 2, 2)
+    rows = np.empty((len(elems), d), dtype=np.int64)
+    for j, s in enumerate(lps_generator_matrices(params)):
+        prod = _canon((mats @ s.reshape(2, 2)).reshape(-1, 4) % q, q) @ place
+        rows[:, j] = np.searchsorted(keys, prod)
+        if not np.array_equal(keys[np.minimum(rows[:, j], len(keys) - 1)], prod):
+            raise BadParams(f"a product with a generator lies outside {params.group}")
 
     provenance = {
         "family": "lps",
@@ -265,8 +242,6 @@ def build_random_lift(spec: LiftSpec) -> RegularGraph:
     fibers. A disconnected sample is redrawn from the same seeded stream."""
     base, n = spec.base, spec.n
     tails = np.repeat(np.arange(base.n, dtype=np.int64), base.d)
-    if (tails == base.indices).any():
-        raise BaseHasSelfLoop("lift base contains a self-loop")
     provenance = {
         "family": "random_lift",
         "base": base.provenance or {"n": base.n, "d": base.d},
@@ -341,18 +316,17 @@ def build_named(name: str) -> RegularGraph:
 # --------------------------------------------------------------------------
 
 
-def save_graph(graph: RegularGraph, path: str, sidecar: bool = True):
+def save_graph(graph: RegularGraph, path: str):
     """Canonical text form: 'n d' header then 'u v' per edge, u < v, sorted.
     Round-trips bit-exactly. Provenance goes to a JSON sidecar."""
     lines = [f"{graph.n} {graph.d}"]
     lines.extend(f"{u} {v}" for u, v in graph.edges())
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    if sidecar:
-        with open(path + ".json", "w", newline="\n") as fh:
-            json.dump({"provenance": graph.provenance, "n": graph.n, "d": graph.d,
-                       "bipartite": graph.bipartite}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    with open(path + ".json", "w", newline="\n") as fh:
+        json.dump({"provenance": graph.provenance, "n": graph.n, "d": graph.d,
+                   "bipartite": graph.bipartite}, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def load_graph(path: str) -> RegularGraph:

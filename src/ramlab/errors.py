@@ -41,10 +41,6 @@ class SamplingExhausted(RamlabError):
     """Rejection sampling failed within the retry budget."""
 
 
-class BaseHasSelfLoop(RamlabError):
-    """Lift base graph contains a self-loop."""
-
-
 class UnknownName(RamlabError):
     """Unrecognized named-graph identifier."""
 

@@ -13,7 +13,7 @@ and the star-space construction for the +-1 eigenvectors.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -35,6 +35,7 @@ DENSE_CAP_DEFAULT = 4000
 RAMANUJAN_TOL = 1e-9
 JORDAN_TOL = 1e-9
 TRIVIAL_TOL = 1e-8
+EPS_PRIME = 0.01  # certify: no exception may come this close to d
 
 
 # --------------------------------------------------------------------------
@@ -78,25 +79,22 @@ class SpectrumReport:
         Requires a full report."""
         if self.partial:
             raise SizeCap("nontrivial list requires a full spectrum")
-        eigs = list(self.eigenvalues)
-        eigs.pop(int(np.argmin(np.abs(np.array(eigs) - self.d))))
-        if self.bipartite:
-            eigs.pop(int(np.argmin(np.abs(np.array(eigs) + self.d))))
-        return np.array(eigs)
+        return _drop_trivial(self.eigenvalues, self.d, self.bipartite)
 
     def exceptional(self, delta_threshold: float) -> np.ndarray:
         nt = self.nontrivial()
         return nt[np.abs(nt) > self.ramanujan_bound + delta_threshold]
 
 
-def report_from_eigenvalues(eigenvalues, n: int, d: int,
-                            bipartite: bool | None = None) -> SpectrumReport:
+def _drop_trivial(eigs: np.ndarray, d: int, bipartite: bool) -> np.ndarray:
+    """eigs less the entry nearest d and, when bipartite, the one nearest -d."""
+    eigs = np.delete(eigs, np.argmin(np.abs(eigs - d)))
+    return np.delete(eigs, np.argmin(np.abs(eigs + d))) if bipartite else eigs
+
+
+def report_from_eigenvalues(eigenvalues, n: int, d: int, bipartite: bool) -> SpectrumReport:
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
-    if bipartite is None:
-        bipartite = abs(eigs[-1] + d) <= TRIVIAL_TOL
-    rep = SpectrumReport(n=n, d=d, bipartite=bool(bipartite), eigenvalues=eigs,
-                         partial=False, max_nontrivial_abs=0.0)
-    max_abs = float(np.abs(rep.nontrivial()).max()) if n > 1 else 0.0
+    max_abs = float(np.abs(_drop_trivial(eigs, d, bipartite)).max()) if n > 1 else 0.0
     return SpectrumReport(n=n, d=d, bipartite=bool(bipartite), eigenvalues=eigs,
                           partial=False, max_nontrivial_abs=max_abs)
 
@@ -131,9 +129,6 @@ class Certificate:
     exceptional_count: int = 0
     exceptional_max_abs: float = 0.0
 
-    def certified(self) -> bool:
-        return self.kind != "not_certified"
-
 
 def check_certify_limits(delta_threshold: float, exceptional_budget: int):
     """ValueError unless the delta threshold is finite and >= 0 and the
@@ -145,13 +140,13 @@ def check_certify_limits(delta_threshold: float, exceptional_budget: int):
 
 
 def certify(report: SpectrumReport, delta_threshold: float = 0.1,
-            exceptional_budget: int = 0, eps_prime: float = 0.01) -> Certificate:
+            exceptional_budget: int = 0) -> Certificate:
     """Classify the spectrum. Exceptions beyond the delta threshold are
-    tolerated up to the budget provided they stay below d - eps_prime; a
+    tolerated up to the budget provided they stay below d - EPS_PRIME; a
     partial (extreme-bracketed) report supports the first two verdicts."""
     check_certify_limits(delta_threshold, exceptional_budget)
     bound = report.ramanujan_bound
-    if report.max_nontrivial_abs >= report.d - eps_prime:
+    if report.max_nontrivial_abs >= report.d - EPS_PRIME:
         return Certificate(kind="not_certified",
                            delta=report.weak_margin)
     if report.max_nontrivial_abs <= bound + RAMANUJAN_TOL:
@@ -244,7 +239,6 @@ class BlockDecomposition:
     blocks: list
     minus_one_multiplicity: int
     plus_one_multiplicity: int
-    metadata: dict = field(default_factory=dict)
 
     def eigenvalue_multiset(self) -> np.ndarray:
         """Predicted spectrum of B with multiplicity: the diagonal of Lambda."""
@@ -381,7 +375,6 @@ def build_decomposition(graph: RegularGraph,
         n=n, d=d, N=N, bipartite=graph.bipartite, U=U, blocks=blocks,
         minus_one_multiplicity=m_minus_expected,
         plus_one_multiplicity=m_plus_expected,
-        metadata={"graph": dict(graph.provenance)},
     )
 
 
@@ -515,10 +508,11 @@ def nbrw_l2_bound(n: int, d: int, t: int) -> dict:
 
 
 def upsilon_l2_transitive(graph: RegularGraph, report: SpectrumReport,
-                          eps: float, start_edge: int = 0) -> dict:
+                          eps: float) -> dict:
     """Exact L^2 mixing-time prediction for the NBRW on a vertex-transitive
     non-bipartite Ramanujan graph, cross-checked against the measured first
-    time the squared edge-space L^2 distance drops to eps.
+    time the squared edge-space L^2 distance, from directed edge 0, drops to
+    eps.
 
     Upsilon averages U_{k-1}(lambda/(2 sqrt(d-1)))^2 over the n-1 nontrivial
     eigenvalues at the integer index k = ceil(log_{d-1} n), with the
@@ -534,7 +528,7 @@ def upsilon_l2_transitive(graph: RegularGraph, report: SpectrumReport,
     predicted = theory._iceil(
         (math.log(n) + math.log(ups + 2.0) + math.log(1.0 / eps)) / math.log(d - 1))
 
-    for measured, mu in evolve(graph, "nbrw", [start_edge]):
+    for measured, mu in evolve(graph, "nbrw", [0]):
         if measured > predicted + 15:
             raise NotReached(predicted + 15)
         if l2_squared_uniform(mu[:, 0], n * d) <= eps:

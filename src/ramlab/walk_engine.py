@@ -11,7 +11,7 @@ law.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,7 +160,6 @@ class MixingCurve:
     d_p: dict
     d_inf: np.ndarray
     reference: str
-    metadata: dict = field(default_factory=dict)
 
     def distances(self, p) -> np.ndarray:
         if p == "tv":
@@ -210,8 +209,6 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
         kernel=kernel, start=start, times=np.arange(t_max + 1), d_tv=d_tv,
         d_p=dict(zip(p_list, d_p)), d_inf=d_inf,
         reference="parity-alternating" if len(refs) == 2 else "full",
-        metadata={"graph": dict(graph.provenance), "n": graph.n, "d": graph.d,
-                  "p_list": p_list, "t_max": t_max},
     )
 
 
@@ -244,6 +241,8 @@ def default_start_sample(graph: RegularGraph, seed: int = 0,
 
 
 def _uniform_out_edges(graph: RegularGraph, x: int) -> np.ndarray:
+    if not 0 <= x < graph.n:
+        raise IndexError(f"start vertex {x} outside [0, {graph.n})")
     edge = np.zeros(graph.n * graph.d)
     edge[x * graph.d : (x + 1) * graph.d] = 1.0 / graph.d
     return edge
@@ -254,11 +253,12 @@ def nbrw_projected(graph: RegularGraph, x: int, k: int) -> np.ndarray:
     of x (k=0 gives the point mass at x, k=1 the uniform neighbor)."""
     if k < 0:
         raise ValueError("k must be >= 0")
+    out_edges = _uniform_out_edges(graph, x)
     if k == 0:
         point = np.zeros(graph.n)
         point[x] = 1.0
         return point
-    laws = evolve(graph, "nbrw", _uniform_out_edges(graph, x))
+    laws = evolve(graph, "nbrw", out_edges)
     _, edge = next(itertools.islice(laws, k - 1, None))
     return np.bincount(graph.indices, weights=edge[:, 0], minlength=graph.n)
 
@@ -268,10 +268,10 @@ def srw_mixture_residual(graph: RegularGraph, x: int, t: int) -> float:
     mixture of projected NBRW laws weighted by the tree radial distribution.
     The identity is exact; the residual only measures accumulated rounding.
     """
+    edges = evolve(graph, "nbrw", _uniform_out_edges(graph, x))
     _, radial = next(itertools.islice(tree_rows(graph.d, t), t, None))
     mixture = np.zeros(graph.n)
     mixture[x] = radial[0]
-    edges = evolve(graph, "nbrw", _uniform_out_edges(graph, x))
     # zip asks range first, so no NBRW step is taken past k = t. The NBRW
     # laws come first so that an asymmetric graph raises Asymmetric, not
     # the SRW law's mass check

@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
+import oracles
 from ramlab import builders, graph_core
 from ramlab.builders import LiftSpec, LpsParams
 from ramlab.errors import (
     BadParams,
     DegreeTooSmall,
+    Disconnected,
     InvariantViolation,
     ParseError,
     SamplingExhausted,
@@ -28,13 +32,50 @@ def test_lps_params_validation():
 
 
 def test_lps_generators_symmetric():
-    params = LpsParams(5, 13)
-    gens = builders.lps_generator_matrices(params)
-    assert len(gens) == 6
     q = 13
+    gens = builders.lps_generator_matrices(LpsParams(5, q))
+    assert gens.shape == (6, 4)
+    assert np.array_equal(builders._canon(gens, q), gens)
     # closed under inversion: the adjugate of each generator is again one
-    inv = {builders._canon((m[3], (-m[1]) % q, (-m[2]) % q, m[0]), q) for m in gens}
-    assert inv == set(gens)
+    adjugate = builders._canon(gens[:, [3, 1, 2, 0]] * [1, -1, -1, 1] % q, q)
+    assert np.array_equal(np.unique(adjugate, axis=0), np.unique(gens, axis=0))
+
+
+def test_psl_case_matches_residue_scan():
+    primes = [m for m in range(5, 120, 4) if builders._is_prime(m)]
+    for p in primes:
+        for q in primes:
+            if p != q and q * q > 4 * p:
+                squares = {x * x % q for x in range(1, q)}
+                assert LpsParams(p, q).psl_case == (p % q in squares), (p, q)
+
+
+@pytest.mark.parametrize("p, q", [(5, 13), (5, 17), (5, 29), (13, 17), (17, 13)])
+def test_lps_matches_orbit_oracle(p, q):
+    rows, provenance = oracles.lps_orbit(p, q)
+    indices, bipartition = oracles.regular_graph_loop(rows, p + 1)
+    g = builders.build_lps(LpsParams(p, q))
+    assert g.indices.dtype == indices.dtype and g.indices.tobytes() == indices.tobytes()
+    if bipartition is None:
+        assert g.bipartition is None
+    else:
+        assert g.bipartition.dtype == bipartition.dtype
+        assert g.bipartition.tobytes() == bipartition.tobytes()
+    assert json.dumps(g.provenance) == json.dumps(provenance)
+
+
+def test_lps_generators_must_generate_the_group(monkeypatch):
+    # 5 is a square mod 29: the generators reach only PSL(2,29), half of PGL(2,29)
+    monkeypatch.setattr(LpsParams, "psl_case", property(lambda self: False))
+    with pytest.raises(Disconnected):
+        builders.build_lps(LpsParams(5, 29))
+
+
+def test_lps_products_must_stay_in_the_group(monkeypatch):
+    # 5 is not a square mod 13: each generator maps PSL(2,13) to its other coset
+    monkeypatch.setattr(LpsParams, "psl_case", property(lambda self: True))
+    with pytest.raises(BadParams, match=r"outside PSL\(2,13\)"):
+        builders.build_lps(LpsParams(5, 13))
 
 
 def test_lps_5_13(lps13):

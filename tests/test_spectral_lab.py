@@ -97,7 +97,7 @@ def test_certify_with_exceptions():
     d = 3
     eigs = [3, 2.95, 1, -1, -1, -2]
     rep = report_from_eigenvalues(eigs, 6, d, bipartite=False)
-    cert = certify(rep, delta_threshold=0.01, exceptional_budget=1, eps_prime=0.01)
+    cert = certify(rep, delta_threshold=0.01, exceptional_budget=1)
     assert cert.kind == "weakly_with_exceptions"
     assert cert.exceptional_count == 1
     assert math.isclose(cert.exceptional_max_abs, 2.95)

@@ -359,6 +359,16 @@ def test_nbrw_projected_petersen_depth2(petersen):
     assert np.allclose(mu[~far], 0.0)
 
 
+@pytest.mark.parametrize("x", [-1, 10])
+def test_projections_reject_start_outside(petersen, x):
+    for k in (0, 1, 2):
+        with pytest.raises(IndexError, match=r"outside \[0, 10\)"):
+            nbrw_projected(petersen, x, k)
+    for t in (0, 3):
+        with pytest.raises(IndexError, match=r"outside \[0, 10\)"):
+            srw_mixture_residual(petersen, x, t)
+
+
 def test_mixture_residual_examples(k4, petersen, lps13):
     assert srw_mixture_residual(k4, 0, 3) <= 1e-12
     assert srw_mixture_residual(petersen, 0, 10) <= 1e-12
