@@ -358,19 +358,20 @@ def load_graph(path: str) -> RegularGraph:
             raise ParseError(lineno, "edges must be strictly sorted lexicographically")
         prev = (u, v)
         edges.append((u, v))
-    provenance = {}
     try:
         with open(path + ".json") as fh:
             sidecar = json.load(fh)
-        provenance = sidecar.get("provenance", {})
     except FileNotFoundError:
-        sidecar = None
+        sidecar = {}
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ParseError(getattr(exc, "lineno", 1), f"{path}.json: not JSON: {exc}") from None
+    if not (isinstance(sidecar, dict) and isinstance(sidecar.get("provenance", {}), dict)):
+        raise ParseError(1, f"{path}.json: not an object with an object 'provenance'")
     try:
-        graph = graph_core.from_edges(n, d, edges, provenance)
+        graph = graph_core.from_edges(n, d, edges, sidecar.get("provenance", {}))
     except RamlabError as exc:
         raise InvariantViolation(f"loaded graph fails invariants: {exc}") from exc
-    if sidecar is not None and "bipartite" in sidecar:
-        if bool(sidecar["bipartite"]) != graph.bipartite:
-            raise InvariantViolation(
-                "recomputed bipartiteness disagrees with the provenance sidecar")
+    if "bipartite" in sidecar and bool(sidecar["bipartite"]) != graph.bipartite:
+        raise InvariantViolation(
+            "recomputed bipartiteness disagrees with the provenance sidecar")
     return graph

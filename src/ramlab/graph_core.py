@@ -4,13 +4,14 @@ A graph is stored in compressed row form: ``indices`` is a flat int32 array
 of length n*d whose slice [u*d:(u+1)*d] lists the (sorted) neighbors of u.
 Directed edges are indexed e = d*u + rank, where rank is the position of the
 head in u's sorted neighbor list; this makes edge ids reproducible across
-runs. Instances are immutable after construction and safe to share across
-threads.
+runs. A graph is checked once, when it is made, and carries its edge
+reversal ``rev`` and its two-colouring ``bipartition``. Instances are
+immutable after construction and safe to share across threads.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -28,13 +29,48 @@ from .errors import (
 
 @dataclass(frozen=True)
 class RegularGraph:
-    """Connected simple d-regular graph (d >= 3)."""
+    """Connected simple d-regular graph (d >= 3), checked when it is made:
+    rows are sorted, then the first out-of-range neighbor, self-loop,
+    parallel edge, arc without reverse or unreachable vertex raises."""
 
     n: int
     d: int
     indices: np.ndarray
-    bipartition: np.ndarray | None = None
     provenance: dict = field(default_factory=dict)
+    # set by the constructor, read-only: the edge reversal (validate_and_index)
+    # and the int8 two-colouring, None unless the graph is bipartite
+    rev: np.ndarray = field(init=False, repr=False)
+    bipartition: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n, d = self.n, self.d
+        _check_size(n, d)
+        rows = np.sort(np.asarray(self.indices, dtype=np.int64).reshape(n, d), axis=1)
+        for fault, error, what in (
+                ((rows < 0) | (rows >= n), IrregularGraph,
+                 f"lists a neighbor outside [0, {n})"),
+                (rows == np.arange(n)[:, None], SelfLoop, "is adjacent to itself"),
+                (rows[:, 1:] == rows[:, :-1], NonSimple, "has a parallel edge")):
+            bad = np.flatnonzero(fault.any(axis=1))
+            if bad.size:
+                raise error(f"vertex {bad[0]} {what}")
+        indices = rows.astype(np.int32).ravel()
+        indices.setflags(write=False)
+        object.__setattr__(self, "indices", indices)
+        # rev[e] = d * head + rank, the tail's position in the head's row
+        rows, tails = indices.reshape(n, d), np.repeat(np.arange(n, dtype=np.int64), d)
+        heads = indices.astype(np.int64)
+        rank = (rows[heads] < tails[:, None]).sum(axis=1)
+        bad = np.flatnonzero((rank >= d) | (rows[heads, rank.clip(max=d - 1)] != tails))
+        if bad.size:
+            raise Asymmetric(f"edge ({bad[0] // d}, {heads[bad[0]]}) has no reverse entry")
+        rev = (heads * d + rank).astype(np.int32)
+        parity = (_connected_distances(self, 0) % 2).astype(np.int8)
+        bipartition = parity if np.all(parity[tails] != parity[indices]) else None
+        for name, values in (("rev", rev), ("bipartition", bipartition)):
+            if values is not None:
+                values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @property
     def bipartite(self) -> bool:
@@ -61,9 +97,9 @@ def adjacency_sparse(graph: RegularGraph) -> scipy.sparse.csr_matrix:
 
 def from_adjacency(adj: list | dict | np.ndarray, d: int,
                    provenance: dict | None = None) -> RegularGraph:
-    """Build and validate a RegularGraph from neighbour rows in any order: a
-    list of n rows, a dict from each vertex 0..n-1 to its row, or an (n, d)
-    int array. Each fault raises its own error naming the first bad vertex."""
+    """Build a RegularGraph from neighbour rows in any order: a list of n
+    rows, a dict from each vertex 0..n-1 to its row, or an (n, d) int array.
+    Each fault raises its own error naming the first bad vertex."""
     n = len(adj)
     if isinstance(adj, np.ndarray) and adj.ndim == 2:
         lengths = np.full(n, adj.shape[1])
@@ -72,23 +108,8 @@ def from_adjacency(adj: list | dict | np.ndarray, d: int,
             adj = list(map(adj.get, range(n), itertools.repeat(())))
         lengths = np.fromiter(map(len, adj), dtype=np.int64, count=n)
     _check_degrees(n, d, lengths)
-    rows = np.sort(np.asarray(adj, dtype=np.int64).reshape(n, d), axis=1)
-    for fault, error, what in (
-            ((rows < 0) | (rows >= n), IrregularGraph, f"lists a neighbor outside [0, {n})"),
-            (rows == np.arange(n)[:, None], SelfLoop, "is adjacent to itself"),
-            (rows[:, 1:] == rows[:, :-1], NonSimple, "has a parallel edge")):
-        bad = np.flatnonzero(fault.any(axis=1))
-        if bad.size:
-            raise error(f"vertex {bad[0]} {what}")
-    indices = rows.astype(np.int32).ravel()
-    indices.setflags(write=False)
-    graph = RegularGraph(n=n, d=d, indices=indices, provenance=provenance or {})
-    _reverse_rank(graph)
-    bipartition = _two_coloring(graph, _connected_distances(graph, 0))
-    if bipartition is None:
-        return graph
-    bipartition.setflags(write=False)
-    return replace(graph, bipartition=bipartition)
+    return RegularGraph(n=n, d=d, indices=np.asarray(adj, dtype=np.int64),
+                        provenance=provenance or {})
 
 
 def from_edges(n: int, d: int, edges, provenance: dict | None = None) -> RegularGraph:
@@ -105,32 +126,20 @@ def from_edges(n: int, d: int, edges, provenance: dict | None = None) -> Regular
     return from_adjacency(heads[np.argsort(tails)].reshape(n, d), d, provenance)
 
 
-def _check_degrees(n: int, d: int, degree: np.ndarray):
-    """Raise unless d >= 3, n > d and every vertex has degree d."""
+def _check_size(n: int, d: int):
+    """Raise unless d >= 3 and n > d."""
     if d < 3:
         raise DegreeTooSmall(f"this package requires d >= 3, got d={d}")
     if n <= d:
         raise IrregularGraph(f"need n > d, got n={n}, d={d}")
+
+
+def _check_degrees(n: int, d: int, degree: np.ndarray):
+    """Raise unless d >= 3, n > d and every vertex has degree d."""
+    _check_size(n, d)
     bad = np.flatnonzero(degree != d)
     if bad.size:
         raise IrregularGraph(f"vertex {bad[0]} has degree {degree[bad[0]]}, expected {d}")
-
-
-def _reverse_rank(graph: RegularGraph) -> np.ndarray:
-    """rank[e] = position of the tail of edge e in the sorted neighbor list
-    of its head, so that d * head[e] + rank[e] is the reverse of e; raises
-    Asymmetric if some head does not list the tail."""
-    n, d = graph.n, graph.d
-    rows = graph.indices.reshape(n, d)
-    tails = np.repeat(np.arange(n, dtype=np.int64), d)
-    heads = graph.indices.astype(np.int64)
-    rank = (rows[heads] < tails[:, None]).sum(axis=1)
-    back = rows[heads, rank.clip(max=d - 1)]
-    bad = np.flatnonzero((rank >= d) | (back != tails))
-    if bad.size:
-        raise Asymmetric(
-            f"edge ({bad[0] // d}, {graph.indices[bad[0]]}) has no reverse entry")
-    return rank
 
 
 def _connected_distances(graph: RegularGraph, src: int) -> np.ndarray:
@@ -140,26 +149,10 @@ def _connected_distances(graph: RegularGraph, src: int) -> np.ndarray:
     return dist
 
 
-def _two_coloring(graph: RegularGraph, dist0: np.ndarray) -> np.ndarray | None:
-    parity = (dist0 % 2).astype(np.int8)
-    tails = np.repeat(np.arange(graph.n, dtype=np.int64), graph.d)
-    if np.all(parity[tails] != parity[graph.indices]):
-        return parity
-    return None
-
-
 def validate_and_index(graph: RegularGraph) -> np.ndarray:
     """The edge reversal: read-only int32 rev with rev[e] the id of the
-    reverse of directed edge e (tail e // d, head indices[e]); re-checks
-    symmetry and simplicity, for a graph built without from_adjacency."""
-    n, d = graph.n, graph.d
-    if (graph.indices == np.repeat(np.arange(n), d)).any():
-        raise SelfLoop("adjacency contains a self-loop")
-    rev = (graph.indices.astype(np.int64) * d + _reverse_rank(graph)).astype(np.int32)
-    if not np.array_equal(rev[rev], np.arange(n * d, dtype=np.int32)):
-        raise Asymmetric("edge reversal is not an involution")
-    rev.setflags(write=False)
-    return rev
+    reverse of directed edge e (tail e // d, head indices[e])."""
+    return graph.rev
 
 
 def bfs_distances(graph: RegularGraph, x: int) -> np.ndarray:

@@ -103,12 +103,13 @@ def adjacency_spectrum(graph: RegularGraph,
                        dense_cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
     """Full dense symmetric eigensolve up to the cap; above it, only the
     bracketing extreme eigenvalues are computed by Lanczos iteration and the
-    report is marked partial."""
+    report is marked partial. Lanczos starts from a seeded random vector: from
+    the Perron vector 1, ARPACK restarts from an unseeded one."""
     a = adjacency_sparse(graph)
     if graph.n <= dense_cap:
         eigs = np.linalg.eigvalsh(a.toarray())[::-1]
         return report_from_eigenvalues(eigs, graph.n, graph.d, graph.bipartite)
-    v0 = np.ones(graph.n)
+    v0 = np.random.default_rng(0).standard_normal(graph.n)
     top = np.sort(scipy.sparse.linalg.eigsh(a, k=2, which="LA", v0=v0,
                                             return_eigenvectors=False))[::-1]
     bot = np.sort(scipy.sparse.linalg.eigsh(a, k=2, which="SA", v0=v0,
@@ -322,32 +323,21 @@ def build_decomposition(graph: RegularGraph,
         lam = float(eigs[i])
         f = vecs[:, i]
         fh, ft = f[head], f[tail]
-        if abs(abs(lam) - threshold) <= JORDAN_TOL:
-            th = lam / 2.0
-            w_raw = th * fh - ft
-            wp_raw = (1.0 + th) * fh - ft
-            nw = float(np.linalg.norm(w_raw))
-            npp = float(np.linalg.norm(wp_raw))
-            w = w_raw / nw
-            wp = wp_raw / npp
-            beta = float(w @ wp)
-            denom = math.sqrt(1.0 - beta * beta)
-            w2 = (wp - beta * w) / denom
-            alpha = (nw / npp) / denom
-            blocks.append(Block(lam=lam, theta=complex(th), theta_prime=complex(th),
-                                alpha=complex(alpha), jordan=True, col=col))
-        else:
-            th, thp = theta_pair(lam, d)
-            w_raw = th * fh - ft
-            wp_raw = thp * fh - ft
-            w = w_raw / np.linalg.norm(w_raw)
-            wp = wp_raw / np.linalg.norm(wp_raw)
-            beta = complex(np.vdot(w, wp))
-            denom = math.sqrt(max(1.0 - abs(beta) ** 2, 0.0))
-            w2 = (wp - beta * w) / denom
-            alpha = beta * (thp - th) / denom
-            blocks.append(Block(lam=lam, theta=th, theta_prime=thp,
-                                alpha=alpha, jordan=False, col=col))
+        # B T_s f = theta' T_s f + (s - theta') T_theta f: s = theta' gives an
+        # eigenvector, s = 1 + theta the Jordan partner where theta = theta'
+        jordan = abs(abs(lam) - threshold) <= JORDAN_TOL
+        th, thp = (lam / 2.0, lam / 2.0) if jordan else theta_pair(lam, d)
+        gap = 1.0 if jordan else 0.0
+        w_raw = th * fh - ft
+        v_raw = (thp + gap) * fh - ft
+        nw, nv = float(np.linalg.norm(w_raw)), float(np.linalg.norm(v_raw))
+        w, v = w_raw / nw, v_raw / nv
+        beta = np.vdot(w, v)
+        denom = math.sqrt(max(1.0 - abs(beta) ** 2, 0.0))
+        w2 = (v - beta * w) / denom
+        alpha = (complex(beta) * (thp - th) + gap * nw / nv) / denom
+        blocks.append(Block(lam=lam, theta=complex(th), theta_prime=complex(thp),
+                            alpha=alpha, jordan=jordan, col=col))
         U[:, col] = w
         U[:, col + 1] = w2
         col += 2

@@ -272,9 +272,7 @@ def srw_mixture_residual(graph: RegularGraph, x: int, t: int) -> float:
     _, radial = next(itertools.islice(tree_rows(graph.d, t), t, None))
     mixture = np.zeros(graph.n)
     mixture[x] = radial[0]
-    # zip asks range first, so no NBRW step is taken past k = t. The NBRW
-    # laws come first so that an asymmetric graph raises Asymmetric, not
-    # the SRW law's mass check
+    # zip asks range first, so no NBRW step is taken past k = t
     for k, (_, edge) in zip(range(1, t + 1), edges):
         if radial[k] > 0:
             proj = np.bincount(graph.indices, weights=edge[:, 0], minlength=graph.n)
@@ -304,7 +302,7 @@ def tree_lp_norm(d: int, radial_row: np.ndarray, p: float) -> float:
     """L^p norm of the tree vertex law whose radial distribution is given:
     the law is uniform on each sphere, so the p-th power sums
     sphere^(1-p) * P(k)^p over distances k."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"p must be in [1, inf], got {p}")
     sizes = sphere_sizes(d, radial_row.shape[0] - 1)
     if math.isinf(p):

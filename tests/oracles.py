@@ -30,6 +30,12 @@ def adjacency_dict(graph):
     return {u: [int(v) for v in graph.neighbors(u)] for u in range(graph.n)}
 
 
+def reversal_dict(adj: dict, d: int) -> list:
+    """rev[e] for e = d*u + i, the arc from u to adj[u][i] (rows sorted): the
+    id d*v + j of the arc from v = adj[u][i] back to u = adj[v][j]."""
+    return [d * v + adj[v].index(u) for u in range(len(adj)) for v in adj[u]]
+
+
 def bfs_dict(adj: dict, src: int) -> dict:
     dist = {src: 0}
     queue = deque([src])

@@ -268,6 +268,18 @@ def test_unsorted_edges_rejected(tmp_path):
         builders.load_graph(str(path))
 
 
+@pytest.mark.parametrize("sidecar", ['{"provenance": {"family": ', "\xff", "[1, 2]",
+                                     '{"provenance": [1]}', '{"provenance": "lps"}'],
+                         ids=["truncated", "not_utf8", "list", "provenance_list",
+                              "provenance_string"])
+def test_malformed_sidecar_is_a_parse_error(tmp_path, k4, sidecar):
+    path = tmp_path / "g.edges"
+    builders.save_graph(k4, str(path))
+    (tmp_path / "g.edges.json").write_text(sidecar, encoding="latin-1")
+    with pytest.raises(ParseError, match="g.edges.json"):
+        builders.load_graph(str(path))
+
+
 def test_invariant_violation_on_load(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("4 3\n0 1\n0 2\n1 2\n")  # not 3-regular

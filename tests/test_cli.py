@@ -284,6 +284,16 @@ def test_out_of_range_exit_code(tmp_path, capsys, argv):
     _assert_rejected(tmp_path, capsys, argv)
 
 
+@pytest.mark.parametrize("sidecar", ['{"provenance": {"family": ', "[1, 2]",
+                                     '{"provenance": [1]}'])
+def test_malformed_sidecar_exit_code(tmp_path, capsys, sidecar):
+    # a graph file whose provenance sidecar is broken: exit 4, one JSON line
+    assert run(["build", "--name", "petersen", "--out-dir", str(tmp_path)]) == 0
+    (tmp_path / "graph.edges.json").write_text(sidecar)
+    _assert_rejected(tmp_path / "out", capsys,
+                     ["metrics", "--file", str(tmp_path / "graph.edges")], 4, "ParseError")
+
+
 @pytest.mark.parametrize("source", ["random_regular", "file"])
 @pytest.mark.parametrize("argv", [["metrics"], ["profile"], ["mix", "--kernel", "nbrw"],
                                   ["spectrum"], ["decompose"]],

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import oracles
-from ramlab import builders, graph_core, spectral_lab, walk_engine
+from ramlab import builders, graph_core
 from ramlab.builders import LiftSpec
 from ramlab.errors import (
     Asymmetric,
@@ -10,6 +12,7 @@ from ramlab.errors import (
     Disconnected,
     IrregularGraph,
     NonSimple,
+    RamlabError,
     SelfLoop,
 )
 
@@ -151,22 +154,13 @@ def test_rejects_asymmetric():
 
 
 def test_asymmetric_rows_name_the_edge():
-    # 4 lists 2 but 2 does not list 4; validate_and_index re-checks a graph
-    # made without from_adjacency, and every NBRW entry point asks it for
-    # the edge reversal
+    # 4 lists 2 but 2 does not list 4: no graph with these rows can be made,
+    # so none reaches an NBRW entry point
     rows = [[1, 2, 3], [0, 2, 4], [0, 1, 3], [0, 2, 4], [1, 2, 3]]
     with pytest.raises(Asymmetric, match=r"edge \(4, 2\)"):
         graph_core.from_adjacency(rows, 3)
-    graph = graph_core.RegularGraph(n=5, d=3, indices=np.array(rows, np.int32).ravel())
-    for entry in (graph_core.validate_and_index,
-                  lambda g: next(walk_engine.evolve(g, "nbrw", [0])),
-                  lambda g: walk_engine.mixing_curve(g, "nbrw", 0, 3),
-                  lambda g: walk_engine.nbrw_projected(g, 0, 2),
-                  lambda g: walk_engine.srw_mixture_residual(g, 0, 2),
-                  spectral_lab.build_B,
-                  spectral_lab.build_decomposition):
-        with pytest.raises(Asymmetric, match=r"edge \(4, 2\)"):
-            entry(graph)
+    with pytest.raises(Asymmetric, match=r"edge \(4, 2\)"):
+        graph_core.RegularGraph(n=5, d=3, indices=np.array(rows, np.int32).ravel())
 
 
 @pytest.mark.parametrize("n, d, edges", [(3, 2, [(0, 1), (0, 2), (1, 2)]), (2, 1, [(0, 1)])])
@@ -253,6 +247,39 @@ def _inject(rows, fault, u):
 _FAULTS = [(fault, form)
            for fault in ["degree", "self_loop", "parallel", "above", "negative", "asymmetric"]
            for form in ["list", "dict", "array"] if (fault, form) != ("degree", "array")]
+
+
+@pytest.mark.parametrize("fault", ["self_loop", "parallel", "above", "negative",
+                                   "asymmetric", "disconnected"])
+def test_constructor_raises_as_from_adjacency(petersen, fault):
+    # a RegularGraph made directly from unsorted rows with one fault raises
+    # the error, word for word, that from_adjacency raises for them
+    if fault == "disconnected":  # two disjoint copies of K4
+        rows = [[v + 4 * (u // 4) for v in range(4) if v != u % 4] for u in range(8)]
+    else:
+        rows, _ = _inject(petersen.indices.reshape(10, 3).tolist(), fault, 4)
+    rows = [row[::-1] for row in rows]
+    with pytest.raises(RamlabError) as expected:
+        graph_core.from_adjacency(rows, 3)
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        graph_core.RegularGraph(n=len(rows), d=3, indices=np.array(rows).ravel())
+
+
+def test_graph_carries_its_reversal(constructed_graphs):
+    for name, g in constructed_graphs.items():
+        assert graph_core.validate_and_index(g) is g.rev, name
+        expected = oracles.reversal_dict(oracles.adjacency_dict(g), g.d)
+        assert g.rev.dtype == np.int32 and g.rev.tolist() == expected, name
+        for values in (g.indices, g.rev, g.bipartition):
+            if values is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    values[0] = 0
+
+
+def test_bipartition_is_not_a_constructor_argument(k33):
+    with pytest.raises(TypeError):
+        graph_core.RegularGraph(n=6, d=3, indices=k33.indices,
+                                bipartition=k33.bipartition)
 
 
 @pytest.mark.parametrize("u", [0, 4, 9])

@@ -71,6 +71,17 @@ def test_partial_spectrum_pipeline(petersen):
         rep.nontrivial()
 
 
+def test_partial_spectrum_is_reproducible(lps13):
+    # Lanczos above the cap gives the same bits on every call, within 1e-10
+    # of the dense eigenvalues it brackets
+    first, second = (adjacency_spectrum(lps13, dense_cap=10) for _ in range(2))
+    assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+    assert first.max_nontrivial_abs == second.max_nontrivial_abs
+    dense = adjacency_spectrum(lps13).eigenvalues
+    assert np.abs(first.eigenvalues - dense[[0, 1, -2, -1]]).max() < 1e-10
+    assert abs(first.max_nontrivial_abs - np.abs(dense[1:-1]).max()) < 1e-10
+
+
 # --- certification ---------------------------------------------------------------
 
 

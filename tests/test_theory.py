@@ -121,6 +121,11 @@ def test_lp_lower_bound_infty_formula():
     assert theory.lp_lower_bound(n, d, math.inf, t) == pytest.approx(want)
 
 
+def test_lp_lower_bound_rejects_nan_p():
+    with pytest.raises(ValueError, match="p must be in"):
+        theory.lp_lower_bound(1000, 3, math.nan, 5)
+
+
 # --- profile lower bound, counting bounds, diameter ----------------------------------
 
 

@@ -463,6 +463,12 @@ def test_tree_lp_norms():
                         rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("p", [math.nan, 0.5, -math.inf])
+def test_tree_lp_norm_rejects_p_below_one(p):
+    with pytest.raises(ValueError, match="p must be in"):
+        tree_lp_norm(3, _tree_row(3, 9), p)
+
+
 def test_tree_log_matches_linear():
     for d in (3, 6):
         for (t, lin), (_, log) in zip(tree_rows(d, 60), tree_rows(d, 60, log=True)):
