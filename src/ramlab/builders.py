@@ -144,19 +144,29 @@ def build_lps(params: LpsParams) -> RegularGraph:
 
     Vertex v is the v-th canonical group element in lexicographic order and
     its neighbours are the products v * s over the generators s. Every
-    product must be an enumerated element, and from_adjacency's
-    connectivity check proves that the generators generate the group."""
+    product must be an enumerated element, and the constructor's
+    connectivity check proves that the generators generate the group.
+    Left multiplication by u = [[1, 1], [0, 1]] commutes with the right
+    products, so it is a fixed-point-free automorphism of order q (u lies
+    in PSL, so it also keeps the bipartition); it goes to the constructor
+    as the graph's translation."""
     q, d = params.q, params.degree
     elems = _group_elements(q, params.psl_case)
     place = q ** np.arange(3, -1, -1)  # sorted rows have sorted keys
     keys = elems @ place
     mats = elems.reshape(-1, 2, 2)
-    rows = np.empty((len(elems), d), dtype=np.int64)
-    for j, s in enumerate(lps_generator_matrices(params)):
-        prod = _canon((mats @ s.reshape(2, 2)).reshape(-1, 4) % q, q) @ place
-        rows[:, j] = np.searchsorted(keys, prod)
-        if not np.array_equal(keys[np.minimum(rows[:, j], len(keys) - 1)], prod):
+
+    def vertices(products: np.ndarray) -> np.ndarray:
+        """The vertex of each product; BadParams unless it is an element."""
+        prod = _canon(products.reshape(-1, 4) % q, q) @ place
+        found = np.searchsorted(keys, prod)
+        if not np.array_equal(keys[np.minimum(found, len(keys) - 1)], prod):
             raise BadParams(f"a product with a generator lies outside {params.group}")
+        return found
+
+    rows = np.stack([vertices(mats @ s.reshape(2, 2))
+                     for s in lps_generator_matrices(params)], axis=1)
+    translation = vertices(np.array([[1, 1], [0, 1]]) @ mats)
 
     provenance = {
         "family": "lps",
@@ -165,7 +175,8 @@ def build_lps(params: LpsParams) -> RegularGraph:
         "group": params.group,
         "bipartite": not params.psl_case,
     }
-    graph = graph_core.from_adjacency(rows, d, provenance)
+    graph = RegularGraph(n=len(elems), d=d, indices=rows, provenance=provenance,
+                         translation=translation)
     if graph.bipartite != (not params.psl_case):
         raise InvariantViolation("LPS bipartiteness disagrees with the residue test")
     return graph
@@ -331,8 +342,13 @@ def save_graph(graph: RegularGraph, path: str):
 
 def load_graph(path: str) -> RegularGraph:
     """Load and fully revalidate a graph file written by save_graph."""
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(data.count(b"\n", 0, exc.start) + 1,
+                         f"{path}: byte {exc.start} is not UTF-8 text") from None
     if not raw:
         raise ParseError(1, "empty file")
     header = raw[0].split()

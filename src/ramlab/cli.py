@@ -248,11 +248,15 @@ def cmd_spectrum(args) -> int:
     report = spectral_lab.adjacency_spectrum(graph, dense_cap=args.dense_cap)
     cert = spectral_lab.certify(report, delta_threshold=args.delta_threshold,
                                 exceptional_budget=args.exceptional_budget)
+    method = report.method
+    if method == "translation_blocks":  # the solved blocks: count x order
+        order, m = graph.orbits.shape
+        method += f" blocks={m // 2 + 1}x{order}"
     out = os.path.join(args.out_dir, "spectrum.csv")
     emit_csv(out, ["i", "eigenvalue"],
              [(np.arange(report.eigenvalues.size), report.eigenvalues)],
              [f"manifest_sha256={sha}",
-              f"partial={report.partial} n={report.n} d={report.d}"])
+              f"partial={report.partial} n={report.n} d={report.d} method={method}"])
     emit_json(os.path.join(args.out_dir, "certificate.json"), {
         "kind": cert.kind, "delta": cert.delta,
         "exceptional_count": cert.exceptional_count,
@@ -260,6 +264,7 @@ def cmd_spectrum(args) -> int:
         "partial": report.partial,
         "max_nontrivial_abs": report.max_nontrivial_abs,
         "ramanujan_bound": report.ramanujan_bound,
+        "spectrum_method": report.method,
     }, sha)
     print(f"certificate: {cert.kind} (delta={cert.delta:g})")
     return 0
@@ -367,7 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
                        ("certify", "Ramanujan / weakly-Ramanujan certificate")):
         p = subs.add_parser(name, help=text)
         _graph_args(p)
-        p.add_argument("--dense-cap", type=int, default=spectral_lab.DENSE_CAP_DEFAULT)
+        p.add_argument("--dense-cap", type=int, default=spectral_lab.DENSE_CAP_DEFAULT,
+                       help="largest n for one dense eigensolve. A graph with a "
+                            "translation of order m (LPS: m = q) is solved by its "
+                            "floor(m/2)+1 Fourier blocks of order n/m while "
+                            "(floor(m/2)+1)(n/m)^3 <= cap^3. Otherwise, above the "
+                            "cap, only Lanczos extremes (a partial spectrum)")
         p.add_argument("--delta-threshold", type=float, default=0.1)
         p.add_argument("--exceptional-budget", type=int, default=0)
         p.set_defaults(func=cmd_spectrum)

@@ -5,13 +5,14 @@ of length n*d whose slice [u*d:(u+1)*d] lists the (sorted) neighbors of u.
 Directed edges are indexed e = d*u + rank, where rank is the position of the
 head in u's sorted neighbor list; this makes edge ids reproducible across
 runs. A graph is checked once, when it is made, and carries its edge
-reversal ``rev`` and its two-colouring ``bipartition``. Instances are
-immutable after construction and safe to share across threads.
+reversal ``rev``, its two-colouring ``bipartition`` and, when it was given
+a free cyclic automorphism, that automorphism's orbit table ``orbits``.
+Instances are immutable after construction and safe to share across threads.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -21,6 +22,7 @@ from .errors import (
     Asymmetric,
     DegreeTooSmall,
     Disconnected,
+    InvariantViolation,
     IrregularGraph,
     NonSimple,
     SelfLoop,
@@ -31,18 +33,27 @@ from .errors import (
 class RegularGraph:
     """Connected simple d-regular graph (d >= 3), checked when it is made:
     rows are sorted, then the first out-of-range neighbor, self-loop,
-    parallel edge, arc without reverse or unreachable vertex raises."""
+    parallel edge, arc without reverse or unreachable vertex raises.
+
+    ``translation``, when given, is a vertex permutation sigma that must be
+    an automorphism whose cyclic group acts freely (every orbit has
+    m = ord(sigma) >= 2 vertices); it is kept as the (n/m, m) int32 table
+    orbits[i, k] = sigma^k(r_i), r_i the smallest vertex of the i-th orbit
+    and r_0 < r_1 < ..., and InvariantViolation is raised otherwise."""
 
     n: int
     d: int
     indices: np.ndarray
     provenance: dict = field(default_factory=dict)
-    # set by the constructor, read-only: the edge reversal (validate_and_index)
-    # and the int8 two-colouring, None unless the graph is bipartite
+    translation: InitVar[np.ndarray | None] = None
+    # set by the constructor, read-only: the edge reversal (validate_and_index),
+    # the int8 two-colouring, None unless the graph is bipartite, and the
+    # orbit table of the translation, None without one
     rev: np.ndarray = field(init=False, repr=False)
     bipartition: np.ndarray | None = field(init=False, repr=False)
+    orbits: np.ndarray | None = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, translation):
         n, d = self.n, self.d
         _check_size(n, d)
         rows = np.sort(np.asarray(self.indices, dtype=np.int64).reshape(n, d), axis=1)
@@ -67,7 +78,8 @@ class RegularGraph:
         rev = (heads * d + rank).astype(np.int32)
         parity = (_connected_distances(self, 0) % 2).astype(np.int8)
         bipartition = parity if np.all(parity[tails] != parity[indices]) else None
-        for name, values in (("rev", rev), ("bipartition", bipartition)):
+        orbits = None if translation is None else _orbit_table(rows, translation)
+        for name, values in (("rev", rev), ("bipartition", bipartition), ("orbits", orbits)):
             if values is not None:
                 values.setflags(write=False)
             object.__setattr__(self, name, values)
@@ -140,6 +152,38 @@ def _check_degrees(n: int, d: int, degree: np.ndarray):
     bad = np.flatnonzero(degree != d)
     if bad.size:
         raise IrregularGraph(f"vertex {bad[0]} has degree {degree[bad[0]]}, expected {d}")
+
+
+def _orbit_table(rows: np.ndarray, translation) -> np.ndarray:
+    """The orbit table of a free cyclic automorphism of the graph whose
+    sorted neighbour rows are ``rows`` (see RegularGraph)."""
+    n = len(rows)
+    sigma = np.asarray(translation)
+    if not (sigma.shape == (n,) and sigma.dtype.kind in "iu"
+            and np.array_equal(np.sort(sigma), np.arange(n))):
+        raise InvariantViolation(f"translation is not a permutation of [0, {n})")
+    sigma = sigma.astype(np.int64)
+    moved = np.flatnonzero((np.sort(sigma[rows], axis=1) != rows[sigma]).any(axis=1))
+    if moved.size:
+        raise InvariantViolation(
+            f"translation is not an automorphism: it does not map the neighbours "
+            f"of vertex {moved[0]} onto those of its image {sigma[moved[0]]}")
+    # pointer doubling: low[v] = min sigma^i(v) over i < 2^k, ptr = sigma^(2^k)
+    low, ptr = np.arange(n), sigma
+    for _ in range((n - 1).bit_length()):
+        low, ptr = np.minimum(low, low[ptr]), ptr[ptr]
+    sizes = np.bincount(low, minlength=n)
+    first = np.flatnonzero(sizes)  # the smallest vertex of each orbit
+    m = int(sizes[first[0]])
+    if m < 2 or (sizes[first] != m).any():
+        raise InvariantViolation(
+            f"translation does not act freely: its orbits have sizes "
+            f"{sorted(set(sizes[first].tolist()))}")
+    orbits = np.empty((first.size, m), dtype=np.int32)
+    orbits[:, 0] = first
+    for k in range(1, m):
+        orbits[:, k] = sigma[orbits[:, k - 1]]
+    return orbits
 
 
 def _connected_distances(graph: RegularGraph, src: int) -> np.ndarray:

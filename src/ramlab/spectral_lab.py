@@ -48,7 +48,10 @@ class SpectrumReport:
     """Sorted adjacency eigenvalues with Ramanujan certification fields.
 
     Partial reports hold only bracketing extremes (enough to bound every
-    nontrivial eigenvalue) and are marked accordingly.
+    nontrivial eigenvalue) and are marked accordingly. ``method`` records
+    how the eigenvalues were found: "dense" (one n x n eigensolve),
+    "translation_blocks" (the Fourier blocks of the graph's translation) or
+    "ritz_estimate" (Lanczos Ritz values, partial, with no error bound).
     """
 
     n: int
@@ -56,6 +59,7 @@ class SpectrumReport:
     bipartite: bool
     eigenvalues: np.ndarray
     partial: bool
+    method: str
     max_nontrivial_abs: float
 
     @property
@@ -92,23 +96,38 @@ def _drop_trivial(eigs: np.ndarray, d: int, bipartite: bool) -> np.ndarray:
     return np.delete(eigs, np.argmin(np.abs(eigs + d))) if bipartite else eigs
 
 
-def report_from_eigenvalues(eigenvalues, n: int, d: int, bipartite: bool) -> SpectrumReport:
+def report_from_eigenvalues(eigenvalues, n: int, d: int, bipartite: bool,
+                            method: str) -> SpectrumReport:
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     max_abs = float(np.abs(_drop_trivial(eigs, d, bipartite)).max()) if n > 1 else 0.0
     return SpectrumReport(n=n, d=d, bipartite=bool(bipartite), eigenvalues=eigs,
-                          partial=False, max_nontrivial_abs=max_abs)
+                          partial=False, method=method, max_nontrivial_abs=max_abs)
 
 
 def adjacency_spectrum(graph: RegularGraph,
                        dense_cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
-    """Full dense symmetric eigensolve up to the cap; above it, only the
-    bracketing extreme eigenvalues are computed by Lanczos iteration and the
-    report is marked partial. Lanczos starts from a seeded random vector: from
-    the Perron vector 1, ARPACK restarts from an unseeded one."""
+    """The adjacency spectrum, by the first of three paths that applies.
+
+    - translation_blocks: the graph has a translation sigma of order m
+      (graph.orbits, an (n/m, m) table) and its floor(m/2)+1 solved blocks
+      of order n/m satisfy (floor(m/2)+1) (n/m)^3 <= dense_cap^3, so they
+      cost about as much as one dense solve at the cap or less. The full
+      spectrum (see _translation_eigenvalues).
+    - dense: n <= dense_cap; one full dense symmetric eigensolve.
+    - ritz_estimate: otherwise; only the bracketing extreme eigenvalues, by
+      Lanczos iteration, with the report marked partial. Lanczos starts
+      from a seeded random vector: from the Perron vector 1, ARPACK restarts
+      from an unseeded one.
+    """
+    if graph.orbits is not None:
+        order, m = graph.orbits.shape
+        if (m // 2 + 1) * order**3 <= dense_cap**3:
+            return report_from_eigenvalues(_translation_eigenvalues(graph), graph.n, graph.d,
+                                           graph.bipartite, "translation_blocks")
     a = adjacency_sparse(graph)
     if graph.n <= dense_cap:
         eigs = np.linalg.eigvalsh(a.toarray())[::-1]
-        return report_from_eigenvalues(eigs, graph.n, graph.d, graph.bipartite)
+        return report_from_eigenvalues(eigs, graph.n, graph.d, graph.bipartite, "dense")
     v0 = np.random.default_rng(0).standard_normal(graph.n)
     top = np.sort(scipy.sparse.linalg.eigsh(a, k=2, which="LA", v0=v0,
                                             return_eigenvectors=False))[::-1]
@@ -119,8 +138,42 @@ def adjacency_spectrum(graph: RegularGraph,
     max_abs = float(max(abs(lam2), abs(low)))
     eigs = np.sort(np.concatenate([top, bot]))[::-1]
     return SpectrumReport(n=graph.n, d=graph.d, bipartite=graph.bipartite,
-                          eigenvalues=eigs, partial=True,
+                          eigenvalues=eigs, partial=True, method="ritz_estimate",
                           max_nontrivial_abs=max_abs)
+
+
+def _translation_eigenvalues(graph: RegularGraph) -> np.ndarray:
+    """All n adjacency eigenvalues, unsorted, from the Fourier blocks of the
+    graph's translation sigma (Babai, JCTB 1979).
+
+    sigma commutes with A, so with omega = e^{2 pi i / m} each function
+    f(sigma^k(r_i)) = x_i omega^{jk} maps to omega^{jk} (M_j x)_i, where
+    M_j[i, i'] sums omega^{j delta} over the d arcs r_i -> sigma^delta(r_i')
+    (exponent taken mod m). The n/m x n/m blocks M_0 .. M_{m-1} are
+    Hermitian and together carry the whole spectrum. M_0 (and M_{m/2} for
+    even m) is real. For any other j, M_{m-j} = conj(M_j) has the
+    eigenvalues of M_j, and the real symmetric [[Re M_j, -Im M_j],
+    [Im M_j, Re M_j]] holds each of them twice, so one real solve covers
+    j and m - j. (numpy's complex Hermitian solver takes about half the
+    time per block, but it raised the peak memory of a process that also
+    does real dense work by 0.8 MB: it touches further OpenBLAS buffers.)"""
+    orbits, n, d = graph.orbits, graph.n, graph.d
+    order, m = orbits.shape
+    where = np.empty(n, dtype=np.int64)  # sigma^k(r_i) sits at i * m + k
+    where[orbits] = np.arange(n).reshape(order, m)
+    heads = where[graph.indices.reshape(n, d)[orbits[:, 0]]]
+    cell = (np.arange(order)[:, None] * order + heads // m).ravel()
+    delta = (heads % m).ravel()
+    eigs = []
+    for j in range(m // 2 + 1):
+        phase = 2 * math.pi / m * (j * delta % m)
+        re = np.bincount(cell, np.cos(phase), order * order).reshape(order, order)
+        if 2 * j in (0, m):
+            eigs.append(np.linalg.eigvalsh(re))
+        else:
+            im = np.bincount(cell, np.sin(phase), order * order).reshape(order, order)
+            eigs.append(np.linalg.eigvalsh(np.block([[re, -im], [im, re]])))
+    return np.concatenate(eigs)
 
 
 @dataclass(frozen=True)

@@ -95,40 +95,50 @@ def rows_from_edges(n: int, edges) -> list:
     return rows
 
 
-def lps_orbit(p: int, q: int) -> tuple:
-    """(rows, provenance) of the LPS graph X^{p,q} by a breadth-first search
-    of the identity's orbit under right multiplication by the generators,
-    with scalar tuple arithmetic mod q: rows[v] lists the neighbours of the
-    v-th orbit element in sorted (lexicographic) order of canonical forms."""
-    def canon(m):
-        x = next(x for x in m if x % q)
-        inv = pow(x, q - 2, q)
-        return tuple(inv * y % q for y in m)
+def _lps_canon(m: tuple, q: int) -> tuple:
+    x = next(x for x in m if x % q)
+    inv = pow(x, q - 2, q)
+    return tuple(inv * y % q for y in m)
 
-    def matmul(a, b):
-        return ((a[0] * b[0] + a[1] * b[2]) % q, (a[0] * b[1] + a[1] * b[3]) % q,
-                (a[2] * b[0] + a[3] * b[2]) % q, (a[2] * b[1] + a[3] * b[3]) % q)
 
+def _lps_matmul(a: tuple, b: tuple, q: int) -> tuple:
+    return ((a[0] * b[0] + a[1] * b[2]) % q, (a[0] * b[1] + a[1] * b[3]) % q,
+            (a[2] * b[0] + a[3] * b[2]) % q, (a[2] * b[1] + a[3] * b[3]) % q)
+
+
+def _lps_search(p: int, q: int) -> tuple:
+    """(orbit, heads, psl): the identity's orbit under right multiplication
+    by the generators in breadth-first order, and heads[d*k + j] the orbit
+    position of orbit[k] times generator j."""
     i = next(x for x in range(2, q) if x * x % q == q - 1)
     r = math.isqrt(p)
     sols = [(a0, a1, a2, a3) for a0 in range(1, r + 1, 2)
             for a1, a2, a3 in itertools.product(range(-r, r + 1), repeat=3)
             if a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 == p and a1 % 2 == a2 % 2 == a3 % 2 == 0]
-    gens = [canon((a0 + i * a1, a2 + i * a3, -a2 + i * a3, a0 - i * a1))
+    gens = [_lps_canon((a0 + i * a1, a2 + i * a3, -a2 + i * a3, a0 - i * a1), q)
             for a0, a1, a2, a3 in sols]
     assert len(set(gens)) == p + 1
     psl = any(x * x % q == p % q for x in range(1, q))
-    orbit, position = [canon((1, 0, 0, 1))], {}
+    orbit, position = [_lps_canon((1, 0, 0, 1), q)], {}
     position[orbit[0]] = 0
     heads = []
     for m in orbit:
         for s in gens:
-            ms = canon(matmul(m, s))
+            ms = _lps_canon(_lps_matmul(m, s, q), q)
             if ms not in position:
                 position[ms] = len(orbit)
                 orbit.append(ms)
             heads.append(position[ms])
     assert len(orbit) == q * (q * q - 1) // (2 if psl else 1)
+    return orbit, heads, psl
+
+
+def lps_orbit(p: int, q: int) -> tuple:
+    """(rows, provenance) of the LPS graph X^{p,q} by a breadth-first search
+    of the identity's orbit under right multiplication by the generators,
+    with scalar tuple arithmetic mod q: rows[v] lists the neighbours of the
+    v-th orbit element in sorted (lexicographic) order of canonical forms."""
+    orbit, heads, psl = _lps_search(p, q)
     label = {m: v for v, m in enumerate(sorted(orbit))}
     d = p + 1
     rows = [None] * len(orbit)
@@ -137,6 +147,14 @@ def lps_orbit(p: int, q: int) -> tuple:
     provenance = {"family": "lps", "p": p, "q": q,
                   "group": ("PSL(2,%d)" if psl else "PGL(2,%d)") % q, "bipartite": not psl}
     return rows, provenance
+
+
+def lps_translation(p: int, q: int) -> list:
+    """sigma[v], the label of u * m for the v-th element m of lps_orbit's
+    sorted element list and u = [[1, 1], [0, 1]], by tuple arithmetic."""
+    elements = sorted(_lps_search(p, q)[0])
+    label = {m: v for v, m in enumerate(elements)}
+    return [label[_lps_canon(_lps_matmul((1, 1, 0, 1), m, q), q)] for m in elements]
 
 
 def bfs_array(adj: dict, src: int) -> list:

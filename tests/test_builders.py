@@ -64,6 +64,21 @@ def test_lps_matches_orbit_oracle(p, q):
     assert json.dumps(g.provenance) == json.dumps(provenance)
 
 
+@pytest.mark.parametrize("p, q", [(5, 13), (5, 17), (5, 29), (13, 17), (17, 13)])
+def test_lps_translation_matches_oracle(p, q):
+    # left multiplication by [[1, 1], [0, 1]]: orbits of size q, sigma read
+    # back from the table equal to the tuple-arithmetic oracle
+    g = builders.build_lps(LpsParams(p, q))
+    assert g.orbits.shape == (g.n // q, q) and g.orbits.dtype == np.int32
+    assert not g.orbits.flags.writeable
+    with pytest.raises(ValueError):
+        g.orbits[0, 0] = 1
+    sigma = np.empty(g.n, dtype=np.int64)
+    sigma[g.orbits] = np.roll(g.orbits, -1, axis=1)
+    assert sigma.tolist() == oracles.lps_translation(p, q)
+    assert np.array_equal(g.orbits[:, 0], np.sort(g.orbits.min(axis=1)))
+
+
 def test_lps_generators_must_generate_the_group(monkeypatch):
     # 5 is a square mod 29: the generators reach only PSL(2,29), half of PGL(2,29)
     monkeypatch.setattr(LpsParams, "psl_case", property(lambda self: False))
@@ -278,6 +293,14 @@ def test_malformed_sidecar_is_a_parse_error(tmp_path, k4, sidecar):
     (tmp_path / "g.edges.json").write_text(sidecar, encoding="latin-1")
     with pytest.raises(ParseError, match="g.edges.json"):
         builders.load_graph(str(path))
+
+
+def test_non_utf8_graph_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"4 3\n0 1\xff\n")
+    with pytest.raises(ParseError, match="g.edges") as err:
+        builders.load_graph(str(path))
+    assert err.value.line == 2
 
 
 def test_invariant_violation_on_load(tmp_path):

@@ -404,10 +404,36 @@ def test_library_failure_exit_code(tmp_path, capsys, monkeypatch, exc):
     def fail(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)  # the dense spectrum
-    assert run(["spectrum", "--name", "petersen", "--out-dir", str(tmp_path)]) == 4
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)  # dense and block spectra
+    for graph in (["--name", "petersen"], ["--family", "lps", "--p", "5", "--q", "13"]):
+        assert run(["spectrum", *graph, "--out-dir", str(tmp_path)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == type(exc).__name__
+
+
+def test_non_utf8_graph_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "g.edges"
+    path.write_bytes(b"4 3\n0 1\xff\n")
+    assert run(["metrics", "--file", str(path), "--out-dir", str(tmp_path / "o")]) == 4
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and json.loads(lines[0])["error"] == type(exc).__name__
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ParseError" and "g.edges" in error["message"]
+
+
+@pytest.mark.parametrize("graph, method, blocks", [
+    (["--family", "lps", "--p", "5", "--q", "17"], "translation_blocks", " blocks=9x288"),
+    (["--name", "petersen"], "dense", ""),
+    (["--name", "petersen", "--dense-cap", "4"], "ritz_estimate", ""),
+], ids=["lps_5_17", "petersen", "petersen_cap_4"])
+def test_spectrum_records_its_method(tmp_path, graph, method, blocks):
+    # LPS(5,17), n = 4896 above the default cap, gets a full certified spectrum
+    assert run(["spectrum", *graph, "--out-dir", str(tmp_path)]) == 0
+    cert = json.loads(read(os.path.join(str(tmp_path), "certificate.json")))
+    assert cert["kind"] == "ramanujan" and cert["spectrum_method"] == method
+    assert cert["partial"] is (method == "ritz_estimate")
+    comment = read(os.path.join(str(tmp_path), "spectrum.csv")).decode().splitlines()[1]
+    assert comment.endswith(f" method={method}{blocks}")
 
 
 def test_usage_error_exit_code():

@@ -10,6 +10,7 @@ from ramlab.errors import (
     Asymmetric,
     DegreeTooSmall,
     Disconnected,
+    InvariantViolation,
     IrregularGraph,
     NonSimple,
     RamlabError,
@@ -312,3 +313,51 @@ def test_dict_missing_a_vertex(petersen):
 def test_graph_immutable(k4):
     with pytest.raises(ValueError):
         k4.indices[0] = 5
+
+
+# --- translations -------------------------------------------------------------
+
+_PETERSEN_ROTATION = [1, 2, 3, 4, 0, 6, 7, 8, 9, 5]  # i -> i+1 on both 5-cycles
+
+
+def _with_translation(graph, translation):
+    return graph_core.RegularGraph(n=graph.n, d=graph.d, indices=graph.indices,
+                                   provenance=graph.provenance, translation=translation)
+
+
+def test_translation_orbit_table(petersen):
+    g = _with_translation(petersen, _PETERSEN_ROTATION)
+    assert g.orbits.tolist() == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
+    assert g.orbits.dtype == np.int32 and not g.orbits.flags.writeable
+    assert petersen.orbits is None
+    assert g.indices.tobytes() == petersen.indices.tobytes()
+
+
+@pytest.mark.parametrize("translation", [
+    [1, 2, 3, 4, 0, 6, 7, 8, 9],              # too short
+    [1, 2, 3, 4, 0, 6, 7, 8, 9, 9],           # not one-to-one
+    [1, 2, 3, 4, 0, 6, 7, 8, 9, 10],          # outside [0, n)
+    [1, 2, 3, 4, 0, 6, 7, 8, 9, -5],          # negative
+    np.array(_PETERSEN_ROTATION, dtype=float),
+], ids=["short", "repeat", "above", "negative", "float"])
+def test_translation_must_be_a_permutation(petersen, translation):
+    with pytest.raises(InvariantViolation, match="not a permutation"):
+        _with_translation(petersen, translation)
+
+
+def test_translation_must_be_an_automorphism(petersen):
+    swap = list(range(10))
+    swap[0], swap[1] = 1, 0  # the edge {0, 4} would go to {1, 4}
+    with pytest.raises(InvariantViolation, match="not an automorphism"):
+        _with_translation(petersen, swap)
+
+
+@pytest.mark.parametrize("name, translation, sizes", [
+    ("petersen", [0, 4, 3, 2, 1, 5, 9, 8, 7, 6], "[1, 2]"),  # reflection: fixes 0, 5
+    ("complete(5)", [1, 0, 3, 4, 2], "[2, 3]"),               # no fixed point
+    ("petersen", list(range(10)), "[1]"),                     # the identity
+], ids=["fixed_points", "unequal_orbits", "identity"])
+def test_translation_must_act_freely(name, translation, sizes):
+    graph = builders.build_named(name)
+    with pytest.raises(InvariantViolation, match=re.escape(f"orbits have sizes {sizes}")):
+        _with_translation(graph, translation)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramlab import builders, graph_core, spectral_lab
+from ramlab import builders, graph_core, spectral_lab, walk_engine
 from ramlab.errors import GraphIsBipartite, NotRamanujan, SizeCap
 from ramlab.spectral_lab import (
     adjacency_spectrum,
@@ -82,6 +82,51 @@ def test_partial_spectrum_is_reproducible(lps13):
     assert abs(first.max_nontrivial_abs - np.abs(dense[1:-1]).max()) < 1e-10
 
 
+@pytest.mark.parametrize("p, q", [(5, 13), (13, 17), (17, 13), (5, 17)])
+def test_translation_blocks_match_dense(p, q):
+    g = builders.build_lps(builders.LpsParams(p, q))
+    rep = adjacency_spectrum(g)
+    assert rep.method == "translation_blocks" and not rep.partial
+    dense = np.linalg.eigvalsh(graph_core.adjacency_sparse(g).toarray())[::-1]
+    assert np.abs(rep.eigenvalues - dense).max() < 1e-10
+    assert rep.ramanujan
+
+
+def test_spectrum_method_follows_the_cap(petersen, lps13):
+    # LPS(5,13) has 7 solved blocks of order 168: the rule
+    # (floor(m/2)+1) (n/m)^3 <= cap^3 holds iff cap >= 322
+    assert adjacency_spectrum(lps13, dense_cap=322).method == "translation_blocks"
+    assert adjacency_spectrum(lps13, dense_cap=321).method == "ritz_estimate"
+    # a graph without a translation keeps the dense and Lanczos paths
+    assert adjacency_spectrum(petersen).method == "dense"
+    assert adjacency_spectrum(petersen, dense_cap=4).method == "ritz_estimate"
+
+
+def test_translation_spectrum_trace_identity(lps29):
+    # sum lambda^k = tr(A^k) = n W_k(0) on a vertex-transitive graph, W_k(0)
+    # the exact count of closed k-walks at vertex 0; n = 12180 is above the cap
+    rep = adjacency_spectrum(lps29)
+    assert rep.method == "translation_blocks" and rep.eigenvalues.size == lps29.n
+    a = graph_core.adjacency_sparse(lps29).astype(np.int64)
+    walks = np.zeros(lps29.n, dtype=np.int64)
+    walks[0] = 1
+    for k in range(1, 13):
+        walks = a @ walks
+        exact = lps29.n * int(walks[0])
+        assert abs(float((rep.eigenvalues**k).sum()) - exact) <= 1e-10 * max(exact, 6**k), k
+
+
+def test_translation_spectrum_l2_identity(lps29):
+    # SRW from vertex 0 on the non-bipartite, vertex-transitive LPS(5,29):
+    # D_2(t)^2 = sum over nontrivial lambda of (lambda/d)^(2t)
+    rep = adjacency_spectrum(lps29)
+    curve = walk_engine.mixing_curve(lps29, "srw", 0, 20, p_list=[2])
+    ratios = rep.nontrivial() / lps29.d
+    for t in range(1, 21):
+        spectral = float((ratios ** (2 * t)).sum())
+        assert abs(curve.d_p[2.0][t] ** 2 - spectral) <= 1e-10 * spectral, t
+
+
 # --- certification ---------------------------------------------------------------
 
 
@@ -93,21 +138,22 @@ def test_certify_weakly():
     d = 3
     lam = 2 * math.sqrt(2) + 0.1
     rep = report_from_eigenvalues([3, lam, 0.5, -0.5, -1, -2.1], 6, d,
-                                  bipartite=False)
+                                  bipartite=False, method="dense")
     cert = certify(rep, delta_threshold=0.2)
     assert cert.kind == "weakly_ramanujan"
     assert math.isclose(cert.delta, 0.1, abs_tol=1e-12)
 
 
 def test_certify_disconnected_not_certified():
-    rep = report_from_eigenvalues([3, 3, -1, -1, -2, -2], 6, 3, bipartite=False)
+    rep = report_from_eigenvalues([3, 3, -1, -1, -2, -2], 6, 3, bipartite=False,
+                                  method="dense")
     assert certify(rep).kind == "not_certified"
 
 
 def test_certify_with_exceptions():
     d = 3
     eigs = [3, 2.95, 1, -1, -1, -2]
-    rep = report_from_eigenvalues(eigs, 6, d, bipartite=False)
+    rep = report_from_eigenvalues(eigs, 6, d, bipartite=False, method="dense")
     cert = certify(rep, delta_threshold=0.01, exceptional_budget=1)
     assert cert.kind == "weakly_with_exceptions"
     assert cert.exceptional_count == 1
@@ -551,6 +597,7 @@ def test_upsilon_rejects_bipartite_and_nonramanujan(k33, k4):
     rep = adjacency_spectrum(k33)
     with pytest.raises(GraphIsBipartite):
         upsilon_l2_transitive(k33, rep, 0.1)
-    fake = report_from_eigenvalues([3, 2.95, -1, -1], 4, 3, bipartite=False)
+    fake = report_from_eigenvalues([3, 2.95, -1, -1], 4, 3, bipartite=False,
+                                   method="dense")
     with pytest.raises(NotRamanujan):
         upsilon_l2_transitive(k4, fake, 0.1)
