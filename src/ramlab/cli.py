@@ -5,6 +5,10 @@ Every run writes a manifest JSON echoing the fully resolved configuration;
 each output file embeds the manifest's content hash so artifacts can be
 traced back to the exact invocation. Exit codes: 0 success, 2 usage error,
 3 verification failure, 4 computation error.
+
+A flag's range is checked by the library function that takes it, which
+raises UsageError; each command computes first and writes its manifest and
+artifacts afterwards, so a refused run leaves none.
 """
 
 import argparse
@@ -20,7 +24,7 @@ from numpy.linalg import LinAlgError
 from scipy.sparse.linalg import ArpackError
 
 from . import __version__, backend_name, builders, graph_core, spectral_lab, theory, walk_engine
-from .errors import LambdaOutOfRange, POutOfRange, RamlabError, UsageError, VerificationFailed
+from .errors import RamlabError, UsageError, VerificationFailed
 
 # Largest `tree --horizon`. It bounds the CSV, which lists every positive
 # (t, k) cell: about horizon^2 / 4 lines.
@@ -143,26 +147,22 @@ def cmd_build(args) -> int:
     sha = write_manifest(args.out_dir, "build", _config_of(args))
     path = os.path.join(args.out_dir, "graph.edges")
     builders.save_graph(graph, path)
+    # named relative to the manifest: build.json does not depend on --out-dir
     emit_json(os.path.join(args.out_dir, "build.json"),
               {"n": graph.n, "d": graph.d, "bipartite": graph.bipartite,
-               "provenance": graph.provenance, "path": path}, sha)
+               "provenance": graph.provenance, "path": "graph.edges"}, sha)
     print(f"built n={graph.n} d={graph.d} bipartite={graph.bipartite} -> {path}")
     return 0
 
 
 def cmd_metrics(args) -> int:
-    if args.window_radius is not None and not args.window_radius >= 0:
-        raise UsageError(f"--window-radius must be >= 0, got {args.window_radius}")
     graph = resolve_graph(args)
-    if not 0 <= args.source < graph.n:
-        raise UsageError(f"--source {args.source} outside [0, {graph.n})")
-    sha = write_manifest(args.out_dir, "metrics", _config_of(args))
-    metrics = graph_core.graph_metrics(graph)
     radius = args.window_radius
     if radius is None:
         # log log n is negative below n = 10
         radius = max(0.0, 3 * math.log(math.log10(graph.n)) / math.log(graph.d - 1))
     profile = graph_core.distance_profile(graph, args.source, radius)
+    metrics = graph_core.graph_metrics(graph)
     payload = {
         **metrics,
         "n": graph.n,
@@ -177,6 +177,7 @@ def cmd_metrics(args) -> int:
             "exceedance_fraction": profile.exceedance_fraction,
         },
     }
+    sha = write_manifest(args.out_dir, "metrics", _config_of(args))
     emit_json(os.path.join(args.out_dir, "metrics.json"), payload, sha)
     print(f"diameter={metrics['diameter']} girth={metrics['girth']} "
           f"bipartite={metrics['bipartite']}")
@@ -184,19 +185,12 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    if args.tmax < 0:
-        raise UsageError(f"--tmax must be >= 0, got {args.tmax}")
     p_list = (_parse_floats("--p-list", args.p_list) if args.p_list
               else list(range(1, args.pmax + 1)))
-    if not all(p >= 1 for p in p_list):  # NaN fails too
-        raise UsageError(f"--p-list entries must be in [1, inf], got {args.p_list!r}")
     graph = resolve_graph(args)
-    states = graph.n if args.kernel.startswith("srw") else graph.n * graph.d
-    if not 0 <= args.start < states:
-        raise UsageError(f"--start {args.start} outside [0, {states}) for {args.kernel}")
-    sha = write_manifest(args.out_dir, "mix", _config_of(args))
     curve = walk_engine.mixing_curve(graph, args.kernel, args.start, args.tmax,
                                      p_list=p_list, reference=args.reference)
+    sha = write_manifest(args.out_dir, "mix", _config_of(args))
     header = ["t", "d_tv"]
     header += [f"d_{p:g}" for p in sorted(curve.d_p)]
     header += ["d_inf"]
@@ -215,16 +209,11 @@ def cmd_mix(args) -> int:
 
 def cmd_profile(args) -> int:
     s_grid = _parse_floats("--s-grid", args.s_grid)
-    if not s_grid or not all(map(math.isfinite, s_grid)):
-        raise UsageError(f"--s-grid needs finite values, got {args.s_grid!r}")
     graph = resolve_graph(args)
-    try:
-        rng_starts = walk_engine.default_start_sample(graph, seed=args.seed,
-                                                      sample_size=args.starts)
-    except ValueError as exc:  # a sample size outside [1, n]
-        raise UsageError(f"--starts: {exc}") from exc
-    sha = write_manifest(args.out_dir, "profile", _config_of(args))
+    rng_starts = walk_engine.default_start_sample(graph, seed=args.seed,
+                                                  sample_size=args.starts)
     records = walk_engine.empirical_cutoff_profile(graph, rng_starts, s_grid)
+    sha = write_manifest(args.out_dir, "profile", _config_of(args))
     comments = [
         f"manifest_sha256={sha}",
         f"starts={','.join(str(int(x)) for x in rng_starts)}",
@@ -239,15 +228,11 @@ def cmd_profile(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        spectral_lab.check_certify_limits(args.delta_threshold, args.exceptional_budget)
-    except ValueError as exc:
-        raise UsageError(f"--delta-threshold/--exceptional-budget: {exc}") from exc
     graph = resolve_graph(args)
-    sha = write_manifest(args.out_dir, "spectrum", _config_of(args))
     report = spectral_lab.adjacency_spectrum(graph, dense_cap=args.dense_cap)
     cert = spectral_lab.certify(report, delta_threshold=args.delta_threshold,
                                 exceptional_budget=args.exceptional_budget)
+    sha = write_manifest(args.out_dir, "spectrum", _config_of(args))
     method = report.method
     if method == "translation_blocks":  # the solved blocks: count x order
         order, m = graph.orbits.shape
@@ -272,9 +257,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_decompose(args) -> int:
     graph = resolve_graph(args)
-    sha = write_manifest(args.out_dir, "decompose", _config_of(args))
     dec = spectral_lab.build_decomposition(graph, dense_cap=args.dense_cap)
     report = spectral_lab.verify_decomposition(spectral_lab.build_B(graph), dec)
+    sha = write_manifest(args.out_dir, "decompose", _config_of(args))
     rows = [(b.lam, b.theta.real, b.theta.imag, b.theta_prime.real,
              b.theta_prime.imag, abs(b.alpha), int(b.jordan)) for b in dec.blocks]
     emit_csv(os.path.join(args.out_dir, "blocks.csv"),
@@ -294,14 +279,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_theory(args) -> int:
-    try:
-        payload = theory.predictions_json(
-            args.n, args.d,
-            p=args.p,
-            lam=args.lam, eps=args.eps, delta=args.delta)
-    except (ValueError, POutOfRange, LambdaOutOfRange) as exc:  # range checks on the flags
-        raise UsageError(str(exc)) from exc
-    os.makedirs(args.out_dir, exist_ok=True)
+    payload = theory.predictions_json(args.n, args.d, p=args.p, lam=args.lam,
+                                      eps=args.eps, delta=args.delta)
     sha = write_manifest(args.out_dir, "theory", _config_of(args))
     emit_json(os.path.join(args.out_dir, "theory.json"), payload, sha)
     print(json.dumps({k: v for k, v in payload.items() if not isinstance(v, dict)},
@@ -312,11 +291,8 @@ def cmd_theory(args) -> int:
 def cmd_tree(args) -> int:
     if not 1 <= args.horizon <= TABLE_HORIZON_CAP:
         raise UsageError(f"--horizon must be in [1, {TABLE_HORIZON_CAP}], got {args.horizon}")
-    try:
-        rows = walk_engine.tree_rows(args.d, args.horizon)
-    except ValueError as exc:  # d < 3
-        raise UsageError(str(exc)) from exc
-    os.makedirs(args.out_dir, exist_ok=True)
+    # tree_rows checks d at once; its rows are computed as the CSV is written
+    rows = walk_engine.tree_rows(args.d, args.horizon)
     sha = write_manifest(args.out_dir, "tree", _config_of(args))
     out = os.path.join(args.out_dir, "tree_radial.csv")
     emit_csv(out, ["t", "k", "probability"],

@@ -5,10 +5,11 @@ class RamlabError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- command line -------------------------------------------------------------
+# --- arguments ----------------------------------------------------------------
 
-class UsageError(RamlabError):
-    """A command-line value is out of range for its input (exit code 2)."""
+class UsageError(RamlabError, ValueError):
+    """An argument is outside its documented range, whether it came from a
+    command-line flag or a library caller (exit code 2)."""
 
 
 # --- graph construction / validation ---------------------------------------
@@ -113,11 +114,3 @@ class GraphIsBipartite(RamlabError):
 
 class AlphaDegenerate(RamlabError):
     """Relative entropy undefined: alpha in {0,1} with beta != alpha."""
-
-
-class POutOfRange(RamlabError):
-    """L^p exponent outside the supported range."""
-
-
-class LambdaOutOfRange(RamlabError):
-    """Spectral bound parameter must satisfy 0 < lambda < d."""

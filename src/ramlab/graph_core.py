@@ -26,6 +26,7 @@ from .errors import (
     IrregularGraph,
     NonSimple,
     SelfLoop,
+    UsageError,
 )
 
 
@@ -202,7 +203,7 @@ def validate_and_index(graph: RegularGraph) -> np.ndarray:
 def bfs_distances(graph: RegularGraph, x: int) -> np.ndarray:
     """Exact shortest-path distances from x; raises Disconnected otherwise."""
     if not 0 <= x < graph.n:
-        raise IndexError(f"source {x} outside [0, {graph.n})")
+        raise UsageError(f"source {x} outside [0, {graph.n})")
     return _connected_distances(graph, x)
 
 
@@ -229,7 +230,7 @@ def distance_profile(graph: RegularGraph, x: int, window_radius: float) -> Dista
     """Distance histogram plus the count of y with |dist(x,y) - log_{d-1} n|
     exceeding the window radius."""
     if not window_radius >= 0:
-        raise ValueError(f"window_radius must be >= 0, got {window_radius}")
+        raise UsageError(f"window_radius must be >= 0, got {window_radius}")
     dist = bfs_distances(graph, x)
     hist = np.bincount(dist)
     center = math.log(graph.n) / math.log(graph.d - 1)

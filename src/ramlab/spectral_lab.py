@@ -26,6 +26,7 @@ from .errors import (
     NotRamanujan,
     NotReached,
     SizeCap,
+    UsageError,
     VerificationFailed,
 )
 from .graph_core import RegularGraph, adjacency_sparse, validate_and_index
@@ -47,20 +48,23 @@ EPS_PRIME = 0.01  # certify: no exception may come this close to d
 class SpectrumReport:
     """Sorted adjacency eigenvalues with Ramanujan certification fields.
 
-    Partial reports hold only bracketing extremes (enough to bound every
-    nontrivial eigenvalue) and are marked accordingly. ``method`` records
-    how the eigenvalues were found: "dense" (one n x n eigensolve),
-    "translation_blocks" (the Fourier blocks of the graph's translation) or
-    "ritz_estimate" (Lanczos Ritz values, partial, with no error bound).
+    ``method`` records how the eigenvalues were found: "dense" (one n x n
+    eigensolve), "translation_blocks" (the Fourier blocks of the graph's
+    translation) or "ritz_estimate" (Lanczos Ritz values with no error
+    bound). A Ritz report is partial: it holds only bracketing extremes,
+    enough to bound every nontrivial eigenvalue.
     """
 
     n: int
     d: int
     bipartite: bool
     eigenvalues: np.ndarray
-    partial: bool
     method: str
     max_nontrivial_abs: float
+
+    @property
+    def partial(self) -> bool:
+        return self.method == "ritz_estimate"
 
     @property
     def trivial(self) -> tuple:
@@ -101,7 +105,7 @@ def report_from_eigenvalues(eigenvalues, n: int, d: int, bipartite: bool,
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     max_abs = float(np.abs(_drop_trivial(eigs, d, bipartite)).max()) if n > 1 else 0.0
     return SpectrumReport(n=n, d=d, bipartite=bool(bipartite), eigenvalues=eigs,
-                          partial=False, method=method, max_nontrivial_abs=max_abs)
+                          method=method, max_nontrivial_abs=max_abs)
 
 
 def adjacency_spectrum(graph: RegularGraph,
@@ -138,7 +142,7 @@ def adjacency_spectrum(graph: RegularGraph,
     max_abs = float(max(abs(lam2), abs(low)))
     eigs = np.sort(np.concatenate([top, bot]))[::-1]
     return SpectrumReport(n=graph.n, d=graph.d, bipartite=graph.bipartite,
-                          eigenvalues=eigs, partial=True, method="ritz_estimate",
+                          eigenvalues=eigs, method="ritz_estimate",
                           max_nontrivial_abs=max_abs)
 
 
@@ -184,21 +188,16 @@ class Certificate:
     exceptional_max_abs: float = 0.0
 
 
-def check_certify_limits(delta_threshold: float, exceptional_budget: int):
-    """ValueError unless the delta threshold is finite and >= 0 and the
-    exceptional budget is >= 0."""
-    if not (math.isfinite(delta_threshold) and delta_threshold >= 0):
-        raise ValueError(f"delta threshold must be finite and >= 0, got {delta_threshold}")
-    if not exceptional_budget >= 0:
-        raise ValueError(f"exceptional budget must be >= 0, got {exceptional_budget}")
-
-
 def certify(report: SpectrumReport, delta_threshold: float = 0.1,
             exceptional_budget: int = 0) -> Certificate:
     """Classify the spectrum. Exceptions beyond the delta threshold are
     tolerated up to the budget provided they stay below d - EPS_PRIME; a
-    partial (extreme-bracketed) report supports the first two verdicts."""
-    check_certify_limits(delta_threshold, exceptional_budget)
+    partial (extreme-bracketed) report supports the first two verdicts.
+    UsageError unless the threshold is finite and >= 0 and the budget >= 0."""
+    if not (math.isfinite(delta_threshold) and delta_threshold >= 0):
+        raise UsageError(f"delta threshold must be finite and >= 0, got {delta_threshold}")
+    if not exceptional_budget >= 0:
+        raise UsageError(f"exceptional budget must be >= 0, got {exceptional_budget}")
     bound = report.ramanujan_bound
     if report.max_nontrivial_abs >= report.d - EPS_PRIME:
         return Certificate(kind="not_certified",
@@ -229,7 +228,7 @@ def theta_pair(lam: float, d: int) -> tuple:
     """Both roots of theta^2 - lam*theta + (d-1) = 0, ordered by
     (real, imaginary) part descending."""
     if abs(lam) > d + TRIVIAL_TOL:
-        raise ValueError(f"|lambda| must be <= d, got {lam}")
+        raise UsageError(f"|lambda| must be <= d, got {lam}")
     disc = complex(lam / 2) ** 2 - (d - 1)
     root = cmath.sqrt(disc)
     a, b = lam / 2 + root, lam / 2 - root
@@ -242,7 +241,7 @@ def alpha_exact(lam: float, d: int) -> float:
     """Modulus of the off-diagonal block entry: 0 at lambda = -d, d-2 inside
     the Ramanujan interval, sqrt(d^2 - lambda^2) between 2 sqrt(d-1) and d."""
     if abs(lam) > d + TRIVIAL_TOL or abs(lam - d) <= TRIVIAL_TOL:
-        raise ValueError(f"lambda must satisfy |lambda| <= d, lambda != d; got {lam}")
+        raise UsageError(f"lambda must satisfy |lambda| <= d, lambda != d; got {lam}")
     if abs(lam + d) <= TRIVIAL_TOL:
         return 0.0
     if abs(lam) <= 2 * math.sqrt(d - 1) + JORDAN_TOL:
@@ -528,7 +527,7 @@ def gamma(theta: complex, alpha: complex, t: int) -> complex:
     """gamma(t) = alpha * sum_{j<t} theta^j conj(theta)^(t-1-j), in closed
     form: alpha*t*theta^(t-1) for real theta, else the geometric quotient."""
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise UsageError(f"t must be >= 1, got {t}")
     theta = complex(theta)
     if theta.imag == 0:
         return alpha * t * theta.real ** (t - 1)
@@ -541,7 +540,7 @@ def nbrw_l2_bound(n: int, d: int, t: int) -> dict:
     NBRW on a non-bipartite Ramanujan graph, with the threshold time and the
     limiting constant c(d)."""
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise UsageError(f"t must be >= 1, got {t}")
     log_dm1 = math.log(d - 1)
     return {
         "bound": 2.0 * d * n * (d - 1.0) ** (-t) * (4 * (d - 1) * t * t + 1),

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import walk_engine
-from .errors import AlphaDegenerate, LambdaOutOfRange, POutOfRange
+from .errors import AlphaDegenerate, UsageError
 
 _CEIL_SLACK = 1e-9
 
@@ -41,32 +41,41 @@ class CutoffPrediction:
     rho: float
 
 
+def _profile_constant(d: int) -> float:
+    """c_d = (d-2)^(3/2) / (2 sqrt(d(d-1))); UsageError unless d >= 3."""
+    if d < 3:
+        raise UsageError(f"need d >= 3, got d={d}")
+    return (d - 2) ** 1.5 / (2 * math.sqrt(d * (d - 1)))
+
+
 def cutoff_prediction(n: int, d: int) -> CutoffPrediction:
-    if d < 3 or n < 2:
-        raise ValueError(f"need d >= 3 and n >= 2, got d={d}, n={n}")
+    """UsageError unless d >= 3 and n > d: no simple d-regular graph has
+    n <= d vertices."""
+    c_d = _profile_constant(d)
+    if not n > d:
+        raise UsageError(f"need n > d, got n={n}, d={d}")
     log_n = _log_base(n, d - 1)
     return CutoffPrediction(
         n=n,
         d=d,
         t_star=d / (d - 2) * log_n,
         window=math.sqrt(log_n),
-        c_d=(d - 2) ** 1.5 / (2 * math.sqrt(d * (d - 1))),
+        c_d=c_d,
         rho=2 * math.sqrt(d - 1) / d,
     )
 
 
 def profile_value(s: float, d: int) -> float:
     """Gaussian cutoff profile: P(Z > c_d * s) for standard normal Z."""
-    c_d = cutoff_prediction(2, d).c_d
-    return 0.5 * math.erfc(c_d * s / math.sqrt(2))
+    return 0.5 * math.erfc(_profile_constant(d) * s / math.sqrt(2))
 
 
 def relative_entropy(beta: float, alpha: float, base: float) -> float:
     """H_base(beta || alpha) with the 0 log 0 = 0 convention."""
     if not (0 <= beta <= 1 and 0 <= alpha <= 1):
-        raise ValueError("beta and alpha must lie in [0, 1]")
+        raise UsageError(f"beta and alpha must lie in [0, 1], got beta={beta}, alpha={alpha}")
     if base <= 1:
-        raise ValueError("base must exceed 1")
+        raise UsageError(f"base must exceed 1, got {base}")
     if alpha in (0.0, 1.0):
         if beta != alpha:
             raise AlphaDegenerate(f"alpha={alpha} with beta={beta}")
@@ -114,9 +123,9 @@ def lp_prediction(p: float, d: int, n: int) -> LpPrediction:
     for p in [2, inf]."""
     p = float(p)
     if not (p > 1):
-        raise POutOfRange(f"p must lie in (1, inf], got {p}")
+        raise UsageError(f"p must lie in (1, inf], got {p}")
     if d < 3:
-        raise ValueError(f"need d >= 3, got {d}")
+        raise UsageError(f"need d >= 3, got d={d}")
     beta_star = max(1.0 / ((d - 1) ** _frac(p, "pm2_over_p") + 1.0), 0.5)
     h = relative_entropy(beta_star, (d - 1) / d, d - 1)
     c_dp = 1.0 / ((2 * beta_star - 1) + _frac(p, "p_over_pm1") * h)
@@ -149,7 +158,7 @@ def lp_lower_bound(n: int, d: int, p: float, t: int) -> float:
     """Rigorous tree lower bound on D_p(t): n^((p-1)/p) ||Q^t(root,.)||_p - 1,
     with the tree norm taken from the exact radial DP."""
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise UsageError(f"t must be >= 1, got {t}")
     _, row = next(itertools.islice(walk_engine.tree_rows(d, t), t, None))
     norm = walk_engine.tree_lp_norm(d, row, p)
     return n ** _frac(p, "pm1_over_p") * norm - 1.0
@@ -159,7 +168,7 @@ def srw_lower_profile(n: int, d: int, eps: float, s: float) -> dict:
     """Confinement lower bound: at time t - s*window the TV distance is at
     least 1 - eps - P(Z > c_d s), with t = (d/(d-2)) log_{d-1}(eps*n/d)."""
     if not 0 < eps < 1:
-        raise ValueError(f"eps must be in (0,1), got {eps}")
+        raise UsageError(f"eps must be in (0,1), got {eps}")
     pred = cutoff_prediction(n, d)
     t = d / (d - 2) * _log_base(eps * n / d, d - 1)
     return {
@@ -171,20 +180,21 @@ def srw_lower_profile(n: int, d: int, eps: float, s: float) -> dict:
 
 def nbrw_tmix_lower(n: int, d: int, eps: float) -> int:
     """Counting lower bound on NBRW t_mix(1 - eps):
-    ceil(log_{d-1}(d n)) - ceil(log_{d-1}(1/eps))."""
+    ceil(log_{d-1}(d n)) - ceil(log_{d-1}(1/eps)), the second log taken as
+    -log(eps) / log(d-1) so that a subnormal eps does not overflow 1/eps."""
     if not 0 < eps <= 1:
-        raise ValueError(f"eps must be in (0,1], got {eps}")
-    return _iceil(_log_base(d * n, d - 1)) - _iceil(_log_base(1 / eps, d - 1))
+        raise UsageError(f"eps must be in (0,1], got {eps}")
+    return _iceil(_log_base(d * n, d - 1)) - _iceil(-math.log(eps) / math.log(d - 1))
 
 
 def diameter_bounds(n: int, d: int, lam: float) -> dict:
     """Diameter upper bounds from the nontrivial spectral radius lam:
     Alon-Milman, Chung, and the Chebyshev-polynomial (CFM) bound."""
     if not 0 < lam < d:
-        raise LambdaOutOfRange(f"need 0 < lambda < d, got lambda={lam}, d={d}")
+        raise UsageError(f"need 0 < lambda < d, got lambda={lam}, d={d}")
     x = d / lam
     if x < 1 + 1e-12:
-        raise LambdaOutOfRange("lambda too close to d; cosh bound degenerates")
+        raise UsageError(f"lambda={lam} too close to d={d}; cosh bound degenerates")
     acosh = lambda y: math.log(y + math.sqrt(y * y - 1))  # noqa: E731
     return {
         "alon_milman": 2 * math.sqrt(2 * d / (d - lam)) * math.log2(n),
@@ -203,7 +213,7 @@ def weakly_adjusted_time(n: int, d: int, delta: float) -> int:
     """ceil((1 + 5 sqrt(delta)) log_{d-1} n + 3 log_{d-1} log n); at
     delta=0 this is the Ramanujan threshold time."""
     if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+        raise UsageError(f"delta must be finite and >= 0, got {delta}")
     main = (1 + 5 * math.sqrt(delta)) * _log_base(n, d - 1)
     window = 3 * _log_base(math.log10(n), d - 1)
     return _iceil(main + window)
@@ -213,7 +223,7 @@ def l1_l2_gap(d: float) -> dict:
     """f(d) = ((d-2)/d) log(d-1) - 2 log(d/(2 sqrt(d-1))) > 0 for d > 2, and
     the n-free ratio of the L^2 to L^1 cutoff locations (always > 1)."""
     if d <= 2:
-        raise ValueError(f"need d > 2, got {d}")
+        raise UsageError(f"need d > 2, got d={d}")
     rho = 2 * math.sqrt(d - 1) / d
     f = (d - 2) / d * math.log(d - 1) - 2 * math.log(d / (2 * math.sqrt(d - 1)))
     ratio = (d - 2) * math.log(d - 1) / (2 * d * math.log(1 / rho))

@@ -20,6 +20,7 @@ from .errors import (
     ParityOnNonBipartite,
     SpaceMismatch,
     SupportViolation,
+    UsageError,
 )
 from .graph_core import RegularGraph, adjacency_sparse, validate_and_index
 
@@ -61,7 +62,7 @@ def stationary(space: str, graph: RegularGraph,
     if not graph.bipartite:
         raise ParityOnNonBipartite("parity restriction requires a bipartite graph")
     if parity not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {parity}")
+        raise UsageError(f"parity must be 0 or 1, got {parity}")
     if space == VERTICES:
         mask = graph.bipartition == parity
     else:
@@ -89,7 +90,7 @@ def evolve(graph: RegularGraph, kernel: str, starts):
         x = np.array(starts).reshape(size, -1)
     else:
         if not ((starts >= 0) & (starts < size)).all():
-            raise IndexError(f"start states must lie in [0, {size})")
+            raise UsageError(f"start states must lie in [0, {size}) for {kernel}")
         x = np.zeros((size, starts.size))
         x[starts, np.arange(starts.size)] = 1.0
     prev = None
@@ -183,19 +184,22 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
     first step) and always use the full reference.
     """
     if reference not in ("auto", "full"):
-        raise ValueError(f"unknown reference mode {reference!r}")
+        raise UsageError(f"unknown reference mode {reference!r}")
     if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+        raise UsageError(f"t_max must be >= 0, got {t_max}")
+    p_list = [float(p) for p in p_list]
+    if not all(p >= 1 for p in p_list):  # NaN fails too
+        raise UsageError(f"every p must be in [1, inf], got {p_list}")
+    p_list = sorted({p for p in p_list if not math.isinf(p)})
     space = VERTICES if kernel.startswith("srw") else EDGES
+    states = graph.n if space == VERTICES else graph.n * graph.d
+    if not 0 <= start < states:
+        raise UsageError(f"start {start} outside [0, {states}) for {kernel}")
     if reference == "auto" and graph.bipartite and not kernel.endswith("_lazy"):
         p0 = int(graph.bipartition[start if space == VERTICES else start // graph.d])
         refs = [_Reference(stationary(space, graph, parity=q)) for q in (p0, 1 - p0)]
     else:
         refs = [_Reference(stationary(space, graph))]
-    p_list = [float(p) for p in p_list]
-    if not all(p >= 1 for p in p_list):  # NaN fails too
-        raise ValueError(f"every p must be in [1, inf], got {p_list}")
-    p_list = sorted({p for p in p_list if not math.isinf(p)})
 
     rows = []
     for t, x in evolve(graph, kernel, [start]):
@@ -225,10 +229,10 @@ def mixing_time(curve: MixingCurve, eps: float, p="tv") -> int:
 def default_start_sample(graph: RegularGraph, seed: int = 0,
                          sample_size: int = 16) -> np.ndarray:
     """Start vertices for max-over-starts measurements: every vertex up to
-    n=2000, a seeded sample above; ValueError if the sample size is below 1
+    n=2000, a seeded sample above; UsageError if the sample size is below 1
     or, where a sample is drawn, above n."""
     if sample_size < 1 or (graph.n > 2000 and sample_size > graph.n):
-        raise ValueError(f"sample size {sample_size} outside [1, n={graph.n}]")
+        raise UsageError(f"sample size {sample_size} outside [1, n={graph.n}]")
     if graph.n <= 2000:
         return np.arange(graph.n)
     rng = np.random.default_rng(seed)
@@ -242,7 +246,7 @@ def default_start_sample(graph: RegularGraph, seed: int = 0,
 
 def _uniform_out_edges(graph: RegularGraph, x: int) -> np.ndarray:
     if not 0 <= x < graph.n:
-        raise IndexError(f"start vertex {x} outside [0, {graph.n})")
+        raise UsageError(f"start vertex {x} outside [0, {graph.n})")
     edge = np.zeros(graph.n * graph.d)
     edge[x * graph.d : (x + 1) * graph.d] = 1.0 / graph.d
     return edge
@@ -252,7 +256,7 @@ def nbrw_projected(graph: RegularGraph, x: int, k: int) -> np.ndarray:
     """Law of the head vertex after k-1 NBRW steps from a uniform edge out
     of x (k=0 gives the point mass at x, k=1 the uniform neighbor)."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise UsageError(f"k must be >= 0, got {k}")
     out_edges = _uniform_out_edges(graph, x)
     if k == 0:
         point = np.zeros(graph.n)
@@ -303,7 +307,7 @@ def tree_lp_norm(d: int, radial_row: np.ndarray, p: float) -> float:
     the law is uniform on each sphere, so the p-th power sums
     sphere^(1-p) * P(k)^p over distances k."""
     if not p >= 1:
-        raise ValueError(f"p must be in [1, inf], got {p}")
+        raise UsageError(f"p must be in [1, inf], got {p}")
     sizes = sphere_sizes(d, radial_row.shape[0] - 1)
     if math.isinf(p):
         return float((radial_row / sizes).max())
@@ -322,9 +326,9 @@ def tree_rows(d: int, t_max: int, log: bool = False):
     touches about t/2 of them.
     """
     if d < 3:
-        raise ValueError("tree walk requires d >= 3")
+        raise UsageError(f"tree walk requires d >= 3, got d={d}")
     if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+        raise UsageError(f"t_max must be >= 0, got {t_max}")
     if log:
         one, up, down, zero = 0.0, math.log((d - 1.0) / d), math.log(1.0 / d), -math.inf
         add, scale = np.logaddexp, np.add
@@ -362,15 +366,23 @@ def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
     """Max-over-starts TV distance at t = round(t_star + s*window) for each
     s, paired with the Gaussian profile prediction. The graph must already
     be certified (weakly) Ramanujan by the caller. Starts evolve together
-    in blocks of at most _BLOCK_BYTES per (n x block) array."""
+    in blocks of at most _BLOCK_BYTES per (n x block) array. UsageError for
+    no starts, an empty grid, or an s whose t_star + s*window is not finite."""
     from . import theory
 
     starts = list(starts)
     if not starts:
-        raise ValueError("need at least one start vertex")
+        raise UsageError("need at least one start vertex")
     pred = theory.cutoff_prediction(graph.n, graph.d)
     s_grid = [float(s) for s in s_grid]
-    t_of_s = {s: max(0, round(pred.t_star + s * pred.window)) for s in s_grid}
+    if not s_grid:
+        raise UsageError("need at least one s")
+    t_of_s = {}
+    for s in s_grid:
+        t = pred.t_star + s * pred.window
+        if not math.isfinite(t):
+            raise UsageError(f"s={s} gives t = t_star + s*window = {t}, not a finite time")
+        t_of_s[s] = max(0, round(t))
     t_max = max(t_of_s.values())
 
     best = dict.fromkeys(t_of_s.values(), 0.0)

@@ -1,0 +1,132 @@
+"""Every range check on a public function's argument raises UsageError,
+which is also a ValueError, with a message naming the bad value."""
+
+import math
+
+import pytest
+
+from ramlab import graph_core, spectral_lab, theory, walk_engine
+from ramlab.errors import UsageError
+
+
+def _report(petersen):
+    return spectral_lab.adjacency_spectrum(petersen)
+
+
+# (id, call on the fixture graphs, message pattern)
+_CASES = [
+    # walk_engine
+    ("mixing_curve_t_max", lambda g: walk_engine.mixing_curve(g["petersen"], "srw", 0, -1),
+     r"t_max must be >= 0, got -1"),
+    ("mixing_curve_p_below_one",
+     lambda g: walk_engine.mixing_curve(g["petersen"], "srw", 0, 3, p_list=[2, 0.5]),
+     r"every p must be in \[1, inf\]"),
+    ("mixing_curve_p_nan",
+     lambda g: walk_engine.mixing_curve(g["petersen"], "srw", 0, 3, p_list=[math.nan]),
+     r"every p must be in \[1, inf\]"),
+    ("mixing_curve_reference",
+     lambda g: walk_engine.mixing_curve(g["petersen"], "srw", 0, 3, reference="half"),
+     r"unknown reference mode 'half'"),
+    # k33 is bipartite: the start is checked before its parity is read
+    ("mixing_curve_start_negative", lambda g: walk_engine.mixing_curve(g["k33"], "srw", -1, 3),
+     r"start -1 outside \[0, 6\) for srw"),
+    ("mixing_curve_start_past_edges",
+     lambda g: walk_engine.mixing_curve(g["k33"], "nbrw", 18, 3),
+     r"start 18 outside \[0, 18\) for nbrw"),
+    ("evolve_start", lambda g: next(walk_engine.evolve(g["petersen"], "srw", [0, 10])),
+     r"start states must lie in \[0, 10\) for srw"),
+    ("stationary_parity", lambda g: walk_engine.stationary("vertices", g["k33"], parity=2),
+     r"parity must be 0 or 1, got 2"),
+    ("default_start_sample", lambda g: walk_engine.default_start_sample(g["petersen"],
+                                                                         sample_size=0),
+     r"sample size 0 outside \[1, n=10\]"),
+    ("nbrw_projected_k", lambda g: walk_engine.nbrw_projected(g["petersen"], 0, -1),
+     r"k must be >= 0, got -1"),
+    ("nbrw_projected_x", lambda g: walk_engine.nbrw_projected(g["petersen"], 10, 2),
+     r"start vertex 10 outside \[0, 10\)"),
+    ("tree_rows_d", lambda g: walk_engine.tree_rows(2, 5), r"requires d >= 3, got d=2"),
+    ("tree_rows_t_max", lambda g: walk_engine.tree_rows(3, -1), r"t_max must be >= 0, got -1"),
+    ("tree_lp_norm_p", lambda g: walk_engine.tree_lp_norm(3, walk_engine.sphere_sizes(3, 2), 0.5),
+     r"p must be in \[1, inf\], got 0.5"),
+    ("profile_no_starts",
+     lambda g: walk_engine.empirical_cutoff_profile(g["petersen"], [], [0.0]),
+     r"at least one start"),
+    ("profile_empty_grid",
+     lambda g: walk_engine.empirical_cutoff_profile(g["petersen"], [0], []),
+     r"at least one s"),
+    ("profile_s_overflows",
+     lambda g: walk_engine.empirical_cutoff_profile(g["petersen"], [0], [0.0, 1e308]),
+     r"s=1e\+308 gives t = .* = inf, not a finite time"),
+    ("profile_s_inf",
+     lambda g: walk_engine.empirical_cutoff_profile(g["petersen"], [0], [-math.inf]),
+     r"not a finite time"),
+    ("profile_s_nan",
+     lambda g: walk_engine.empirical_cutoff_profile(g["petersen"], [0], [math.nan]),
+     r"= nan, not a finite time"),
+    # graph_core
+    ("bfs_source_negative", lambda g: graph_core.bfs_distances(g["petersen"], -1),
+     r"source -1 outside \[0, 10\)"),
+    ("bfs_source_past_n", lambda g: graph_core.bfs_distances(g["petersen"], 10),
+     r"source 10 outside \[0, 10\)"),
+    ("distance_profile_radius", lambda g: graph_core.distance_profile(g["petersen"], 0, -1.0),
+     r"window_radius must be >= 0, got -1.0"),
+    ("distance_profile_radius_nan",
+     lambda g: graph_core.distance_profile(g["petersen"], 0, math.nan),
+     r"window_radius must be >= 0, got nan"),
+    # spectral_lab
+    ("certify_delta_nan", lambda g: spectral_lab.certify(_report(g["petersen"]), math.nan),
+     r"delta threshold must be finite and >= 0, got nan"),
+    ("certify_delta_inf", lambda g: spectral_lab.certify(_report(g["petersen"]), math.inf),
+     r"delta threshold must be finite and >= 0, got inf"),
+    ("certify_delta_negative", lambda g: spectral_lab.certify(_report(g["petersen"]), -1.0),
+     r"delta threshold must be finite and >= 0, got -1.0"),
+    ("certify_budget", lambda g: spectral_lab.certify(_report(g["petersen"]), 0.1, -1),
+     r"exceptional budget must be >= 0, got -1"),
+    ("theta_pair", lambda g: spectral_lab.theta_pair(3.5, 3), r"\|lambda\| must be <= d"),
+    ("alpha_exact", lambda g: spectral_lab.alpha_exact(3.0, 3), r"lambda != d"),
+    ("gamma", lambda g: spectral_lab.gamma(1j, 1.0, 0), r"t must be >= 1, got 0"),
+    ("nbrw_l2_bound", lambda g: spectral_lab.nbrw_l2_bound(100, 3, 0), r"t must be >= 1, got 0"),
+    # theory
+    ("cutoff_prediction_d", lambda g: theory.cutoff_prediction(100, 2), r"need d >= 3, got d=2"),
+    ("cutoff_prediction_n", lambda g: theory.cutoff_prediction(3, 3),
+     r"need n > d, got n=3, d=3"),
+    ("profile_value_d", lambda g: theory.profile_value(0.0, 2), r"need d >= 3, got d=2"),
+    ("relative_entropy_beta", lambda g: theory.relative_entropy(1.5, 0.5, 2.0),
+     r"beta and alpha must lie in \[0, 1\]"),
+    ("relative_entropy_base", lambda g: theory.relative_entropy(0.5, 0.5, 1.0),
+     r"base must exceed 1, got 1.0"),
+    ("lp_prediction_p", lambda g: theory.lp_prediction(1.0, 3, 100),
+     r"p must lie in \(1, inf\], got 1.0"),
+    ("lp_prediction_d", lambda g: theory.lp_prediction(2.0, 2, 100), r"need d >= 3, got d=2"),
+    ("lp_lower_bound_t", lambda g: theory.lp_lower_bound(100, 3, 2.0, 0),
+     r"t must be >= 1, got 0"),
+    ("srw_lower_profile_eps", lambda g: theory.srw_lower_profile(100, 3, 1.0, 0.0),
+     r"eps must be in \(0,1\), got 1.0"),
+    ("nbrw_tmix_lower_eps", lambda g: theory.nbrw_tmix_lower(100, 3, 0.0),
+     r"eps must be in \(0,1\], got 0.0"),
+    ("diameter_bounds_lam", lambda g: theory.diameter_bounds(100, 6, 6.0),
+     r"need 0 < lambda < d, got lambda=6.0, d=6"),
+    ("diameter_bounds_lam_near_d", lambda g: theory.diameter_bounds(100, 6, 6.0 - 1e-12),
+     r"too close to d=6"),
+    ("weakly_adjusted_time_delta", lambda g: theory.weakly_adjusted_time(100, 3, math.inf),
+     r"delta must be finite and >= 0, got inf"),
+    ("l1_l2_gap_d", lambda g: theory.l1_l2_gap(2), r"need d > 2, got d=2"),
+]
+
+
+@pytest.mark.parametrize("call, match", [case[1:] for case in _CASES],
+                         ids=[case[0] for case in _CASES])
+def test_argument_out_of_range_raises_usage_error(small_graphs, call, match):
+    with pytest.raises(ValueError, match=match) as info:
+        call(small_graphs)
+    assert info.type is UsageError
+
+
+def test_nbrw_tmix_lower_subnormal_eps():
+    # log_2(1/eps) is taken as -log(eps) / log 2: 1/eps would overflow
+    assert theory.nbrw_tmix_lower(100, 3, 1e-320) == 9 - math.ceil(320 * math.log2(10))
+    for eps in (1e-300, 1e-9, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0):
+        for d in (3, 4, 6, 14):
+            old = theory._iceil(math.log(1 / eps) / math.log(d - 1))
+            assert theory.nbrw_tmix_lower(1000, d, eps) == (
+                theory._iceil(math.log(d * 1000) / math.log(d - 1)) - old)

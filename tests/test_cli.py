@@ -90,6 +90,14 @@ def test_theory_json(tmp_path):
         0.5 * math.log(1000) / math.log(1 / rho))
 
 
+def test_theory_subnormal_eps(tmp_path):
+    # 1/eps overflows at eps = 1e-320; the bound is still a finite integer
+    assert run(["theory", "--n", "100", "--d", "3", "--eps", "1e-320",
+                "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads(read(os.path.join(str(tmp_path), "theory.json")))
+    assert payload["nbrw_tmix_lower"] == 9 - math.ceil(320 * math.log2(10))
+
+
 def test_tree_csv(tmp_path):
     out = str(tmp_path)
     assert run(["tree", "--d", "3", "--horizon", "6", "--out-dir", out]) == 0
@@ -258,6 +266,7 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["tree", "--d", "3", "--horizon", "0"],
     ["tree", "--d", "3", "--horizon", str(cli.TABLE_HORIZON_CAP + 1)],
     ["theory", "--n", "1", "--d", "3"],
+    ["theory", "--n", "3", "--d", "3"],
     ["theory", "--n", "100", "--d", "2"],
     ["theory", "--n", "100", "--d", "3", "--eps", "2"],
     ["theory", "--n", "100", "--d", "3", "--delta", "-1"],
@@ -271,6 +280,8 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["profile", "--name", "petersen", "--starts", "0"],
     ["profile", "--name", "petersen", "--s-grid", "a,b"],
     ["profile", "--name", "petersen", "--s-grid", "0,inf"],
+    ["profile", "--name", "petersen", "--s-grid", "1e308"],
+    ["profile", "--name", "petersen", "--s-grid", ","],
     ["mix", "--name", "petersen", "--p-list", "1,x"],
     ["mix", "--name", "petersen", "--p-list", "nan,0.5", "--tmax", "3"],
     ["mix", "--name", "petersen", "--p-list", "2,0.5"],
@@ -400,7 +411,8 @@ def test_fuzzed_argv_exit_code(argv):
                                  scipy.sparse.linalg.ArpackError(-9999)],
                          ids=lambda exc: type(exc).__name__)
 def test_library_failure_exit_code(tmp_path, capsys, monkeypatch, exc):
-    # a failure inside numpy/scipy -> one JSON line on stderr, exit 4
+    # a failure inside numpy/scipy -> one JSON line on stderr, exit 4, and no
+    # artifact
     def fail(*args, **kwargs):
         raise exc
 
@@ -409,6 +421,7 @@ def test_library_failure_exit_code(tmp_path, capsys, monkeypatch, exc):
         assert run(["spectrum", *graph, "--out-dir", str(tmp_path)]) == 4
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == type(exc).__name__
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_non_utf8_graph_file_exit_code(tmp_path, capsys):
@@ -563,6 +576,16 @@ def test_build_json_echoes_provenance(tmp_path):
                                      "group": "PGL(2,13)", "bipartite": True}
     sidecar = json.loads(read(os.path.join(out, "graph.edges.json")))
     assert sidecar["provenance"] == payload["provenance"]
+
+
+def test_build_json_does_not_depend_on_out_dir(tmp_path):
+    # build.json names the edge list beside the manifest, not under --out-dir
+    outs = [tmp_path / "a", tmp_path / "deeper" / "b"]
+    for out in outs:
+        assert run(["build", "--name", "petersen", "--out-dir", str(out)]) == 0
+    assert json.loads(read(outs[0] / "build.json"))["path"] == "graph.edges"
+    for name in ("build.json", "graph.edges", "manifest.json"):
+        assert read(outs[0] / name) == read(outs[1] / name), name
 
 
 def test_mix_lps29_example_line(tmp_path, lps29):

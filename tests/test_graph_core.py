@@ -15,6 +15,7 @@ from ramlab.errors import (
     NonSimple,
     RamlabError,
     SelfLoop,
+    UsageError,
 )
 
 
@@ -72,7 +73,7 @@ def test_bfs_matches_dict_oracle(rand3_50, lift20):
 
 
 def test_bfs_source_range(k4):
-    with pytest.raises(IndexError):
+    with pytest.raises(UsageError):
         graph_core.bfs_distances(k4, 4)
 
 

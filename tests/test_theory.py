@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramlab import graph_core, theory, walk_engine
-from ramlab.errors import AlphaDegenerate, LambdaOutOfRange, POutOfRange
+from ramlab.errors import AlphaDegenerate, UsageError
 
 
 # --- cutoff prediction ------------------------------------------------------
@@ -88,9 +88,9 @@ def test_p_to_one_limit():
 
 
 def test_p_out_of_range():
-    with pytest.raises(POutOfRange):
+    with pytest.raises(UsageError):
         theory.lp_prediction(1.0, 3, 100)
-    with pytest.raises(POutOfRange):
+    with pytest.raises(UsageError):
         theory.lp_prediction(0.5, 3, 100)
 
 
@@ -164,9 +164,9 @@ def test_cfm_asymptotics_ramanujan():
 
 
 def test_diameter_bounds_validate_lambda():
-    with pytest.raises(LambdaOutOfRange):
+    with pytest.raises(UsageError):
         theory.diameter_bounds(100, 6, 6.0)
-    with pytest.raises(LambdaOutOfRange):
+    with pytest.raises(UsageError):
         theory.diameter_bounds(100, 6, 0.0)
 
 

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 import oracles
 from ramlab import builders, graph_core, walk_engine
-from ramlab.errors import NotReached, ParityOnNonBipartite, SpaceMismatch, SupportViolation
+from ramlab.errors import (
+    NotReached,
+    ParityOnNonBipartite,
+    SpaceMismatch,
+    SupportViolation,
+    UsageError,
+)
 from ramlab.walk_engine import (
     MixingCurve,
     evolve,
@@ -180,7 +186,7 @@ def test_evolve_from_initial_laws(petersen):
 
 @pytest.mark.parametrize("starts", [[10], [-1], [0, 30]])
 def test_evolve_rejects_states_outside_the_space(petersen, starts):
-    with pytest.raises(IndexError):
+    with pytest.raises(UsageError):
         next(evolve(petersen, "srw", starts))
 
 
@@ -227,7 +233,7 @@ def test_curve_columns_equal_public_distances(name, kernel, reference, request):
 
 
 def test_curve_rejects_bad_start_and_horizon(petersen):
-    with pytest.raises(IndexError):
+    with pytest.raises(UsageError):
         mixing_curve(petersen, "nbrw", 30, 5)
     with pytest.raises(ValueError):
         mixing_curve(petersen, "srw", 0, -1)
@@ -362,10 +368,10 @@ def test_nbrw_projected_petersen_depth2(petersen):
 @pytest.mark.parametrize("x", [-1, 10])
 def test_projections_reject_start_outside(petersen, x):
     for k in (0, 1, 2):
-        with pytest.raises(IndexError, match=r"outside \[0, 10\)"):
+        with pytest.raises(UsageError, match=r"outside \[0, 10\)"):
             nbrw_projected(petersen, x, k)
     for t in (0, 3):
-        with pytest.raises(IndexError, match=r"outside \[0, 10\)"):
+        with pytest.raises(UsageError, match=r"outside \[0, 10\)"):
             srw_mixture_residual(petersen, x, t)
 
 
