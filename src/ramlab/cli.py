@@ -12,6 +12,7 @@ artifacts afterwards, so a refused run leaves none.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -168,14 +169,8 @@ def cmd_metrics(args) -> int:
         "n": graph.n,
         "d": graph.d,
         "volume_lower_bound": graph_core.diameter_volume_lower_bound(graph.n, graph.d),
-        "profile": {
-            "source": profile.source,
-            "histogram": profile.histogram,
-            "median": profile.median,
-            "window_radius": profile.window_radius,
-            "exceedance": profile.exceedance,
-            "exceedance_fraction": profile.exceedance_fraction,
-        },
+        "profile": {**dataclasses.asdict(profile),
+                    "exceedance_fraction": profile.exceedance_fraction},
     }
     sha = write_manifest(args.out_dir, "metrics", _config_of(args))
     emit_json(os.path.join(args.out_dir, "metrics.json"), payload, sha)
@@ -268,7 +263,7 @@ def cmd_decompose(args) -> int:
              [tuple(zip(*rows))], [f"manifest_sha256={sha}",
                                    f"n={dec.n} d={dec.d} N={dec.N} bipartite={dec.bipartite}"])
     emit_json(os.path.join(args.out_dir, "decomposition.json"), {
-        **{k: v for k, v in report.items()},
+        **report,
         "minus_one_multiplicity": dec.minus_one_multiplicity,
         "plus_one_multiplicity": dec.plus_one_multiplicity,
     }, sha)
@@ -393,7 +388,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "verification", "component": exc.component,
                           "message": str(exc)}), file=sys.stderr)
         return 3
-    except (RamlabError, OSError, MemoryError, LinAlgError, ArpackError) as exc:
+    except (RamlabError, OSError, MemoryError, OverflowError, LinAlgError,
+            ArpackError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 4

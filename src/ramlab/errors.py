@@ -15,7 +15,9 @@ class UsageError(RamlabError, ValueError):
 # --- graph construction / validation ---------------------------------------
 
 class IrregularGraph(RamlabError):
-    """A vertex does not have exactly d neighbors."""
+    """The input is not n vertices of exactly d neighbors each: a vertex of
+    another degree, n <= d, a neighbor outside [0, n), or input that is not
+    n*d integers or (u, v) integer pairs."""
 
 
 class SelfLoop(RamlabError):

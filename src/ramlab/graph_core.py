@@ -1,16 +1,20 @@
 """Immutable regular-graph representation and BFS-based metrics.
 
+A graph is made in one of two ways: ``RegularGraph(n, d, indices)`` from
+n*d integers, its n neighbour rows one after another, each in any order, or
+``from_edges(n, d, edges)`` from an undirected edge list. Either way it is
+checked once, when it is made, and carries its edge reversal ``rev``, its
+two-colouring ``bipartition`` and, when it was given a free cyclic
+automorphism, that automorphism's orbit table ``orbits``.
+
 A graph is stored in compressed row form: ``indices`` is a flat int32 array
 of length n*d whose slice [u*d:(u+1)*d] lists the (sorted) neighbors of u.
 Directed edges are indexed e = d*u + rank, where rank is the position of the
 head in u's sorted neighbor list; this makes edge ids reproducible across
-runs. A graph is checked once, when it is made, and carries its edge
-reversal ``rev``, its two-colouring ``bipartition`` and, when it was given
-a free cyclic automorphism, that automorphism's orbit table ``orbits``.
-Instances are immutable after construction and safe to share across threads.
+runs. Instances are immutable after construction and safe to share across
+threads.
 """
 
-import itertools
 import math
 from dataclasses import InitVar, dataclass, field
 
@@ -33,8 +37,9 @@ from .errors import (
 @dataclass(frozen=True)
 class RegularGraph:
     """Connected simple d-regular graph (d >= 3), checked when it is made:
-    rows are sorted, then the first out-of-range neighbor, self-loop,
-    parallel edge, arc without reverse or unreachable vertex raises.
+    ``indices`` must hold n*d integers, the n neighbour rows; the rows are
+    sorted, then the first out-of-range neighbor, self-loop, parallel edge,
+    arc without reverse or unreachable vertex raises.
 
     ``translation``, when given, is a vertex permutation sigma that must be
     an automorphism whose cyclic group acts freely (every orbit has
@@ -57,7 +62,11 @@ class RegularGraph:
     def __post_init__(self, translation):
         n, d = self.n, self.d
         _check_size(n, d)
-        rows = np.sort(np.asarray(self.indices, dtype=np.int64).reshape(n, d), axis=1)
+        flat = np.asarray(self.indices)
+        if flat.size != n * d or flat.dtype.kind not in "iu":
+            raise IrregularGraph(f"indices must hold n*d = {n * d} integers, "
+                                 f"got {flat.size} of dtype {flat.dtype}")
+        rows = np.sort(flat.astype(np.int64, copy=False).reshape(n, d), axis=1)
         for fault, error, what in (
                 ((rows < 0) | (rows >= n), IrregularGraph,
                  f"lists a neighbor outside [0, {n})"),
@@ -77,7 +86,7 @@ class RegularGraph:
         if bad.size:
             raise Asymmetric(f"edge ({bad[0] // d}, {heads[bad[0]]}) has no reverse entry")
         rev = (heads * d + rank).astype(np.int32)
-        parity = (_connected_distances(self, 0) % 2).astype(np.int8)
+        parity = (bfs_distances(self, 0) % 2).astype(np.int8)
         bipartition = parity if np.all(parity[tails] != parity[indices]) else None
         orbits = None if translation is None else _orbit_table(rows, translation)
         for name, values in (("rev", rev), ("bipartition", bipartition), ("orbits", orbits)):
@@ -108,35 +117,28 @@ def adjacency_sparse(graph: RegularGraph) -> scipy.sparse.csr_matrix:
                                    shape=(graph.n, graph.n))
 
 
-def from_adjacency(adj: list | dict | np.ndarray, d: int,
-                   provenance: dict | None = None) -> RegularGraph:
-    """Build a RegularGraph from neighbour rows in any order: a list of n
-    rows, a dict from each vertex 0..n-1 to its row, or an (n, d) int array.
-    Each fault raises its own error naming the first bad vertex."""
-    n = len(adj)
-    if isinstance(adj, np.ndarray) and adj.ndim == 2:
-        lengths = np.full(n, adj.shape[1])
-    else:
-        if isinstance(adj, dict):  # adj.get(u, ()) for each vertex u
-            adj = list(map(adj.get, range(n), itertools.repeat(())))
-        lengths = np.fromiter(map(len, adj), dtype=np.int64, count=n)
-    _check_degrees(n, d, lengths)
-    return RegularGraph(n=n, d=d, indices=np.asarray(adj, dtype=np.int64),
-                        provenance=provenance or {})
-
-
 def from_edges(n: int, d: int, edges, provenance: dict | None = None) -> RegularGraph:
     """Build and validate a RegularGraph from undirected edges, each listed
     once in any order and orientation: (u, v) pairs or an (m, 2) int array."""
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(edges)
+    if pairs.size and not (pairs.ndim == 2 and pairs.shape[1] == 2
+                           and pairs.dtype.kind in "iu"):
+        raise IrregularGraph(f"edges must be (u, v) integer pairs, got an array of "
+                             f"shape {pairs.shape} and dtype {pairs.dtype}")
+    pairs = pairs.astype(np.int64, copy=False).reshape(-1, 2)
     outside = np.flatnonzero(((pairs < 0) | (pairs >= n)).any(axis=1))
     if outside.size:
         edge = tuple(pairs[outside[0]].tolist())
         raise IrregularGraph(f"edge {edge} has an endpoint outside [0, {n})")
     tails, heads = pairs.ravel(), pairs[:, ::-1].ravel()
-    _check_degrees(n, d, np.bincount(tails, minlength=max(n, 0)))
-    # grouped by tail only: from_adjacency sorts each row
-    return from_adjacency(heads[np.argsort(tails)].reshape(n, d), d, provenance)
+    _check_size(n, d)
+    degree = np.bincount(tails, minlength=n)
+    bad = np.flatnonzero(degree != d)
+    if bad.size:
+        raise IrregularGraph(f"vertex {bad[0]} has degree {degree[bad[0]]}, expected {d}")
+    # grouped by tail only: the constructor sorts each row
+    return RegularGraph(n=n, d=d, indices=heads[np.argsort(tails)],
+                        provenance=provenance or {})
 
 
 def _check_size(n: int, d: int):
@@ -145,14 +147,6 @@ def _check_size(n: int, d: int):
         raise DegreeTooSmall(f"this package requires d >= 3, got d={d}")
     if n <= d:
         raise IrregularGraph(f"need n > d, got n={n}, d={d}")
-
-
-def _check_degrees(n: int, d: int, degree: np.ndarray):
-    """Raise unless d >= 3, n > d and every vertex has degree d."""
-    _check_size(n, d)
-    bad = np.flatnonzero(degree != d)
-    if bad.size:
-        raise IrregularGraph(f"vertex {bad[0]} has degree {degree[bad[0]]}, expected {d}")
 
 
 def _orbit_table(rows: np.ndarray, translation) -> np.ndarray:
@@ -187,13 +181,6 @@ def _orbit_table(rows: np.ndarray, translation) -> np.ndarray:
     return orbits
 
 
-def _connected_distances(graph: RegularGraph, src: int) -> np.ndarray:
-    dist = _kernels.bfs_distances(graph.indices, graph.d, src)
-    if (dist < 0).any():
-        raise Disconnected(f"{int((dist < 0).sum())} vertices unreachable from {src}")
-    return dist
-
-
 def validate_and_index(graph: RegularGraph) -> np.ndarray:
     """The edge reversal: read-only int32 rev with rev[e] the id of the
     reverse of directed edge e (tail e // d, head indices[e])."""
@@ -204,7 +191,10 @@ def bfs_distances(graph: RegularGraph, x: int) -> np.ndarray:
     """Exact shortest-path distances from x; raises Disconnected otherwise."""
     if not 0 <= x < graph.n:
         raise UsageError(f"source {x} outside [0, {graph.n})")
-    return _connected_distances(graph, x)
+    dist = _kernels.bfs_distances(graph.indices, graph.d, x)
+    if (dist < 0).any():
+        raise Disconnected(f"{int((dist < 0).sum())} vertices unreachable from {x}")
+    return dist
 
 
 @dataclass(frozen=True)

@@ -133,17 +133,10 @@ def adjacency_spectrum(graph: RegularGraph,
         eigs = np.linalg.eigvalsh(a.toarray())[::-1]
         return report_from_eigenvalues(eigs, graph.n, graph.d, graph.bipartite, "dense")
     v0 = np.random.default_rng(0).standard_normal(graph.n)
-    top = np.sort(scipy.sparse.linalg.eigsh(a, k=2, which="LA", v0=v0,
-                                            return_eigenvectors=False))[::-1]
-    bot = np.sort(scipy.sparse.linalg.eigsh(a, k=2, which="SA", v0=v0,
-                                            return_eigenvectors=False))
-    lam2 = top[1]
-    low = bot[1] if graph.bipartite else bot[0]
-    max_abs = float(max(abs(lam2), abs(low)))
-    eigs = np.sort(np.concatenate([top, bot]))[::-1]
-    return SpectrumReport(n=graph.n, d=graph.d, bipartite=graph.bipartite,
-                          eigenvalues=eigs, method="ritz_estimate",
-                          max_nontrivial_abs=max_abs)
+    extremes = [scipy.sparse.linalg.eigsh(a, k=2, which=which, v0=v0, return_eigenvectors=False)
+                for which in ("LA", "SA")]
+    return report_from_eigenvalues(np.concatenate(extremes), graph.n, graph.d,
+                                   graph.bipartite, "ritz_estimate")
 
 
 def _translation_eigenvalues(graph: RegularGraph) -> np.ndarray:
@@ -202,7 +195,7 @@ def certify(report: SpectrumReport, delta_threshold: float = 0.1,
     if report.max_nontrivial_abs >= report.d - EPS_PRIME:
         return Certificate(kind="not_certified",
                            delta=report.weak_margin)
-    if report.max_nontrivial_abs <= bound + RAMANUJAN_TOL:
+    if report.ramanujan:
         return Certificate(kind="ramanujan")
     if report.weak_margin <= delta_threshold:
         return Certificate(kind="weakly_ramanujan", delta=report.weak_margin)

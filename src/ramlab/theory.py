@@ -234,7 +234,7 @@ def predictions_json(n: int, d: int, p: float | None = None,
                      lam: float | None = None, eps: float | None = None,
                      delta: float | None = None) -> dict:
     """All applicable predictions keyed by formula anchor, for export."""
-    pred = cutoff_prediction(n, d)
+    pred, gap = cutoff_prediction(n, d), l1_l2_gap(d)
     out = {
         "n": n,
         "d": d,
@@ -244,8 +244,8 @@ def predictions_json(n: int, d: int, p: float | None = None,
         "rho": pred.rho,
         "l2_location": 0.5 * _log_base(n, 1 / pred.rho),
         "threshold_time": nbrw_threshold_time(n, d),
-        "f_gap": l1_l2_gap(d)["f"],
-        "location_ratio": l1_l2_gap(d)["location_ratio"],
+        "f_gap": gap["f"],
+        "location_ratio": gap["location_ratio"],
     }
     if p is not None:
         lp = lp_prediction(p, d, n)

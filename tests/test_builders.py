@@ -206,7 +206,7 @@ def test_covering_map_rejects_non_cover(lift20, petersen):
     perm = np.arange(200)
     perm[[0, 199]] = [199, 0]
     rows = perm[lift20.indices.reshape(200, 3)][perm]
-    swapped = graph_core.from_adjacency(rows, 3)
+    swapped = graph_core.RegularGraph(n=200, d=3, indices=rows.ravel())
     assert not builders.is_covering_map(swapped, petersen, 20)
 
 

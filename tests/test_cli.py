@@ -328,6 +328,16 @@ def test_negative_seed_exit_code(tmp_path, capsys, argv):
     _assert_rejected(tmp_path, capsys, argv, 4, "BadParams")
 
 
+@pytest.mark.parametrize("argv", [
+    ["theory", "--n", str(10**400), "--d", str(10**399)],
+    ["theory", "--n", str(10**400), "--d", "3", "--lam", "2.5"],
+    ["tree", "--d", str(10**400), "--horizon", "3"],
+], ids=["theory", "theory_lam", "tree"])
+def test_integer_beyond_float_range_exit_code(tmp_path, capsys, argv):
+    # the closed forms convert n and d to float, which overflows
+    _assert_rejected(tmp_path, capsys, argv, 4, "OverflowError")
+
+
 def test_random_regular_degree_seven_exit_code(tmp_path, capsys, monkeypatch):
     # refused before any pairing is drawn
     def no_sampling(*args, **kwargs):
@@ -347,8 +357,12 @@ def test_random_regular_degree_below_three_exit_code(tmp_path, capsys, d):
 
 # Numeric flag values: small integers with 0 and negatives, a fraction, NaN
 # and infinities. No value exceeds 12, which bounds every graph (n <= 12),
-# --tmax, --horizon, --pmax, --starts and the --s-grid entries.
+# --tmax, --horizon, --pmax, --starts and the --s-grid entries. theory's
+# --n and --d and tree's --d only enter closed forms, so they also draw
+# integers near and beyond the float range.
 _NUMBER = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["0.5", "nan", "inf", "-inf"]))
+_CLOSED_FORM_INT = st.one_of(_NUMBER, st.sampled_from([10**300, 10**308, 10**309, 10**400])
+                             .map(str))
 _NUMBERS = st.lists(_NUMBER, max_size=3).map(",".join)
 _GRAPH = st.one_of(
     st.sampled_from(["petersen", "complete(3)", "complete(4)", "complete(7)",
@@ -379,9 +393,9 @@ _FLAGS = {
 def _argv(draw):
     sub = draw(st.sampled_from(sorted(_FLAGS)))
     if sub == "theory":
-        argv = [sub, "--n", draw(_NUMBER), "--d", draw(_NUMBER)]
+        argv = [sub, "--n", draw(_CLOSED_FORM_INT), "--d", draw(_CLOSED_FORM_INT)]
     elif sub == "tree":
-        argv = [sub, "--d", draw(_NUMBER)]
+        argv = [sub, "--d", draw(_CLOSED_FORM_INT)]
     else:
         argv = [sub, *draw(_GRAPH)]
     for flag, values in _FLAGS[sub].items():

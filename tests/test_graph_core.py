@@ -140,27 +140,25 @@ def test_rejects_irregular():
 def test_rejects_self_loop():
     adj = [[0, 1, 2], [0, 2, 3], [0, 1, 3], [1, 2, 0]]
     with pytest.raises(SelfLoop):
-        graph_core.from_adjacency(adj, 3)
+        graph_core.RegularGraph(n=4, d=3, indices=np.array(adj).ravel())
 
 
 def test_rejects_parallel_edge():
     adj = [[1, 1, 2], [0, 0, 2], [0, 1, 3], [2, 0, 1]]
     with pytest.raises(NonSimple):
-        graph_core.from_adjacency(adj, 3)
+        graph_core.RegularGraph(n=4, d=3, indices=np.array(adj).ravel())
 
 
 def test_rejects_asymmetric():
     adj = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 1]]
     with pytest.raises((Asymmetric, NonSimple)):
-        graph_core.from_adjacency(adj, 3)
+        graph_core.RegularGraph(n=4, d=3, indices=np.array(adj).ravel())
 
 
 def test_asymmetric_rows_name_the_edge():
     # 4 lists 2 but 2 does not list 4: no graph with these rows can be made,
     # so none reaches an NBRW entry point
     rows = [[1, 2, 3], [0, 2, 4], [0, 1, 3], [0, 2, 4], [1, 2, 3]]
-    with pytest.raises(Asymmetric, match=r"edge \(4, 2\)"):
-        graph_core.from_adjacency(rows, 3)
     with pytest.raises(Asymmetric, match=r"edge \(4, 2\)"):
         graph_core.RegularGraph(n=5, d=3, indices=np.array(rows, np.int32).ravel())
 
@@ -186,6 +184,32 @@ def test_rejects_disconnected():
 def test_from_edges_rejects_endpoint_outside(edges, named):
     with pytest.raises(IrregularGraph, match=named + r" has an endpoint outside \[0, 4\)"):
         graph_core.from_edges(4, 3, edges)
+
+
+@pytest.mark.parametrize("edges, got", [
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3.9)], r"\(6, 2\) and dtype float64"),
+    ([(0, 1, 2)], r"\(1, 3\) and dtype int64"),
+], ids=["float_endpoint", "triple"])
+def test_from_edges_rejects_non_integer_pairs(edges, got):
+    # an endpoint 3.9 is refused, not truncated to 3
+    with pytest.raises(IrregularGraph, match=r"^edges must be \(u, v\) integer pairs, "
+                                             r"got an array of shape " + got + "$"):
+        graph_core.from_edges(4, 3, edges)
+
+
+def test_constructor_rejects_wrong_number_of_entries():
+    with pytest.raises(IrregularGraph,
+                       match=r"^indices must hold n\*d = 30 integers, got 5 of dtype int64$"):
+        graph_core.RegularGraph(n=10, d=3, indices=np.arange(5))
+
+
+def test_constructor_rejects_float_entry(petersen):
+    # 1.7 in place of vertex 0's neighbour 1 is refused, not truncated to 1
+    indices = petersen.indices.astype(float)
+    indices[0] += 0.7
+    with pytest.raises(IrregularGraph,
+                       match=r"^indices must hold n\*d = 30 integers, got 30 of dtype float64$"):
+        graph_core.RegularGraph(n=10, d=3, indices=indices)
 
 
 @pytest.fixture(scope="module")
@@ -253,16 +277,16 @@ _FAULTS = [(fault, form)
 
 @pytest.mark.parametrize("fault", ["self_loop", "parallel", "above", "negative",
                                    "asymmetric", "disconnected"])
-def test_constructor_raises_as_from_adjacency(petersen, fault):
-    # a RegularGraph made directly from unsorted rows with one fault raises
-    # the error, word for word, that from_adjacency raises for them
+def test_constructor_raises_as_loop_oracle(petersen, fault):
+    # a RegularGraph made from unsorted rows with one fault raises the
+    # error, word for word, that the per-vertex loop oracle raises for them
     if fault == "disconnected":  # two disjoint copies of K4
         rows = [[v + 4 * (u // 4) for v in range(4) if v != u % 4] for u in range(8)]
     else:
         rows, _ = _inject(petersen.indices.reshape(10, 3).tolist(), fault, 4)
     rows = [row[::-1] for row in rows]
     with pytest.raises(RamlabError) as expected:
-        graph_core.from_adjacency(rows, 3)
+        oracles.regular_graph_loop(rows, 3)
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
         graph_core.RegularGraph(n=len(rows), d=3, indices=np.array(rows).ravel())
 
@@ -287,28 +311,25 @@ def test_bipartition_is_not_a_constructor_argument(k33):
 @pytest.mark.parametrize("u", [0, 4, 9])
 @pytest.mark.parametrize("fault, form", _FAULTS)
 def test_single_fault_names_first_vertex(petersen, fault, form, u):
+    # the loop oracle reads the rows as given, the constructor reads them
+    # one after another as n*d integers
     rows, error = _inject(petersen.indices.reshape(10, 3).tolist(), fault, u)
     first = min(u, int(petersen.neighbors(u)[0])) if fault == "asymmetric" else u
     adj = dict(enumerate(rows)) if form == "dict" else np.array(rows) if form == "array" else rows
     named = rf"^(?:vertex |edge \(){first}\b"
     with pytest.raises(error, match=named):
-        graph_core.from_adjacency(adj, 3)
+        oracles.regular_graph_loop(adj, 3)
+    if fault == "degree":  # a short row leaves 29 integers, which name no vertex
+        named = r"^indices must hold n\*d = 30 integers, got 29 "
     with pytest.raises(error, match=named):
-        oracles.regular_graph_loop(rows, 3)
+        graph_core.RegularGraph(n=10, d=3, indices=[v for w in range(10) for v in adj[w]])
 
 
 def test_array_of_wrong_width_names_vertex_zero(petersen):
+    # 40 integers for n*d = 30 are refused whole, before any row is read
     rows = np.hstack([petersen.indices.reshape(10, 3), np.zeros((10, 1), np.int32)])
-    with pytest.raises(IrregularGraph, match="vertex 0 has degree 4, expected 3"):
-        graph_core.from_adjacency(rows, 3)
-
-
-def test_dict_missing_a_vertex(petersen):
-    rows = dict(enumerate(petersen.indices.reshape(10, 3).tolist()))
-    del rows[9]
-    rows[10] = [0, 1, 2]
-    with pytest.raises(IrregularGraph, match="vertex 9 has degree 0"):
-        graph_core.from_adjacency(rows, 3)
+    with pytest.raises(IrregularGraph, match=r"^indices must hold n\*d = 30 integers, got 40 "):
+        graph_core.RegularGraph(n=10, d=3, indices=rows)
 
 
 def test_graph_immutable(k4):

@@ -61,8 +61,8 @@ def _random_regular_adjacency(n: int, d: int, seed: int) -> dict:
 
 @pytest.mark.parametrize("name", ["lift20", "lps13", "two_k4"])
 def test_bfs_distances_match_deque_oracle(request, k4, name):
-    # two disjoint copies of K4 go to the kernel directly: from_adjacency
-    # refuses a disconnected graph
+    # two disjoint copies of K4 go to the kernel directly: the RegularGraph
+    # constructor refuses a disconnected graph
     if name == "two_k4":
         indices, d = np.concatenate([k4.indices, k4.indices + k4.n]), k4.d
     else:
