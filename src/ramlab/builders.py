@@ -276,15 +276,6 @@ def build_random_lift(spec: LiftSpec) -> RegularGraph:
         f"no connected lift in {RETRY_BUDGET} attempts (cover={n}, seed={spec.seed})")
 
 
-def is_covering_map(lift: RegularGraph, base: RegularGraph, cover: int) -> bool:
-    """Check that w -> w // cover is a locally bijective homomorphism."""
-    if lift.n != base.n * cover or lift.d != base.d:
-        return False
-    projected = np.sort(lift.indices.reshape(-1, lift.d) // cover, axis=1)
-    base_rows = base.indices.reshape(-1, base.d)[np.arange(lift.n) // cover]
-    return bool(np.array_equal(projected, base_rows))
-
-
 # --------------------------------------------------------------------------
 # Named graphs
 # --------------------------------------------------------------------------

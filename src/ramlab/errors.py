@@ -78,14 +78,6 @@ class SupportViolation(RamlabError):
     """Distribution puts mass outside the reference's support."""
 
 
-class NotReached(RamlabError):
-    """Mixing threshold was not crossed within the computed curve."""
-
-    def __init__(self, t_max: int):
-        super().__init__(f"threshold not reached by t_max={t_max}")
-        self.t_max = t_max
-
-
 # --- spectral lab -----------------------------------------------------------
 
 class SizeCap(RamlabError):
@@ -102,14 +94,6 @@ class VerificationFailed(RamlabError):
     def __init__(self, component: str, detail: str = ""):
         super().__init__(f"{component}: {detail}" if detail else component)
         self.component = component
-
-
-class NotRamanujan(RamlabError):
-    """Operation requires a certified Ramanujan graph."""
-
-
-class GraphIsBipartite(RamlabError):
-    """Operation requires a non-bipartite graph."""
 
 
 # --- theory -----------------------------------------------------------------

@@ -62,7 +62,11 @@ class RegularGraph:
     def __post_init__(self, translation):
         n, d = self.n, self.d
         _check_size(n, d)
-        flat = np.asarray(self.indices)
+        try:
+            flat = np.asarray(self.indices)
+        except ValueError:  # numpy refuses a ragged sequence
+            raise IrregularGraph(f"indices must hold n*d = {n * d} integers, "
+                                 "got a ragged sequence") from None
         if flat.size != n * d or flat.dtype.kind not in "iu":
             raise IrregularGraph(f"indices must hold n*d = {n * d} integers, "
                                  f"got {flat.size} of dtype {flat.dtype}")
@@ -98,9 +102,6 @@ class RegularGraph:
     def bipartite(self) -> bool:
         return self.bipartition is not None
 
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[u * self.d : (u + 1) * self.d]
-
     def edges(self):
         """Undirected edges as (u, v) with u < v, lexicographically sorted."""
         tails = np.repeat(np.arange(self.n, dtype=np.int64), self.d)
@@ -120,7 +121,11 @@ def adjacency_sparse(graph: RegularGraph) -> scipy.sparse.csr_matrix:
 def from_edges(n: int, d: int, edges, provenance: dict | None = None) -> RegularGraph:
     """Build and validate a RegularGraph from undirected edges, each listed
     once in any order and orientation: (u, v) pairs or an (m, 2) int array."""
-    pairs = np.asarray(edges)
+    try:
+        pairs = np.asarray(edges)
+    except ValueError:  # numpy refuses a ragged sequence
+        raise IrregularGraph("edges must be (u, v) integer pairs, "
+                             "got a ragged sequence") from None
     if pairs.size and not (pairs.ndim == 2 and pairs.shape[1] == 2
                            and pairs.dtype.kind in "iu"):
         raise IrregularGraph(f"edges must be (u, v) integer pairs, got an array of "

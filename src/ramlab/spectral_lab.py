@@ -19,18 +19,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from . import theory
-from .errors import (
-    EigenbasisNotOrthonormal,
-    GraphIsBipartite,
-    NotRamanujan,
-    NotReached,
-    SizeCap,
-    UsageError,
-    VerificationFailed,
-)
+from .errors import EigenbasisNotOrthonormal, SizeCap, UsageError, VerificationFailed
 from .graph_core import RegularGraph, adjacency_sparse, validate_and_index
-from .walk_engine import evolve, l2_squared_uniform
 
 DENSE_CAP_DEFAULT = 4000
 RAMANUJAN_TOL = 1e-9
@@ -65,10 +55,6 @@ class SpectrumReport:
     @property
     def partial(self) -> bool:
         return self.method == "ritz_estimate"
-
-    @property
-    def trivial(self) -> tuple:
-        return (self.d, -self.d) if self.bipartite else (self.d,)
 
     @property
     def ramanujan_bound(self) -> float:
@@ -509,79 +495,3 @@ def verify_decomposition(b, dec: BlockDecomposition,
         "ok": (recon <= tol_recon and unitary <= tol_unitary and bass <= tol_bass
                and opnorm_err <= tol_opnorm and alpha_err <= tol_alpha),
     }
-
-
-# --------------------------------------------------------------------------
-# gamma, the L^2 bound, and the exact transitive L^2 mixing formula
-# --------------------------------------------------------------------------
-
-
-def gamma(theta: complex, alpha: complex, t: int) -> complex:
-    """gamma(t) = alpha * sum_{j<t} theta^j conj(theta)^(t-1-j), in closed
-    form: alpha*t*theta^(t-1) for real theta, else the geometric quotient."""
-    if t < 1:
-        raise UsageError(f"t must be >= 1, got {t}")
-    theta = complex(theta)
-    if theta.imag == 0:
-        return alpha * t * theta.real ** (t - 1)
-    bar = theta.conjugate()
-    return alpha * (bar**t - theta**t) / (bar - theta)
-
-
-def nbrw_l2_bound(n: int, d: int, t: int) -> dict:
-    """Spectral upper bound on the squared edge-space L^2 distance of the
-    NBRW on a non-bipartite Ramanujan graph, with the threshold time and the
-    limiting constant c(d)."""
-    if t < 1:
-        raise UsageError(f"t must be >= 1, got {t}")
-    log_dm1 = math.log(d - 1)
-    return {
-        "bound": 2.0 * d * n * (d - 1.0) ** (-t) * (4 * (d - 1) * t * t + 1),
-        "threshold_time": theory.nbrw_threshold_time(n, d),
-        "c_d": 8 * (d - 1) / log_dm1**2 + 1,
-    }
-
-
-def upsilon_l2_transitive(graph: RegularGraph, report: SpectrumReport,
-                          eps: float) -> dict:
-    """Exact L^2 mixing-time prediction for the NBRW on a vertex-transitive
-    non-bipartite Ramanujan graph, cross-checked against the measured first
-    time the squared edge-space L^2 distance, from directed edge 0, drops to
-    eps.
-
-    Upsilon averages U_{k-1}(lambda/(2 sqrt(d-1)))^2 over the n-1 nontrivial
-    eigenvalues at the integer index k = ceil(log_{d-1} n), with the
-    second-kind convention U_{k-1}(cos x) = sin(kx)/sin(x).
-    """
-    d, n = graph.d, graph.n
-    if graph.bipartite:
-        raise GraphIsBipartite("exact L^2 formula requires a non-bipartite graph")
-    if not report.ramanujan:
-        raise NotRamanujan(f"max nontrivial |lambda| = {report.max_nontrivial_abs:g}")
-    k = theory._iceil(math.log(n) / math.log(d - 1))
-    ups = upsilon(report, k)
-    predicted = theory._iceil(
-        (math.log(n) + math.log(ups + 2.0) + math.log(1.0 / eps)) / math.log(d - 1))
-
-    for measured, mu in evolve(graph, "nbrw", [0]):
-        if measured > predicted + 15:
-            raise NotReached(predicted + 15)
-        if l2_squared_uniform(mu[:, 0], n * d) <= eps:
-            break
-    return {"k": k, "upsilon": ups, "predicted": predicted, "measured": measured,
-            "match": predicted == measured}
-
-
-def upsilon(report: SpectrumReport, k: int) -> float:
-    """Upsilon_G(k) = (d-2)^2/(d-1) * mean over nontrivial eigenvalues of
-    U_{k-1}(lambda/(2 sqrt(d-1)))^2."""
-    d = report.d
-    x = report.nontrivial() / (2 * math.sqrt(d - 1))
-    phi = np.arccos(np.clip(x, -1.0, 1.0))
-    sin_phi = np.sin(phi)
-    # sin(k phi)/sin(phi) -> k cos(phi)^(k-1) as phi -> 0 or pi
-    safe = sin_phi > 1e-8
-    u = np.empty_like(phi)
-    u[safe] = np.sin(k * phi[safe]) / sin_phi[safe]
-    u[~safe] = k * np.sign(np.cos(phi[~safe])) ** ((k - 1) % 2)
-    return (d - 2) ** 2 / (d - 1) * float(np.mean(u**2))

@@ -111,11 +111,6 @@ class LpPrediction:
     c_dp: float
     location: float
 
-    def objective(self, beta: float) -> float:
-        """f(beta) = ((p-1)/p)(2 beta - 1) + H_{d-1}(beta || (d-1)/d)."""
-        return (_frac(self.p, "pm1_over_p") * (2 * beta - 1)
-                + relative_entropy(beta, (self.d - 1) / self.d, self.d - 1))
-
 
 def lp_prediction(p: float, d: int, n: int) -> LpPrediction:
     """Closed-form minimizer beta*, the constant c_{d,p}, and the cutoff
@@ -136,22 +131,6 @@ def lp_prediction(p: float, d: int, n: int) -> LpPrediction:
         location = _frac(p, "pm1_over_p") * _log_base(n, 1 / rho)
     return LpPrediction(d=d, p=p, n=n, beta_star=beta_star, c_dp=c_dp,
                         location=location)
-
-
-def beta_star_grid(p: float, d: int, tol: float = 1e-8) -> float:
-    """Brute-force grid minimizer of the L^p entropy objective over
-    [1/2, (d-1)/d], refined until the grid spacing drops below tol."""
-    pred = lp_prediction(p, d, 2)
-    lo, hi = 0.5, (d - 1) / d
-    while True:
-        m = 2000
-        step = (hi - lo) / m
-        values = [pred.objective(lo + i * step) for i in range(m + 1)]
-        i_best = min(range(m + 1), key=values.__getitem__)
-        if step < tol:
-            return lo + i_best * step
-        lo, hi = (max(0.5, lo + (i_best - 1) * step),
-                  min((d - 1) / d, lo + (i_best + 1) * step))
 
 
 def lp_lower_bound(n: int, d: int, p: float, t: int) -> float:

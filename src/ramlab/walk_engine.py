@@ -5,8 +5,7 @@ The generator ``evolve`` advances a batch of them, one column per start; the
 mixing curve, the all-starts cutoff profile and the NBRW projections are thin
 loops over it. The infinite d-regular tree enters through ``tree_rows``, the
 radial dynamic program for the reflected biased walk, which supplies exact
-return probabilities, L^p norms, and the sphere-mixture identity for the SRW
-law.
+return probabilities and L^p norms.
 """
 
 import itertools
@@ -15,13 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NotReached,
-    ParityOnNonBipartite,
-    SpaceMismatch,
-    SupportViolation,
-    UsageError,
-)
+from .errors import ParityOnNonBipartite, SpaceMismatch, SupportViolation, UsageError
 from .graph_core import RegularGraph, adjacency_sparse, validate_and_index
 
 VERTICES = "vertices"
@@ -144,12 +137,6 @@ class _Reference:
                 else float((self.weights * a ** p).sum() ** (1.0 / p)) for p in p_list]
 
 
-def l2_squared_uniform(values: np.ndarray, support_size: int) -> float:
-    """Chi-square expansion under the uniform reference on the support:
-    m * sum(values^2) - 1."""
-    return support_size * float((values**2).sum()) - 1.0
-
-
 @dataclass(frozen=True)
 class MixingCurve:
     """Distances to stationarity at times 0..t_max from a fixed start."""
@@ -161,16 +148,6 @@ class MixingCurve:
     d_p: dict
     d_inf: np.ndarray
     reference: str
-
-    def distances(self, p) -> np.ndarray:
-        if p == "tv":
-            return self.d_tv
-        p = float(p)
-        if math.isinf(p):
-            return self.d_inf
-        if p in self.d_p:
-            return self.d_p[p]
-        raise KeyError(f"p={p} was not requested for this curve")
 
 
 def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
@@ -216,16 +193,6 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
     )
 
 
-def mixing_time(curve: MixingCurve, eps: float, p="tv") -> int:
-    """First time the requested distance drops to eps (the first crossing;
-    L^p NBRW distances need not be monotone)."""
-    values = curve.distances(p)
-    hits = np.flatnonzero(values <= eps)
-    if hits.size == 0:
-        raise NotReached(int(curve.times[-1]))
-    return int(curve.times[hits[0]])
-
-
 def default_start_sample(graph: RegularGraph, seed: int = 0,
                          sample_size: int = 16) -> np.ndarray:
     """Start vertices for max-over-starts measurements: every vertex up to
@@ -240,16 +207,8 @@ def default_start_sample(graph: RegularGraph, seed: int = 0,
 
 
 # --------------------------------------------------------------------------
-# NBRW projection and the sphere-mixture identity for the SRW law
+# NBRW projection
 # --------------------------------------------------------------------------
-
-
-def _uniform_out_edges(graph: RegularGraph, x: int) -> np.ndarray:
-    if not 0 <= x < graph.n:
-        raise UsageError(f"start vertex {x} outside [0, {graph.n})")
-    edge = np.zeros(graph.n * graph.d)
-    edge[x * graph.d : (x + 1) * graph.d] = 1.0 / graph.d
-    return edge
 
 
 def nbrw_projected(graph: RegularGraph, x: int, k: int) -> np.ndarray:
@@ -257,33 +216,17 @@ def nbrw_projected(graph: RegularGraph, x: int, k: int) -> np.ndarray:
     of x (k=0 gives the point mass at x, k=1 the uniform neighbor)."""
     if k < 0:
         raise UsageError(f"k must be >= 0, got {k}")
-    out_edges = _uniform_out_edges(graph, x)
+    if not 0 <= x < graph.n:
+        raise UsageError(f"start vertex {x} outside [0, {graph.n})")
     if k == 0:
         point = np.zeros(graph.n)
         point[x] = 1.0
         return point
+    out_edges = np.zeros(graph.n * graph.d)
+    out_edges[x * graph.d : (x + 1) * graph.d] = 1.0 / graph.d
     laws = evolve(graph, "nbrw", out_edges)
     _, edge = next(itertools.islice(laws, k - 1, None))
     return np.bincount(graph.indices, weights=edge[:, 0], minlength=graph.n)
-
-
-def srw_mixture_residual(graph: RegularGraph, x: int, t: int) -> float:
-    """Sup-norm gap between the t-step SRW law from x and its expansion as a
-    mixture of projected NBRW laws weighted by the tree radial distribution.
-    The identity is exact; the residual only measures accumulated rounding.
-    """
-    edges = evolve(graph, "nbrw", _uniform_out_edges(graph, x))
-    _, radial = next(itertools.islice(tree_rows(graph.d, t), t, None))
-    mixture = np.zeros(graph.n)
-    mixture[x] = radial[0]
-    # zip asks range first, so no NBRW step is taken past k = t
-    for k, (_, edge) in zip(range(1, t + 1), edges):
-        if radial[k] > 0:
-            proj = np.bincount(graph.indices, weights=edge[:, 0], minlength=graph.n)
-            mixture = mixture + radial[k] * proj
-
-    _, srw = next(itertools.islice(evolve(graph, "srw", [x]), t, None))
-    return float(np.abs(srw[:, 0] - mixture).max())
 
 
 # --------------------------------------------------------------------------

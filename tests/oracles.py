@@ -1,10 +1,13 @@
-"""Independent brute-force references used to validate the package.
+"""Independent brute-force references used to validate the package, and
+the drivers of the acceptance criteria.
 
-Everything here is deliberately naive and shares no code path with the
+The references are deliberately naive and share no code path with the
 package kernels: dict-based BFS, dense matrix powers from the operator
 definitions, and exact-fraction dynamic programs. The dense decomposition
 check borrows only the package's alpha closed form and the points at which
-it evaluates det(I - uB), which it is not meant to replace.
+it evaluates det(I - uB), which it is not meant to replace. The acceptance
+drivers at the end measure with the package's own walks and spectra and
+compare the result with a closed form.
 """
 
 import itertools
@@ -15,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.linalg
 
+from ramlab import theory, walk_engine
 from ramlab.errors import (
     Asymmetric,
     DegreeTooSmall,
@@ -27,7 +31,7 @@ from ramlab.spectral_lab import alpha_exact, bass_points
 
 
 def adjacency_dict(graph):
-    return {u: [int(v) for v in graph.neighbors(u)] for u in range(graph.n)}
+    return dict(enumerate(graph.indices.reshape(graph.n, graph.d).tolist()))
 
 
 def reversal_dict(adj: dict, d: int) -> list:
@@ -187,9 +191,8 @@ def girth_edge_removal(adj: dict) -> int:
 def srw_dense(graph, x: int, t: int) -> np.ndarray:
     """SRW law via dense matrix powers of A/d."""
     a = np.zeros((graph.n, graph.n))
-    for u in range(graph.n):
-        for v in graph.neighbors(u):
-            a[u, v] = 1.0
+    for u, nbrs in adjacency_dict(graph).items():
+        a[u, nbrs] = 1.0
     p = a / graph.d
     mu = np.zeros(graph.n)
     mu[x] = 1.0
@@ -468,3 +471,124 @@ def csv_text(header, records, comments) -> str:
     lines = [f"# {c}" for c in comments] + [",".join(header)]
     lines += [",".join(map(csv_value, record)) for record in records]
     return "".join(line + "\n" for line in lines)
+
+
+def is_covering_map(lift, base, cover: int) -> bool:
+    """Check that w -> w // cover is a locally bijective homomorphism."""
+    if lift.n != base.n * cover or lift.d != base.d:
+        return False
+    projected = np.sort(lift.indices.reshape(-1, lift.d) // cover, axis=1)
+    base_rows = base.indices.reshape(-1, base.d)[np.arange(lift.n) // cover]
+    return bool(np.array_equal(projected, base_rows))
+
+
+def lp_objective(p: float, d: int, beta: float) -> float:
+    """f(beta) = ((p-1)/p)(2 beta - 1) + H_{d-1}(beta || (d-1)/d)."""
+    return ((1.0 if math.isinf(p) else (p - 1) / p) * (2 * beta - 1)
+            + theory.relative_entropy(beta, (d - 1) / d, d - 1))
+
+
+def beta_star_grid(p: float, d: int, tol: float = 1e-8) -> float:
+    """Brute-force grid minimizer of the L^p entropy objective over
+    [1/2, (d-1)/d], refined until the grid spacing drops below tol."""
+    lo, hi = 0.5, (d - 1) / d
+    while True:
+        m = 2000
+        step = (hi - lo) / m
+        values = [lp_objective(p, d, lo + i * step) for i in range(m + 1)]
+        i_best = min(range(m + 1), key=values.__getitem__)
+        if step < tol:
+            return lo + i_best * step
+        lo, hi = (max(0.5, lo + (i_best - 1) * step),
+                  min((d - 1) / d, lo + (i_best + 1) * step))
+
+
+# --- acceptance drivers ---------------------------------------------------------
+
+
+def curve_distances(curve, p) -> np.ndarray:
+    """A MixingCurve's TV distances (p = "tv"), L^inf distances (p = inf) or
+    the L^p distances of a requested finite p."""
+    if p == "tv":
+        return curve.d_tv
+    return curve.d_inf if math.isinf(p) else curve.d_p[float(p)]
+
+
+def mixing_time(curve, eps: float, p="tv"):
+    """First time the requested distance drops to eps (the first crossing;
+    L^p NBRW distances need not be monotone), None if the curve never does."""
+    hits = np.flatnonzero(curve_distances(curve, p) <= eps)
+    return int(curve.times[hits[0]]) if hits.size else None
+
+
+def srw_mixture_residual(graph, x: int, t: int) -> float:
+    """Sup-norm gap between the t-step SRW law from x and its expansion as a
+    mixture of projected NBRW laws weighted by the tree radial distribution.
+    The identity is exact; the residual only measures accumulated rounding.
+    """
+    n, d = graph.n, graph.d
+    out_edges = np.zeros(n * d)
+    out_edges[x * d : (x + 1) * d] = 1.0 / d
+    edges = walk_engine.evolve(graph, "nbrw", out_edges)
+    _, radial = next(itertools.islice(walk_engine.tree_rows(d, t), t, None))
+    mixture = np.zeros(n)
+    mixture[x] = radial[0]
+    # zip asks range first, so no NBRW step is taken past k = t
+    for k, (_, edge) in zip(range(1, t + 1), edges):
+        if radial[k] > 0:
+            proj = np.bincount(graph.indices, weights=edge[:, 0], minlength=n)
+            mixture = mixture + radial[k] * proj
+
+    _, srw = next(itertools.islice(walk_engine.evolve(graph, "srw", [x]), t, None))
+    return float(np.abs(srw[:, 0] - mixture).max())
+
+
+def gamma(theta: complex, alpha: complex, t: int) -> complex:
+    """gamma(t) = alpha * sum_{j<t} theta^j conj(theta)^(t-1-j), t >= 1, in
+    closed form: alpha*t*theta^(t-1) for real theta, else the geometric
+    quotient."""
+    theta = complex(theta)
+    if theta.imag == 0:
+        return alpha * t * theta.real ** (t - 1)
+    bar = theta.conjugate()
+    return alpha * (bar**t - theta**t) / (bar - theta)
+
+
+def upsilon(report, k: int) -> float:
+    """Upsilon_G(k) = (d-2)^2/(d-1) * mean over nontrivial eigenvalues of
+    U_{k-1}(lambda/(2 sqrt(d-1)))^2."""
+    d = report.d
+    x = report.nontrivial() / (2 * math.sqrt(d - 1))
+    phi = np.arccos(np.clip(x, -1.0, 1.0))
+    sin_phi = np.sin(phi)
+    # sin(k phi)/sin(phi) -> k cos(phi)^(k-1) as phi -> 0 or pi
+    safe = sin_phi > 1e-8
+    u = np.empty_like(phi)
+    u[safe] = np.sin(k * phi[safe]) / sin_phi[safe]
+    u[~safe] = k * np.sign(np.cos(phi[~safe])) ** ((k - 1) % 2)
+    return (d - 2) ** 2 / (d - 1) * float(np.mean(u**2))
+
+
+def upsilon_l2_transitive(graph, report, eps: float) -> dict:
+    """Exact L^2 mixing-time prediction for the NBRW on a vertex-transitive
+    non-bipartite Ramanujan graph, cross-checked against the measured first
+    time the squared edge-space L^2 distance, from directed edge 0, drops to
+    eps (None if it has not by the prediction + 15).
+
+    Upsilon averages U_{k-1}(lambda/(2 sqrt(d-1)))^2 over the n-1 nontrivial
+    eigenvalues at the integer index k = ceil(log_{d-1} n), with the
+    second-kind convention U_{k-1}(cos x) = sin(kx)/sin(x).
+    """
+    assert not graph.bipartite and report.ramanujan
+    d, n = graph.d, graph.n
+    # ceilings with a slack of 1e-9 absorbing float representation error
+    k = math.ceil(math.log(n) / math.log(d - 1) - 1e-9)
+    ups = upsilon(report, k)
+    predicted = math.ceil(
+        (math.log(n) + math.log(ups + 2.0) + math.log(1.0 / eps)) / math.log(d - 1) - 1e-9)
+    laws = itertools.islice(walk_engine.evolve(graph, "nbrw", [0]), predicted + 16)
+    # chi-square expansion under the uniform law: N * sum(mu^2) - 1
+    measured = next((t for t, mu in laws if n * d * float((mu[:, 0] ** 2).sum()) - 1.0 <= eps),
+                    None)
+    return {"k": k, "upsilon": ups, "predicted": predicted, "measured": measured,
+            "match": predicted == measured}

@@ -84,8 +84,6 @@ _CASES = [
      r"exceptional budget must be >= 0, got -1"),
     ("theta_pair", lambda g: spectral_lab.theta_pair(3.5, 3), r"\|lambda\| must be <= d"),
     ("alpha_exact", lambda g: spectral_lab.alpha_exact(3.0, 3), r"lambda != d"),
-    ("gamma", lambda g: spectral_lab.gamma(1j, 1.0, 0), r"t must be >= 1, got 0"),
-    ("nbrw_l2_bound", lambda g: spectral_lab.nbrw_l2_bound(100, 3, 0), r"t must be >= 1, got 0"),
     # theory
     ("cutoff_prediction_d", lambda g: theory.cutoff_prediction(100, 2), r"need d >= 3, got d=2"),
     ("cutoff_prediction_n", lambda g: theory.cutoff_prediction(3, 3),

@@ -192,22 +192,22 @@ def test_identity_lift_is_base(k4):
 def test_lift_projects_onto_base(k4):
     lifted = builders.build_random_lift(LiftSpec(base=k4, n=2, seed=0))
     assert (lifted.n, lifted.d) == (8, 3)
-    assert builders.is_covering_map(lifted, k4, 2)
+    assert oracles.is_covering_map(lifted, k4, 2)
 
 
 def test_lift20_covering_map(lift20, petersen):
     assert (lift20.n, lift20.d) == (200, 3)
-    assert builders.is_covering_map(lift20, petersen, 20)
+    assert oracles.is_covering_map(lift20, petersen, 20)
 
 
 def test_covering_map_rejects_non_cover(lift20, petersen):
-    assert not builders.is_covering_map(builders.build_random_regular(200, 3, 0), petersen, 20)
+    assert not oracles.is_covering_map(builders.build_random_regular(200, 3, 0), petersen, 20)
     # swapping two vertices of different fibers breaks the projection
     perm = np.arange(200)
     perm[[0, 199]] = [199, 0]
     rows = perm[lift20.indices.reshape(200, 3)][perm]
     swapped = graph_core.RegularGraph(n=200, d=3, indices=rows.ravel())
-    assert not builders.is_covering_map(swapped, petersen, 20)
+    assert not oracles.is_covering_map(swapped, petersen, 20)
 
 
 def test_lift_deterministic(petersen):

@@ -602,6 +602,23 @@ def test_build_json_does_not_depend_on_out_dir(tmp_path):
         assert read(outs[0] / name) == read(outs[1] / name), name
 
 
+def test_lift_of_edge_file_matches_lift_of_named_base(tmp_path):
+    # an existing path as --base is read as an edge file, provenance sidecar
+    # included, and lifts exactly as the named graph it was saved from
+    assert run(["build", "--family", "named", "--name", "petersen",
+                "--out-dir", str(tmp_path / "base")]) == 0
+    lift = ["build", "--family", "random_lift", "--cover", "3", "--seed", "1"]
+    outs = [tmp_path / "from_file", tmp_path / "from_name"]
+    for out, base in zip(outs, [str(tmp_path / "base" / "graph.edges"), "petersen"]):
+        assert run(lift + ["--base", base, "--out-dir", str(out)]) == 0
+    for name in ("graph.edges", "graph.edges.json"):
+        assert read(outs[0] / name) == read(outs[1] / name), name
+    payloads = [json.loads(read(out / "build.json")) for out in outs]
+    for payload in payloads:
+        del payload["_manifest_sha256"]  # the manifests echo different --base values
+    assert payloads[0] == payloads[1]
+
+
 def test_mix_lps29_example_line(tmp_path, lps29):
     # the flagship invocation: NBRW on LPS(5,29), D_2 column obeys the
     # spectral bound at every time

@@ -40,9 +40,9 @@ def test_edge_id_convention(petersen):
     rev = graph_core.validate_and_index(petersen)
     d = petersen.d
     for e in range(petersen.n * d):
-        u, v = e // d, petersen.neighbors(e // d)[e % d]
+        u, v = e // d, petersen.indices[e]
         assert rev[e] // d == v
-        assert petersen.neighbors(v)[rev[e] % d] == u
+        assert petersen.indices[rev[e]] == u
 
 
 def test_ids_partition_by_tail(lift20):
@@ -187,13 +187,15 @@ def test_from_edges_rejects_endpoint_outside(edges, named):
 
 
 @pytest.mark.parametrize("edges, got", [
-    ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3.9)], r"\(6, 2\) and dtype float64"),
-    ([(0, 1, 2)], r"\(1, 3\) and dtype int64"),
-], ids=["float_endpoint", "triple"])
+    ([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3.9)],
+     r"an array of shape \(6, 2\) and dtype float64"),
+    ([(0, 1, 2)], r"an array of shape \(1, 3\) and dtype int64"),
+    ([(0, 1), (0, 1, 2)], r"a ragged sequence"),
+], ids=["float_endpoint", "triple", "ragged"])
 def test_from_edges_rejects_non_integer_pairs(edges, got):
     # an endpoint 3.9 is refused, not truncated to 3
     with pytest.raises(IrregularGraph, match=r"^edges must be \(u, v\) integer pairs, "
-                                             r"got an array of shape " + got + "$"):
+                                             r"got " + got + "$"):
         graph_core.from_edges(4, 3, edges)
 
 
@@ -201,6 +203,10 @@ def test_constructor_rejects_wrong_number_of_entries():
     with pytest.raises(IrregularGraph,
                        match=r"^indices must hold n\*d = 30 integers, got 5 of dtype int64$"):
         graph_core.RegularGraph(n=10, d=3, indices=np.arange(5))
+    # a ragged sequence of rows, vertex 1 short of a neighbour
+    with pytest.raises(IrregularGraph,
+                       match=r"^indices must hold n\*d = 12 integers, got a ragged sequence$"):
+        graph_core.RegularGraph(n=4, d=3, indices=[[1, 2, 3], [0, 2], [0, 1, 3], [0, 1, 2]])
 
 
 def test_constructor_rejects_float_entry(petersen):
@@ -314,7 +320,7 @@ def test_single_fault_names_first_vertex(petersen, fault, form, u):
     # the loop oracle reads the rows as given, the constructor reads them
     # one after another as n*d integers
     rows, error = _inject(petersen.indices.reshape(10, 3).tolist(), fault, u)
-    first = min(u, int(petersen.neighbors(u)[0])) if fault == "asymmetric" else u
+    first = min(u, int(petersen.indices[3 * u])) if fault == "asymmetric" else u
     adj = dict(enumerate(rows)) if form == "dict" else np.array(rows) if form == "array" else rows
     named = rf"^(?:vertex |edge \(){first}\b"
     with pytest.raises(error, match=named):

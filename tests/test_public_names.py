@@ -1,0 +1,58 @@
+"""Every public function, class, method and property in src/ramlab has a
+caller in the library or the benchmark: code that only tests call belongs
+in tests/oracles.py."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# public functions kept without a caller, each for the ROADMAP item that
+# will call it
+ALLOWLIST = {
+    "srw_lower_profile": "ROADMAP item 2: a rigorous lower column of the profile pass",
+    "nbrw_projected": "ROADMAP item 5: the mixture_upper column",
+    "lp_lower_bound": "ROADMAP items 8 and 9: the tree bound beside the L^2 curves",
+}
+
+
+def _unreferenced() -> list:
+    """Public names defined in src/ramlab and used nowhere in src/ramlab or
+    perfbench/ outside their own definition. A module-level function or
+    class is used by a bare name or an attribute access; a method or
+    property only by an attribute access, so that a local variable of the
+    same name does not count."""
+    trees = {path: ast.parse(path.read_text()) for path in
+             [*sorted((ROOT / "src" / "ramlab").glob("*.py")),
+              *sorted((ROOT / "perfbench").glob("*.py"))]}
+    refs = [(getattr(node, "id", None) or node.attr, path, node.lineno,
+             isinstance(node, ast.Attribute))
+            for path, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)]
+    missing = []
+    for path, tree in trees.items():
+        if path.parent.name != "ramlab":
+            continue
+        defs = [(node, False) for node in tree.body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defs += [(member, True) for node, _ in defs if isinstance(node, ast.ClassDef)
+                 for member in node.body if isinstance(member, ast.FunctionDef)]
+        for node, member in defs:
+            if node.name.startswith("_"):
+                continue
+            if not any(name == node.name and (attribute or not member)
+                       and not (where == path and node.lineno <= line <= node.end_lineno)
+                       for name, where, line, attribute in refs):
+                missing.append(node.name)
+    return missing
+
+
+def test_every_public_name_has_a_caller():
+    missing = [name for name in _unreferenced() if name not in ALLOWLIST]
+    assert not missing, f"public names that only tests reach: {missing}"
+
+
+def test_allowlist_names_still_lack_a_caller():
+    # an entry whose name gained a caller, or was deleted, leaves the list
+    assert sorted(ALLOWLIST) == sorted(set(_unreferenced()) & set(ALLOWLIST))

@@ -11,19 +11,15 @@ from hypothesis import strategies as st
 
 import oracles
 from ramlab import builders, graph_core, spectral_lab, walk_engine
-from ramlab.errors import GraphIsBipartite, NotRamanujan, SizeCap
+from ramlab.errors import SizeCap
 from ramlab.spectral_lab import (
     adjacency_spectrum,
     alpha_exact,
     build_B,
     build_decomposition,
     certify,
-    gamma,
-    nbrw_l2_bound,
     report_from_eigenvalues,
     theta_pair,
-    upsilon,
-    upsilon_l2_transitive,
     verify_decomposition,
 )
 
@@ -35,7 +31,7 @@ def test_spectrum_k4(k4):
     rep = adjacency_spectrum(k4)
     assert np.allclose(rep.eigenvalues, [3, -1, -1, -1])
     assert rep.ramanujan
-    assert rep.trivial == (3,)
+    assert np.allclose(rep.nontrivial(), [-1, -1, -1])  # one copy of d dropped
 
 
 def test_spectrum_petersen(petersen):
@@ -49,7 +45,7 @@ def test_spectrum_k33(k33):
     assert np.allclose(rep.eigenvalues, [3, 0, 0, 0, 0, -3])
     assert rep.bipartite
     assert rep.ramanujan
-    assert rep.trivial == (3, -3)
+    assert np.allclose(rep.nontrivial(), [0, 0, 0, 0])  # d and -d dropped
 
 
 def test_spectrum_trace_zero(test_graphs):
@@ -521,15 +517,15 @@ def test_decomposition_size_cap(petersen):
         build_decomposition(petersen, dense_cap=10)
 
 
-# --- gamma and the L2 machinery -----------------------------------------------------
+# --- the oracles' gamma, the off-diagonal entry of Lambda^t ---------------------------
 
 
 def test_gamma_t1_is_alpha():
-    assert gamma(1.5 + 0.5j, 2.0 + 0j, 1) == 2.0 + 0j
+    assert oracles.gamma(1.5 + 0.5j, 2.0 + 0j, 1) == 2.0 + 0j
 
 
 def test_gamma_real_theta():
-    assert gamma(1.7, 0.9, 3) == pytest.approx(3 * 0.9 * 1.7**2)
+    assert oracles.gamma(1.7, 0.9, 3) == pytest.approx(3 * 0.9 * 1.7**2)
 
 
 def test_gamma_matches_direct_sum():
@@ -539,7 +535,7 @@ def test_gamma_matches_direct_sum():
         # theta^t can be nearly real, cancelling the quotient to ~0; compare
         # at the scale of the summands t |theta|^(t-1)
         scale = t * abs(theta) ** (t - 1)
-        assert abs(gamma(theta, 1.0, t) - want) < 1e-13 * scale
+        assert abs(oracles.gamma(theta, 1.0, t) - want) < 1e-13 * scale
 
 
 def test_gamma_bound():
@@ -550,27 +546,17 @@ def test_gamma_bound():
         theta = math.sqrt(d - 1) * cmath.exp(1j * phi)
         alpha = rng.uniform(0, 2 * (d - 1))
         for t in (1, 3, 10):
-            assert abs(gamma(theta, alpha, t)) <= 2 * (d - 1) * t * abs(theta) ** (t - 1) + 1e-9
+            bound = 2 * (d - 1) * t * abs(theta) ** (t - 1)
+            assert abs(oracles.gamma(theta, alpha, t)) <= bound + 1e-9
 
 
-def test_nbrw_l2_bound_values():
-    out = nbrw_l2_bound(4, 3, 1)
-    assert out["bound"] == pytest.approx(108.0)
-    out = nbrw_l2_bound(12180, 6, 9)
-    assert out["threshold_time"] == 9
-    assert out["c_d"] == pytest.approx(40 / math.log(5) ** 2 + 1)
-    # bound is eventually decreasing in t
-    vals = [nbrw_l2_bound(12180, 6, t)["bound"] for t in range(3, 40)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-# --- exact transitive L2 mixing -------------------------------------------------------
+# --- the oracles' exact transitive L2 mixing ------------------------------------------
 
 
 def test_upsilon_at_one(petersen, k4):
     for g in (petersen, k4):
         rep = adjacency_spectrum(g)
-        assert upsilon(rep, 1) == pytest.approx((g.d - 2) ** 2 / (g.d - 1))
+        assert oracles.upsilon(rep, 1) == pytest.approx((g.d - 2) ** 2 / (g.d - 1))
 
 
 def test_gamma_sine_identity(petersen):
@@ -581,7 +567,7 @@ def test_gamma_sine_identity(petersen):
         theta, _ = theta_pair(lam, d)
         phi = math.acos(lam / (2 * math.sqrt(d - 1)))
         for t in (1, 3, 7, 12):
-            lhs = abs(gamma(theta, d - 2, t))
+            lhs = abs(oracles.gamma(theta, d - 2, t))
             rhs = (d - 2) * (d - 1) ** ((t - 1) / 2) * abs(math.sin(t * phi) / math.sin(phi))
             assert math.isclose(lhs, rhs, rel_tol=1e-10, abs_tol=1e-12)
 
@@ -589,15 +575,5 @@ def test_gamma_sine_identity(petersen):
 def test_upsilon_l2_transitive_petersen(petersen):
     rep = adjacency_spectrum(petersen)
     for eps in (0.5, 0.1, 0.01):
-        out = upsilon_l2_transitive(petersen, rep, eps)
+        out = oracles.upsilon_l2_transitive(petersen, rep, eps)
         assert out["match"], out
-
-
-def test_upsilon_rejects_bipartite_and_nonramanujan(k33, k4):
-    rep = adjacency_spectrum(k33)
-    with pytest.raises(GraphIsBipartite):
-        upsilon_l2_transitive(k33, rep, 0.1)
-    fake = report_from_eigenvalues([3, 2.95, -1, -1], 4, 3, bipartite=False,
-                                   method="dense")
-    with pytest.raises(NotRamanujan):
-        upsilon_l2_transitive(k4, fake, 0.1)
