@@ -22,7 +22,6 @@ import sys
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.sparse.linalg import ArpackError
 
 from . import __version__, backend_name, builders, graph_core, spectral_lab, theory, walk_engine
 from .errors import RamlabError, UsageError, VerificationFailed
@@ -388,8 +387,14 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "verification", "component": exc.component,
                           "message": str(exc)}), file=sys.stderr)
         return 3
-    except (RamlabError, OSError, MemoryError, OverflowError, LinAlgError,
-            ArpackError) as exc:
+    except Exception as exc:
+        if not isinstance(exc, (RamlabError, OSError, MemoryError, OverflowError, LinAlgError)):
+            # ARPACK's error class lives in scipy, which only a run that
+            # called ARPACK has loaded: import it here, not with this module
+            from scipy.sparse.linalg import ArpackError
+
+            if not isinstance(exc, ArpackError):
+                raise
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 4

@@ -19,7 +19,6 @@ import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from . import _kernels
 from .errors import (
@@ -110,8 +109,12 @@ class RegularGraph:
         return list(zip(tails[keep].tolist(), heads[keep].tolist()))
 
 
-def adjacency_sparse(graph: RegularGraph) -> scipy.sparse.csr_matrix:
-    """Adjacency matrix in CSR form, each row's columns in neighbor order."""
+def adjacency_sparse(graph: RegularGraph):
+    """Adjacency matrix as a scipy.sparse CSR matrix, each row's columns in
+    neighbor order. scipy is imported here, not with the module, so that a
+    run that needs no sparse matrix does not load it."""
+    import scipy.sparse
+
     indptr = np.arange(0, (graph.n + 1) * graph.d, graph.d)
     data = np.ones(graph.n * graph.d)
     return scipy.sparse.csr_matrix((data, graph.indices, indptr),

@@ -9,6 +9,10 @@ theta^2 - lambda*theta + (d-1) = 0, and runs of -1 and +1 whose multiplicities
 are fixed by n and N. The decomposition is built explicitly here from the
 adjacency eigenvectors via the edge lift (T_theta f)(x,y) = theta f(y) - f(x)
 and the star-space construction for the +-1 eigenvectors.
+
+scipy is imported by the functions that call it (Lanczos, the sparse B, the
+pivoted QR and the sparse LU), so that the translation-block spectrum and
+every other path that needs none of them leave it unloaded.
 """
 
 import cmath
@@ -16,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .errors import EigenbasisNotOrthonormal, SizeCap, UsageError, VerificationFailed
 from .graph_core import RegularGraph, adjacency_sparse, validate_and_index
@@ -118,6 +120,8 @@ def adjacency_spectrum(graph: RegularGraph,
     if graph.n <= dense_cap:
         eigs = np.linalg.eigvalsh(a.toarray())[::-1]
         return report_from_eigenvalues(eigs, graph.n, graph.d, graph.bipartite, "dense")
+    import scipy.sparse.linalg
+
     v0 = np.random.default_rng(0).standard_normal(graph.n)
     extremes = [scipy.sparse.linalg.eigsh(a, k=2, which=which, v0=v0, return_eigenvectors=False)
                 for which in ("LA", "SA")]
@@ -233,9 +237,11 @@ def alpha_exact(lam: float, d: int) -> float:
 # --------------------------------------------------------------------------
 
 
-def build_B(graph: RegularGraph) -> scipy.sparse.csr_array:
-    """B in CSR form: row e holds the out-edges of the head of e (its
-    neighbor entry indices[e]) except the reverse of e."""
+def build_B(graph: RegularGraph):
+    """B as a scipy.sparse CSR array: row e holds the out-edges of the head
+    of e (its neighbor entry indices[e]) except the reverse of e."""
+    import scipy.sparse
+
     rev, d, N = validate_and_index(graph), graph.d, graph.n * graph.d
     cols = graph.indices.astype(np.int64)[:, None] * d + np.arange(d)
     cols = cols[cols != rev[:, None]]
@@ -291,6 +297,8 @@ def _star_complement(graph: RegularGraph, rev: np.ndarray, sign: int) -> np.ndar
     the stars are the columns of `coords`; the columns of a pivoted QR's Q
     past the numerical rank (scipy.linalg.null_space's threshold) span their
     complement."""
+    import scipy.linalg
+
     reps = np.flatnonzero(np.arange(rev.size) < rev)
     rows = np.arange(reps.size)
     coords = np.zeros((reps.size, graph.n))
@@ -412,6 +420,8 @@ def _lu_i_minus_ub(b_csc, u: complex):
     elimination needs no pivoting; SymmetricMode then keeps the row
     permutation equal to the column one, and det(I - uB) is the product of
     U's diagonal with no permutation sign."""
+    import scipy.sparse.linalg
+
     m = scipy.sparse.eye_array(b_csc.shape[0], dtype=complex, format="csc") - u * b_csc
     return scipy.sparse.linalg.splu(m, diag_pivot_thresh=0, options=dict(SymmetricMode=True))
 
@@ -456,6 +466,8 @@ def verify_decomposition(b, dec: BlockDecomposition,
     the diagonal of Lambda at the fixed Bass points (Ihara-Bass:
     det(I - uB) = prod (1 - u mu) over the spectrum of B). B U is sparse,
     U Lambda a column scaling and the LU sparse: U*U is the only cubic step."""
+    import scipy.sparse
+
     U, N, top = dec.U, dec.N, dec.d - 1
     diag = dec.eigenvalue_multiset()
     gram = U.conj().T @ U

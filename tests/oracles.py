@@ -570,25 +570,38 @@ def upsilon(report, k: int) -> float:
 
 
 def upsilon_l2_transitive(graph, report, eps: float) -> dict:
-    """Exact L^2 mixing-time prediction for the NBRW on a vertex-transitive
-    non-bipartite Ramanujan graph, cross-checked against the measured first
-    time the squared edge-space L^2 distance, from directed edge 0, drops to
-    eps (None if it has not by the prediction + 15).
+    """Exact L^2 mixing time of the NBRW on an arc-transitive non-bipartite
+    Ramanujan graph: the first t at which the chi-square distance from the
+    uniform law, started from one directed edge, drops to eps. It is predicted
+    from the spectrum and cross-checked against the measured first such t
+    from directed edge 0 (None if not reached by the prediction + 15).
 
-    Upsilon averages U_{k-1}(lambda/(2 sqrt(d-1)))^2 over the n-1 nontrivial
-    eigenvalues at the integer index k = ceil(log_{d-1} n), with the
-    second-kind convention U_{k-1}(cos x) = sin(kx)/sin(x).
+    B = U Lambda U* with U unitary, so ||B^t||_F^2 = ||Lambda^t||_F^2, which
+    sums (d-1)^(2t) for the principal eigenvalue, |theta|^(2t) +
+    |theta'|^(2t) + |gamma_i(t)|^2 = 2 (d-1)^t + |gamma_i(t)|^2 for each of
+    the n-1 blocks, and 1 for each of the N - 2n + 1 eigenvalues +-1. As
+    |gamma_i(t)|^2 = (d-2)^2 (d-1)^(t-1) U_{t-1}(lambda_i/(2 sqrt(d-1)))^2,
+    the chi-square averaged over the N starting edges is
+
+        ((n-1) (Upsilon(t) + 2) (d-1)^t + N - 2n + 1) / (d-1)^(2t),
+
+    and on an arc-transitive graph every starting edge has this value. Its
+    leading term n (Upsilon(k) + 2) / (d-1)^t, with Upsilon frozen at
+    k = ceil(log_{d-1} n), is not exact: on K4 it is reached one step late
+    at eps = 0.5 and 1e-4.
     """
     assert not graph.bipartite and report.ramanujan
     d, n = graph.d, graph.n
-    # ceilings with a slack of 1e-9 absorbing float representation error
-    k = math.ceil(math.log(n) / math.log(d - 1) - 1e-9)
-    ups = upsilon(report, k)
-    predicted = math.ceil(
-        (math.log(n) + math.log(ups + 2.0) + math.log(1.0 / eps)) / math.log(d - 1) - 1e-9)
+    N = n * d
+    # both sides reach eps within 1e-9 relative: a distance equal to eps in
+    # exact arithmetic (K4 at eps = 0.5) may round to either side of it
+    reach = eps * (1 + 1e-9)
+    predicted = next(
+        t for t in itertools.count()
+        if ((n - 1) * (upsilon(report, t) + 2.0) * (d - 1) ** t + N - 2 * n + 1)
+        / (d - 1) ** (2 * t) <= reach)
     laws = itertools.islice(walk_engine.evolve(graph, "nbrw", [0]), predicted + 16)
     # chi-square expansion under the uniform law: N * sum(mu^2) - 1
-    measured = next((t for t, mu in laws if n * d * float((mu[:, 0] ** 2).sum()) - 1.0 <= eps),
+    measured = next((t for t, mu in laws if N * float((mu[:, 0] ** 2).sum()) - 1.0 <= reach),
                     None)
-    return {"k": k, "upsilon": ups, "predicted": predicted, "measured": measured,
-            "match": predicted == measured}
+    return {"predicted": predicted, "measured": measured, "match": predicted == measured}

@@ -219,19 +219,23 @@ def test_criterion_6_distance_profile(lps29_certified):
 
 
 # -----------------------------------------------------------------------------
-# 7. Exact transitive L^2 formula on Petersen
+# 7. Exact transitive L^2 formula on Petersen and K4
 # -----------------------------------------------------------------------------
 
 
-def test_criterion_7_transitive_l2_formula(petersen):
-    report = spectral_lab.adjacency_spectrum(petersen)
-    outs = {}
-    for eps in (0.5, 0.1, 0.01):
-        out = oracles.upsilon_l2_transitive(petersen, report, eps)
-        assert out["match"], (eps, out)
-        outs[eps] = out
-    _report("7", True, "predicted == measured NBRW L2 mixing time: "
-            + ", ".join(f"eps={e}: {o['predicted']}" for e, o in outs.items()))
+def test_criterion_7_transitive_l2_formula(petersen, k4):
+    details = []
+    for name, graph in (("petersen", petersen), ("K4", k4)):
+        report = spectral_lab.adjacency_spectrum(graph)
+        outs = {}
+        for eps in (0.5, 0.1, 0.01, 1e-4):
+            out = oracles.upsilon_l2_transitive(graph, report, eps)
+            assert out["match"], (name, eps, out)
+            outs[eps] = out
+        details.append(f"{name} " + ", ".join(f"eps={e}: {o['predicted']}"
+                                              for e, o in outs.items()))
+    _report("7", True, "predicted == measured NBRW L2 mixing time, from "
+            "((n-1)(Upsilon(t)+2)(d-1)^t + N-2n+1)/(d-1)^(2t): " + "; ".join(details))
 
 
 # -----------------------------------------------------------------------------

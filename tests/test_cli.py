@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -438,6 +440,20 @@ def test_library_failure_exit_code(tmp_path, capsys, monkeypatch, exc):
         assert list(tmp_path.iterdir()) == []
 
 
+def test_ritz_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # ARPACK failing at the real Lanczos call site: the CLI imports scipy's
+    # ArpackError only when a failure reaches it, and still maps it to exit 4
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackError(-9999)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    assert run(["spectrum", "--name", "petersen", "--dense-cap", "5",
+                "--out-dir", str(tmp_path)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "ArpackError"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_utf8_graph_file_exit_code(tmp_path, capsys):
     path = tmp_path / "g.edges"
     path.write_bytes(b"4 3\n0 1\xff\n")
@@ -635,3 +651,54 @@ def test_mix_lps29_example_line(tmp_path, lps29):
         t, d2 = int(cells[0]), float(cells[3])
         bound = 2 * n * d * (d - 1.0) ** (-t) * (4 * (d - 1) * t * t + 1)
         assert d2 ** 2 <= bound
+
+
+# Run in a fresh interpreter: ramlab.cli, then each argv in turn in a new out
+# dir, printing after each the exit code and the scipy modules loaded so far.
+_STARTUP_SCRIPT = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import ramlab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+report = [["import ramlab.cli", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[2]):
+    with tempfile.TemporaryDirectory() as out:
+        code = ramlab.cli.main(argv + ["--out-dir", out])
+    report.append([" ".join(argv), code, scipy_modules()])
+print(json.dumps(report))
+"""
+
+_SCIPY_FREE_RUNS = [
+    ["build", "--name", "petersen"],
+    ["build", "--family", "lps", "--p", "5", "--q", "13"],
+    ["build", "--family", "random_regular", "--n", "50", "--d", "3"],
+    ["build", "--family", "random_lift", "--base", "petersen", "--cover", "3"],
+    ["metrics", "--family", "lps", "--p", "5", "--q", "13"],
+    ["mix", "--name", "petersen", "--kernel", "nbrw", "--tmax", "5"],
+    ["tree", "--d", "3", "--horizon", "10"],
+    ["theory", "--n", "100", "--d", "3"],
+    ["certify", "--family", "lps", "--p", "5", "--q", "13"],
+]
+_SCIPY_RUNS = [
+    ["mix", "--name", "petersen", "--kernel", "srw", "--tmax", "5"],
+    ["profile", "--name", "petersen"],
+    ["certify", "--name", "petersen"],
+    ["decompose", "--name", "petersen"],
+]
+
+
+def test_cli_starts_without_scipy():
+    # importing the CLI and every run that needs no sparse matrix, Lanczos,
+    # QR or LU leave scipy unloaded; the runs that need it still succeed
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, src, json.dumps(_SCIPY_FREE_RUNS + _SCIPY_RUNS)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    free = report[: 1 + len(_SCIPY_FREE_RUNS)]
+    assert all(code == 0 and not loaded for _, code, loaded in free), free
+    assert all(code == 0 for _, code, _ in report[len(free):]), report
