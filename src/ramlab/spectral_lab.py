@@ -11,8 +11,9 @@ adjacency eigenvectors via the edge lift (T_theta f)(x,y) = theta f(y) - f(x)
 and the star-space construction for the +-1 eigenvectors.
 
 scipy is imported by the functions that call it (Lanczos, the sparse B, the
-pivoted QR and the sparse LU), so that the translation-block spectrum and
-every other path that needs none of them leave it unloaded.
+pivoted QR, the Hermitian Gram product and the sparse LU), so that the
+translation-block spectrum and every other path that needs none of them
+leave it unloaded.
 """
 
 import cmath
@@ -22,13 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EigenbasisNotOrthonormal, SizeCap, UsageError, VerificationFailed
-from .graph_core import RegularGraph, adjacency_sparse, validate_and_index
+from .graph_core import RegularGraph, adjacency_sparse
 
 DENSE_CAP_DEFAULT = 4000
 RAMANUJAN_TOL = 1e-9
 JORDAN_TOL = 1e-9
 TRIVIAL_TOL = 1e-8
 EPS_PRIME = 0.01  # certify: no exception may come this close to d
+
+# Byte budget of one row block of an N-column complex array in
+# verify_decomposition; a block step holds a few such arrays at once.
+_BLOCK_BYTES = 1 << 22
 
 
 # --------------------------------------------------------------------------
@@ -110,7 +115,10 @@ def adjacency_spectrum(graph: RegularGraph,
       Lanczos iteration, with the report marked partial. Lanczos starts
       from a seeded random vector: from the Perron vector 1, ARPACK restarts
       from an unseeded one.
+
+    UsageError unless dense_cap >= 0.
     """
+    _check_dense_cap(dense_cap)
     if graph.orbits is not None:
         order, m = graph.orbits.shape
         if (m // 2 + 1) * order**3 <= dense_cap**3:
@@ -127,6 +135,11 @@ def adjacency_spectrum(graph: RegularGraph,
                 for which in ("LA", "SA")]
     return report_from_eigenvalues(np.concatenate(extremes), graph.n, graph.d,
                                    graph.bipartite, "ritz_estimate")
+
+
+def _check_dense_cap(dense_cap: int) -> None:
+    if not dense_cap >= 0:
+        raise UsageError(f"dense_cap must be >= 0, got {dense_cap}")
 
 
 def _translation_eigenvalues(graph: RegularGraph) -> np.ndarray:
@@ -242,7 +255,7 @@ def build_B(graph: RegularGraph):
     of e (its neighbor entry indices[e]) except the reverse of e."""
     import scipy.sparse
 
-    rev, d, N = validate_and_index(graph), graph.d, graph.n * graph.d
+    rev, d, N = graph.rev, graph.d, graph.n * graph.d
     cols = graph.indices.astype(np.int64)[:, None] * d + np.arange(d)
     cols = cols[cols != rev[:, None]]
     return scipy.sparse.csr_array(
@@ -290,7 +303,7 @@ class BlockDecomposition:
         return np.array(eigs)
 
 
-def _star_complement(graph: RegularGraph, rev: np.ndarray, sign: int) -> np.ndarray:
+def _star_complement(graph: RegularGraph, sign: int) -> np.ndarray:
     """Orthonormal basis of the -sign eigenspace of B: edge functions with
     f(rev e) = sign f(e) orthogonal to the star vectors 1_{tail x} + sign
     1_{head x}. In the half-edge basis (delta_rep + sign delta_rev)/sqrt(2)
@@ -299,6 +312,7 @@ def _star_complement(graph: RegularGraph, rev: np.ndarray, sign: int) -> np.ndar
     complement."""
     import scipy.linalg
 
+    rev = graph.rev
     reps = np.flatnonzero(np.arange(rev.size) < rev)
     rows = np.arange(reps.size)
     coords = np.zeros((reps.size, graph.n))
@@ -324,12 +338,13 @@ def build_decomposition(graph: RegularGraph,
     T_theta' f against w (T_{1+theta} f at the threshold, where the block is
     a Jordan cell), then orthonormal bases of the +-1 eigenspaces obtained by
     projecting the star vectors out of the (anti)symmetric half-edge spaces.
+    UsageError unless dense_cap >= 0; SizeCap when N > dense_cap.
     """
+    _check_dense_cap(dense_cap)
     n, d = graph.n, graph.d
     N = n * d
     if N > dense_cap:
         raise SizeCap(f"decomposition demanded for N={N} > cap={dense_cap}")
-    rev = validate_and_index(graph)
     head = graph.indices.astype(np.int64)
     tail = np.repeat(np.arange(n, dtype=np.int64), d)
 
@@ -381,8 +396,8 @@ def build_decomposition(graph: RegularGraph,
         U[:, col + 1] = w2
         col += 2
 
-    plus_cols = _star_complement(graph, rev, sign=-1)
-    minus_cols = _star_complement(graph, rev, sign=+1)
+    plus_cols = _star_complement(graph, sign=-1)
+    minus_cols = _star_complement(graph, sign=+1)
 
     m_plus_expected = N // 2 - n + 1
     m_minus_expected = N // 2 - n + 1 if graph.bipartite else N // 2 - n
@@ -448,6 +463,13 @@ def _bass_mismatch(b_csr, multiset: np.ndarray, d: int) -> float:
     return worst
 
 
+def _row_norms_sq(x: np.ndarray) -> np.ndarray:
+    """Squared 2-norm of each row of a complex array whose rows are
+    contiguous, from its float64 view: no conjugate or modulus copy."""
+    flat = x.view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
 def verify_decomposition(b, dec: BlockDecomposition,
                          tol_recon: float = 1e-8, tol_unitary: float = 1e-10,
                          tol_bass: float = 1e-9, tol_alpha: float = 1e-8,
@@ -464,27 +486,51 @@ def verify_decomposition(b, dec: BlockDecomposition,
     |B^T 1|^2 / N and the largest row sum of |B| |B|^T. The multiset check
     compares log det(I - uB), from a sparse LU, with sum log(1 - u mu) over
     the diagonal of Lambda at the fixed Bass points (Ihara-Bass:
-    det(I - uB) = prod (1 - u mu) over the spectrum of B). B U is sparse,
-    U Lambda a column scaling and the LU sparse: U*U is the only cubic step."""
+    det(I - uB) = prod (1 - u mu) over the spectrum of B).
+
+    U*U is the only cubic step: one Hermitian product (ZHERK), which stores
+    one triangle at half the flops of a full complex product. Its defects
+    and the rows of R = B U - U Lambda (a sparse product, a column scaling
+    and the alpha terms) are reduced one row block of at most _BLOCK_BYTES
+    at a time, so besides U the check holds one N x N array, the Gram
+    triangle, and no other. Each row is reduced whole, so the report does
+    not depend on the block height."""
+    import scipy.linalg.blas
     import scipy.sparse
 
-    U, N, top = dec.U, dec.N, dec.d - 1
+    U, N, top = np.ascontiguousarray(dec.U), dec.N, dec.d - 1
     diag = dec.eigenvalue_multiset()
-    gram = U.conj().T @ U
+    height = max(1, _BLOCK_BYTES // (16 * N))
+    row_blocks = [slice(r0, r0 + height) for r0 in range(0, N, height)]
+
+    # U.T is an F-ordered view, on which zherk gives conj(U*U) in its upper
+    # triangle and zeros below: the C-ordered view gram holds the lower
+    # triangle, so row i is zero past column i
+    gram = scipy.linalg.blas.zherk(1.0, U.T).T
     gram[np.diag_indices(N)] -= 1.0
-    unitary = float(np.abs(gram).max())
-    gram_err = float(np.linalg.norm(gram))
-    del gram
+    unitary, gram_sq = 0.0, np.empty(N)
+    for rows in row_blocks:
+        unitary = max(unitary, float(np.abs(gram[rows, : rows.stop]).max()))
+        gram_sq[rows] = _row_norms_sq(gram[rows])
+    gram_diag = gram.diagonal()
+    # ||U*U - I||_F^2 counts each off-diagonal entry of the triangle twice
+    gram_err = math.sqrt(2 * float(gram_sq.sum()) - float(np.vdot(gram_diag, gram_diag).real))
+    del gram, gram_diag
 
     b_csr = scipy.sparse.csr_array(b)
-    resid = b_csr @ U
-    resid -= U * diag
-    cols = np.array([blk.col for blk in dec.blocks], dtype=np.int64)
-    resid[:, cols + 1] -= U[:, cols] * np.array([blk.alpha for blk in dec.blocks])
+    # build_decomposition puts the 2x2 blocks of Lambda on the consecutive
+    # column pairs (first, first + 1), (first + 2, first + 3), ...
+    first, k = (dec.blocks[0].col if dec.blocks else 0), len(dec.blocks)
+    alphas = np.array([blk.alpha for blk in dec.blocks], dtype=complex)
+    resid_sq = 0.0
+    for rows in row_blocks:
+        resid = b_csr[rows] @ U
+        resid -= U[rows] * diag
+        resid[:, first + 1 : first + 2 * k : 2] -= U[rows, first : first + 2 * k : 2] * alphas
+        resid_sq = max(resid_sq, float(_row_norms_sq(resid).max()))
     b_row = math.sqrt(float(b_csr.power(2).sum(axis=1).max()))
-    recon = (float(np.linalg.norm(resid, axis=1).max())
-             * float(np.linalg.norm(U, axis=1).max()) + b_row * gram_err)
-    del resid
+    recon = (math.sqrt(resid_sq) * math.sqrt(float(_row_norms_sq(U).max()))
+             + b_row * gram_err)
 
     bass = _bass_mismatch(b_csr, diag, dec.d)
 

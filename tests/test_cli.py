@@ -292,6 +292,8 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["spectrum", "--name", "petersen", "--delta-threshold", "-1"],
     ["certify", "--name", "petersen", "--delta-threshold", "inf"],
     ["certify", "--name", "petersen", "--exceptional-budget", "-1"],
+    ["spectrum", "--name", "petersen", "--dense-cap", "-5"],
+    ["decompose", "--family", "lps", "--p", "5", "--q", "13", "--dense-cap", "-1"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_out_of_range_exit_code(tmp_path, capsys, argv):
     _assert_rejected(tmp_path, capsys, argv)

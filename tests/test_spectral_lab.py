@@ -1,6 +1,7 @@
 import cmath
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -380,6 +381,45 @@ def test_verify_bounds_dense_oracle(criterion1_graphs):
         # the CSR that build_B makes gives the report the dense B gives
         assert verify_decomposition(build_B(g), dec) == rep, name
         _assert_bounds_oracle(rep, oracles.verify_decomposition_dense(b, dec))
+
+
+def test_verify_report_independent_of_row_blocks(k33, petersen, c6_x_k4, rand3_50,
+                                                 monkeypatch):
+    # every row is reduced whole, so one-row blocks and a single block of all
+    # N rows give the report of the default budget, to the last bit
+    for g in (k33, petersen, c6_x_k4, rand3_50):
+        dec, b = build_decomposition(g), build_B(g)
+        rep = verify_decomposition(b, dec)
+        for budget in (1, 16 * dec.N * (dec.N + 1)):
+            with monkeypatch.context() as m:
+                m.setattr(spectral_lab, "_BLOCK_BYTES", budget)
+                assert verify_decomposition(b, dec) == rep, (g.provenance, budget)
+
+
+def test_verify_fortran_ordered_u(petersen, c6_x_k4, rand3_50):
+    for g in (petersen, c6_x_k4, rand3_50):
+        dec, b = build_decomposition(g), build_B(g)
+        dec_f = replace(dec, U=np.asfortranarray(dec.U))
+        assert dec_f.U.flags.f_contiguous and not dec_f.U.flags.c_contiguous
+        assert verify_decomposition(b, dec_f) == verify_decomposition(b, dec)
+
+
+def test_verify_holds_one_dense_temporary():
+    # besides U, verification holds one N x N complex array (the Gram
+    # triangle) and row blocks; a full U*U next to a conjugate copy of U
+    # reads 2.0
+    g = builders.build_random_regular(400, 3, 0)
+    dec, b = build_decomposition(g), build_B(g)
+    assert dec.N == 1200
+    verify_decomposition(b, dec)  # scipy's first-call allocations stay out
+    tracemalloc.start()
+    try:
+        rep = verify_decomposition(b, dec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["ok"], rep
+    assert peak < 1.5 * 16 * dec.N**2, peak / (16 * dec.N**2)
 
 
 def _add_b_entry(b, dec):
