@@ -81,7 +81,8 @@ class SupportViolation(RamlabError):
 # --- spectral lab -----------------------------------------------------------
 
 class SizeCap(RamlabError):
-    """A dense computation was requested above the configured size cap."""
+    """A computation was requested above its size cap: a dense solve above
+    its order, or a walk above the state-step budget."""
 
 
 class EigenbasisNotOrthonormal(RamlabError):

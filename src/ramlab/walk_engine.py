@@ -10,11 +10,13 @@ return probabilities and L^p norms.
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParityOnNonBipartite, SpaceMismatch, SupportViolation, UsageError
+from .errors import (ParityOnNonBipartite, SizeCap, SpaceMismatch, SupportViolation,
+                     UsageError)
 from .graph_core import RegularGraph, adjacency_sparse, validate_and_index
 
 VERTICES = "vertices"
@@ -25,8 +27,32 @@ KERNELS = ("srw", "nbrw", "srw_lazy", "nbrw_lazy")
 _SUM_TOL = 1e-12
 
 # Byte budget of one (states x block) float64 array in the all-starts cutoff
-# profile; a step holds a few such arrays at once.
-_BLOCK_BYTES = 1 << 20
+# profile; a step holds a few such arrays at once, in every worker thread.
+_BLOCK_BYTES = 1 << 19
+
+# The walk budget, in state-steps. A step costs about 14 ns per state (the
+# NBRW mixing curve over 600k edges, the slowest per state, ran 7.4e7
+# state-steps/s on a 2-vCPU Xeon VM) plus a fixed 30-50 us, charged as
+# _STEP_STATES more states; _WORK_CAP is about a minute of that.
+_WORK_CAP = 4 * 10**9
+_STEP_STATES = 4096
+
+
+def _check_work(states: int, starts: int, t_max: int):
+    """SizeCap, with the estimate, if evolving `starts` laws over `states`
+    states up to t_max costs more than _WORK_CAP state-steps."""
+    work = (states * starts + _STEP_STATES) * (t_max + 1)
+    if work > _WORK_CAP:
+        raise SizeCap(f"evolving {starts} start(s) over {states} states to t={t_max} "
+                      f"costs {work:.3g} state-steps, above the walk budget of {_WORK_CAP:.3g}")
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one
+    (Linux), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _check_laws(x: np.ndarray) -> np.ndarray:
@@ -91,28 +117,33 @@ def evolve(graph: RegularGraph, kernel: str, starts):
         _check_laws(x)
         yield t, x if prev is None or base == kernel else _check_laws(0.5 * (prev + x))
         # Each state adds its d inflows one at a time in neighbor order (the
-        # CSR product sums a row in column order), so a column of a batch
-        # equals that law stepped alone, to the last bit.
+        # CSR product sums a row in column order; numpy's .sum(axis=1) would
+        # add pairwise for d >= 8), so a column of a batch equals that law
+        # stepped alone, to the last bit.
         prev = x
         if base == "srw":
             x = adj @ prev
             x /= d
         else:  # edge (u, v) gets the inflow of u less the mass on (v, u)
-            inflow = prev[rev]
-            x = inflow[0::d].copy()
-            for j in range(1, d):
-                x += inflow[j::d]
-            x = (np.repeat(x, d, axis=0) - inflow) / (d - 1)
+            inflow = np.take(prev, rev, axis=0).reshape(graph.n, d, -1)
+            into = np.add(inflow[:, 0], inflow[:, 1])
+            for j in range(2, d):
+                into += inflow[:, j]
+            x = np.subtract(into[:, None], inflow, out=inflow)
+            x /= d - 1
+            x = x.reshape(size, -1)
 
 
 class _Reference:
-    """A reference law with its support found once; per law, one difference
-    pass gives the TV and one ratio pass D_inf and every D_p."""
+    """A reference law that is uniform on its support (every ``stationary``
+    law is), held as that support and its one weight; per law, one
+    difference pass gives the TV and one ratio pass D_inf and every D_p."""
 
     def __init__(self, values: np.ndarray):
-        self.values = values
         self.support = None if (values > 0).all() else values > 0
-        self.weights = values if self.support is None else values[self.support]
+        self.weight = values.max()
+        # a scalar broadcasts to the same bits as the full uniform array
+        self.values = self.weight if self.support is None else values
 
     def tv(self, x: np.ndarray) -> list:
         """TV distance of x, or of each row of a 2-D x; a row is summed as a
@@ -122,19 +153,27 @@ class _Reference:
 
     def lp(self, x: np.ndarray, p_list) -> list:
         """L^p(reference) norm of x/ref - 1 for each p in p_list (inf allowed)."""
-        if self.support is None:
-            ratio = x / self.values
-        else:
+        if self.support is not None:
             outside = x[~self.support]
             if outside.max() > 0:
                 raise SupportViolation(
                     f"distribution puts mass {outside.max():g} outside the "
                     "reference support")
-            ratio = x[self.support] / self.weights
+            x = x[self.support]
+        ratio = np.divide(x, self.weight)
         ratio -= 1.0
         a = np.abs(ratio, out=ratio)
-        return [float(a.max()) if math.isinf(p)
-                else float((self.weights * a ** p).sum() ** (1.0 / p)) for p in p_list]
+        return [float(a.max()) if math.isinf(p) else self._mean_power(a, p) for p in p_list]
+
+    def _mean_power(self, a: np.ndarray, p: float) -> float:
+        """(sum of weight * a^p)^(1/p); a ** 1.0 is a to the bit, so p = 1
+        skips the power."""
+        if p == 1.0:
+            terms = a * self.weight
+        else:
+            terms = a ** p
+            terms *= self.weight
+        return float(terms.sum() ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -158,7 +197,8 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
     measure on the parity class the walk occupies at each time; 'full'
     always compares against the uniform measure on the whole space. Lazy
     kernels average the time-(t-1) and time-t pure distributions (the lazy
-    first step) and always use the full reference.
+    first step) and always use the full reference. SizeCap, before the
+    first step, if the walk costs more than the walk budget (_check_work).
     """
     if reference not in ("auto", "full"):
         raise UsageError(f"unknown reference mode {reference!r}")
@@ -172,6 +212,7 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
     states = graph.n if space == VERTICES else graph.n * graph.d
     if not 0 <= start < states:
         raise UsageError(f"start {start} outside [0, {states}) for {kernel}")
+    _check_work(states, 1, t_max)
     if reference == "auto" and graph.bipartite and not kernel.endswith("_lazy"):
         p0 = int(graph.bipartition[start if space == VERTICES else start // graph.d])
         refs = [_Reference(stationary(space, graph, parity=q)) for q in (p0, 1 - p0)]
@@ -308,9 +349,21 @@ def tree_rows(d: int, t_max: int, log: bool = False):
 def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
     """Max-over-starts TV distance at t = round(t_star + s*window) for each
     s, paired with the Gaussian profile prediction. The graph must already
-    be certified (weakly) Ramanujan by the caller. Starts evolve together
-    in blocks of at most _BLOCK_BYTES per (n x block) array. UsageError for
-    no starts, an empty grid, or an s whose t_star + s*window is not finite."""
+    be certified (weakly) Ramanujan by the caller.
+
+    Starts evolve together in blocks of at most _BLOCK_BYTES per (n x block)
+    array. The blocks are independent and run on a thread pool with one
+    worker per CPU in the affinity mask (at most one per block); the sparse
+    product releases the GIL, so the workers overlap. Each block returns its
+    max TV per grid time and the caller takes the max over blocks, so the
+    records do not depend on the block width or the worker count. An error
+    raised in a block propagates to the caller.
+
+    UsageError for no starts, an empty grid, or an s whose t_star + s*window
+    is not finite; SizeCap, before the first step, if the walk costs more
+    than the walk budget (_check_work)."""
+    from concurrent.futures import ThreadPoolExecutor
+
     from . import theory
 
     starts = list(starts)
@@ -326,20 +379,25 @@ def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
         if not math.isfinite(t):
             raise UsageError(f"s={s} gives t = t_star + s*window = {t}, not a finite time")
         t_of_s[s] = max(0, round(t))
-    t_max = max(t_of_s.values())
+    times, t_max = set(t_of_s.values()), max(t_of_s.values())
+    _check_work(graph.n, len(starts), t_max)
 
-    best = dict.fromkeys(t_of_s.values(), 0.0)
     ref = _Reference(stationary(VERTICES, graph))
     width = max(1, _BLOCK_BYTES // (8 * graph.n))
-    for i in range(0, len(starts), width):
-        for t, x in evolve(graph, "srw", starts[i : i + width]):
-            if t in best:
-                best[t] = max(best[t], *ref.tv(x.T))
-            if t == t_max:
-                break
+    blocks = [starts[i : i + width] for i in range(0, len(starts), width)]
 
+    def block_max_tv(block) -> dict:
+        best = {}
+        for t, x in evolve(graph, "srw", block):
+            if t in times:
+                best[t] = max(ref.tv(x.T))
+            if t == t_max:
+                return best
+
+    with ThreadPoolExecutor(min(_cpu_count(), len(blocks))) as pool:
+        per_block = list(pool.map(block_max_tv, blocks))
     return [
-        {"s": s, "t": t_of_s[s], "empirical": best[t_of_s[s]],
+        {"s": s, "t": t_of_s[s], "empirical": max(b[t_of_s[s]] for b in per_block),
          "predicted": theory.profile_value(s, graph.d)}
         for s in s_grid
     ]

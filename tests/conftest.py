@@ -15,6 +15,11 @@ def k4():
 
 
 @pytest.fixture(scope="session")
+def k10():
+    return builders.build_named("complete(10)")
+
+
+@pytest.fixture(scope="session")
 def k33():
     return builders.build_named("complete_bipartite(3)")
 

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 
 import numpy as np
 import oracles
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramlab import cli, spectral_lab, walk_engine
+from ramlab.errors import SupportViolation, UsageError
 
 
 def run(args):
@@ -213,19 +216,52 @@ _PROFILE_GRAPHS = {  # conftest fixture -> the CLI flags that build it
 @pytest.mark.parametrize("width", [1, 3, "all"])
 def test_profile_matches_per_start_oracle(tmp_path, monkeypatch, request, name, width):
     # the batched evolution gives the per-start loop's records to the last
-    # bit, whether a block holds 1 start, 3 starts or every start at once
+    # bit, whether a block holds 1 start, 3 starts or every start at once,
+    # and whether 1, 2 or 3 worker threads evolve the blocks
     g = request.getfixturevalue(name)
     block = width if width != "all" else g.n + 1
     monkeypatch.setattr(walk_engine, "_BLOCK_BYTES", 8 * g.n * block)
     s_grid = [-1.5, -1.0, 0.0, 0.5, 1.0, 2.0]
-    assert run(["profile", *_PROFILE_GRAPHS[name], "--s-grid=" + ",".join(map(str, s_grid)),
-                "--out-dir", str(tmp_path)]) == 0
-    lines = [l for l in read(os.path.join(str(tmp_path), "cutoff_profile.csv"))
-             .decode().splitlines() if not l.startswith("#")]
     expected = [",".join([format(s, ".17g"), str(t), format(tv, ".17g"),
                           format(pred, ".17g")])
                 for s, t, tv, pred in oracles.cutoff_profile_records(g, range(g.n), s_grid)]
-    assert lines == ["s,t,empirical,predicted"] + expected
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(walk_engine, "_cpu_count", lambda: workers)
+        out = str(tmp_path / str(workers))
+        assert run(["profile", *_PROFILE_GRAPHS[name],
+                    "--s-grid=" + ",".join(map(str, s_grid)), "--out-dir", out]) == 0
+        lines = [l for l in read(os.path.join(out, "cutoff_profile.csv"))
+                 .decode().splitlines() if not l.startswith("#")]
+        assert lines == ["s,t,empirical,predicted"] + expected, workers
+
+
+@pytest.mark.parametrize("exc", [MemoryError("out of memory"),
+                                 SupportViolation("mass outside the support"),
+                                 UsageError("start outside the graph")],
+                         ids=lambda exc: type(exc).__name__)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_profile_worker_error_exit_code(tmp_path, capsys, monkeypatch, rand3_50, workers, exc):
+    # an error raised while a worker thread evolves one block of starts
+    # reaches cli.main as if raised in the caller: the same exit code and
+    # JSON line, and no artifact
+    evolve, raised_in = walk_engine.evolve, []
+
+    def failing_evolve(graph, kernel, starts):
+        if 7 in starts:
+            raised_in.append(threading.current_thread())
+            raise exc
+        return evolve(graph, kernel, starts)
+
+    monkeypatch.setattr(walk_engine, "evolve", failing_evolve)
+    monkeypatch.setattr(walk_engine, "_BLOCK_BYTES", 8 * rand3_50.n * 3)
+    monkeypatch.setattr(walk_engine, "_cpu_count", lambda: workers)
+    code = run(["profile", *_PROFILE_GRAPHS["rand3_50"], "--out-dir", str(tmp_path)])
+    assert code == (2 if isinstance(exc, UsageError) else 4)
+    assert raised_in and raised_in[0] is not threading.main_thread()
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(l) for l in lines] == [{"error": type(exc).__name__,
+                                               "message": str(exc)}]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_computation_error_exit_code(tmp_path):
@@ -250,6 +286,20 @@ def _assert_rejected(out_dir, capsys, argv, code=2, error="UsageError"):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == error
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "--name", "petersen", "--s-grid", "1e12"],
+    ["profile", "--family", "random_regular", "--n", "2002", "--s-grid", "0,1e300"],
+    ["mix", "--name", "petersen", "--tmax", str(10**12)],
+    ["mix", "--name", "petersen", "--kernel", "nbrw_lazy", "--tmax", "1000000"],
+    ["mix", "--family", "lps", "--p", "5", "--q", "13", "--kernel", "nbrw", "--tmax", "400000"],
+])
+def test_walk_beyond_budget_exit_code(tmp_path, capsys, argv):
+    # refused before the first step, with the estimate, in well under a second
+    start = time.perf_counter()
+    _assert_rejected(tmp_path, capsys, argv, 4, "SizeCap")
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("flags", [["--source", "50"], ["--source", "-1"],
@@ -361,13 +411,17 @@ def test_random_regular_degree_below_three_exit_code(tmp_path, capsys, d):
 
 # Numeric flag values: small integers with 0 and negatives, a fraction, NaN
 # and infinities. No value exceeds 12, which bounds every graph (n <= 12),
-# --tmax, --horizon, --pmax, --starts and the --s-grid entries. theory's
-# --n and --d and tree's --d only enter closed forms, so they also draw
-# integers near and beyond the float range.
+# --horizon, --pmax, --starts and --start. theory's --n and --d and
+# tree's --d only enter closed forms, so they also draw integers near and
+# beyond the float range. --tmax and the --s-grid entries also draw times far
+# beyond the walk budget, which must be refused before the first step.
 _NUMBER = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["0.5", "nan", "inf", "-inf"]))
 _CLOSED_FORM_INT = st.one_of(_NUMBER, st.sampled_from([10**300, 10**308, 10**309, 10**400])
                              .map(str))
+_HUGE_TIMES = ["1000000000000", str(10**30), "1e12", "1e300"]
+_TIME = st.one_of(st.sampled_from(_HUGE_TIMES), _NUMBER)
 _NUMBERS = st.lists(_NUMBER, max_size=3).map(",".join)
+_S_GRID = st.lists(_TIME, max_size=3).map(",".join)
 _GRAPH = st.one_of(
     st.sampled_from(["petersen", "complete(3)", "complete(4)", "complete(7)",
                      "complete_bipartite(2)", "complete_bipartite(3)", "cycle(5)"])
@@ -382,9 +436,9 @@ _FLAGS = {
     "build": {},
     "metrics": {"--source": _NUMBER, "--window-radius": _NUMBER},
     "mix": {"--kernel": st.sampled_from(walk_engine.KERNELS), "--start": _NUMBER,
-            "--tmax": _NUMBER, "--pmax": _NUMBER, "--p-list": _NUMBERS,
+            "--tmax": _TIME, "--pmax": _NUMBER, "--p-list": _NUMBERS,
             "--reference": st.sampled_from(["auto", "full"])},
-    "profile": {"--s-grid": _NUMBERS, "--starts": _NUMBER},
+    "profile": {"--s-grid": _S_GRID, "--starts": _NUMBER},
     "spectrum": _SPECTRUM_FLAGS,
     "decompose": {"--dense-cap": _NUMBER},
     "certify": _SPECTRUM_FLAGS,
@@ -412,16 +466,26 @@ def _argv(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_fuzzed_argv_exit_code(argv):
     # every argument vector ends in a documented exit code, never a
-    # traceback; derandomized, so every run draws the same 300 vectors
+    # traceback; derandomized, so every run draws the same 300 vectors. A
+    # vector that asks for a time beyond the walk budget is refused within a
+    # second, with one JSON line and no artifact
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
+        start, parsed = time.perf_counter(), True
         try:
             code = run(argv + ["--out-dir", out])
         except SystemExit as exc:  # argparse rejects the vector
-            code = exc.code
+            code, parsed = exc.code, False
+        elapsed = time.perf_counter() - start
+        artifacts = os.listdir(out)
     assert code in (0, 2, 3, 4), code
     assert "Traceback" not in err.getvalue()
+    if parsed and any(value in _HUGE_TIMES for value in ",".join(argv).split(",")):
+        assert elapsed < 1.0, elapsed
+        assert code != 0 and artifacts == [], (code, artifacts)
+        line, = err.getvalue().splitlines()
+        json.loads(line)
 
 
 @pytest.mark.parametrize("exc", [MemoryError("out of memory"),
@@ -656,7 +720,8 @@ def test_mix_lps29_example_line(tmp_path, lps29):
 
 
 # Run in a fresh interpreter: ramlab.cli, then each argv in turn in a new out
-# dir, printing after each the exit code and the scipy modules loaded so far.
+# dir, printing after each the exit code and the scipy modules loaded so far,
+# and whether the import loaded concurrent.futures.
 _STARTUP_SCRIPT = """
 import json, sys, tempfile
 sys.path.insert(0, sys.argv[1])
@@ -665,12 +730,13 @@ import ramlab.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+futures = "concurrent.futures" in sys.modules
 report = [["import ramlab.cli", 0, scipy_modules()]]
 for argv in json.loads(sys.argv[2]):
     with tempfile.TemporaryDirectory() as out:
         code = ramlab.cli.main(argv + ["--out-dir", out])
     report.append([" ".join(argv), code, scipy_modules()])
-print(json.dumps(report))
+print(json.dumps({"futures_at_import": futures, "report": report}))
 """
 
 _SCIPY_FREE_RUNS = [
@@ -694,13 +760,17 @@ _SCIPY_RUNS = [
 
 def test_cli_starts_without_scipy():
     # importing the CLI and every run that needs no sparse matrix, Lanczos,
-    # QR or LU leave scipy unloaded; the runs that need it still succeed
+    # QR or LU leave scipy unloaded; the runs that need it still succeed.
+    # The import leaves concurrent.futures unloaded too: only the profile's
+    # thread pool needs it
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_SCRIPT, src, json.dumps(_SCIPY_FREE_RUNS + _SCIPY_RUNS)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert not result["futures_at_import"]
+    report = result["report"]
     free = report[: 1 + len(_SCIPY_FREE_RUNS)]
     assert all(code == 0 and not loaded for _, code, loaded in free), free
     assert all(code == 0 for _, code, _ in report[len(free):]), report

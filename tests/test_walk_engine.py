@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -121,7 +122,8 @@ def test_kernels_match_dense_oracles(petersen, k33):
 
 def _single_laws(g, kernel, start, t_max):
     """Laws at times 0..t_max by repeated single-vector stepping with the
-    oracle kernels (exact to the last bit for d <= 7); a lazy kernel shows
+    oracle kernels (exact to the last bit for SRW with d <= 7, and for NBRW
+    with every d, since bincount adds in edge order); a lazy kernel shows
     the mean of consecutive pure laws."""
     base = kernel.removesuffix("_lazy")
     mu = np.zeros(g.n if base == "srw" else g.n * g.d)
@@ -136,8 +138,10 @@ def _single_laws(g, kernel, start, t_max):
     return pure[:1] + [0.5 * (a + b) for a, b in zip(pure, pure[1:])]
 
 
-@pytest.mark.parametrize("kernel", walk_engine.KERNELS)
-@pytest.mark.parametrize("name", ["petersen", "k33", "rand3_50", "lps13"])
+@pytest.mark.parametrize("name, kernel", [
+    *itertools.product(["petersen", "k33", "rand3_50", "lps13"], walk_engine.KERNELS),
+    # d = 9: a pairwise sum over the in-edges would differ from the oracle
+    ("k10", "nbrw"), ("k10", "nbrw_lazy")])
 def test_evolve_equals_single_vector_stepping(name, kernel, request):
     g = request.getfixturevalue(name)
     size = g.n if kernel.startswith("srw") else g.n * g.d
@@ -192,16 +196,24 @@ def test_evolve_checks_every_column(petersen):
 @pytest.mark.parametrize("width", [1, 2, 3, 5])
 def test_profile_blocks_keep_every_start(rand3_50, monkeypatch, width):
     # the start with the largest TV sits at every position of a block in
-    # turn, among starts whose TV is strictly smaller
+    # turn, among starts whose TV is strictly smaller, on 1, 2 and 3 worker
+    # threads that switch every microsecond
     g = rand3_50
     monkeypatch.setattr(walk_engine, "_BLOCK_BYTES", 8 * g.n * width)
     tv = {x: oracles.cutoff_profile_records(g, [x], [0.0])[0][2] for x in range(g.n)}
     top = max(tv, key=tv.get)
     others = [x for x in range(g.n) if tv[x] < tv[top]][:9]
-    for pos in range(len(others) + 1):
-        starts = others[:pos] + [top] + others[pos:]
-        record, = walk_engine.empirical_cutoff_profile(g, starts, [0.0])
-        assert record["empirical"] == tv[top], pos
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(walk_engine, "_cpu_count", lambda: workers)
+            for pos in range(len(others) + 1):
+                starts = others[:pos] + [top] + others[pos:]
+                record, = walk_engine.empirical_cutoff_profile(g, starts, [0.0])
+                assert record["empirical"] == tv[top], (workers, pos)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("reference", ["auto", "full"])
