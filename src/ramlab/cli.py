@@ -211,6 +211,7 @@ def cmd_profile(args) -> int:
     comments = [
         f"manifest_sha256={sha}",
         f"starts={','.join(str(int(x)) for x in rng_starts)}",
+        f"reference={records[0]['reference']}",
         f"graph={json.dumps(graph.provenance, sort_keys=True)}",
     ]
     out = os.path.join(args.out_dir, "cutoff_profile.csv")
@@ -229,8 +230,7 @@ def cmd_spectrum(args) -> int:
     sha = write_manifest(args.out_dir, "spectrum", _config_of(args))
     method = report.method
     if method == "translation_blocks":  # the solved blocks: count x order
-        order, m = graph.orbits.shape
-        method += f" blocks={m // 2 + 1}x{order}"
+        method += " blocks={}x{}".format(*report.blocks)
     out = os.path.join(args.out_dir, "spectrum.csv")
     emit_csv(out, ["i", "eigenvalue"],
              [(np.arange(report.eigenvalues.size), report.eigenvalues)],
@@ -343,11 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(name, help=text)
         _graph_args(p)
         p.add_argument("--dense-cap", type=int, default=spectral_lab.DENSE_CAP_DEFAULT,
-                       help="largest n for one dense eigensolve. A graph with a "
-                            "translation of order m (LPS: m = q) is solved by its "
-                            "floor(m/2)+1 Fourier blocks of order n/m while "
-                            "(floor(m/2)+1)(n/m)^3 <= cap^3. Otherwise, above the "
-                            "cap, only Lanczos extremes (a partial spectrum)")
+                       help="exact spectrum while its blocks cost at most one dense "
+                            "solve at n = cap (README: --dense-cap); above, only "
+                            "Lanczos extremes (a partial spectrum)")
         p.add_argument("--delta-threshold", type=float, default=0.1)
         p.add_argument("--exceptional-budget", type=int, default=0)
         p.set_defaults(func=cmd_spectrum)

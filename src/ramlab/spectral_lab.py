@@ -12,8 +12,8 @@ and the star-space construction for the +-1 eigenvectors.
 
 scipy is imported by the functions that call it (Lanczos, the sparse B, the
 pivoted QR, the Hermitian Gram product and the sparse LU), so that the
-translation-block spectrum and every other path that needs none of them
-leave it unloaded.
+exact spectrum and every other path that needs none of them leave it
+unloaded.
 """
 
 import cmath
@@ -49,7 +49,8 @@ class SpectrumReport:
     eigensolve), "translation_blocks" (the Fourier blocks of the graph's
     translation) or "ritz_estimate" (Lanczos Ritz values with no error
     bound). A Ritz report is partial: it holds only bracketing extremes,
-    enough to bound every nontrivial eigenvalue.
+    enough to bound every nontrivial eigenvalue. ``blocks`` is the (count,
+    order) of the Hermitian blocks an exact path solved, None for Ritz.
     """
 
     n: int
@@ -58,6 +59,7 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     method: str
     max_nontrivial_abs: float
+    blocks: tuple | None = None
 
     @property
     def partial(self) -> bool:
@@ -94,23 +96,28 @@ def _drop_trivial(eigs: np.ndarray, d: int, bipartite: bool) -> np.ndarray:
 
 
 def report_from_eigenvalues(eigenvalues, n: int, d: int, bipartite: bool,
-                            method: str) -> SpectrumReport:
+                            method: str, blocks: tuple | None = None) -> SpectrumReport:
     eigs = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     max_abs = float(np.abs(_drop_trivial(eigs, d, bipartite)).max()) if n > 1 else 0.0
     return SpectrumReport(n=n, d=d, bipartite=bool(bipartite), eigenvalues=eigs,
-                          method=method, max_nontrivial_abs=max_abs)
+                          method=method, max_nontrivial_abs=max_abs, blocks=blocks)
 
 
 def adjacency_spectrum(graph: RegularGraph,
                        dense_cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
-    """The adjacency spectrum, by the first of three paths that applies.
+    """The adjacency spectrum, by one of two paths.
 
-    - translation_blocks: the graph has a translation sigma of order m
-      (graph.orbits, an (n/m, m) table) and its floor(m/2)+1 solved blocks
-      of order n/m satisfy (floor(m/2)+1) (n/m)^3 <= dense_cap^3, so they
-      cost about as much as one dense solve at the cap or less. The full
-      spectrum (see _translation_eigenvalues).
-    - dense: n <= dense_cap; one full dense symmetric eigensolve.
+    - Exact blocks (Babai, JCTB 1979): the graph's translation sigma of
+      order m (graph.orbits, an (n/m, m) table; without one, m = 1 and the
+      one column np.arange(n)) commutes with A, so with omega = e^{2 pi i/m}
+      each f(sigma^k(r_i)) = x_i omega^{jk} maps to omega^{jk} (M_j x)_i,
+      where M_j[i, i'] sums omega^{j delta} over the d arcs
+      r_i -> sigma^delta(r_i') (delta mod m). The Hermitian n/m x n/m blocks
+      M_j carry the whole spectrum, and M_{m-j} = conj(M_j) has M_j's, so
+      floor(m/2)+1 solves give it: M_0 (A for m = 1) and M_{m/2} real, the
+      rest complex. Taken while (floor(m/2)+1) (n/m)^3 <= dense_cap^3 (for
+      m = 1, n <= dense_cap), with method "dense" for m = 1 and
+      "translation_blocks" otherwise.
     - ritz_estimate: otherwise; only the bracketing extreme eigenvalues, by
       Lanczos iteration, with the report marked partial. Lanczos starts
       from a seeded random vector: from the Perron vector 1, ARPACK restarts
@@ -119,46 +126,18 @@ def adjacency_spectrum(graph: RegularGraph,
     UsageError unless dense_cap >= 0.
     """
     _check_dense_cap(dense_cap)
-    if graph.orbits is not None:
-        order, m = graph.orbits.shape
-        if (m // 2 + 1) * order**3 <= dense_cap**3:
-            return report_from_eigenvalues(_translation_eigenvalues(graph), graph.n, graph.d,
-                                           graph.bipartite, "translation_blocks")
-    a = adjacency_sparse(graph)
-    if graph.n <= dense_cap:
-        eigs = np.linalg.eigvalsh(a.toarray())[::-1]
-        return report_from_eigenvalues(eigs, graph.n, graph.d, graph.bipartite, "dense")
-    import scipy.sparse.linalg
-
-    v0 = np.random.default_rng(0).standard_normal(graph.n)
-    extremes = [scipy.sparse.linalg.eigsh(a, k=2, which=which, v0=v0, return_eigenvectors=False)
-                for which in ("LA", "SA")]
-    return report_from_eigenvalues(np.concatenate(extremes), graph.n, graph.d,
-                                   graph.bipartite, "ritz_estimate")
-
-
-def _check_dense_cap(dense_cap: int) -> None:
-    if not dense_cap >= 0:
-        raise UsageError(f"dense_cap must be >= 0, got {dense_cap}")
-
-
-def _translation_eigenvalues(graph: RegularGraph) -> np.ndarray:
-    """All n adjacency eigenvalues, unsorted, from the Fourier blocks of the
-    graph's translation sigma (Babai, JCTB 1979).
-
-    sigma commutes with A, so with omega = e^{2 pi i / m} each function
-    f(sigma^k(r_i)) = x_i omega^{jk} maps to omega^{jk} (M_j x)_i, where
-    M_j[i, i'] sums omega^{j delta} over the d arcs r_i -> sigma^delta(r_i')
-    (exponent taken mod m). The n/m x n/m blocks M_0 .. M_{m-1} are
-    Hermitian and together carry the whole spectrum. M_0 (and M_{m/2} for
-    even m) is real. For any other j, M_{m-j} = conj(M_j) has the
-    eigenvalues of M_j, and the real symmetric [[Re M_j, -Im M_j],
-    [Im M_j, Re M_j]] holds each of them twice, so one real solve covers
-    j and m - j. (numpy's complex Hermitian solver takes about half the
-    time per block, but it raised the peak memory of a process that also
-    does real dense work by 0.8 MB: it touches further OpenBLAS buffers.)"""
-    orbits, n, d = graph.orbits, graph.n, graph.d
+    n, d = graph.n, graph.d
+    orbits = np.arange(n)[:, None] if graph.orbits is None else graph.orbits
     order, m = orbits.shape
+    if (m // 2 + 1) * order**3 > dense_cap**3:
+        import scipy.sparse.linalg
+
+        v0 = np.random.default_rng(0).standard_normal(n)
+        extremes = [scipy.sparse.linalg.eigsh(adjacency_sparse(graph), k=2, which=which, v0=v0,
+                                              return_eigenvectors=False)
+                    for which in ("LA", "SA")]
+        return report_from_eigenvalues(np.concatenate(extremes), n, d, graph.bipartite,
+                                       "ritz_estimate")
     where = np.empty(n, dtype=np.int64)  # sigma^k(r_i) sits at i * m + k
     where[orbits] = np.arange(n).reshape(order, m)
     heads = where[graph.indices.reshape(n, d)[orbits[:, 0]]]
@@ -167,13 +146,19 @@ def _translation_eigenvalues(graph: RegularGraph) -> np.ndarray:
     eigs = []
     for j in range(m // 2 + 1):
         phase = 2 * math.pi / m * (j * delta % m)
-        re = np.bincount(cell, np.cos(phase), order * order).reshape(order, order)
-        if 2 * j in (0, m):
-            eigs.append(np.linalg.eigvalsh(re))
-        else:
-            im = np.bincount(cell, np.sin(phase), order * order).reshape(order, order)
-            eigs.append(np.linalg.eigvalsh(np.block([[re, -im], [im, re]])))
-    return np.concatenate(eigs)
+        block = np.bincount(cell, np.cos(phase), order * order)
+        pair = 0 < 2 * j < m  # M_j and M_{m-j}
+        if pair:
+            block = block + 1j * np.bincount(cell, np.sin(phase), order * order)
+        eigs += [np.linalg.eigvalsh(block.reshape(order, order))] * (1 + pair)
+    return report_from_eigenvalues(np.concatenate(eigs), n, d, graph.bipartite,
+                                   "dense" if m == 1 else "translation_blocks",
+                                   blocks=(m // 2 + 1, order))
+
+
+def _check_dense_cap(dense_cap: int) -> None:
+    if not dense_cap >= 0:
+        raise UsageError(f"dense_cap must be >= 0, got {dense_cap}")
 
 
 @dataclass(frozen=True)

@@ -33,18 +33,24 @@ _BLOCK_BYTES = 1 << 19
 # The walk budget, in state-steps. A step costs about 14 ns per state (the
 # NBRW mixing curve over 600k edges, the slowest per state, ran 7.4e7
 # state-steps/s on a 2-vCPU Xeon VM) plus a fixed 30-50 us, charged as
-# _STEP_STATES more states; _WORK_CAP is about a minute of that.
+# _STEP_STATES more states; _WORK_CAP is about a minute of that. Each
+# finite p of a mixing curve adds a reduction per step: a fixed 2.4 us plus
+# 1-4 ns per state (the most for a fractional p), charged as _P_STATES
+# plus a quarter of the states.
 _WORK_CAP = 4 * 10**9
 _STEP_STATES = 4096
+_P_STATES = 256
 
 
-def _check_work(states: int, starts: int, t_max: int):
+def _check_work(states: int, starts: int, t_max: int, p_count: int = 0):
     """SizeCap, with the estimate, if evolving `starts` laws over `states`
-    states up to t_max costs more than _WORK_CAP state-steps."""
-    work = (states * starts + _STEP_STATES) * (t_max + 1)
+    states up to t_max, with `p_count` D_p reductions per step, costs more
+    than _WORK_CAP state-steps."""
+    work = (states * starts + _STEP_STATES + p_count * (states // 4 + _P_STATES)) * (t_max + 1)
     if work > _WORK_CAP:
         raise SizeCap(f"evolving {starts} start(s) over {states} states to t={t_max} "
-                      f"costs {work:.3g} state-steps, above the walk budget of {_WORK_CAP:.3g}")
+                      f"with {p_count} p value(s) costs {work:.3g} state-steps, above "
+                      f"the walk budget of {_WORK_CAP:.3g}")
 
 
 def _cpu_count() -> int:
@@ -212,7 +218,7 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
     states = graph.n if space == VERTICES else graph.n * graph.d
     if not 0 <= start < states:
         raise UsageError(f"start {start} outside [0, {states}) for {kernel}")
-    _check_work(states, 1, t_max)
+    _check_work(states, 1, t_max, len(p_list))
     if reference == "auto" and graph.bipartite and not kernel.endswith("_lazy"):
         p0 = int(graph.bipartition[start if space == VERTICES else start // graph.d])
         refs = [_Reference(stationary(space, graph, parity=q)) for q in (p0, 1 - p0)]
@@ -349,15 +355,17 @@ def tree_rows(d: int, t_max: int, log: bool = False):
 def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
     """Max-over-starts TV distance at t = round(t_star + s*window) for each
     s, paired with the Gaussian profile prediction. The graph must already
-    be certified (weakly) Ramanujan by the caller.
+    be certified (weakly) Ramanujan by the caller. As with mixing_curve's
+    reference='auto', a bipartite walk is compared with the uniform law on
+    the side it occupies at t; each record names its "reference".
 
     Starts evolve together in blocks of at most _BLOCK_BYTES per (n x block)
-    array. The blocks are independent and run on a thread pool with one
-    worker per CPU in the affinity mask (at most one per block); the sparse
-    product releases the GIL, so the workers overlap. Each block returns its
-    max TV per grid time and the caller takes the max over blocks, so the
-    records do not depend on the block width or the worker count. An error
-    raised in a block propagates to the caller.
+    array, each on one side of a bipartite graph. The blocks are independent
+    and run on a thread pool with one worker per CPU in the affinity mask (at
+    most one per block); the sparse product releases the GIL, so the workers
+    overlap. Each block returns its max TV per grid time and the caller takes
+    the max over blocks, so the records do not depend on the block width or
+    the worker count. An error raised in a block propagates to the caller.
 
     UsageError for no starts, an empty grid, or an s whose t_star + s*window
     is not finite; SizeCap, before the first step, if the walk costs more
@@ -382,15 +390,22 @@ def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
     times, t_max = set(t_of_s.values()), max(t_of_s.values())
     _check_work(graph.n, len(starts), t_max)
 
-    ref = _Reference(stationary(VERTICES, graph))
+    # a walk from side q of a bipartite graph is on side (q + t) % 2 at time t;
+    # an out-of-range start is clipped here and refused by evolve
+    parities = (0, 1) if graph.bipartite else (None, None)
+    refs = [_Reference(stationary(VERTICES, graph, parity=q)) for q in parities]
+    side = graph.bipartition.take(starts, mode="clip") if graph.bipartite else [0] * len(starts)
+    groups = [[x for x, y in zip(starts, side) if y == q] for q in (0, 1)]
     width = max(1, _BLOCK_BYTES // (8 * graph.n))
-    blocks = [starts[i : i + width] for i in range(0, len(starts), width)]
+    blocks = [(q, group[i : i + width]) for q, group in enumerate(groups)
+              for i in range(0, len(group), width)]
 
     def block_max_tv(block) -> dict:
+        q, block_starts = block
         best = {}
-        for t, x in evolve(graph, "srw", block):
+        for t, x in evolve(graph, "srw", block_starts):
             if t in times:
-                best[t] = max(ref.tv(x.T))
+                best[t] = max(refs[(q + t) % 2].tv(x.T))
             if t == t_max:
                 return best
 
@@ -398,6 +413,7 @@ def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
         per_block = list(pool.map(block_max_tv, blocks))
     return [
         {"s": s, "t": t_of_s[s], "empirical": max(b[t_of_s[s]] for b in per_block),
-         "predicted": theory.profile_value(s, graph.d)}
+         "predicted": theory.profile_value(s, graph.d),
+         "reference": "parity-alternating" if graph.bipartite else "full"}
         for s in s_grid
     ]

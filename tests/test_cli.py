@@ -176,8 +176,9 @@ def test_profile_csv(tmp_path):
     out = str(tmp_path)
     assert run(["profile", "--family", "named", "--name", "petersen",
                 "--s-grid", "0,1", "--out-dir", out]) == 0
-    lines = [l for l in read(os.path.join(out, "cutoff_profile.csv")).decode().splitlines()
-             if not l.startswith("#")]
+    text = read(os.path.join(out, "cutoff_profile.csv")).decode()
+    assert "reference=full" in _comments(text)  # Petersen is not bipartite
+    lines = [l for l in text.splitlines() if not l.startswith("#")]
     assert lines[0] == "s,t,empirical,predicted"
     s0 = lines[1].split(",")
     assert float(s0[3]) == 0.5  # P(Z > 0)
@@ -294,6 +295,10 @@ def _assert_rejected(out_dir, capsys, argv, code=2, error="UsageError"):
     ["mix", "--name", "petersen", "--tmax", str(10**12)],
     ["mix", "--name", "petersen", "--kernel", "nbrw_lazy", "--tmax", "1000000"],
     ["mix", "--family", "lps", "--p", "5", "--q", "13", "--kernel", "nbrw", "--tmax", "400000"],
+    # each p adds a reduction per step: 500 of them are refused at a t_max
+    # that the walk alone stays under
+    *(["mix", "--name", "petersen", "--p-list", ",".join(str(1 + k / 100) for k in range(500)),
+       "--tmax", tmax] for tmax in ("1000000", "100000")),
 ])
 def test_walk_beyond_budget_exit_code(tmp_path, capsys, argv):
     # refused before the first step, with the estimate, in well under a second
@@ -749,11 +754,11 @@ _SCIPY_FREE_RUNS = [
     ["tree", "--d", "3", "--horizon", "10"],
     ["theory", "--n", "100", "--d", "3"],
     ["certify", "--family", "lps", "--p", "5", "--q", "13"],
+    ["certify", "--name", "petersen"],
 ]
 _SCIPY_RUNS = [
     ["mix", "--name", "petersen", "--kernel", "srw", "--tmax", "5"],
     ["profile", "--name", "petersen"],
-    ["certify", "--name", "petersen"],
     ["decompose", "--name", "petersen"],
 ]
 

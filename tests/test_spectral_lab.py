@@ -99,6 +99,17 @@ def test_spectrum_method_follows_the_cap(petersen, lps13):
     assert adjacency_spectrum(petersen, dense_cap=4).method == "ritz_estimate"
 
 
+@pytest.mark.parametrize("name", ["petersen", "k10", "k33", "rand3_50", "lift20"])
+def test_dense_spectrum_is_the_one_block_case(request, name):
+    # a graph without a translation is its own one Fourier block, M_0 = A:
+    # its report holds the dense adjacency solve's eigenvalues, bit for bit
+    g = request.getfixturevalue(name)
+    rep = adjacency_spectrum(g)
+    assert rep.method == "dense" and rep.blocks == (1, g.n)
+    dense = np.linalg.eigvalsh(graph_core.adjacency_sparse(g).toarray())[::-1]
+    assert np.array_equal(rep.eigenvalues, dense)
+
+
 def test_translation_spectrum_trace_identity(lps29):
     # sum lambda^k = tr(A^k) = n W_k(0) on a vertex-transitive graph, W_k(0)
     # the exact count of closed k-walks at vertex 0; n = 12180 is above the cap

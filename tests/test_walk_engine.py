@@ -216,6 +216,30 @@ def test_profile_blocks_keep_every_start(rand3_50, monkeypatch, width):
         sys.setswitchinterval(interval)
 
 
+@pytest.fixture(scope="module")
+def k33_lift20(k33):
+    return builders.build_random_lift(builders.LiftSpec(base=k33, n=20, seed=1))
+
+
+@pytest.mark.parametrize("width", [3, "default"])
+@pytest.mark.parametrize("name", ["lps13", "k33_lift20"])
+def test_bipartite_profile_compares_each_side_with_its_parity(request, monkeypatch,
+                                                              name, width):
+    # each start's walk is compared with the uniform law on the side it
+    # occupies at t, as mixing_curve's reference='auto' does, to the last bit
+    # (K3,3 itself reads 0 at every grid time, hence its 20-lift)
+    g = request.getfixturevalue(name)
+    assert g.bipartite
+    if width != "default":
+        monkeypatch.setattr(walk_engine, "_BLOCK_BYTES", 8 * g.n * width)
+    starts = walk_engine.default_start_sample(g)
+    records = walk_engine.empirical_cutoff_profile(g, starts, [-2.0, -1.0, 0.0, 1.0, 2.0])
+    for r in records:
+        assert r["reference"] == "parity-alternating"
+        assert r["empirical"] == max(mixing_curve(g, "srw", int(x), r["t"]).d_tv[r["t"]]
+                                     for x in starts), r
+
+
 @pytest.mark.parametrize("reference", ["auto", "full"])
 @pytest.mark.parametrize("kernel", ["srw", "nbrw"])
 @pytest.mark.parametrize("name", ["k33", "lps13"])
