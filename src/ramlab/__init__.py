@@ -12,5 +12,5 @@ __all__ = ["backend_name", "__version__"]
 
 
 def backend_name() -> str:
-    """Name of the kernel backend recorded in every manifest: always 'numpy'."""
+    """Name of the kernel backend, always 'numpy': the benchmark records it."""
     return "numpy"

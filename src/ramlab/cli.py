@@ -23,7 +23,7 @@ import sys
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from . import __version__, backend_name, builders, graph_core, spectral_lab, theory, walk_engine
+from . import __version__, builders, graph_core, spectral_lab, theory, walk_engine
 from .errors import RamlabError, UsageError, VerificationFailed
 
 # Largest `tree --horizon`. It bounds the CSV, which lists every positive
@@ -70,7 +70,6 @@ def write_manifest(out_dir: str, subcommand: str, config: dict) -> str:
         "subcommand": subcommand,
         "config": config,
         "version": __version__,
-        "backend": backend_name(),
     }
     text = json.dumps(manifest, sort_keys=True, indent=2, default=_json_default) + "\n"
     path = os.path.join(out_dir, "manifest.json")
@@ -179,8 +178,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    p_list = (_parse_floats("--p-list", args.p_list) if args.p_list
-              else list(range(1, args.pmax + 1)))
+    p_list = _parse_floats("--p-list", args.p_list)
     graph = resolve_graph(args)
     curve = walk_engine.mixing_curve(graph, args.kernel, args.start, args.tmax,
                                      p_list=p_list, reference=args.reference)
@@ -224,7 +222,7 @@ def cmd_profile(args) -> int:
 
 def cmd_spectrum(args) -> int:
     graph = resolve_graph(args)
-    report = spectral_lab.adjacency_spectrum(graph, dense_cap=args.dense_cap)
+    report = spectral_lab.adjacency_spectrum(graph)
     cert = spectral_lab.certify(report, delta_threshold=args.delta_threshold,
                                 exceptional_budget=args.exceptional_budget)
     sha = write_manifest(args.out_dir, "spectrum", _config_of(args))
@@ -251,7 +249,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_decompose(args) -> int:
     graph = resolve_graph(args)
-    dec = spectral_lab.build_decomposition(graph, dense_cap=args.dense_cap)
+    dec = spectral_lab.build_decomposition(graph)
     report = spectral_lab.verify_decomposition(spectral_lab.build_B(graph), dec)
     sha = write_manifest(args.out_dir, "decompose", _config_of(args))
     rows = [(b.lam, b.theta.real, b.theta.imag, b.theta_prime.real,
@@ -323,17 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=list(walk_engine.KERNELS), default="srw")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--tmax", type=int, default=30)
-    p.add_argument("--pmax", type=int, default=2,
-                   help="record D_p for integer p = 1..pmax")
-    p.add_argument("--p-list", default=None,
-                   help="explicit comma list of p values (inf allowed); overrides --pmax")
+    p.add_argument("--p-list", default="1,2",
+                   help="comma list of the p values of the D_p columns (inf allowed)")
     p.add_argument("--reference", choices=["auto", "full"], default="auto")
     p.set_defaults(func=cmd_mix)
 
     p = subs.add_parser("profile", help="cutoff-profile CSV (empirical vs Gaussian)")
     _graph_args(p)
     p.add_argument("--s-grid", default="-2,-1,0,1,2")
-    p.add_argument("--starts", type=int, default=16)
+    p.add_argument("--starts", type=int, default=None,
+                   help="number of seeded starts (default: every vertex up to n = 2000, "
+                        "else 16)")
     p.set_defaults(func=cmd_profile)
 
     # certify is spectrum under a second name; the manifest config records
@@ -342,17 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
                        ("certify", "Ramanujan / weakly-Ramanujan certificate")):
         p = subs.add_parser(name, help=text)
         _graph_args(p)
-        p.add_argument("--dense-cap", type=int, default=spectral_lab.DENSE_CAP_DEFAULT,
-                       help="exact spectrum while its blocks cost at most one dense "
-                            "solve at n = cap (README: --dense-cap); above, only "
-                            "Lanczos extremes (a partial spectrum)")
         p.add_argument("--delta-threshold", type=float, default=0.1)
         p.add_argument("--exceptional-budget", type=int, default=0)
         p.set_defaults(func=cmd_spectrum)
 
     p = subs.add_parser("decompose", help="block decomposition residual report")
     _graph_args(p)
-    p.add_argument("--dense-cap", type=int, default=spectral_lab.DENSE_CAP_DEFAULT)
     p.set_defaults(func=cmd_decompose)
 
     p = subs.add_parser("theory", help="closed-form prediction JSON")

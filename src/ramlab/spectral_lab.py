@@ -25,7 +25,7 @@ import numpy as np
 from .errors import EigenbasisNotOrthonormal, SizeCap, UsageError, VerificationFailed
 from .graph_core import RegularGraph, adjacency_sparse
 
-DENSE_CAP_DEFAULT = 4000
+DENSE_CAP = 4000  # the size rule of adjacency_spectrum and build_decomposition
 RAMANUJAN_TOL = 1e-9
 JORDAN_TOL = 1e-9
 TRIVIAL_TOL = 1e-8
@@ -103,8 +103,7 @@ def report_from_eigenvalues(eigenvalues, n: int, d: int, bipartite: bool,
                           method=method, max_nontrivial_abs=max_abs, blocks=blocks)
 
 
-def adjacency_spectrum(graph: RegularGraph,
-                       dense_cap: int = DENSE_CAP_DEFAULT) -> SpectrumReport:
+def adjacency_spectrum(graph: RegularGraph) -> SpectrumReport:
     """The adjacency spectrum, by one of two paths.
 
     - Exact blocks (Babai, JCTB 1979): the graph's translation sigma of
@@ -115,21 +114,18 @@ def adjacency_spectrum(graph: RegularGraph,
       r_i -> sigma^delta(r_i') (delta mod m). The Hermitian n/m x n/m blocks
       M_j carry the whole spectrum, and M_{m-j} = conj(M_j) has M_j's, so
       floor(m/2)+1 solves give it: M_0 (A for m = 1) and M_{m/2} real, the
-      rest complex. Taken while (floor(m/2)+1) (n/m)^3 <= dense_cap^3 (for
-      m = 1, n <= dense_cap), with method "dense" for m = 1 and
+      rest complex. Taken while (floor(m/2)+1) (n/m)^3 <= DENSE_CAP^3 (for
+      m = 1, n <= DENSE_CAP), with method "dense" for m = 1 and
       "translation_blocks" otherwise.
     - ritz_estimate: otherwise; only the bracketing extreme eigenvalues, by
       Lanczos iteration, with the report marked partial. Lanczos starts
       from a seeded random vector: from the Perron vector 1, ARPACK restarts
       from an unseeded one.
-
-    UsageError unless dense_cap >= 0.
     """
-    _check_dense_cap(dense_cap)
     n, d = graph.n, graph.d
     orbits = np.arange(n)[:, None] if graph.orbits is None else graph.orbits
     order, m = orbits.shape
-    if (m // 2 + 1) * order**3 > dense_cap**3:
+    if (m // 2 + 1) * order**3 > DENSE_CAP**3:
         import scipy.sparse.linalg
 
         v0 = np.random.default_rng(0).standard_normal(n)
@@ -154,11 +150,6 @@ def adjacency_spectrum(graph: RegularGraph,
     return report_from_eigenvalues(np.concatenate(eigs), n, d, graph.bipartite,
                                    "dense" if m == 1 else "translation_blocks",
                                    blocks=(m // 2 + 1, order))
-
-
-def _check_dense_cap(dense_cap: int) -> None:
-    if not dense_cap >= 0:
-        raise UsageError(f"dense_cap must be >= 0, got {dense_cap}")
 
 
 @dataclass(frozen=True)
@@ -313,8 +304,7 @@ def _star_complement(graph: RegularGraph, sign: int) -> np.ndarray:
     return cols
 
 
-def build_decomposition(graph: RegularGraph,
-                        dense_cap: int = DENSE_CAP_DEFAULT) -> BlockDecomposition:
+def build_decomposition(graph: RegularGraph) -> BlockDecomposition:
     """Explicit unitary U and block data such that B = U Lambda U*.
 
     Columns: the principal constant vector (and its signed analogue when
@@ -323,13 +313,12 @@ def build_decomposition(graph: RegularGraph,
     T_theta' f against w (T_{1+theta} f at the threshold, where the block is
     a Jordan cell), then orthonormal bases of the +-1 eigenspaces obtained by
     projecting the star vectors out of the (anti)symmetric half-edge spaces.
-    UsageError unless dense_cap >= 0; SizeCap when N > dense_cap.
+    SizeCap when N > DENSE_CAP.
     """
-    _check_dense_cap(dense_cap)
     n, d = graph.n, graph.d
     N = n * d
-    if N > dense_cap:
-        raise SizeCap(f"decomposition demanded for N={N} > cap={dense_cap}")
+    if N > DENSE_CAP:
+        raise SizeCap(f"decomposition demanded for N={N} > cap={DENSE_CAP}")
     head = graph.indices.astype(np.int64)
     tail = np.repeat(np.arange(n, dtype=np.int64), d)
 

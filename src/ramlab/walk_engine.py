@@ -241,14 +241,16 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
 
 
 def default_start_sample(graph: RegularGraph, seed: int = 0,
-                         sample_size: int = 16) -> np.ndarray:
-    """Start vertices for max-over-starts measurements: every vertex up to
-    n=2000, a seeded sample above; UsageError if the sample size is below 1
-    or, where a sample is drawn, above n."""
-    if sample_size < 1 or (graph.n > 2000 and sample_size > graph.n):
+                         sample_size: int | None = None) -> np.ndarray:
+    """Start vertices for max-over-starts measurements: a seeded sample of
+    sample_size vertices, sorted; without one, every vertex up to n=2000
+    and 16 above. UsageError unless the sample size lies in [1, n]."""
+    if sample_size is None:
+        if graph.n <= 2000:
+            return np.arange(graph.n)
+        sample_size = 16
+    if not 1 <= sample_size <= graph.n:
         raise UsageError(f"sample size {sample_size} outside [1, n={graph.n}]")
-    if graph.n <= 2000:
-        return np.arange(graph.n)
     rng = np.random.default_rng(seed)
     return np.sort(rng.choice(graph.n, size=sample_size, replace=False))
 

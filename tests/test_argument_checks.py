@@ -82,12 +82,6 @@ _CASES = [
      r"delta threshold must be finite and >= 0, got -1.0"),
     ("certify_budget", lambda g: spectral_lab.certify(_report(g["petersen"]), 0.1, -1),
      r"exceptional budget must be >= 0, got -1"),
-    ("adjacency_spectrum_dense_cap",
-     lambda g: spectral_lab.adjacency_spectrum(g["petersen"], dense_cap=-5),
-     r"dense_cap must be >= 0, got -5"),
-    ("build_decomposition_dense_cap",
-     lambda g: spectral_lab.build_decomposition(g["petersen"], dense_cap=-1),
-     r"dense_cap must be >= 0, got -1"),
     ("theta_pair", lambda g: spectral_lab.theta_pair(3.5, 3), r"\|lambda\| must be <= d"),
     ("alpha_exact", lambda g: spectral_lab.alpha_exact(3.0, 3), r"lambda != d"),
     # theory

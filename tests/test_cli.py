@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -184,10 +185,22 @@ def test_profile_csv(tmp_path):
     assert float(s0[3]) == 0.5  # P(Z > 0)
 
 
+@pytest.mark.parametrize("flags, count", [([], 10), (["--starts", "3"], 3)],
+                         ids=["default", "starts_3"])
+def test_profile_honours_starts(tmp_path, flags, count):
+    # without --starts every vertex up to n = 2000 is a start; a given
+    # number of seeded starts is honoured at any n
+    assert run(["profile", "--name", "petersen", *flags, "--out-dir", str(tmp_path)]) == 0
+    comment, = (c for c in _comments(read(os.path.join(str(tmp_path), "cutoff_profile.csv"))
+                                     .decode()) if c.startswith("starts="))
+    starts = [int(x) for x in comment.removeprefix("starts=").split(",")]
+    assert len(set(starts)) == len(starts) == count and set(starts) <= set(range(10))
+
+
 def test_deterministic_outputs(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     args = ["mix", "--family", "random_regular", "--n", "20", "--d", "3",
-            "--seed", "4", "--kernel", "srw", "--tmax", "8", "--pmax", "2"]
+            "--seed", "4", "--kernel", "srw", "--tmax", "8", "--p-list", "1,2"]
     assert run(args + ["--out-dir", a]) == 0
     assert run(args + ["--out-dir", b]) == 0
     assert read(os.path.join(a, "mixing_curve.csv")) == read(os.path.join(b, "mixing_curve.csv"))
@@ -335,6 +348,7 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["profile", "--family", "random_regular", "--n", "2002", "--starts", "5000"],
     ["profile", "--family", "random_regular", "--n", "2002", "--starts", "-1"],
     ["profile", "--name", "petersen", "--starts", "0"],
+    ["profile", "--name", "petersen", "--starts", "11"],
     ["profile", "--name", "petersen", "--s-grid", "a,b"],
     ["profile", "--name", "petersen", "--s-grid", "0,inf"],
     ["profile", "--name", "petersen", "--s-grid", "1e308"],
@@ -347,8 +361,6 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["spectrum", "--name", "petersen", "--delta-threshold", "-1"],
     ["certify", "--name", "petersen", "--delta-threshold", "inf"],
     ["certify", "--name", "petersen", "--exceptional-budget", "-1"],
-    ["spectrum", "--name", "petersen", "--dense-cap", "-5"],
-    ["decompose", "--family", "lps", "--p", "5", "--q", "13", "--dense-cap", "-1"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_out_of_range_exit_code(tmp_path, capsys, argv):
     _assert_rejected(tmp_path, capsys, argv)
@@ -416,7 +428,7 @@ def test_random_regular_degree_below_three_exit_code(tmp_path, capsys, d):
 
 # Numeric flag values: small integers with 0 and negatives, a fraction, NaN
 # and infinities. No value exceeds 12, which bounds every graph (n <= 12),
-# --horizon, --pmax, --starts and --start. theory's --n and --d and
+# --horizon, --starts and --start. theory's --n and --d and
 # tree's --d only enter closed forms, so they also draw integers near and
 # beyond the float range. --tmax and the --s-grid entries also draw times far
 # beyond the walk budget, which must be refused before the first step.
@@ -435,17 +447,16 @@ _GRAPH = st.one_of(
     .map(lambda t: ["--family", "random_regular", "--n", str(t[0]), "--d", str(t[1]),
                     "--seed", str(t[2])]),
 )
-_SPECTRUM_FLAGS = {"--dense-cap": _NUMBER, "--delta-threshold": _NUMBER,
-                   "--exceptional-budget": _NUMBER}
+_SPECTRUM_FLAGS = {"--delta-threshold": _NUMBER, "--exceptional-budget": _NUMBER}
 _FLAGS = {
     "build": {},
     "metrics": {"--source": _NUMBER, "--window-radius": _NUMBER},
     "mix": {"--kernel": st.sampled_from(walk_engine.KERNELS), "--start": _NUMBER,
-            "--tmax": _TIME, "--pmax": _NUMBER, "--p-list": _NUMBERS,
+            "--tmax": _TIME, "--p-list": _NUMBERS,
             "--reference": st.sampled_from(["auto", "full"])},
     "profile": {"--s-grid": _S_GRID, "--starts": _NUMBER},
     "spectrum": _SPECTRUM_FLAGS,
-    "decompose": {"--dense-cap": _NUMBER},
+    "decompose": {},
     "certify": _SPECTRUM_FLAGS,
     "theory": {"--p": _NUMBER, "--lam": _NUMBER, "--eps": _NUMBER, "--delta": _NUMBER},
     "tree": {"--horizon": _NUMBER},
@@ -493,6 +504,22 @@ def test_fuzzed_argv_exit_code(argv):
         json.loads(line)
 
 
+def test_fuzz_table_lists_every_subcommand_flag():
+    # adding or deleting a subcommand's flag fails here until _FLAGS follows;
+    # the graph flags, --out-dir and the required flags that _argv draws
+    # itself are not listed there
+    shared = argparse.ArgumentParser()
+    cli._graph_args(shared)
+    shared_flags = {tuple(action.option_strings) for action in shared._actions}
+    subs, = (action for action in cli.build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {flag for action in sub._actions
+                    if not action.required and tuple(action.option_strings) not in shared_flags
+                    for flag in action.option_strings}
+             for name, sub in subs.choices.items()}
+    assert flags == {name: set(table) for name, table in _FLAGS.items()}
+
+
 @pytest.mark.parametrize("exc", [MemoryError("out of memory"),
                                  np.linalg.LinAlgError("SVD did not converge"),
                                  scipy.sparse.linalg.ArpackError(-9999)],
@@ -518,8 +545,8 @@ def test_ritz_failure_exit_code(tmp_path, capsys, monkeypatch):
         raise scipy.sparse.linalg.ArpackError(-9999)
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    assert run(["spectrum", "--name", "petersen", "--dense-cap", "5",
-                "--out-dir", str(tmp_path)]) == 4
+    monkeypatch.setattr(spectral_lab, "DENSE_CAP", 5)
+    assert run(["spectrum", "--name", "petersen", "--out-dir", str(tmp_path)]) == 4
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "ArpackError"
     assert list(tmp_path.iterdir()) == []
@@ -535,13 +562,15 @@ def test_non_utf8_graph_file_exit_code(tmp_path, capsys):
     assert error["error"] == "ParseError" and "g.edges" in error["message"]
 
 
-@pytest.mark.parametrize("graph, method, blocks", [
-    (["--family", "lps", "--p", "5", "--q", "17"], "translation_blocks", " blocks=9x288"),
-    (["--name", "petersen"], "dense", ""),
-    (["--name", "petersen", "--dense-cap", "4"], "ritz_estimate", ""),
+@pytest.mark.parametrize("graph, cap, method, blocks", [
+    (["--family", "lps", "--p", "5", "--q", "17"], None, "translation_blocks", " blocks=9x288"),
+    (["--name", "petersen"], None, "dense", ""),
+    (["--name", "petersen"], 4, "ritz_estimate", ""),
 ], ids=["lps_5_17", "petersen", "petersen_cap_4"])
-def test_spectrum_records_its_method(tmp_path, graph, method, blocks):
-    # LPS(5,17), n = 4896 above the default cap, gets a full certified spectrum
+def test_spectrum_records_its_method(tmp_path, monkeypatch, graph, cap, method, blocks):
+    # LPS(5,17), n = 4896 above the cap, gets a full certified spectrum
+    if cap is not None:
+        monkeypatch.setattr(spectral_lab, "DENSE_CAP", cap)
     assert run(["spectrum", *graph, "--out-dir", str(tmp_path)]) == 0
     cert = json.loads(read(os.path.join(str(tmp_path), "certificate.json")))
     assert cert["kind"] == "ramanujan" and cert["spectrum_method"] == method
@@ -553,14 +582,6 @@ def test_spectrum_records_its_method(tmp_path, graph, method, blocks):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         cli.main(["not-a-subcommand"])
-    assert err.value.code == 2
-
-
-@pytest.mark.parametrize("sub", ["build", "metrics", "mix", "profile"])
-def test_dense_cap_only_where_read(tmp_path, sub):
-    # only spectrum, certify and decompose read --dense-cap
-    with pytest.raises(SystemExit) as err:
-        cli.main([sub, "--dense-cap", "5", "--out-dir", str(tmp_path)])
     assert err.value.code == 2
 
 
@@ -634,12 +655,12 @@ def _profile_records(g):
 
 
 def _spectrum_records(g):
-    report = spectral_lab.adjacency_spectrum(g, dense_cap=spectral_lab.DENSE_CAP_DEFAULT)
+    report = spectral_lab.adjacency_spectrum(g)
     return ["i", "eigenvalue"], [[i, float(v)] for i, v in enumerate(report.eigenvalues)]
 
 
 def _decompose_records(g):
-    dec = spectral_lab.build_decomposition(g, dense_cap=spectral_lab.DENSE_CAP_DEFAULT)
+    dec = spectral_lab.build_decomposition(g)
     return (["lambda", "theta_re", "theta_im", "theta_prime_re", "theta_prime_im",
              "alpha_abs", "jordan"],
             [[b.lam, b.theta.real, b.theta.imag, b.theta_prime.real, b.theta_prime.imag,
@@ -711,7 +732,7 @@ def test_mix_lps29_example_line(tmp_path, lps29):
     # spectral bound at every time
     out = str(tmp_path)
     assert run(["mix", "--family", "lps", "--p", "5", "--q", "29",
-                "--kernel", "nbrw", "--pmax", "2", "--tmax", "30",
+                "--kernel", "nbrw", "--p-list", "1,2", "--tmax", "30",
                 "--out-dir", out]) == 0
     lines = [l for l in read(os.path.join(out, "mixing_curve.csv")).decode().splitlines()
              if not l.startswith("#")]

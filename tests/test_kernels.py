@@ -1,7 +1,8 @@
-"""Kernel checks: the single-source BFS and the all-sources BFS sweep
+"""Kernel checks: graph_core's single-source BFS and all-sources BFS sweep
 against brute-force oracles (the tree DP is checked in test_walk_engine.py)."""
 
 import random
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramlab import _kernels, builders, graph_core
+from ramlab import builders, graph_core
 from ramlab.builders import LiftSpec
+from ramlab.errors import Disconnected
 
 # lift bases: Petersen (girth 5) and Heawood (girth 6, LCF notation [5,-5]^7)
 _CUBIC_BASES = {
@@ -61,21 +63,28 @@ def _random_regular_adjacency(n: int, d: int, seed: int) -> dict:
 
 @pytest.mark.parametrize("name", ["lift20", "lps13", "two_k4"])
 def test_bfs_distances_match_deque_oracle(request, k4, name):
-    # two disjoint copies of K4 go to the kernel directly: the RegularGraph
-    # constructor refuses a disconnected graph
+    # two disjoint copies of K4 stand in for a graph: the RegularGraph
+    # constructor refuses a disconnected one, and bfs_distances counts the
+    # vertices that the oracle leaves at -1
     if name == "two_k4":
-        indices, d = np.concatenate([k4.indices, k4.indices + k4.n]), k4.d
+        g = SimpleNamespace(n=2 * k4.n, d=k4.d,
+                            indices=np.concatenate([k4.indices, k4.indices + k4.n]))
     else:
         g = request.getfixturevalue(name)
-        indices, d = g.indices, g.d
-    adj = {u: indices[u * d:(u + 1) * d].tolist() for u in range(indices.size // d)}
-    for src in sorted({0, len(adj) // 2 - 1, len(adj) // 2, len(adj) - 1}):
-        assert _kernels.bfs_distances(indices, d, src).tolist() == oracles.bfs_array(adj, src)
+    adj = {u: g.indices[u * g.d:(u + 1) * g.d].tolist() for u in range(g.n)}
+    for src in sorted({0, g.n // 2 - 1, g.n // 2, g.n - 1}):
+        expected = oracles.bfs_array(adj, src)
+        if -1 in expected:
+            with pytest.raises(Disconnected,
+                               match=f"^{expected.count(-1)} vertices unreachable from {src}$"):
+                graph_core.bfs_distances(g, src)
+        else:
+            assert graph_core.bfs_distances(g, src).tolist() == expected
 
 
 def _check_sweep(adj: dict, d: int, block_words: int):
-    with mock.patch.object(_kernels, "_BLOCK_WORDS", block_words):
-        ecc, girth = _kernels.eccentricities_and_girth(_indices(adj), d)
+    with mock.patch.object(graph_core, "_BLOCK_WORDS", block_words):
+        ecc, girth = graph_core._eccentricities_and_girth(_indices(adj), d)
     assert ecc.tolist() == _oracle_eccentricities(adj)
     assert girth == oracles.girth_edge_removal(adj)
 
@@ -83,19 +92,19 @@ def _check_sweep(adj: dict, d: int, block_words: int):
 @pytest.mark.parametrize("name", ["petersen", "k33", "rand3_50", "lift20", "c6_x_k4"])
 def test_eccentricities_match_oracle(name, request):
     g = request.getfixturevalue(name)
-    ecc, _ = _kernels.eccentricities_and_girth(g.indices, g.d)
+    ecc, _ = graph_core._eccentricities_and_girth(g.indices, g.d)
     assert ecc.tolist() == _oracle_eccentricities(oracles.adjacency_dict(g))
 
 
 @pytest.mark.parametrize("name", ["petersen", "k33", "rand3_50", "lift20", "c6_x_k4"])
 def test_girth_matches_oracle(name, request):
     g = request.getfixturevalue(name)
-    _, girth = _kernels.eccentricities_and_girth(g.indices, g.d)
+    _, girth = graph_core._eccentricities_and_girth(g.indices, g.d)
     assert girth == oracles.girth_edge_removal(oracles.adjacency_dict(g))
 
 
 @given(n=st.sampled_from([63, 64, 65, 127, 128, 129]), d=st.sampled_from([3, 4, 5]),
-       block_words=st.sampled_from([1, 2, _kernels._BLOCK_WORDS]),
+       block_words=st.sampled_from([1, 2, graph_core._BLOCK_WORDS]),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_sweep_matches_oracles_across_word_and_block_edges(n, d, block_words, seed):
@@ -104,7 +113,7 @@ def test_sweep_matches_oracles_across_word_and_block_edges(n, d, block_words, se
 
 
 @given(base=st.sampled_from(sorted(_CUBIC_BASES)), k=st.sampled_from([5, 7, 10]),
-       block_words=st.sampled_from([1, 2, _kernels._BLOCK_WORDS]),
+       block_words=st.sampled_from([1, 2, graph_core._BLOCK_WORDS]),
        seed=st.integers(0, 10_000))
 @settings(max_examples=20, deadline=None)
 def test_sweep_matches_oracles_on_cubic_lifts(base, k, block_words, seed):
@@ -116,6 +125,6 @@ def test_sweep_matches_oracles_on_cubic_lifts(base, k, block_words, seed):
 
 def test_disjoint_petersens_have_no_eccentricity(petersen):
     indices = np.concatenate([petersen.indices, petersen.indices + petersen.n])
-    ecc, girth = _kernels.eccentricities_and_girth(indices, petersen.d)
+    ecc, girth = graph_core._eccentricities_and_girth(indices, petersen.d)
     assert ecc.tolist() == [-1] * (2 * petersen.n)
     assert girth == 5

@@ -51,7 +51,7 @@ def test_spectrum_k33(k33):
 
 def test_spectrum_trace_zero(test_graphs):
     for g in test_graphs.values():
-        if g.n <= spectral_lab.DENSE_CAP_DEFAULT:
+        if g.n <= spectral_lab.DENSE_CAP:
             rep = adjacency_spectrum(g)
             assert abs(rep.eigenvalues.sum()) < 1e-8 * g.n
             assert abs(rep.eigenvalues[0] - g.d) < 1e-10
@@ -59,8 +59,14 @@ def test_spectrum_trace_zero(test_graphs):
             assert (abs(rep.eigenvalues[-1] + g.d) < 1e-8) == g.bipartite
 
 
-def test_partial_spectrum_pipeline(petersen):
-    rep = adjacency_spectrum(petersen, dense_cap=4)
+def _spectrum_at_cap(monkeypatch, graph, cap):
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral_lab, "DENSE_CAP", cap)
+        return adjacency_spectrum(graph)
+
+
+def test_partial_spectrum_pipeline(monkeypatch, petersen):
+    rep = _spectrum_at_cap(monkeypatch, petersen, 4)
     assert rep.partial
     assert abs(rep.max_nontrivial_abs - 2.0) < 1e-8
     assert certify(rep).kind == "ramanujan"
@@ -68,10 +74,10 @@ def test_partial_spectrum_pipeline(petersen):
         rep.nontrivial()
 
 
-def test_partial_spectrum_is_reproducible(lps13):
+def test_partial_spectrum_is_reproducible(monkeypatch, lps13):
     # Lanczos above the cap gives the same bits on every call, within 1e-10
     # of the dense eigenvalues it brackets
-    first, second = (adjacency_spectrum(lps13, dense_cap=10) for _ in range(2))
+    first, second = (_spectrum_at_cap(monkeypatch, lps13, 10) for _ in range(2))
     assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
     assert first.max_nontrivial_abs == second.max_nontrivial_abs
     dense = adjacency_spectrum(lps13).eigenvalues
@@ -89,14 +95,14 @@ def test_translation_blocks_match_dense(p, q):
     assert rep.ramanujan
 
 
-def test_spectrum_method_follows_the_cap(petersen, lps13):
+def test_spectrum_method_follows_the_cap(monkeypatch, petersen, lps13):
     # LPS(5,13) has 7 solved blocks of order 168: the rule
     # (floor(m/2)+1) (n/m)^3 <= cap^3 holds iff cap >= 322
-    assert adjacency_spectrum(lps13, dense_cap=322).method == "translation_blocks"
-    assert adjacency_spectrum(lps13, dense_cap=321).method == "ritz_estimate"
+    assert _spectrum_at_cap(monkeypatch, lps13, 322).method == "translation_blocks"
+    assert _spectrum_at_cap(monkeypatch, lps13, 321).method == "ritz_estimate"
     # a graph without a translation keeps the dense and Lanczos paths
     assert adjacency_spectrum(petersen).method == "dense"
-    assert adjacency_spectrum(petersen, dense_cap=4).method == "ritz_estimate"
+    assert _spectrum_at_cap(monkeypatch, petersen, 4).method == "ritz_estimate"
 
 
 @pytest.mark.parametrize("name", ["petersen", "k10", "k33", "rand3_50", "lift20"])
@@ -563,9 +569,10 @@ def test_ihara_bass_determinant(criterion1_graphs):
                 assert abs(diff) <= 1e-9 * max(1.0, abs(lhs)), (name, u, lhs, other)
 
 
-def test_decomposition_size_cap(petersen):
+def test_decomposition_size_cap(monkeypatch, petersen):
+    monkeypatch.setattr(spectral_lab, "DENSE_CAP", 10)
     with pytest.raises(SizeCap):
-        build_decomposition(petersen, dense_cap=10)
+        build_decomposition(petersen)
 
 
 # --- the oracles' gamma, the off-diagonal entry of Lambda^t ---------------------------
