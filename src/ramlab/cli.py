@@ -92,7 +92,7 @@ def resolve_graph(args) -> graph_core.RegularGraph:
     if family == "random_regular":
         return builders.build_random_regular(args.n, args.d, args.seed)
     if family == "random_lift":
-        base = (builders.load_graph(args.base) if os.path.exists(args.base)
+        base = (builders.load_graph(args.base) if os.path.isfile(args.base)
                 else builders.build_named(args.base))
         return builders.build_random_lift(
             builders.LiftSpec(base=base, n=args.cover, seed=args.seed))
@@ -183,9 +183,9 @@ def cmd_mix(args) -> int:
     curve = walk_engine.mixing_curve(graph, args.kernel, args.start, args.tmax,
                                      p_list=p_list, reference=args.reference)
     sha = write_manifest(args.out_dir, "mix", _config_of(args))
-    header = ["t", "d_tv"]
-    header += [f"d_{p:g}" for p in sorted(curve.d_p)]
-    header += ["d_inf"]
+    # repr(p) round-trips, so distinct p values get distinct column names
+    labels = [repr(p).removesuffix(".0") for p in sorted(curve.d_p)]
+    header = ["t", "d_tv", *(f"d_{label}" for label in labels), "d_inf"]
     columns = (curve.times, curve.d_tv, *(curve.d_p[p] for p in sorted(curve.d_p)),
                curve.d_inf)
     comments = [

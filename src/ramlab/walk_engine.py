@@ -1,11 +1,12 @@
 """Exact walk-distribution evolution and mixing measurements.
 
 Distributions are dense arrays over vertices (SRW) or directed edges (NBRW).
-The generator ``evolve`` advances a batch of them, one column per start; the
-mixing curve, the all-starts cutoff profile and the NBRW projections are thin
-loops over it. The infinite d-regular tree enters through ``tree_rows``, the
-radial dynamic program for the reflected biased walk, which supplies exact
-return probabilities and L^p norms.
+The generator ``evolve`` advances a batch of them, one column per start. The
+mixing curve and the all-starts cutoff profile are thin callers of one
+max-over-starts pass over it; the NBRW projection reads one law from it.
+The infinite d-regular tree enters through ``tree_rows``, the radial dynamic
+program for the reflected biased walk, which supplies exact return
+probabilities and L^p norms.
 """
 
 import itertools
@@ -26,8 +27,8 @@ KERNELS = ("srw", "nbrw", "srw_lazy", "nbrw_lazy")
 
 _SUM_TOL = 1e-12
 
-# Byte budget of one (states x block) float64 array in the all-starts cutoff
-# profile; a step holds a few such arrays at once, in every worker thread.
+# Byte budget of one (states x block) float64 array in _max_over_starts; a
+# step holds a few such arrays at once, in every worker thread.
 _BLOCK_BYTES = 1 << 19
 
 # The walk budget, in state-steps. A step costs about 14 ns per state (the
@@ -182,6 +183,69 @@ class _Reference:
         return float(terms.sum() ** (1.0 / p))
 
 
+def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
+                     parity: bool = True) -> tuple:
+    """(rows, reference): rows[i] is the max over `starts` of the TV distance
+    and of D_p for each p in p_list (inf allowed) at times[i], an increasing
+    range or list that is tested for membership, never expanded; distances
+    are taken at those times alone. With `parity`, on a bipartite graph and
+    a pure kernel, a walk from side q (bipartition[x] for a vertex x,
+    bipartition[e // d] for an edge e) is compared at time t with the
+    uniform law on side (q + t) % 2 ("parity-alternating"), else with the
+    uniform law ("full"). UsageError for no start or one outside the states;
+    SizeCap before the first step above the walk budget (_check_work, which
+    counts the finite p).
+
+    Starts evolve in blocks of at most _BLOCK_BYTES per (states x block)
+    array, each on one side of a bipartite graph. One block runs on the
+    calling thread; more run on a pool with one worker per CPU in the
+    affinity mask (at most one per block), which overlap, since the sparse
+    product releases the GIL. The max is taken per block and then over
+    blocks, so the rows do not depend on the block width or the worker
+    count. An error raised in a block propagates to the caller."""
+    space = VERTICES if kernel.startswith("srw") else EDGES
+    states = graph.n if space == VERTICES else graph.n * graph.d
+    starts = np.asarray(list(starts))
+    if not starts.size:
+        raise UsageError("need at least one start vertex")
+    outside = starts[(starts < 0) | (starts >= states)]
+    if outside.size:
+        raise UsageError(f"start {outside[0]} outside [0, {states}) for {kernel}")
+    t_max = times[-1]
+    _check_work(states, starts.size, t_max, sum(not math.isinf(p) for p in p_list))
+
+    if parity and graph.bipartite and not kernel.endswith("_lazy"):
+        refs = [_Reference(stationary(space, graph, parity=q)) for q in (0, 1)]
+        side = graph.bipartition[starts if space == VERTICES else starts // graph.d]
+    else:
+        refs = [_Reference(stationary(space, graph))]
+        side = np.zeros(starts.size, dtype=int)
+    width = max(1, _BLOCK_BYTES // (8 * states))
+    blocks = [(q, group[i : i + width]) for q in (0, 1) for group in [starts[side == q]]
+              for i in range(0, group.size, width)]
+
+    def block_max(block) -> list:
+        q, block_starts = block
+        rows = []
+        for t, x in evolve(graph, kernel, block_starts):
+            if t in times:
+                ref = refs[(q + t) % len(refs)]
+                d_p = zip(*(ref.lp(col, p_list) for col in x.T)) if p_list else ()
+                rows.append([max(column) for column in (ref.tv(x.T), *d_p)])
+            if t == t_max:
+                return rows
+
+    if len(blocks) == 1:
+        per_block = [block_max(blocks[0])]
+    else:
+        from concurrent import futures
+
+        with futures.ThreadPoolExecutor(min(_cpu_count(), len(blocks))) as pool:
+            per_block = list(pool.map(block_max, blocks))
+    rows = np.array([[max(column) for column in zip(*at_t)] for at_t in zip(*per_block)])
+    return rows, "parity-alternating" if len(refs) == 2 else "full"
+
+
 @dataclass(frozen=True)
 class MixingCurve:
     """Distances to stationarity at times 0..t_max from a fixed start."""
@@ -197,15 +261,12 @@ class MixingCurve:
 
 def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
                  p_list=(), reference: str = "auto") -> MixingCurve:
-    """Evolve one start state and record all requested distances per time.
-
-    reference='auto' compares bipartite pure chains against the uniform
-    measure on the parity class the walk occupies at each time; 'full'
-    always compares against the uniform measure on the whole space. Lazy
-    kernels average the time-(t-1) and time-t pure distributions (the lazy
-    first step) and always use the full reference. SizeCap, before the
-    first step, if the walk costs more than the walk budget (_check_work).
-    """
+    """Distances to stationarity at t = 0..t_max of the walk from one start
+    state: the one-start case of _max_over_starts. reference='auto' compares
+    a bipartite pure chain with the uniform law on the side the walk
+    occupies at t, 'full' with the uniform law on the whole space; a lazy
+    kernel averages the pure laws at t-1 and t and always takes 'full'.
+    SizeCap as in _max_over_starts."""
     if reference not in ("auto", "full"):
         raise UsageError(f"unknown reference mode {reference!r}")
     if t_max < 0:
@@ -214,30 +275,40 @@ def mixing_curve(graph: RegularGraph, kernel: str, start: int, t_max: int,
     if not all(p >= 1 for p in p_list):  # NaN fails too
         raise UsageError(f"every p must be in [1, inf], got {p_list}")
     p_list = sorted({p for p in p_list if not math.isinf(p)})
-    space = VERTICES if kernel.startswith("srw") else EDGES
-    states = graph.n if space == VERTICES else graph.n * graph.d
-    if not 0 <= start < states:
-        raise UsageError(f"start {start} outside [0, {states}) for {kernel}")
-    _check_work(states, 1, t_max, len(p_list))
-    if reference == "auto" and graph.bipartite and not kernel.endswith("_lazy"):
-        p0 = int(graph.bipartition[start if space == VERTICES else start // graph.d])
-        refs = [_Reference(stationary(space, graph, parity=q)) for q in (p0, 1 - p0)]
-    else:
-        refs = [_Reference(stationary(space, graph))]
+    rows, label = _max_over_starts(graph, kernel, [start], range(t_max + 1),
+                                   [math.inf, *p_list], parity=reference == "auto")
+    d_tv, d_inf, *d_p = rows.T
+    return MixingCurve(kernel=kernel, start=start, times=np.arange(t_max + 1), d_tv=d_tv,
+                       d_p=dict(zip(p_list, d_p)), d_inf=d_inf, reference=label)
 
-    rows = []
-    for t, x in evolve(graph, kernel, [start]):
-        ref = refs[t % len(refs)]
-        rows.append(ref.tv(x[:, 0]) + ref.lp(x[:, 0], [math.inf, *p_list]))
-        if t == t_max:
-            break
-    d_tv, d_inf, *d_p = np.array(rows).T
 
-    return MixingCurve(
-        kernel=kernel, start=start, times=np.arange(t_max + 1), d_tv=d_tv,
-        d_p=dict(zip(p_list, d_p)), d_inf=d_inf,
-        reference="parity-alternating" if len(refs) == 2 else "full",
-    )
+def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
+    """Max-over-starts SRW TV distance at t = round(t_star + s*window) for
+    each s, paired with the Gaussian profile prediction and the "reference"
+    it is measured from: one _max_over_starts pass over the grid times. The
+    graph must already be certified (weakly) Ramanujan by the caller.
+    UsageError for no starts, an empty grid, or an s whose t is not finite;
+    SizeCap as in _max_over_starts."""
+    from . import theory
+
+    pred = theory.cutoff_prediction(graph.n, graph.d)
+    s_grid = [float(s) for s in s_grid]
+    if not s_grid:
+        raise UsageError("need at least one s")
+    t_of_s = {}
+    for s in s_grid:
+        t = pred.t_star + s * pred.window
+        if not math.isfinite(t):
+            raise UsageError(f"s={s} gives t = t_star + s*window = {t}, not a finite time")
+        t_of_s[s] = max(0, round(t))
+    times = sorted(set(t_of_s.values()))
+    rows, label = _max_over_starts(graph, "srw", starts, times, [])
+    tv = dict(zip(times, rows[:, 0]))
+    return [
+        {"s": s, "t": t_of_s[s], "empirical": float(tv[t_of_s[s]]),
+         "predicted": theory.profile_value(s, graph.d), "reference": label}
+        for s in s_grid
+    ]
 
 
 def default_start_sample(graph: RegularGraph, seed: int = 0,
@@ -347,75 +418,3 @@ def tree_rows(d: int, t_max: int, log: bool = False):
 
     packed = itertools.accumulate(range(1, t_max + 1), step, initial=np.array([one, zero]))
     return itertools.starmap(spread, enumerate(packed))
-
-
-# --------------------------------------------------------------------------
-# Cutoff profile measurement
-# --------------------------------------------------------------------------
-
-
-def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
-    """Max-over-starts TV distance at t = round(t_star + s*window) for each
-    s, paired with the Gaussian profile prediction. The graph must already
-    be certified (weakly) Ramanujan by the caller. As with mixing_curve's
-    reference='auto', a bipartite walk is compared with the uniform law on
-    the side it occupies at t; each record names its "reference".
-
-    Starts evolve together in blocks of at most _BLOCK_BYTES per (n x block)
-    array, each on one side of a bipartite graph. The blocks are independent
-    and run on a thread pool with one worker per CPU in the affinity mask (at
-    most one per block); the sparse product releases the GIL, so the workers
-    overlap. Each block returns its max TV per grid time and the caller takes
-    the max over blocks, so the records do not depend on the block width or
-    the worker count. An error raised in a block propagates to the caller.
-
-    UsageError for no starts, an empty grid, or an s whose t_star + s*window
-    is not finite; SizeCap, before the first step, if the walk costs more
-    than the walk budget (_check_work)."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import theory
-
-    starts = list(starts)
-    if not starts:
-        raise UsageError("need at least one start vertex")
-    pred = theory.cutoff_prediction(graph.n, graph.d)
-    s_grid = [float(s) for s in s_grid]
-    if not s_grid:
-        raise UsageError("need at least one s")
-    t_of_s = {}
-    for s in s_grid:
-        t = pred.t_star + s * pred.window
-        if not math.isfinite(t):
-            raise UsageError(f"s={s} gives t = t_star + s*window = {t}, not a finite time")
-        t_of_s[s] = max(0, round(t))
-    times, t_max = set(t_of_s.values()), max(t_of_s.values())
-    _check_work(graph.n, len(starts), t_max)
-
-    # a walk from side q of a bipartite graph is on side (q + t) % 2 at time t;
-    # an out-of-range start is clipped here and refused by evolve
-    parities = (0, 1) if graph.bipartite else (None, None)
-    refs = [_Reference(stationary(VERTICES, graph, parity=q)) for q in parities]
-    side = graph.bipartition.take(starts, mode="clip") if graph.bipartite else [0] * len(starts)
-    groups = [[x for x, y in zip(starts, side) if y == q] for q in (0, 1)]
-    width = max(1, _BLOCK_BYTES // (8 * graph.n))
-    blocks = [(q, group[i : i + width]) for q, group in enumerate(groups)
-              for i in range(0, len(group), width)]
-
-    def block_max_tv(block) -> dict:
-        q, block_starts = block
-        best = {}
-        for t, x in evolve(graph, "srw", block_starts):
-            if t in times:
-                best[t] = max(refs[(q + t) % 2].tv(x.T))
-            if t == t_max:
-                return best
-
-    with ThreadPoolExecutor(min(_cpu_count(), len(blocks))) as pool:
-        per_block = list(pool.map(block_max_tv, blocks))
-    return [
-        {"s": s, "t": t_of_s[s], "empirical": max(b[t_of_s[s]] for b in per_block),
-         "predicted": theory.profile_value(s, graph.d),
-         "reference": "parity-alternating" if graph.bipartite else "full"}
-        for s in s_grid
-    ]

@@ -69,6 +69,29 @@ def test_mix_csv_columns(tmp_path):
     assert float(first[1]) == pytest.approx(11 / 12)
 
 
+def test_mix_columns_have_distinct_names(tmp_path):
+    # p = 2 and 2.0000001 print alike under %g; each column is named by a
+    # label that reads back as its p
+    out = str(tmp_path)
+    assert run(["mix", "--name", "petersen", "--p-list", "2,2.0000001,1,1.5,3",
+                "--out-dir", out]) == 0
+    lines = read(os.path.join(out, "mixing_curve.csv")).decode().splitlines()
+    header = [l for l in lines if not l.startswith("#")][0]
+    assert header == "t,d_tv,d_1,d_1.5,d_2,d_2.0000001,d_3,d_inf"
+    labels = [name.removeprefix("d_") for name in header.split(",")[2:-1]]
+    assert [float(x) for x in labels] == [1.0, 1.5, 2.0, 2.0000001, 3.0]
+
+
+def test_lift_base_beside_a_directory_of_its_name(tmp_path, monkeypatch):
+    # a directory named like the base graph is not an edge-list file
+    monkeypatch.chdir(tmp_path)
+    assert run(["build", "--name", "petersen", "--out-dir", "petersen"]) == 0
+    assert run(["build", "--family", "random_lift", "--base", "petersen", "--cover", "2",
+                "--out-dir", "lift"]) == 0
+    payload = json.loads(read(os.path.join("lift", "build.json")))
+    assert payload["n"] == 20
+
+
 def test_mix_nbrw_l2_bound_column(tmp_path):
     # D2 column of an LPS NBRW run satisfies the spectral bound at every t
     out = str(tmp_path)

@@ -193,11 +193,12 @@ def test_evolve_checks_every_column(petersen):
         next(evolve(petersen, "srw", bad))
 
 
-@pytest.mark.parametrize("width", [1, 2, 3, 5])
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 10])
 def test_profile_blocks_keep_every_start(rand3_50, monkeypatch, width):
     # the start with the largest TV sits at every position of a block in
     # turn, among starts whose TV is strictly smaller, on 1, 2 and 3 worker
-    # threads that switch every microsecond
+    # threads that switch every microsecond; at width 10 all 10 starts fit
+    # in one block, which runs on the calling thread
     g = rand3_50
     monkeypatch.setattr(walk_engine, "_BLOCK_BYTES", 8 * g.n * width)
     tv = {x: oracles.cutoff_profile_records(g, [x], [0.0])[0][2] for x in range(g.n)}
@@ -214,6 +215,20 @@ def test_profile_blocks_keep_every_start(rand3_50, monkeypatch, width):
                 assert record["empirical"] == tv[top], (workers, pos)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_mixing_curve_starts_no_thread(lps13, monkeypatch):
+    # one start is one block, which runs on the calling thread: a pool would
+    # keep a worker's malloc arena and raise the peak memory
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("mixing_curve started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    for kernel in ("nbrw", "srw"):
+        curve = mixing_curve(lps13, kernel, 0, 10, p_list=[2.0])
+        assert curve.d_tv.shape == (11,)
 
 
 @pytest.fixture(scope="module")
