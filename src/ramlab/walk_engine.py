@@ -28,7 +28,8 @@ KERNELS = ("srw", "nbrw", "srw_lazy", "nbrw_lazy")
 _SUM_TOL = 1e-12
 
 # Byte budget of one (states x block) float64 array in _max_over_starts; a
-# step holds a few such arrays at once, in every worker thread.
+# step holds a few such arrays at once, in every worker thread, and each
+# block keeps one more as reduction scratch.
 _BLOCK_BYTES = 1 << 19
 
 # The walk budget, in state-steps. A step costs about 14 ns per state (the
@@ -37,7 +38,9 @@ _BLOCK_BYTES = 1 << 19
 # _STEP_STATES more states; _WORK_CAP is about a minute of that. Each
 # finite p of a mixing curve adds a reduction per step: a fixed 2.4 us plus
 # 1-4 ns per state (the most for a fractional p), charged as _P_STATES
-# plus a quarter of the states.
+# plus a quarter of the states. These figures are for the step and the
+# reductions taken one after the other; on two or more CPUs a one-block pass
+# reduces beside the next step, so the budget is conservative there.
 _WORK_CAP = 4 * 10**9
 _STEP_STATES = 4096
 _P_STATES = 256
@@ -101,7 +104,9 @@ def evolve(graph: RegularGraph, kernel: str, starts):
     the walk from state starts[j] (a float ``starts`` holds initial laws).
     Lazy kernels yield the mean of the pure laws at t-1 and t for t >= 1.
     Each step is taken on demand and every array is checked column by
-    column; callers must not modify it."""
+    column; callers must not modify it. A yielded array is never written
+    again, here or by a later step, so another thread may read it while
+    the next step is computed."""
     if kernel not in KERNELS:
         raise SpaceMismatch(f"unknown kernel {kernel!r}")
     base, d = kernel.removesuffix("_lazy"), graph.d
@@ -144,41 +149,52 @@ def evolve(graph: RegularGraph, kernel: str, starts):
 class _Reference:
     """A reference law that is uniform on its support (every ``stationary``
     law is), held as that support and its one weight; per law, one
-    difference pass gives the TV and one ratio pass D_inf and every D_p."""
+    difference pass gives the TV and one ratio pass D_inf and every D_p.
+    The passes write into scratch arrays the caller owns, so a reduction
+    allocates nothing of state size."""
 
     def __init__(self, values: np.ndarray):
         self.support = None if (values > 0).all() else values > 0
         self.weight = values.max()
         # a scalar broadcasts to the same bits as the full uniform array
         self.values = self.weight if self.support is None else values
+        if self.support is not None:
+            # the indices of x[support] and x[~support], in the order a mask takes them
+            self.inside = np.flatnonzero(self.support)
+            self.outside = np.flatnonzero(~self.support)
 
-    def tv(self, x: np.ndarray) -> list:
-        """TV distance of x, or of each row of a 2-D x; a row is summed as a
-        contiguous 1-D array, so it gives the bits of that law on its own."""
-        diff = np.subtract(np.atleast_2d(x), self.values, order="C")
+    def tv(self, x: np.ndarray, diff: np.ndarray) -> list:
+        """TV distance of each row of a 2-D x, through diff, a C-ordered
+        array of x's shape; a row is summed as a contiguous 1-D array, so it
+        gives the bits of that law on its own."""
+        np.subtract(x, self.values, out=diff)
         return [0.5 * float(row.sum()) for row in np.abs(diff, out=diff)]
 
-    def lp(self, x: np.ndarray, p_list) -> list:
-        """L^p(reference) norm of x/ref - 1 for each p in p_list (inf allowed)."""
+    def lp(self, x: np.ndarray, p_list, a: np.ndarray, terms: np.ndarray) -> list:
+        """L^p(reference) norm of x/ref - 1 for each p in p_list (inf
+        allowed), through a and terms, two 1-D arrays at least as long as x."""
         if self.support is not None:
-            outside = x[~self.support]
+            # mode="clip" takes into `out` unbuffered ("raise" copies it)
+            outside = np.take(x, self.outside, out=a[: self.outside.size], mode="clip")
             if outside.max() > 0:
                 raise SupportViolation(
                     f"distribution puts mass {outside.max():g} outside the "
                     "reference support")
-            x = x[self.support]
-        ratio = np.divide(x, self.weight)
-        ratio -= 1.0
-        a = np.abs(ratio, out=ratio)
-        return [float(a.max()) if math.isinf(p) else self._mean_power(a, p) for p in p_list]
+            x = np.take(x, self.inside, out=a[: self.inside.size], mode="clip")
+        a = np.divide(x, self.weight, out=a[: x.size])
+        a -= 1.0
+        np.abs(a, out=a)
+        terms = terms[: a.size]
+        return [float(a.max()) if math.isinf(p) else self._mean_power(a, p, terms)
+                for p in p_list]
 
-    def _mean_power(self, a: np.ndarray, p: float) -> float:
-        """(sum of weight * a^p)^(1/p); a ** 1.0 is a to the bit, so p = 1
-        skips the power."""
+    def _mean_power(self, a: np.ndarray, p: float, terms: np.ndarray) -> float:
+        """(sum of weight * a^p)^(1/p), through terms; a ** 1.0 is a to the
+        bit, so p = 1 skips the power."""
         if p == 1.0:
-            terms = a * self.weight
+            np.multiply(a, self.weight, out=terms)
         else:
-            terms = a ** p
+            np.power(a, p, out=terms)
             terms *= self.weight
         return float(terms.sum() ** (1.0 / p))
 
@@ -197,12 +213,19 @@ def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
     counts the finite p).
 
     Starts evolve in blocks of at most _BLOCK_BYTES per (states x block)
-    array, each on one side of a bipartite graph. One block runs on the
-    calling thread; more run on a pool with one worker per CPU in the
-    affinity mask (at most one per block), which overlap, since the sparse
-    product releases the GIL. The max is taken per block and then over
-    blocks, so the rows do not depend on the block width or the worker
-    count. An error raised in a block propagates to the caller."""
+    array, each on one side of a bipartite graph. More than one block run
+    on a pool with one worker per CPU in the affinity mask (at most one per
+    block), which overlap, since the sparse product and numpy's array
+    operations release the GIL. One block runs on the calling thread; with
+    two or more CPUs, one helper thread reduces each time t before t_max
+    while the calling thread computes step t+1, reading the law that evolve
+    yielded and never writes again. The calling thread waits for t's row
+    before it hands over the law at t+1, so the helper holds at most one
+    law beyond those evolve keeps. Each block reduces into two scratch
+    arrays it allocates once, so no thread allocates state-size arrays per
+    time. The max is taken per block and then over blocks, so the rows do
+    not depend on the block width, the worker count or the helper. An
+    error raised in a block or in the helper propagates to the caller."""
     space = VERTICES if kernel.startswith("srw") else EDGES
     states = graph.n if space == VERTICES else graph.n * graph.d
     starts = np.asarray(list(starts))
@@ -224,24 +247,39 @@ def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
     blocks = [(q, group[i : i + width]) for q in (0, 1) for group in [starts[side == q]]
               for i in range(0, group.size, width)]
 
-    def block_max(block) -> list:
+    def block_max(block, helper=None) -> list:
         q, block_starts = block
-        rows = []
+        diff, terms = np.empty((block_starts.size, states)), np.empty(states)
+
+        def reduce(t, x) -> list:
+            ref = refs[(q + t) % len(refs)]
+            d_p = zip(*(ref.lp(col, p_list, diff[0], terms) for col in x.T)) if p_list else ()
+            return [max(column) for column in (ref.tv(x.T, diff), *d_p)]
+
+        rows, pending = [], None
         for t, x in evolve(graph, kernel, block_starts):
+            if pending is not None:
+                rows.append(pending.result())
+                pending = None
             if t in times:
-                ref = refs[(q + t) % len(refs)]
-                d_p = zip(*(ref.lp(col, p_list) for col in x.T)) if p_list else ()
-                rows.append([max(column) for column in (ref.tv(x.T), *d_p)])
+                if helper is None or t == t_max:
+                    rows.append(reduce(t, x))
+                else:
+                    pending = helper.submit(reduce, t, x)
             if t == t_max:
                 return rows
 
-    if len(blocks) == 1:
+    cpus = _cpu_count()
+    if cpus == 1 and len(blocks) == 1:
         per_block = [block_max(blocks[0])]
     else:
         from concurrent import futures
 
-        with futures.ThreadPoolExecutor(min(_cpu_count(), len(blocks))) as pool:
-            per_block = list(pool.map(block_max, blocks))
+        with futures.ThreadPoolExecutor(min(cpus, len(blocks))) as pool:
+            if len(blocks) == 1:
+                per_block = [block_max(blocks[0], helper=pool)]
+            else:
+                per_block = list(pool.map(block_max, blocks))
     rows = np.array([[max(column) for column in zip(*at_t)] for at_t in zip(*per_block)])
     return rows, "parity-alternating" if len(refs) == 2 else "full"
 

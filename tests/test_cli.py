@@ -301,6 +301,35 @@ def test_profile_worker_error_exit_code(tmp_path, capsys, monkeypatch, rand3_50,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("exc", [MemoryError("out of memory"),
+                                 SupportViolation("mass outside the support")],
+                         ids=lambda exc: type(exc).__name__)
+def test_mix_helper_error_exit_code(tmp_path, capsys, monkeypatch, exc):
+    # an error raised while the helper thread reduces one time of a mixing
+    # curve reaches cli.main as if raised in the caller: the same exit code
+    # and JSON line, no artifact, and the helper thread is gone
+    lp, raised_in = walk_engine._Reference.lp, []
+
+    def failing_lp(self, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raised_in.append(threading.current_thread())
+            raise exc
+        return lp(self, *args)
+
+    monkeypatch.setattr(walk_engine._Reference, "lp", failing_lp)
+    monkeypatch.setattr(walk_engine, "_cpu_count", lambda: 2)
+    threads = threading.active_count()
+    code = run(["mix", "--name", "petersen", "--kernel", "nbrw", "--tmax", "5",
+                "--p-list", "2", "--out-dir", str(tmp_path)])
+    assert code == 4
+    assert raised_in
+    assert threading.active_count() == threads
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(l) for l in lines] == [{"error": type(exc).__name__,
+                                               "message": str(exc)}]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_computation_error_exit_code(tmp_path):
     # invalid LPS parameters -> machine-readable error, exit 4
     assert run(["build", "--family", "lps", "--p", "4", "--q", "13",
@@ -810,8 +839,8 @@ _SCIPY_RUNS = [
 def test_cli_starts_without_scipy():
     # importing the CLI and every run that needs no sparse matrix, Lanczos,
     # QR or LU leave scipy unloaded; the runs that need it still succeed.
-    # The import leaves concurrent.futures unloaded too: only the profile's
-    # thread pool needs it
+    # The import leaves concurrent.futures unloaded too: only the walk
+    # pass's threads need it
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run(
         [sys.executable, "-c", _STARTUP_SCRIPT, src, json.dumps(_SCIPY_FREE_RUNS + _SCIPY_RUNS)],

@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -217,23 +220,89 @@ def test_profile_blocks_keep_every_start(rand3_50, monkeypatch, width):
         sys.setswitchinterval(interval)
 
 
-def test_mixing_curve_starts_no_thread(lps13, monkeypatch):
-    # one start is one block, which runs on the calling thread: a pool would
-    # keep a worker's malloc arena and raise the peak memory
-    import concurrent.futures
+# Run in a fresh interpreter with the helper thread forced on: build a
+# Petersen lift and take its NBRW mixing curve, then do it five more times,
+# printing the number of states and the growth of the peak RSS in bytes. The
+# peak is this process image's (VmHWM): on Linux ru_maxrss also counts the
+# RSS of the process that spawned it, which can be the larger.
+_REPEATED_CURVE_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from ramlab import builders, walk_engine
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("mixing_curve started a thread pool")
+walk_engine._cpu_count = lambda: 2
+petersen = builders.build_named("petersen")
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-    for kernel in ("nbrw", "srw"):
-        curve = mixing_curve(lps13, kernel, 0, 10, p_list=[2.0])
-        assert curve.d_tv.shape == (11,)
+def curve():
+    g = builders.build_random_lift(builders.LiftSpec(base=petersen, n=10000, seed=1))
+    walk_engine.mixing_curve(g, "nbrw", 0, 30, p_list=[1.0, 2.0])
+    return g.n * g.d
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) * 1024
+
+states, first = curve(), peak()
+for _ in range(5):
+    curve()
+print(states, peak() - first)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_mixing_curve_helper_keeps_the_peak_rss():
+    # the helper thread that reduces time t beside step t+1 allocates nothing
+    # of state size: arrays it allocated would stay in its malloc arena and
+    # raise the peak of every later call by a few laws
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _REPEATED_CURVE_SCRIPT, src],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    states, growth = map(int, proc.stdout.split())
+    assert states >= 150_000
+    assert growth < 8 * states, (growth, 8 * states)
 
 
 @pytest.fixture(scope="module")
 def k33_lift20(k33):
     return builders.build_random_lift(builders.LiftSpec(base=k33, n=20, seed=1))
+
+
+@pytest.mark.parametrize("kernel", walk_engine.KERNELS)
+@pytest.mark.parametrize("name", ["lps13", "k33_lift20", "rand3_50"])
+def test_helper_rows_equal_inline_rows(request, monkeypatch, name, kernel):
+    # the helper thread reduces time t while the calling thread takes step
+    # t+1, and gives the bits of the inline reductions: the parity-alternating
+    # support path (lps13 and k33_lift20 under a pure kernel) and the full
+    # reference, for p = 1, 1.5, 2 and inf, with threads that switch every
+    # microsecond
+    g = request.getfixturevalue(name)
+    reduce_threads, tv = set(), walk_engine._Reference.tv
+
+    def recording_tv(self, x, diff):
+        reduce_threads.add(threading.current_thread())
+        return tv(self, x, diff)
+
+    monkeypatch.setattr(walk_engine._Reference, "tv", recording_tv)
+    curves = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2):
+            monkeypatch.setattr(walk_engine, "_cpu_count", lambda: cpus)
+            reduce_threads.clear()
+            curves[cpus] = mixing_curve(g, kernel, 1, 20, p_list=[1.0, 1.5, 2.0, math.inf])
+            assert (reduce_threads == {threading.main_thread()}) == (cpus == 1)
+    finally:
+        sys.setswitchinterval(interval)
+    inline, helper = curves[1], curves[2]
+    assert inline.reference == helper.reference == (
+        "parity-alternating" if g.bipartite and not kernel.endswith("_lazy") else "full")
+    for column in ("d_tv", "d_inf"):
+        assert getattr(inline, column).tobytes() == getattr(helper, column).tobytes(), column
+    assert inline.d_p.keys() == helper.d_p.keys() == {1.0, 1.5, 2.0}
+    for p in inline.d_p:
+        assert inline.d_p[p].tobytes() == helper.d_p[p].tobytes(), p
 
 
 @pytest.mark.parametrize("width", [3, "default"])
@@ -333,7 +402,7 @@ def test_support_violation(k33):
     side = int(k33.bipartition[0])
     wrong_side = walk_engine._Reference(stationary("vertices", k33, parity=1 - side))
     with pytest.raises(SupportViolation):
-        wrong_side.lp(stationary("vertices", k33, parity=side), [2.0])
+        wrong_side.lp(stationary("vertices", k33, parity=side), [2.0], *np.empty((2, k33.n)))
 
 
 # --- mixing curves ---------------------------------------------------------------
