@@ -39,11 +39,23 @@ _BLOCK_BYTES = 1 << 19
 # finite p of a mixing curve adds a reduction per step: a fixed 2.4 us plus
 # 1-4 ns per state (the most for a fractional p), charged as _P_STATES
 # plus a quarter of the states. These figures are for the step and the
-# reductions taken one after the other; on two or more CPUs a one-block pass
-# reduces beside the next step, so the budget is conservative there.
+# reductions taken one after the other; on two or more CPUs a one-block
+# pass of _HELPER_STATES or more states may reduce beside the next step, so
+# the budget can be conservative there.
 _WORK_CAP = 4 * 10**9
 _STEP_STATES = 4096
 _P_STATES = 256
+
+# With two or more CPUs, a one-block pass reduces on a helper thread from
+# this many states up (a 2 MiB law). Handing a time to the helper costs about
+# 40 us, and below this the two threads did not run at once: on a 2-vCPU
+# Xeon VM the NBRW curve of a Petersen lift took 1.97x the inline time per
+# step at 30 states, 1.15x at 30k and 1.05-1.10x at 150k, where no run used
+# more than one CPU at a time. At 300k states 4 of 5 runs used 1.7 CPUs and
+# took about 0.65x the inline time. With one CPU the helper only takes turns
+# with the step: the walks benchmark's 600k-state mix took 0.641 s with it
+# against 0.618 s inline (medians of 4 alternating pairs).
+_HELPER_STATES = 1 << 18
 
 
 def _check_work(states: int, starts: int, t_max: int, p_count: int = 0):
@@ -217,15 +229,16 @@ def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
     on a pool with one worker per CPU in the affinity mask (at most one per
     block), which overlap, since the sparse product and numpy's array
     operations release the GIL. One block runs on the calling thread; with
-    two or more CPUs, one helper thread reduces each time t before t_max
-    while the calling thread computes step t+1, reading the law that evolve
-    yielded and never writes again. The calling thread waits for t's row
-    before it hands over the law at t+1, so the helper holds at most one
-    law beyond those evolve keeps. Each block reduces into two scratch
-    arrays it allocates once, so no thread allocates state-size arrays per
-    time. The max is taken per block and then over blocks, so the rows do
-    not depend on the block width, the worker count or the helper. An
-    error raised in a block or in the helper propagates to the caller."""
+    two or more CPUs and _HELPER_STATES states or more, one helper thread
+    reduces each time t before t_max while the calling thread computes step
+    t+1, reading the law that evolve yielded and never writes again. The
+    calling thread waits for t's row before it hands over the law at t+1,
+    so the helper holds at most one law beyond those evolve keeps. Each
+    block reduces into two scratch arrays it allocates once, so no thread
+    allocates state-size arrays per time. The max is taken per block and
+    then over blocks, so the rows do not depend on the block width, the
+    worker count or the helper. An error raised in a block or in the
+    helper propagates to the caller."""
     space = VERTICES if kernel.startswith("srw") else EDGES
     states = graph.n if space == VERTICES else graph.n * graph.d
     starts = np.asarray(list(starts))
@@ -270,7 +283,7 @@ def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
                 return rows
 
     cpus = _cpu_count()
-    if cpus == 1 and len(blocks) == 1:
+    if len(blocks) == 1 and (cpus == 1 or states < _HELPER_STATES):
         per_block = [block_max(blocks[0])]
     else:
         from concurrent import futures

@@ -318,6 +318,7 @@ def test_mix_helper_error_exit_code(tmp_path, capsys, monkeypatch, exc):
 
     monkeypatch.setattr(walk_engine._Reference, "lp", failing_lp)
     monkeypatch.setattr(walk_engine, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(walk_engine, "_HELPER_STATES", 0)
     threads = threading.active_count()
     code = run(["mix", "--name", "petersen", "--kernel", "nbrw", "--tmax", "5",
                 "--p-list", "2", "--out-dir", str(tmp_path)])

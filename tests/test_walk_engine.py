@@ -220,17 +220,19 @@ def test_profile_blocks_keep_every_start(rand3_50, monkeypatch, width):
         sys.setswitchinterval(interval)
 
 
-# Run in a fresh interpreter with the helper thread forced on: build a
-# Petersen lift and take its NBRW mixing curve, then do it five more times,
-# printing the number of states and the growth of the peak RSS in bytes. The
-# peak is this process image's (VmHWM): on Linux ru_maxrss also counts the
-# RSS of the process that spawned it, which can be the larger.
+# Run in a fresh interpreter with the helper thread on (argv[2] == "helper")
+# or off: build a Petersen lift and take its NBRW mixing curve, then do it
+# five more times, printing the number of states and the peak RSS in bytes
+# after the first curve and after the sixth. The peak is this process
+# image's (VmHWM): on Linux ru_maxrss also counts the RSS of the process
+# that spawned it, which can be the larger.
 _REPEATED_CURVE_SCRIPT = """
 import sys
 sys.path.insert(0, sys.argv[1])
 from ramlab import builders, walk_engine
 
 walk_engine._cpu_count = lambda: 2
+walk_engine._HELPER_STATES = 0 if sys.argv[2] == "helper" else float("inf")
 petersen = builders.build_named("petersen")
 
 def curve():
@@ -245,7 +247,7 @@ def peak():
 states, first = curve(), peak()
 for _ in range(5):
     curve()
-print(states, peak() - first)
+print(states, first, peak())
 """
 
 
@@ -253,14 +255,19 @@ print(states, peak() - first)
 def test_mixing_curve_helper_keeps_the_peak_rss():
     # the helper thread that reduces time t beside step t+1 allocates nothing
     # of state size: arrays it allocated would stay in its malloc arena and
-    # raise the peak of every later call by a few laws
+    # raise the peak of every later call by a few laws, and a step taken off
+    # the calling thread would raise the first call's peak as well
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-c", _REPEATED_CURVE_SCRIPT, src],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    states, growth = map(int, proc.stdout.split())
-    assert states >= 150_000
-    assert growth < 8 * states, (growth, 8 * states)
+    peaks = {}
+    for mode in ("inline", "helper"):
+        proc = subprocess.run([sys.executable, "-c", _REPEATED_CURVE_SCRIPT, src, mode],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        states, first, last = map(int, proc.stdout.split())
+        assert states >= 150_000
+        assert last - first < 8 * states, (mode, last - first, 8 * states)
+        peaks[mode] = last
+    assert abs(peaks["helper"] - peaks["inline"]) < 8 * states, (peaks, 8 * states)
 
 
 @pytest.fixture(scope="module")
@@ -271,11 +278,12 @@ def k33_lift20(k33):
 @pytest.mark.parametrize("kernel", walk_engine.KERNELS)
 @pytest.mark.parametrize("name", ["lps13", "k33_lift20", "rand3_50"])
 def test_helper_rows_equal_inline_rows(request, monkeypatch, name, kernel):
-    # the helper thread reduces time t while the calling thread takes step
-    # t+1, and gives the bits of the inline reductions: the parity-alternating
-    # support path (lps13 and k33_lift20 under a pure kernel) and the full
-    # reference, for p = 1, 1.5, 2 and inf, with threads that switch every
-    # microsecond
+    # the helper thread (forced on below _HELPER_STATES) reduces time t while
+    # the calling thread takes step t+1, and gives the bits of the inline
+    # reductions, which run below _HELPER_STATES or with one CPU: the
+    # parity-alternating support path (lps13 and k33_lift20 under a pure
+    # kernel) and the full reference, for p = 1, 1.5, 2 and inf, with
+    # threads that switch every microsecond
     g = request.getfixturevalue(name)
     reduce_threads, tv = set(), walk_engine._Reference.tv
 
@@ -288,14 +296,18 @@ def test_helper_rows_equal_inline_rows(request, monkeypatch, name, kernel):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for cpus in (1, 2):
+        for mode, cpus, helper_states in (("small", 2, g.n * g.d + 1), ("one_cpu", 1, 0),
+                                          ("helper", 2, 0)):
             monkeypatch.setattr(walk_engine, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(walk_engine, "_HELPER_STATES", helper_states)
             reduce_threads.clear()
-            curves[cpus] = mixing_curve(g, kernel, 1, 20, p_list=[1.0, 1.5, 2.0, math.inf])
-            assert (reduce_threads == {threading.main_thread()}) == (cpus == 1)
+            curves[mode] = mixing_curve(g, kernel, 1, 20, p_list=[1.0, 1.5, 2.0, math.inf])
+            assert (reduce_threads == {threading.main_thread()}) == (mode != "helper"), mode
     finally:
         sys.setswitchinterval(interval)
-    inline, helper = curves[1], curves[2]
+    inline, helper = curves["small"], curves["helper"]
+    for column in ("d_tv", "d_inf"):
+        assert getattr(curves["one_cpu"], column).tobytes() == getattr(inline, column).tobytes()
     assert inline.reference == helper.reference == (
         "parity-alternating" if g.bipartite and not kernel.endswith("_lazy") else "full")
     for column in ("d_tv", "d_inf"):
