@@ -252,13 +252,14 @@ def cmd_decompose(args) -> int:
     dec = spectral_lab.build_decomposition(graph)
     report = spectral_lab.verify_decomposition(spectral_lab.build_B(graph), dec)
     sha = write_manifest(args.out_dir, "decompose", _config_of(args))
-    rows = [(b.lam, b.theta.real, b.theta.imag, b.theta_prime.real,
-             b.theta_prime.imag, abs(b.alpha), int(b.jordan)) for b in dec.blocks]
+    pairs = dec.diag[1 + dec.bipartite :][: 2 * dec.alpha.size].reshape(-1, 2).T
     emit_csv(os.path.join(args.out_dir, "blocks.csv"),
              ["lambda", "theta_re", "theta_im", "theta_prime_re",
               "theta_prime_im", "alpha_abs", "jordan"],
-             [tuple(zip(*rows))], [f"manifest_sha256={sha}",
-                                   f"n={dec.n} d={dec.d} N={dec.N} bipartite={dec.bipartite}"])
+             [(dec.lam, pairs[0].real, pairs[0].imag, pairs[1].real, pairs[1].imag,
+               np.hypot(dec.alpha.real, dec.alpha.imag), dec.jordan.astype(int))],
+             [f"manifest_sha256={sha}",
+              f"n={dec.n} d={dec.d} N={dec.N} bipartite={dec.bipartite}"])
     emit_json(os.path.join(args.out_dir, "decomposition.json"), {
         **report,
         "minus_one_multiplicity": dec.minus_one_multiplicity,

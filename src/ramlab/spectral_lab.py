@@ -2,13 +2,13 @@
 decomposition of the nonbacktracking operator B.
 
 B acts on directed edges by B[(u,v),(x,y)] = 1 iff v = x and u != y. It is
-unitarily similar to a block-diagonal matrix: the principal eigenvalue d-1
-(plus -(d-1) when bipartite), one upper-triangular 2x2 block per nontrivial
-adjacency eigenvalue with diagonal theta, theta' solving
-theta^2 - lambda*theta + (d-1) = 0, and runs of -1 and +1 whose multiplicities
-are fixed by n and N. The decomposition is built explicitly here from the
-adjacency eigenvectors via the edge lift (T_theta f)(x,y) = theta f(y) - f(x)
-and the star-space construction for the +-1 eigenvectors.
+unitarily similar to Lambda, a diagonal plus a superdiagonal: d-1 (and
+-(d-1) when bipartite), one 2x2 block per nontrivial adjacency eigenvalue
+lambda, with diagonal theta, theta' solving theta^2 - lambda*theta + (d-1) = 0
+and superdiagonal alpha, on columns first + 2i, first + 2i + 1 (first = 1 +
+bipartite), then runs of -1 and +1 of lengths fixed by n and N. It is built
+here from the adjacency eigenvectors via the edge lift (T_theta f)(x,y) =
+theta f(y) - f(x) and the star-space construction for the +-1 eigenvectors.
 
 scipy is imported by the functions that call it (Lanczos, the sparse B, the
 pivoted QR, the Hermitian Gram product and the sparse LU), so that the
@@ -245,38 +245,25 @@ def build_B(graph: RegularGraph):
 
 
 @dataclass(frozen=True)
-class Block:
-    """One 2x2 upper-triangular block of Lambda (columns col, col+1 of U)."""
-
-    lam: float
-    theta: complex
-    theta_prime: complex
-    alpha: complex
-    jordan: bool
-    col: int
-
-
-@dataclass(frozen=True)
 class BlockDecomposition:
+    """B = U Lambda U* with Lambda held as arrays: ``diag``, its diagonal in
+    U's column order, and ``lam``, ``alpha``, ``jordan`` with one entry per
+    nontrivial adjacency eigenvalue. Block i sits on columns (first + 2i,
+    first + 2i + 1), first = 1 + bipartite: theta and theta' on the diagonal
+    and alpha[i], Lambda's one off-diagonal entry in row first + 2i.
+    jordan[i] marks theta = theta' (|lambda| = 2 sqrt(d-1))."""
+
     n: int
     d: int
     N: int
     bipartite: bool
     U: np.ndarray
-    blocks: list
+    diag: np.ndarray
+    lam: np.ndarray
+    alpha: np.ndarray
+    jordan: np.ndarray
     minus_one_multiplicity: int
     plus_one_multiplicity: int
-
-    def eigenvalue_multiset(self) -> np.ndarray:
-        """Predicted spectrum of B with multiplicity: the diagonal of Lambda."""
-        eigs = [complex(self.d - 1)]
-        if self.bipartite:
-            eigs.append(complex(-(self.d - 1)))
-        for b in self.blocks:
-            eigs.extend((b.theta, b.theta_prime))
-        eigs.extend([complex(-1.0)] * self.minus_one_multiplicity)
-        eigs.extend([complex(1.0)] * self.plus_one_multiplicity)
-        return np.array(eigs)
 
 
 def _star_complement(graph: RegularGraph, sign: int) -> np.ndarray:
@@ -305,7 +292,7 @@ def _star_complement(graph: RegularGraph, sign: int) -> np.ndarray:
 
 
 def build_decomposition(graph: RegularGraph) -> BlockDecomposition:
-    """Explicit unitary U and block data such that B = U Lambda U*.
+    """Explicit unitary U and Lambda's arrays such that B = U Lambda U*.
 
     Columns: the principal constant vector (and its signed analogue when
     bipartite), then per nontrivial adjacency eigenpair (lambda, f) the pair
@@ -336,15 +323,18 @@ def build_decomposition(graph: RegularGraph) -> BlockDecomposition:
         trivial.add(n - 1)
 
     U = np.zeros((N, N), dtype=complex)
+    diag = np.empty(N, dtype=complex)
     U[:, 0] = 1.0 / math.sqrt(N)
+    diag[0] = d - 1
     col = 1
     if graph.bipartite:
         signs = np.where(graph.bipartition[tail] == 0, 1.0, -1.0)
         U[:, 1] = signs / math.sqrt(N)
+        diag[1] = -(d - 1)
         col = 2
 
     threshold = 2 * math.sqrt(d - 1)
-    blocks = []
+    lams, alphas, jordans = [], [], []
     for i in range(n):
         if i in trivial:
             continue
@@ -364,10 +354,12 @@ def build_decomposition(graph: RegularGraph) -> BlockDecomposition:
         denom = math.sqrt(max(1.0 - abs(beta) ** 2, 0.0))
         w2 = (v - beta * w) / denom
         alpha = (complex(beta) * (thp - th) + gap * nw / nv) / denom
-        blocks.append(Block(lam=lam, theta=complex(th), theta_prime=complex(thp),
-                            alpha=alpha, jordan=jordan, col=col))
+        lams.append(lam)
+        alphas.append(alpha)
+        jordans.append(jordan)
         U[:, col] = w
         U[:, col + 1] = w2
+        diag[col : col + 2] = th, thp
         col += 2
 
     plus_cols = _star_complement(graph, sign=-1)
@@ -383,14 +375,17 @@ def build_decomposition(graph: RegularGraph) -> BlockDecomposition:
             "star_space", f"-1 eigenspace dim {minus_cols.shape[1]} != {m_minus_expected}")
 
     U[:, col : col + m_minus_expected] = minus_cols
+    diag[col : col + m_minus_expected] = -1.0
     col += m_minus_expected
     U[:, col : col + m_plus_expected] = plus_cols
+    diag[col : col + m_plus_expected] = 1.0
     col += m_plus_expected
     if col != N:
         raise VerificationFailed("dimension", f"assembled {col} columns, expected {N}")
 
     return BlockDecomposition(
-        n=n, d=d, N=N, bipartite=graph.bipartite, U=U, blocks=blocks,
+        n=n, d=d, N=N, bipartite=graph.bipartite, U=U, diag=diag, lam=np.array(lams),
+        alpha=np.array(alphas, dtype=complex), jordan=np.array(jordans, dtype=bool),
         minus_one_multiplicity=m_minus_expected,
         plus_one_multiplicity=m_plus_expected,
     )
@@ -472,8 +467,7 @@ def verify_decomposition(b, dec: BlockDecomposition,
     import scipy.linalg.blas
     import scipy.sparse
 
-    U, N, top = np.ascontiguousarray(dec.U), dec.N, dec.d - 1
-    diag = dec.eigenvalue_multiset()
+    U, N, top, diag = np.ascontiguousarray(dec.U), dec.N, dec.d - 1, dec.diag
     height = max(1, _BLOCK_BYTES // (16 * N))
     row_blocks = [slice(r0, r0 + height) for r0 in range(0, N, height)]
 
@@ -492,15 +486,12 @@ def verify_decomposition(b, dec: BlockDecomposition,
     del gram, gram_diag
 
     b_csr = scipy.sparse.csr_array(b)
-    # build_decomposition puts the 2x2 blocks of Lambda on the consecutive
-    # column pairs (first, first + 1), (first + 2, first + 3), ...
-    first, k = (dec.blocks[0].col if dec.blocks else 0), len(dec.blocks)
-    alphas = np.array([blk.alpha for blk in dec.blocks], dtype=complex)
+    first, k = 1 + dec.bipartite, dec.alpha.size
     resid_sq = 0.0
     for rows in row_blocks:
         resid = b_csr[rows] @ U
         resid -= U[rows] * diag
-        resid[:, first + 1 : first + 2 * k : 2] -= U[rows, first : first + 2 * k : 2] * alphas
+        resid[:, first + 1 : first + 2 * k : 2] -= U[rows, first : first + 2 * k : 2] * dec.alpha
         resid_sq = max(resid_sq, float(_row_norms_sq(resid).max()))
     b_row = math.sqrt(float(b_csr.power(2).sum(axis=1).max()))
     recon = (math.sqrt(resid_sq) * math.sqrt(float(_row_norms_sq(U).max()))
@@ -514,9 +505,10 @@ def verify_decomposition(b, dec: BlockDecomposition,
     high = math.sqrt(float((b_abs @ b_abs.sum(axis=0)).max()))
     opnorm_err = max(abs(high - top), abs(low - top))
 
+    # np.abs rounds a complex modulus differently from abs(); hypot does not
     alpha_err = 0.0
-    for blk in dec.blocks:
-        alpha_err = max(alpha_err, abs(abs(blk.alpha) - alpha_exact(blk.lam, dec.d)))
+    for a, lam in zip(np.hypot(dec.alpha.real, dec.alpha.imag).tolist(), dec.lam.tolist()):
+        alpha_err = max(alpha_err, abs(a - alpha_exact(lam, dec.d)))
 
     return {
         "reconstruction": recon,

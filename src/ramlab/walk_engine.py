@@ -225,20 +225,21 @@ def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
     counts the finite p).
 
     Starts evolve in blocks of at most _BLOCK_BYTES per (states x block)
-    array, each on one side of a bipartite graph. More than one block run
-    on a pool with one worker per CPU in the affinity mask (at most one per
-    block), which overlap, since the sparse product and numpy's array
-    operations release the GIL. One block runs on the calling thread; with
-    two or more CPUs and _HELPER_STATES states or more, one helper thread
-    reduces each time t before t_max while the calling thread computes step
-    t+1, reading the law that evolve yielded and never writes again. The
-    calling thread waits for t's row before it hands over the law at t+1,
-    so the helper holds at most one law beyond those evolve keeps. Each
-    block reduces into two scratch arrays it allocates once, so no thread
-    allocates state-size arrays per time. The max is taken per block and
-    then over blocks, so the rows do not depend on the block width, the
-    worker count or the helper. An error raised in a block or in the
-    helper propagates to the caller."""
+    array, each on one side of a bipartite graph. With one CPU in the
+    affinity mask every block runs on the calling thread, one after the
+    other, and no thread starts. With two or more, several blocks run on a
+    pool with one worker per CPU (at most one per block), which overlap,
+    since the sparse product and numpy's array operations release the GIL.
+    One block runs on the calling thread; from _HELPER_STATES states up, one
+    helper thread reduces each time t before t_max while the calling thread
+    computes step t+1, reading the law that evolve yielded and never writes
+    again. The calling thread waits for t's row before it hands over the
+    law at t+1, so the helper holds at most one law beyond those evolve
+    keeps. Each block reduces into two scratch arrays it allocates once, so
+    no thread allocates state-size arrays per time. The max is taken per
+    block and then over blocks, so the rows do not depend on the block
+    width, the worker count or the helper. An error raised in a block or in
+    the helper propagates to the caller."""
     space = VERTICES if kernel.startswith("srw") else EDGES
     states = graph.n if space == VERTICES else graph.n * graph.d
     starts = np.asarray(list(starts))
@@ -283,8 +284,8 @@ def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
                 return rows
 
     cpus = _cpu_count()
-    if len(blocks) == 1 and (cpus == 1 or states < _HELPER_STATES):
-        per_block = [block_max(blocks[0])]
+    if cpus == 1 or (len(blocks) == 1 and states < _HELPER_STATES):
+        per_block = [block_max(block) for block in blocks]
     else:
         from concurrent import futures
 

@@ -348,23 +348,15 @@ def lp_distance_direct(mu: np.ndarray, ref: np.ndarray, p: float) -> float:
 
 
 def lambda_dense(dec) -> np.ndarray:
-    """Lambda of a BlockDecomposition written out entry by entry."""
+    """Lambda of a BlockDecomposition written out entry by entry: its
+    diagonal, and alpha[i] at (first + 2i, first + 2i + 1) with first 2 on
+    a bipartite graph and 1 otherwise."""
     lam = np.zeros((dec.N, dec.N), dtype=complex)
-    lam[0, 0] = dec.d - 1
-    col = 2 if dec.bipartite else 1
-    if dec.bipartite:
-        lam[1, 1] = -(dec.d - 1)
-    for b in dec.blocks:
-        lam[b.col, b.col] = b.theta
-        lam[b.col, b.col + 1] = b.alpha
-        lam[b.col + 1, b.col + 1] = b.theta_prime
-        col = b.col + 2
-    for _ in range(dec.minus_one_multiplicity):
-        lam[col, col] = -1.0
-        col += 1
-    for _ in range(dec.plus_one_multiplicity):
-        lam[col, col] = 1.0
-        col += 1
+    for j, mu in enumerate(dec.diag):
+        lam[j, j] = mu
+    first = 2 if dec.bipartite else 1
+    for i, a in enumerate(dec.alpha):
+        lam[first + 2 * i, first + 2 * i + 1] = a
     return lam
 
 
@@ -404,7 +396,7 @@ def bass_mismatch_dense(b_dense, dec) -> float:
     """Largest |log det(I - uB) - sum log(1 - u mu)| modulo 2 pi i over the
     package's Bass points, with det from a dense LU (slogdet) and mu running
     over the predicted multiset."""
-    multiset = dec.eigenvalue_multiset()
+    multiset = dec.diag
     if multiset.size != dec.N:
         return math.inf
     worst = 0.0
@@ -430,12 +422,11 @@ def verify_decomposition_dense(b_dense, dec) -> dict:
         "unitarity": float(np.abs(U.conj().T @ U - np.eye(dec.N)).max()),
         "bass_multiset": bass_mismatch_dense(b_dense, dec),
         "operator_norm": abs(math.sqrt(float(top)) - (dec.d - 1)),
-        "alpha": max((abs(abs(b.alpha) - alpha_exact(b.lam, dec.d)) for b in dec.blocks),
-                     default=0.0),
+        "alpha": max((abs(abs(a) - alpha_exact(lam, dec.d))
+                       for a, lam in zip(dec.alpha.tolist(), dec.lam.tolist())), default=0.0),
     }
     report["ok"] = all(report[k] <= tol for k, tol in DECOMPOSITION_TOLERANCES.items())
-    report["eigvals_multiset"] = multiset_distance(np.linalg.eigvals(b_dense),
-                                                   dec.eigenvalue_multiset())
+    report["eigvals_multiset"] = multiset_distance(np.linalg.eigvals(b_dense), dec.diag)
     return report
 
 

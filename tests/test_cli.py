@@ -18,7 +18,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramlab import cli, spectral_lab, walk_engine
+from ramlab import builders, cli, spectral_lab, walk_engine
 from ramlab.errors import SupportViolation, UsageError
 
 
@@ -254,7 +254,8 @@ _PROFILE_GRAPHS = {  # conftest fixture -> the CLI flags that build it
 def test_profile_matches_per_start_oracle(tmp_path, monkeypatch, request, name, width):
     # the batched evolution gives the per-start loop's records to the last
     # bit, whether a block holds 1 start, 3 starts or every start at once,
-    # and whether 1, 2 or 3 worker threads evolve the blocks
+    # and whether the blocks run on the calling thread (one CPU) or on 2 or
+    # 3 worker threads
     g = request.getfixturevalue(name)
     block = width if width != "all" else g.n + 1
     monkeypatch.setattr(walk_engine, "_BLOCK_BYTES", 8 * g.n * block)
@@ -280,7 +281,8 @@ def test_profile_matches_per_start_oracle(tmp_path, monkeypatch, request, name, 
 def test_profile_worker_error_exit_code(tmp_path, capsys, monkeypatch, rand3_50, workers, exc):
     # an error raised while a worker thread evolves one block of starts
     # reaches cli.main as if raised in the caller: the same exit code and
-    # JSON line, and no artifact
+    # JSON line, and no artifact; with one CPU the block runs on the
+    # calling thread and raises there
     evolve, raised_in = walk_engine.evolve, []
 
     def failing_evolve(graph, kernel, starts):
@@ -294,7 +296,7 @@ def test_profile_worker_error_exit_code(tmp_path, capsys, monkeypatch, rand3_50,
     monkeypatch.setattr(walk_engine, "_cpu_count", lambda: workers)
     code = run(["profile", *_PROFILE_GRAPHS["rand3_50"], "--out-dir", str(tmp_path)])
     assert code == (2 if isinstance(exc, UsageError) else 4)
-    assert raised_in and raised_in[0] is not threading.main_thread()
+    assert raised_in and (raised_in[0] is threading.main_thread()) == (workers == 1)
     lines = capsys.readouterr().err.splitlines()
     assert [json.loads(l) for l in lines] == [{"error": type(exc).__name__,
                                                "message": str(exc)}]
@@ -713,11 +715,16 @@ def _spectrum_records(g):
 
 
 def _decompose_records(g):
+    # block i's theta and theta' are diag[first + 2i] and diag[first + 2i + 1],
+    # with first 2 on a bipartite graph and 1 otherwise; abs() per value
     dec = spectral_lab.build_decomposition(g)
+    lam, diag, alpha, jordan = (a.tolist() for a in (dec.lam, dec.diag, dec.alpha, dec.jordan))
+    first = 2 if g.bipartite else 1
     return (["lambda", "theta_re", "theta_im", "theta_prime_re", "theta_prime_im",
              "alpha_abs", "jordan"],
-            [[b.lam, b.theta.real, b.theta.imag, b.theta_prime.real, b.theta_prime.imag,
-              abs(b.alpha), int(b.jordan)] for b in dec.blocks])
+            [[lam[i], theta.real, theta.imag, prime.real, prime.imag, abs(alpha[i]),
+              int(jordan[i])]
+             for i in range(len(lam)) for theta, prime in [diag[first + 2 * i :][:2]]])
 
 
 _ARTIFACTS = {  # subcommand -> (its flags past the graph, CSV file, oracle records)
@@ -730,15 +737,29 @@ _ARTIFACTS = {  # subcommand -> (its flags past the graph, CSV file, oracle reco
 }
 
 
-@pytest.mark.parametrize("sub", sorted(_ARTIFACTS))
-def test_artifact_csv_matches_oracle_rendering(tmp_path, rand3_50, sub):
+@pytest.mark.parametrize("sub, graph", [
+    *(pytest.param(sub, "rand3_50", id=sub) for sub in sorted(_ARTIFACTS)),
+    pytest.param("decompose", "k33", id="decompose-complete_bipartite_3"),
+    pytest.param("decompose", "c6_x_k4", id="decompose-c6_x_k4"),
+])
+def test_artifact_csv_matches_oracle_rendering(tmp_path, request, sub, graph):
     # every graph CSV the CLI writes (tree's is checked above) has the bytes
     # of its records printed value by value; rand3_50's spectrum and blocks
-    # hold irrational values
+    # hold irrational values, K3,3's blocks start at column 2 (bipartite)
+    # and C6 x K4 has two Jordan blocks
     flags, name, records_of = _ARTIFACTS[sub]
-    assert run([sub, *_PROFILE_GRAPHS["rand3_50"], *flags, "--out-dir", str(tmp_path)]) == 0
+    g = request.getfixturevalue(graph)
+    if graph == "rand3_50":
+        graph_flags = _PROFILE_GRAPHS["rand3_50"]
+    elif graph == "k33":
+        graph_flags = ["--name", "complete_bipartite(3)"]
+    else:
+        path = str(tmp_path / "graph.edges")
+        builders.save_graph(g, path)
+        graph_flags = ["--file", path]
+    assert run([sub, *graph_flags, *flags, "--out-dir", str(tmp_path)]) == 0
     text = read(os.path.join(str(tmp_path), name)).decode()
-    header, records = records_of(rand3_50)
+    header, records = records_of(g)
     assert text == oracles.csv_text(header, records, _comments(text))
 
 

@@ -285,18 +285,41 @@ def test_bass_lu_keeps_diagonal_pivots(criterion1_graphs, c6_x_k4):
 # --- block decomposition -----------------------------------------------------------
 
 
+def _thetas(dec) -> tuple:
+    """(theta, theta') of each 2x2 block of Lambda, read off its diagonal."""
+    first = 2 if dec.bipartite else 1
+    return (dec.diag[first : first + 2 * dec.alpha.size : 2],
+            dec.diag[first + 1 : first + 2 * dec.alpha.size : 2])
+
+
+def test_lambda_diagonal_layout(k4, k33, petersen, c6_x_k4):
+    # the diagonal holds d-1, -(d-1) when bipartite, the roots of
+    # theta^2 - lambda theta + (d-1) (lambda/2 twice at the threshold) of
+    # each nontrivial eigenvalue in the order of lam, then the -1 and +1
+    # runs; lam is the nontrivial spectrum, one entry per block
+    for g in (k4, k33, petersen, c6_x_k4):
+        dec = build_decomposition(g)
+        want = [g.d - 1] + ([-(g.d - 1)] if g.bipartite else [])
+        for lam, jordan in zip(dec.lam.tolist(), dec.jordan.tolist()):
+            want += [lam / 2, lam / 2] if jordan else theta_pair(lam, g.d)
+        want += [-1.0] * dec.minus_one_multiplicity + [1.0] * dec.plus_one_multiplicity
+        assert dec.diag.tolist() == want
+        assert dec.lam.size == dec.alpha.size == dec.jordan.size
+        assert np.allclose(np.sort(dec.lam), np.sort(adjacency_spectrum(g).nontrivial()))
+
+
 def test_k4_block_structure(k4):
     dec = build_decomposition(k4)
     assert (dec.minus_one_multiplicity, dec.plus_one_multiplicity) == (2, 3)
-    assert len(dec.blocks) == 3
+    assert dec.alpha.size == 3
     want = {(-1 + 1j * math.sqrt(7)) / 2, (-1 - 1j * math.sqrt(7)) / 2}
-    for b in dec.blocks:
-        assert abs(b.theta - max(want, key=lambda w: w.imag)) < 1e-12
-        assert abs(b.theta_prime - b.theta.conjugate()) < 1e-12
-        assert math.isclose(abs(b.theta), math.sqrt(2), rel_tol=1e-12)
-        assert math.isclose(abs(b.alpha), 1.0, rel_tol=1e-10)
+    for theta, theta_prime, alpha in zip(*_thetas(dec), dec.alpha):
+        assert abs(theta - max(want, key=lambda w: w.imag)) < 1e-12
+        assert abs(theta_prime - theta.conjugate()) < 1e-12
+        assert math.isclose(abs(theta), math.sqrt(2), rel_tol=1e-12)
+        assert math.isclose(abs(alpha), 1.0, rel_tol=1e-10)
     # column count: 1 + 6 + 2 + 3 = 12 = N
-    assert 1 + 2 * len(dec.blocks) + 2 + 3 == dec.N
+    assert 1 + 2 * dec.alpha.size + 2 + 3 == dec.N == dec.diag.size
 
 
 def test_k33_block_structure(k33):
@@ -304,15 +327,15 @@ def test_k33_block_structure(k33):
     assert dec.bipartite
     assert dec.minus_one_multiplicity == 4  # N/2 - n + 1 = 9 - 6 + 1
     assert dec.plus_one_multiplicity == 4
-    assert len(dec.blocks) == 4  # nontrivial eigenvalue 0 with multiplicity 4
-    assert dec.eigenvalue_multiset()[1] == -(k33.d - 1)  # the -(d-1) principal pair entry
+    assert dec.alpha.size == 4  # nontrivial eigenvalue 0 with multiplicity 4
+    assert dec.diag[1] == -(k33.d - 1)  # the -(d-1) principal pair entry
 
 
 def test_petersen_alpha_values(petersen):
     dec = build_decomposition(petersen)
-    assert len(dec.blocks) == 9
-    for b in dec.blocks:
-        assert math.isclose(abs(b.alpha), 1.0, rel_tol=1e-10)  # d - 2
+    assert dec.alpha.size == 9
+    for alpha in dec.alpha:
+        assert math.isclose(abs(alpha), 1.0, rel_tol=1e-10)  # d - 2
 
 
 def test_ramanujan_blocks_conjugate(petersen, rand3_50):
@@ -320,19 +343,19 @@ def test_ramanujan_blocks_conjugate(petersen, rand3_50):
         rep = adjacency_spectrum(g)
         dec = build_decomposition(g)
         if rep.ramanujan and not g.bipartite:
-            for b in dec.blocks:
-                assert abs(b.theta_prime - b.theta.conjugate()) < 1e-9
-                assert abs(abs(b.theta) - math.sqrt(g.d - 1)) < 1e-9
+            for theta, theta_prime in zip(*_thetas(dec)):
+                assert abs(theta_prime - theta.conjugate()) < 1e-9
+                assert abs(abs(theta) - math.sqrt(g.d - 1)) < 1e-9
 
 
 def test_jordan_branch(c6_x_k4):
     dec = build_decomposition(c6_x_k4)
-    jordan = [b for b in dec.blocks if b.jordan]
-    assert len(jordan) == 2  # eigenvalue 4 = 2 sqrt(4) has multiplicity 2
-    for b in jordan:
-        assert abs(b.theta - 2.0) < 1e-8
-        assert abs(b.theta - b.theta_prime) < 1e-12
-        assert abs(abs(b.alpha) - 3.0) < 1e-8  # d - 2
+    theta, theta_prime = (t[dec.jordan] for t in _thetas(dec))
+    assert theta.size == 2  # eigenvalue 4 = 2 sqrt(4) has multiplicity 2
+    for th, thp, alpha in zip(theta, theta_prime, dec.alpha[dec.jordan]):
+        assert abs(th - 2.0) < 1e-8
+        assert abs(th - thp) < 1e-12
+        assert abs(abs(alpha) - 3.0) < 1e-8  # d - 2
     rep = verify_decomposition(build_B(c6_x_k4), dec)
     assert rep["ok"], rep
     assert rep["bass_multiset"] <= 1e-12, rep
@@ -349,8 +372,8 @@ def test_alpha_below_2d_minus_2(test_graphs):
         if g.n * g.d > 800:
             continue
         dec = build_decomposition(g)
-        for b in dec.blocks:
-            assert abs(b.alpha) < 2 * (g.d - 1)
+        for alpha in dec.alpha:
+            assert abs(alpha) < 2 * (g.d - 1)
 
 
 # the dense oracle's eigh(B B^T) reads up to ~1e-15 where the exact
@@ -466,22 +489,25 @@ def _damp_b_rows(b, dec):
 
 
 def _scale_alpha(b, dec):
-    blocks = list(dec.blocks)
-    blocks[0] = replace(blocks[0], alpha=blocks[0].alpha * (1 + 1e-6))
-    return b, replace(dec, blocks=blocks)
+    alpha = dec.alpha.copy()
+    alpha[0] *= 1 + 1e-6
+    return b, replace(dec, alpha=alpha)
+
+
+def _shift_last_theta(dec, shift):
+    # the theta of the last 2x2 block of Lambda
+    diag = dec.diag.copy()
+    diag[(2 if dec.bipartite else 1) + 2 * (dec.alpha.size - 1)] += shift
+    return replace(dec, diag=diag)
 
 
 def _move_theta(b, dec):
-    blocks = list(dec.blocks)
-    blocks[-1] = replace(blocks[-1], theta=blocks[-1].theta + 1e-3)
-    return b, replace(dec, blocks=blocks)
+    return b, _shift_last_theta(dec, 1e-3)
 
 
 def _nudge_theta(b, dec):
     # below the 1e-6 at which the eigvals(B) multiset check passed
-    blocks = list(dec.blocks)
-    blocks[-1] = replace(blocks[-1], theta=blocks[-1].theta + 1e-7)
-    return b, replace(dec, blocks=blocks)
+    return b, _shift_last_theta(dec, 1e-7)
 
 
 def _move_u_entry(b, dec):
@@ -538,9 +564,9 @@ def test_bass_check_survives_a_failed_factor(petersen, monkeypatch):
     dec, b = _decomposed(petersen)
     b_nan = b.copy()
     b_nan[0, 1] = np.nan
-    blocks = list(dec.blocks)
-    blocks[0] = replace(blocks[0], theta=complex(math.nan))
-    for b_bad, dec_bad in ((b_nan, dec), (b, replace(dec, blocks=blocks))):
+    diag = dec.diag.copy()
+    diag[1] = complex(math.nan)  # the theta of Petersen's first block
+    for b_bad, dec_bad in ((b_nan, dec), (b, replace(dec, diag=diag))):
         rep = verify_decomposition(b_bad, dec_bad)
         assert rep["bass_multiset"] == math.inf and not rep["ok"], rep
 
@@ -558,7 +584,7 @@ def test_ihara_bass_determinant(criterion1_graphs):
     # a check of the multiset that does not go through eigvals
     rng = np.random.default_rng(7)
     for name, g in criterion1_graphs.items():
-        multiset = build_decomposition(g).eigenvalue_multiset()
+        multiset = build_decomposition(g).diag
         for _ in range(3):
             u = cmath.rect(rng.uniform(0.1, 0.95) / (g.d - 1), rng.uniform(-math.pi, math.pi))
             lhs, bass, product = oracles.ihara_bass_logs(g, multiset, u)

@@ -199,9 +199,10 @@ def test_evolve_checks_every_column(petersen):
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 10])
 def test_profile_blocks_keep_every_start(rand3_50, monkeypatch, width):
     # the start with the largest TV sits at every position of a block in
-    # turn, among starts whose TV is strictly smaller, on 1, 2 and 3 worker
-    # threads that switch every microsecond; at width 10 all 10 starts fit
-    # in one block, which runs on the calling thread
+    # turn, among starts whose TV is strictly smaller, on the calling thread
+    # (one CPU) and on 2 and 3 worker threads that switch every microsecond;
+    # at width 10 all 10 starts fit in one block, which runs on the calling
+    # thread
     g = rand3_50
     monkeypatch.setattr(walk_engine, "_BLOCK_BYTES", 8 * g.n * width)
     tv = {x: oracles.cutoff_profile_records(g, [x], [0.0])[0][2] for x in range(g.n)}
@@ -218,6 +219,30 @@ def test_profile_blocks_keep_every_start(rand3_50, monkeypatch, width):
                 assert record["empirical"] == tv[top], (workers, pos)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_one_cpu_starts_no_thread(rand3_50, monkeypatch):
+    # with one CPU in the affinity mask, a pass of four blocks evolves each
+    # on the calling thread and starts no thread; with two, the same pass
+    # starts its pool's threads
+    evolve, evolved_on = walk_engine.evolve, []
+
+    def recording_evolve(graph, kernel, starts):
+        evolved_on.append(threading.current_thread())
+        return evolve(graph, kernel, starts)
+
+    def refuse_start(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setattr(walk_engine, "evolve", recording_evolve)
+    monkeypatch.setattr(walk_engine, "_BLOCK_BYTES", 8 * rand3_50.n * 3)
+    monkeypatch.setattr(threading.Thread, "start", refuse_start)
+    monkeypatch.setattr(walk_engine, "_cpu_count", lambda: 1)
+    walk_engine.empirical_cutoff_profile(rand3_50, range(10), [0.0])
+    assert evolved_on == [threading.main_thread()] * 4
+    monkeypatch.setattr(walk_engine, "_cpu_count", lambda: 2)
+    with pytest.raises(AssertionError, match="started"):
+        walk_engine.empirical_cutoff_profile(rand3_50, range(10), [0.0])
 
 
 # Run in a fresh interpreter with the helper thread on (argv[2] == "helper")
