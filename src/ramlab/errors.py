@@ -82,7 +82,8 @@ class SupportViolation(RamlabError):
 
 class SizeCap(RamlabError):
     """A computation was requested above its size cap: a dense solve above
-    its order, or a walk above the state-step budget."""
+    its order, a walk above the state-step budget, or a graph with more
+    than 2**31 - 1 arcs, whose arc ids would not fit in int32."""
 
 
 class EigenbasisNotOrthonormal(RamlabError):

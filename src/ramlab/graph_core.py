@@ -13,6 +13,17 @@ Directed edges are indexed e = d*u + rank, where rank is the position of the
 head in u's sorted neighbor list; this makes edge ids reproducible across
 runs. Instances are immutable after construction and safe to share across
 threads.
+
+A build works in int32, one neighbour column at a time. The constructor
+range-checks the given integers in their own dtype, casts them once to
+int32 (the kept ``indices``) and sorts each row in place; it then counts
+each arc's reverse rank into the kept ``rev`` one column of the rows at a
+time. Besides the caller's array, its N-size arrays (N = n*d arcs) alive at
+once are ``indices``, ``rev``, one int32 column gather and one boolean mask:
+about 15 bytes per arc at its peak for d = 3. ``from_edges`` sorts one
+int64 key per arc, tail*n + head for both orientations, in place and takes
+it mod n as the rows: about 26 bytes per arc at its peak for d = 3, the
+constructor's arrays included.
 """
 
 import math
@@ -28,16 +39,23 @@ from .errors import (
     IrregularGraph,
     NonSimple,
     SelfLoop,
+    SizeCap,
     UsageError,
 )
+
+_MAX_ARCS = 2**31 - 1  # arc ids and rev are int32
 
 
 @dataclass(frozen=True)
 class RegularGraph:
-    """Connected simple d-regular graph (d >= 3), checked when it is made:
-    ``indices`` must hold n*d integers, the n neighbour rows; the rows are
-    sorted, then the first out-of-range neighbor, self-loop, parallel edge,
-    arc without reverse or unreachable vertex raises.
+    """Connected simple d-regular graph (d >= 3) with n*d <= 2**31 - 1 arcs,
+    checked when it is made: ``indices`` must hold n*d integers, the n
+    neighbour rows. The first out-of-range neighbor raises, checked in the
+    given dtype; the rows are then cast to int32 and sorted in place, and the
+    first self-loop, parallel edge, arc without reverse or unreachable vertex
+    raises. The reverse ranks are counted one neighbour column at a time, so
+    no (N, d) array is made: ``indices``, ``rev``, one column gather and one
+    mask are the N-size arrays alive at once.
 
     ``translation``, when given, is a vertex permutation sigma that must be
     an automorphism whose cyclic group acts freely (every orbit has
@@ -68,28 +86,37 @@ class RegularGraph:
         if flat.size != n * d or flat.dtype.kind not in "iu":
             raise IrregularGraph(f"indices must hold n*d = {n * d} integers, "
                                  f"got {flat.size} of dtype {flat.dtype}")
-        rows = np.sort(flat.astype(np.int64, copy=False).reshape(n, d), axis=1)
+        # range first, in the given dtype: the int32 cast below would wrap a
+        # wide value such as 2**32 + v back into [0, n)
+        bad = np.flatnonzero((flat < 0) | (flat >= n))
+        if bad.size:
+            raise IrregularGraph(f"vertex {bad[0] // d} lists a neighbor outside [0, {n})")
+        indices = flat.astype(np.int32, order="C").ravel()  # a copy: sorted in place
+        rows = indices.reshape(n, d)
+        rows.sort(axis=1)
+        vertex = np.arange(n, dtype=np.int32)[:, None]
         for fault, error, what in (
-                ((rows < 0) | (rows >= n), IrregularGraph,
-                 f"lists a neighbor outside [0, {n})"),
-                (rows == np.arange(n)[:, None], SelfLoop, "is adjacent to itself"),
+                (rows == vertex, SelfLoop, "is adjacent to itself"),
                 (rows[:, 1:] == rows[:, :-1], NonSimple, "has a parallel edge")):
             bad = np.flatnonzero(fault.any(axis=1))
             if bad.size:
                 raise error(f"vertex {bad[0]} {what}")
-        indices = rows.astype(np.int32).ravel()
         indices.setflags(write=False)
         object.__setattr__(self, "indices", indices)
-        # rev[e] = d * head + rank, the tail's position in the head's row
-        rows, tails = indices.reshape(n, d), np.repeat(np.arange(n, dtype=np.int64), d)
-        heads = indices.astype(np.int64)
-        rank = (rows[heads] < tails[:, None]).sum(axis=1)
-        bad = np.flatnonzero((rank >= d) | (rows[heads, rank.clip(max=d - 1)] != tails))
+        # rev[e] = d * head + rank, the tail's position in the head's sorted
+        # row, counted one neighbour column at a time. Columns j < d - 1
+        # count min(rank, d - 1), still the tail's position if the row holds
+        # it at all, so indices[rev] is the tail exactly for an arc with a
+        # reverse. No overflow: n*d < 2**31 (_check_size).
+        rev = np.multiply(rows, d, dtype=np.int32)
+        for j in range(d - 1):
+            rev += rows[:, j][rows] < vertex
+        bad = np.flatnonzero(indices[rev] != vertex)
         if bad.size:
-            raise Asymmetric(f"edge ({bad[0] // d}, {heads[bad[0]]}) has no reverse entry")
-        rev = (heads * d + rank).astype(np.int32)
+            raise Asymmetric(f"edge ({bad[0] // d}, {indices[bad[0]]}) has no reverse entry")
+        rev = rev.ravel()
         parity = (bfs_distances(self, 0) % 2).astype(np.int8)
-        bipartition = parity if np.all(parity[tails] != parity[indices]) else None
+        bipartition = parity if np.all(parity[rows] != parity[:, None]) else None
         orbits = None if translation is None else _orbit_table(rows, translation)
         for name, values in (("rev", rev), ("bipartition", bipartition), ("orbits", orbits)):
             if values is not None:
@@ -137,23 +164,33 @@ def from_edges(n: int, d: int, edges, provenance: dict | None = None) -> Regular
     if outside.size:
         edge = tuple(pairs[outside[0]].tolist())
         raise IrregularGraph(f"edge {edge} has an endpoint outside [0, {n})")
-    tails, heads = pairs.ravel(), pairs[:, ::-1].ravel()
     _check_size(n, d)
-    degree = np.bincount(tails, minlength=n)
+    degree = np.bincount(pairs.ravel(), minlength=n)
     bad = np.flatnonzero(degree != d)
     if bad.size:
         raise IrregularGraph(f"vertex {bad[0]} has degree {degree[bad[0]]}, expected {d}")
-    # grouped by tail only: the constructor sorts each row
-    return RegularGraph(n=n, d=d, indices=heads[np.argsort(tails)],
-                        provenance=provenance or {})
+    # one int64 key tail*n + head per arc, both orientations (below n**2 <
+    # 2**62), sorted in place, so its remainders mod n are the rows, grouped
+    # by tail and sorted
+    (u, v), m = pairs.T, len(pairs)
+    key = np.empty(2 * m, np.int64)
+    np.multiply(u, n, out=key[:m])
+    key[:m] += v
+    np.multiply(v, n, out=key[m:])
+    key[m:] += u
+    key.sort()
+    np.remainder(key, n, out=key)
+    return RegularGraph(n=n, d=d, indices=key, provenance=provenance or {})
 
 
 def _check_size(n: int, d: int):
-    """Raise unless d >= 3 and n > d."""
+    """Raise unless d >= 3, n > d and the n*d arc ids fit in int32."""
     if d < 3:
         raise DegreeTooSmall(f"this package requires d >= 3, got d={d}")
     if n <= d:
         raise IrregularGraph(f"need n > d, got n={n}, d={d}")
+    if n * d > _MAX_ARCS:
+        raise SizeCap(f"n*d = {n * d} arcs exceed the int32 arc ids' cap of {_MAX_ARCS}")
 
 
 def _orbit_table(rows: np.ndarray, translation) -> np.ndarray:

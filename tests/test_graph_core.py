@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from ramlab.errors import (
     NonSimple,
     RamlabError,
     SelfLoop,
+    SizeCap,
     UsageError,
 )
 
@@ -169,6 +171,32 @@ def test_rejects_degree_below_three(n, d, edges):
         graph_core.from_edges(n, d, edges)
 
 
+def test_rejects_more_arcs_than_int32_ids():
+    # 3 * 2**30 arcs would wrap the int32 rev; refused before indices is read
+    with pytest.raises(SizeCap, match=r"^n\*d = 3221225472 arcs exceed "):
+        graph_core.RegularGraph(n=2**30, d=3, indices=np.empty(0, np.int32))
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_working_memory(petersen):
+    # the graph keeps 8 bytes per arc (indices, rev); the build may hold a few
+    # more N-size arrays at once, but no (N, d) array or second int64 copy
+    g = builders.build_random_lift(LiftSpec(base=petersen, n=2000, seed=0))
+    arcs = g.n * g.d
+    pairs = np.array(g.edges(), dtype=np.int64)
+    rows = np.ascontiguousarray(g.indices.reshape(g.n, g.d)[:, ::-1])
+    assert _traced_peak(lambda: graph_core.from_edges(g.n, g.d, pairs)) <= 36 * arcs
+    assert _traced_peak(lambda: graph_core.RegularGraph(n=g.n, d=g.d, indices=rows)) <= 24 * arcs
+
+
 def test_rejects_disconnected():
     # two disjoint copies of K4
     edges = [(u, v) for u in range(4) for v in range(u + 1, 4)]
@@ -269,6 +297,13 @@ def _inject(rows, fault, u):
     if fault in ("above", "negative"):
         rows[u][0] = len(rows) if fault == "above" else -1
         return rows, IrregularGraph
+    if fault == "wide":  # out of range, but not once cast to int32
+        if u % 2 == 0:  # an int64 2**32 + v, which the cast wraps back to v
+            rows[u][0] = 2**32 + v
+            return rows, IrregularGraph
+        # the largest uint64, every entry a uint64 so the rows stay unsigned
+        rows[u][0] = 2**64 - 1
+        return [[np.uint64(w) for w in r] for r in rows], IrregularGraph
     # asymmetric: u lists w in place of v, so neither v -> u nor u -> w has
     # a reverse; the first such arc has tail min(u, v)
     rows[u][0] = next(w for w in range(len(rows)) if w != u and w not in rows[u])
@@ -277,11 +312,12 @@ def _inject(rows, fault, u):
 
 # an (n, d) array has no row of another length
 _FAULTS = [(fault, form)
-           for fault in ["degree", "self_loop", "parallel", "above", "negative", "asymmetric"]
+           for fault in ["degree", "self_loop", "parallel", "above", "negative", "wide",
+                         "asymmetric"]
            for form in ["list", "dict", "array"] if (fault, form) != ("degree", "array")]
 
 
-@pytest.mark.parametrize("fault", ["self_loop", "parallel", "above", "negative",
+@pytest.mark.parametrize("fault", ["self_loop", "parallel", "above", "negative", "wide",
                                    "asymmetric", "disconnected"])
 def test_constructor_raises_as_loop_oracle(petersen, fault):
     # a RegularGraph made from unsorted rows with one fault raises the
