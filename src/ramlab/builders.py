@@ -149,8 +149,10 @@ def build_lps(params: LpsParams) -> RegularGraph:
     Left multiplication by u = [[1, 1], [0, 1]] commutes with the right
     products, so it is a fixed-point-free automorphism of order q (u lies
     in PSL, so it also keeps the bipartition); it goes to the constructor
-    as the graph's translation."""
+    as the graph's translation. SizeCap, before any element is listed, where
+    the group's q(q^2-1)/2 or q(q^2-1) vertices have more than 2^31 - 1 arcs."""
     q, d = params.q, params.degree
+    graph_core._check_size(q * (q * q - 1) // (2 if params.psl_case else 1), d)
     elems = _group_elements(q, params.psl_case)
     place = q ** np.arange(3, -1, -1)  # sorted rows have sorted keys
     keys = elems @ place
@@ -193,7 +195,8 @@ def build_random_regular(n: int, d: int, seed: int) -> RegularGraph:
     stream, so different seeds give independent samples. A uniform pairing
     is simple with probability about e^{-(d^2-1)/4}, so at most
     ceil(20 e^{(d^2-1)/4}) pairings are drawn; where e^{(d^2-1)/4} exceeds
-    MAX_EXPECTED_ATTEMPTS (d >= 7), SamplingExhausted is raised at once."""
+    MAX_EXPECTED_ATTEMPTS (d >= 7), SamplingExhausted is raised at once,
+    and SizeCap where the n*d arcs exceed 2^31 - 1, before any draw."""
     if d < 3:
         raise DegreeTooSmall(f"this package requires d >= 3, got d={d}")
     if (n * d) % 2:
@@ -207,6 +210,7 @@ def build_random_regular(n: int, d: int, seed: int) -> RegularGraph:
         raise SamplingExhausted(
             f"d={d} needs about e^{log_expected:g} pairings per simple graph, "
             f"more than {MAX_EXPECTED_ATTEMPTS:g}; random_regular takes d <= 6")
+    graph_core._check_size(n, d)
     budget = math.ceil(20 * math.exp(log_expected))
     provenance = {"family": "random_regular", "n": n, "d": d, "seed": seed}
     rng = np.random.default_rng(seed)
@@ -250,8 +254,10 @@ class LiftSpec:
 def build_random_lift(spec: LiftSpec) -> RegularGraph:
     """Uniform random lift: vertex (u, i) maps to u*n + i; each base edge
     {u, v} (u < v) is replaced by the matching i ~ sigma(i) between the
-    fibers. A disconnected sample is redrawn from the same seeded stream."""
+    fibers. A disconnected sample is redrawn from the same seeded stream.
+    SizeCap, before any draw, where the lift's arcs exceed 2^31 - 1."""
     base, n = spec.base, spec.n
+    graph_core._check_size(base.n * n, base.d)
     tails = np.repeat(np.arange(base.n, dtype=np.int64), base.d)
     provenance = {
         "family": "random_lift",

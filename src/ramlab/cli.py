@@ -166,7 +166,7 @@ def cmd_metrics(args) -> int:
         **metrics,
         "n": graph.n,
         "d": graph.d,
-        "volume_lower_bound": graph_core.diameter_volume_lower_bound(graph.n, graph.d),
+        "volume_lower_bound": theory.diameter_volume_lower_bound(graph.n, graph.d),
         "profile": {**dataclasses.asdict(profile),
                     "exceedance_fraction": profile.exceedance_fraction},
     }
@@ -284,8 +284,8 @@ def cmd_theory(args) -> int:
 def cmd_tree(args) -> int:
     if not 1 <= args.horizon <= TABLE_HORIZON_CAP:
         raise UsageError(f"--horizon must be in [1, {TABLE_HORIZON_CAP}], got {args.horizon}")
-    # tree_rows checks d at once; its rows are computed as the CSV is written
-    rows = walk_engine.tree_rows(args.d, args.horizon)
+    # theory.tree_rows checks d at once; rows are computed as the CSV is written
+    rows = theory.tree_rows(args.d, args.horizon)
     sha = write_manifest(args.out_dir, "tree", _config_of(args))
     out = os.path.join(args.out_dir, "tree_radial.csv")
     emit_csv(out, ["t", "k", "probability"],

@@ -370,8 +370,3 @@ def _eccentricities_and_girth(indices, d):
         missed = _source_bits(np.bitwise_or.reduce(unseen, axis=0), width)
         ecc[start:start + width] = np.where(missed, -1, last)
     return ecc, best
-
-
-def diameter_volume_lower_bound(n: int, d: int) -> float:
-    """Ball-volume diameter lower bound log_{d-1}((n-1)(d-2)/d + 1) - 1."""
-    return math.log((n - 1) * (d - 2) / d + 1) / math.log(d - 1) - 1

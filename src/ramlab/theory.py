@@ -1,9 +1,10 @@
-"""Closed-form mixing predictions and bounds for d-regular graphs.
+"""The infinite d-regular tree and closed-form mixing predictions and bounds.
 
-Houses the cutoff location t_star = (d/(d-2)) log_{d-1} n with its Gaussian
+Houses the radial walk on the tree (``tree_rows``, with sphere sizes and L^p
+norms), the cutoff location t_star = (d/(d-2)) log_{d-1} n with its Gaussian
 profile, the L^p cutoff locations via the relative-entropy optimization, the
-tree-based L^p lower bounds, diameter bounds, and the bipartite/weakly
-adjusted times.
+tree-based L^p lower bounds, diameter bounds (ball-volume and spectral), and
+the bipartite/weakly adjusted times. The walk module imports this one.
 
 Logarithm conventions: spectral formulas use natural logs; the log n inside
 the additive 3 log_{d-1} log n window terms is base 10, which pins the
@@ -14,7 +15,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import walk_engine
+import numpy as np
+
 from .errors import AlphaDegenerate, UsageError
 
 _CEIL_SLACK = 1e-9
@@ -138,8 +140,8 @@ def lp_lower_bound(n: int, d: int, p: float, t: int) -> float:
     with the tree norm taken from the exact radial DP."""
     if t < 1:
         raise UsageError(f"t must be >= 1, got {t}")
-    _, row = next(itertools.islice(walk_engine.tree_rows(d, t), t, None))
-    norm = walk_engine.tree_lp_norm(d, row, p)
+    _, row = next(itertools.islice(tree_rows(d, t), t, None))
+    norm = tree_lp_norm(d, row, p)
     return n ** _frac(p, "pm1_over_p") * norm - 1.0
 
 
@@ -164,6 +166,11 @@ def nbrw_tmix_lower(n: int, d: int, eps: float) -> int:
     if not 0 < eps <= 1:
         raise UsageError(f"eps must be in (0,1], got {eps}")
     return _iceil(_log_base(d * n, d - 1)) - _iceil(-math.log(eps) / math.log(d - 1))
+
+
+def diameter_volume_lower_bound(n: int, d: int) -> float:
+    """Ball-volume diameter lower bound log_{d-1}((n-1)(d-2)/d + 1) - 1."""
+    return math.log((n - 1) * (d - 2) / d + 1) / math.log(d - 1) - 1
 
 
 def diameter_bounds(n: int, d: int, lam: float) -> dict:
@@ -241,3 +248,60 @@ def predictions_json(n: int, d: int, p: float | None = None,
         out["weakly_time"] = weakly_adjusted_time(n, d, delta)
         out["delta"] = delta
     return out
+
+
+# --------------------------------------------------------------------------
+# Infinite-tree radial walk (reflected biased walk on the nonnegative
+# integers: from 0 up with probability 1, from k >= 1 up with probability
+# (d-1)/d and down with probability 1/d)
+# --------------------------------------------------------------------------
+
+
+def sphere_sizes(d: int, k_max: int) -> np.ndarray:
+    """Tree sphere sizes: 1, d, d(d-1), ..., d(d-1)^(k-1)."""
+    return np.concatenate([[1.0], d * np.power(float(d - 1), np.arange(k_max))])
+
+
+def tree_lp_norm(d: int, radial_row: np.ndarray, p: float) -> float:
+    """L^p norm of the tree vertex law whose radial distribution is given:
+    the law is uniform on each sphere, so the p-th power sums
+    sphere^(1-p) * P(k)^p over distances k."""
+    if not p >= 1:
+        raise UsageError(f"p must be in [1, inf], got {p}")
+    sizes = sphere_sizes(d, radial_row.shape[0] - 1)
+    if math.isinf(p):
+        return float((radial_row / sizes).max())
+    mask = radial_row > 0
+    terms = sizes[mask] ** (1.0 - p) * radial_row[mask] ** p
+    return float(terms.sum() ** (1.0 / p))
+
+
+def tree_rows(d: int, t_max: int, log: bool = False):
+    """Iterator over (t, row) for t = 0..t_max: row[k] = P(|X_t| = k), k <= t,
+    or its log if log=True (the deep tail sits too many e-folds below the
+    mode for the linear row to hold it). Every row is a fresh array.
+
+    Step t computes the whole row from the one at t-1, read as zero past its
+    end; a wrong-parity entry is zero + zero and the top one x + zero, sums
+    that are exact in linear and log space (logaddexp(x, -inf) == x).
+    """
+    if d < 3:
+        raise UsageError(f"tree walk requires d >= 3, got d={d}")
+    if t_max < 0:
+        raise UsageError(f"t_max must be >= 0, got {t_max}")
+    if log:
+        one, up, down, zero = 0.0, math.log((d - 1.0) / d), math.log(1.0 / d), -math.inf
+        add, scale = np.logaddexp, np.add
+    else:
+        one, up, down, zero = 1.0, (d - 1.0) / d, 1.0 / d, 0.0
+        add, scale = np.add, np.multiply
+
+    def step(row, t):
+        old = np.concatenate([row, (zero, zero)])
+        new = np.empty(t + 1)  # new[k] = up * old[k-1] + down * old[k+1] for k = 2..t
+        add(scale(up, old[1:t]), scale(down, old[3:]), out=new[2:])
+        new[0] = scale(down, old[1])
+        new[1] = add(old[0], scale(down, old[2]))
+        return new
+
+    return enumerate(itertools.accumulate(range(1, t_max + 1), step, initial=np.array([one])))

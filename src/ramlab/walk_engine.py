@@ -4,9 +4,8 @@ Distributions are dense arrays over vertices (SRW) or directed edges (NBRW).
 The generator ``evolve`` advances a batch of them, one column per start. The
 mixing curve and the all-starts cutoff profile are thin callers of one
 max-over-starts pass over it; the NBRW projection reads one law from it.
-The infinite d-regular tree enters through ``tree_rows``, the radial dynamic
-program for the reflected biased walk, which supplies exact return
-probabilities and L^p norms.
+The cutoff profile's predictions come from ``theory``, the home of the
+closed forms and of the infinite tree; nothing there imports this module.
 """
 
 import itertools
@@ -16,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import theory
 from .errors import (ParityOnNonBipartite, SizeCap, SpaceMismatch, SupportViolation,
                      UsageError)
 from .graph_core import RegularGraph, adjacency_sparse, validate_and_index
@@ -341,8 +341,6 @@ def empirical_cutoff_profile(graph: RegularGraph, starts, s_grid) -> list:
     graph must already be certified (weakly) Ramanujan by the caller.
     UsageError for no starts, an empty grid, or an s whose t is not finite;
     SizeCap as in _max_over_starts."""
-    from . import theory
-
     pred = theory.cutoff_prediction(graph.n, graph.d)
     s_grid = [float(s) for s in s_grid]
     if not s_grid:
@@ -367,7 +365,10 @@ def default_start_sample(graph: RegularGraph, seed: int = 0,
                          sample_size: int | None = None) -> np.ndarray:
     """Start vertices for max-over-starts measurements: a seeded sample of
     sample_size vertices, sorted; without one, every vertex up to n=2000
-    and 16 above. UsageError unless the sample size lies in [1, n]."""
+    and 16 above. UsageError for a negative seed, whatever n is, and unless
+    the sample size lies in [1, n]."""
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
     if sample_size is None:
         if graph.n <= 2000:
             return np.arange(graph.n)
@@ -400,73 +401,3 @@ def nbrw_projected(graph: RegularGraph, x: int, k: int) -> np.ndarray:
     _, edge = next(itertools.islice(laws, k - 1, None))
     return np.bincount(graph.indices, weights=edge[:, 0], minlength=graph.n)
 
-
-# --------------------------------------------------------------------------
-# Infinite-tree radial walk (reflected biased walk on the nonnegative
-# integers: from 0 up with probability 1, from k >= 1 up with probability
-# (d-1)/d and down with probability 1/d)
-# --------------------------------------------------------------------------
-
-
-def sphere_sizes(d: int, k_max: int) -> np.ndarray:
-    """Tree sphere sizes: 1, d, d(d-1), ..., d(d-1)^(k-1)."""
-    sizes = np.empty(k_max + 1)
-    sizes[0] = 1.0
-    if k_max >= 1:
-        sizes[1:] = d * np.power(float(d - 1), np.arange(k_max))
-    return sizes
-
-
-def tree_lp_norm(d: int, radial_row: np.ndarray, p: float) -> float:
-    """L^p norm of the tree vertex law whose radial distribution is given:
-    the law is uniform on each sphere, so the p-th power sums
-    sphere^(1-p) * P(k)^p over distances k."""
-    if not p >= 1:
-        raise UsageError(f"p must be in [1, inf], got {p}")
-    sizes = sphere_sizes(d, radial_row.shape[0] - 1)
-    if math.isinf(p):
-        return float((radial_row / sizes).max())
-    mask = radial_row > 0
-    terms = sizes[mask] ** (1.0 - p) * radial_row[mask] ** p
-    return float(terms.sum() ** (1.0 / p))
-
-
-def tree_rows(d: int, t_max: int, log: bool = False):
-    """Iterator over (t, row) for t = 0..t_max: row[k] = P(|X_t| = k), k <= t,
-    or its log if log=True (the deep tail sits too many e-folds below the
-    mode for the linear row to hold it). Every row is a fresh array.
-
-    Only k = t (mod 2) can be reached, so the DP keeps those entries alone,
-    packed as c[j] = row[t % 2 + 2j] plus one padding zero, and step t
-    touches about t/2 of them.
-    """
-    if d < 3:
-        raise UsageError(f"tree walk requires d >= 3, got d={d}")
-    if t_max < 0:
-        raise UsageError(f"t_max must be >= 0, got {t_max}")
-    if log:
-        one, up, down, zero = 0.0, math.log((d - 1.0) / d), math.log(1.0 / d), -math.inf
-        add, scale = np.logaddexp, np.add
-    else:
-        one, up, down, zero = 1.0, (d - 1.0) / d, 1.0 / d, 0.0
-        add, scale = np.add, np.multiply
-
-    def step(c, t):
-        # c[i] = old[o + 2i] packs the row at t-1, o = (t-1) % 2; new entry
-        # j sits at k = 1 - o + 2j and reads old[k-1] = c[j-o] and
-        # old[k+1] = c[j+1-o]: row[k] = up * old[k-1] + down * old[k+1] for
-        # k >= 2, row[0] = down * old[1], row[1] = old[0] + down * old[2]
-        m, o = t // 2 + 1, 1 - t % 2
-        new = np.empty(m + 1)
-        add(scale(up, c[1 - o : m - o]), scale(down, c[2 - o : m + 1 - o]), out=new[1:m])
-        new[0] = scale(down, c[0]) if o else add(c[0], scale(down, c[1]))
-        new[m] = zero
-        return new
-
-    def spread(t, c):
-        row = np.full(t + 1, zero)
-        row[t % 2 :: 2] = c[:-1]
-        return t, row
-
-    packed = itertools.accumulate(range(1, t_max + 1), step, initial=np.array([one, zero]))
-    return itertools.starmap(spread, enumerate(packed))

@@ -521,7 +521,7 @@ def srw_mixture_residual(graph, x: int, t: int) -> float:
     out_edges = np.zeros(n * d)
     out_edges[x * d : (x + 1) * d] = 1.0 / d
     edges = walk_engine.evolve(graph, "nbrw", out_edges)
-    _, radial = next(itertools.islice(walk_engine.tree_rows(d, t), t, None))
+    _, radial = next(itertools.islice(theory.tree_rows(d, t), t, None))
     mixture = np.zeros(n)
     mixture[x] = radial[0]
     # zip asks range first, so no NBRW step is taken past k = t

@@ -210,7 +210,7 @@ def test_criterion_6_distance_profile(lps29_certified):
     metrics = graph_core.graph_metrics(g)
     cfm = theory.diameter_bounds(g.n, g.d, 2 * math.sqrt(5))["cfm"]
     assert cfm == 13
-    vol = graph_core.diameter_volume_lower_bound(g.n, g.d)
+    vol = theory.diameter_volume_lower_bound(g.n, g.d)
     assert vol <= metrics["diameter"] <= cfm
     _report("6", True,
             f"worst exceedance fraction {worst:.4f} <= 0.05; diameter "
@@ -269,14 +269,14 @@ def test_criterion_8_lp_theory(suite):
 
 def test_criterion_9a_tree_exact_values():
     for d in (3, 4, 6):
-        rows = dict(walk_engine.tree_rows(d, 4))
+        rows = dict(theory.tree_rows(d, 4))
         assert rows[2][0] == 1 / d
         assert math.isclose(rows[4][0], (2 * d - 1) / d**3, rel_tol=1e-15)
     _report("9a", True, "Q^2 = 1/d and Q^4 = (2d-1)/d^3 exact for d in {3,4,6}")
 
 
 def _return_ratio(d: int, t: int) -> float:
-    _, row = next(itertools.islice(walk_engine.tree_rows(d, 2 * t, log=True), 2 * t, None))
+    _, row = next(itertools.islice(theory.tree_rows(d, 2 * t, log=True), 2 * t, None))
     rho = 2 * math.sqrt(d - 1) / d
     return math.exp(row[0] - 2 * t * math.log(rho) + 1.5 * math.log(t))
 
@@ -318,7 +318,7 @@ def test_criterion_9b_return_ratio_derived_constant():
 def test_criterion_9c_radial_clt():
     worst = 0.0
     for d in (3, 4, 6):
-        _, row = next(itertools.islice(walk_engine.tree_rows(d, 10_000), 10_000, None))
+        _, row = next(itertools.islice(theory.tree_rows(d, 10_000), 10_000, None))
         k = np.arange(row.size, dtype=float)
         mean = float((k * row).sum())
         var = float((k * k * row).sum()) - mean**2

@@ -40,14 +40,13 @@ _CASES = [
     ("default_start_sample", lambda g: walk_engine.default_start_sample(g["petersen"],
                                                                          sample_size=0),
      r"sample size 0 outside \[1, n=10\]"),
+    ("default_start_sample_seed",
+     lambda g: walk_engine.default_start_sample(g["petersen"], seed=-1, sample_size=3),
+     r"seed must be >= 0, got -1"),
     ("nbrw_projected_k", lambda g: walk_engine.nbrw_projected(g["petersen"], 0, -1),
      r"k must be >= 0, got -1"),
     ("nbrw_projected_x", lambda g: walk_engine.nbrw_projected(g["petersen"], 10, 2),
      r"start vertex 10 outside \[0, 10\)"),
-    ("tree_rows_d", lambda g: walk_engine.tree_rows(2, 5), r"requires d >= 3, got d=2"),
-    ("tree_rows_t_max", lambda g: walk_engine.tree_rows(3, -1), r"t_max must be >= 0, got -1"),
-    ("tree_lp_norm_p", lambda g: walk_engine.tree_lp_norm(3, walk_engine.sphere_sizes(3, 2), 0.5),
-     r"p must be in \[1, inf\], got 0.5"),
     ("profile_no_starts",
      lambda g: walk_engine.empirical_cutoff_profile(g["petersen"], [], [0.0]),
      r"at least one start"),
@@ -109,6 +108,10 @@ _CASES = [
     ("weakly_adjusted_time_delta", lambda g: theory.weakly_adjusted_time(100, 3, math.inf),
      r"delta must be finite and >= 0, got inf"),
     ("l1_l2_gap_d", lambda g: theory.l1_l2_gap(2), r"need d > 2, got d=2"),
+    ("tree_rows_d", lambda g: theory.tree_rows(2, 5), r"requires d >= 3, got d=2"),
+    ("tree_rows_t_max", lambda g: theory.tree_rows(3, -1), r"t_max must be >= 0, got -1"),
+    ("tree_lp_norm_p", lambda g: theory.tree_lp_norm(3, theory.sphere_sizes(3, 2), 0.5),
+     r"p must be in \[1, inf\], got 0.5"),
 ]
 
 

@@ -18,7 +18,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramlab import builders, cli, spectral_lab, walk_engine
+from ramlab import builders, cli, spectral_lab, theory, walk_engine
 from ramlab.errors import SupportViolation, UsageError
 
 
@@ -404,6 +404,7 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["profile", "--family", "random_regular", "--n", "2002", "--starts", "-1"],
     ["profile", "--name", "petersen", "--starts", "0"],
     ["profile", "--name", "petersen", "--starts", "11"],
+    ["profile", "--name", "petersen", "--starts", "3", "--seed", "-1"],
     ["profile", "--name", "petersen", "--s-grid", "a,b"],
     ["profile", "--name", "petersen", "--s-grid", "0,inf"],
     ["profile", "--name", "petersen", "--s-grid", "1e308"],
@@ -452,6 +453,18 @@ def test_degree_below_three_exit_code(tmp_path, capsys, argv, source):
 ], ids=["random_regular", "random_lift"])
 def test_negative_seed_exit_code(tmp_path, capsys, argv):
     _assert_rejected(tmp_path, capsys, argv, 4, "BadParams")
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "random_regular", "--n", str(10**30), "--d", "4"],
+    ["build", "--family", "random_lift", "--base", "petersen", "--cover", str(10**24)],
+    ["build", "--family", "lps", "--p", "5", "--q", "1009"],
+], ids=["random_regular", "random_lift", "lps"])
+def test_builder_beyond_arc_cap_exit_code(tmp_path, capsys, argv):
+    # refused before the first draw or group element, in well under a second
+    start = time.perf_counter()
+    _assert_rejected(tmp_path, capsys, argv, 4, "SizeCap")
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("argv", [
@@ -688,7 +701,7 @@ def test_tree_csv_matches_oracle_rendering(tmp_path, d, horizon):
     assert run(["tree", "--d", str(d), "--horizon", str(horizon),
                 "--out-dir", str(tmp_path)]) == 0
     text = read(os.path.join(str(tmp_path), "tree_radial.csv")).decode()
-    records = [(t, k, p) for t, row in walk_engine.tree_rows(d, horizon)
+    records = [(t, k, p) for t, row in theory.tree_rows(d, horizon)
                for k, p in enumerate(row.tolist()) if p > 0]
     assert text == oracles.csv_text(["t", "k", "probability"], records, _comments(text))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ramlab import builders, graph_core
+from ramlab import builders, graph_core, theory
 from ramlab.builders import LiftSpec
 from ramlab.errors import (
     Asymmetric,
@@ -123,7 +123,7 @@ def test_histogram_growth_bound(test_graphs):
 
 def test_diameter_volume_lower_bound(test_graphs):
     for g in test_graphs.values():
-        lb = graph_core.diameter_volume_lower_bound(g.n, g.d)
+        lb = theory.diameter_volume_lower_bound(g.n, g.d)
         assert graph_core.graph_metrics(g)["diameter"] >= lb
 
 

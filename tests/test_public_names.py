@@ -1,8 +1,9 @@
 """Every public function, class, method and property in src/ramlab has a
 caller in the library or the benchmark: code that only tests call belongs
-in tests/oracles.py."""
+in tests/oracles.py. The modules import one another without a cycle."""
 
 import ast
+import graphlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,3 +57,40 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_names_still_lack_a_caller():
     # an entry whose name gained a caller, or was deleted, leaves the list
     assert sorted(ALLOWLIST) == sorted(set(_unreferenced()) & set(ALLOWLIST))
+
+
+def _ramlab_imports(node, modules) -> list:
+    """The src/ramlab modules that an import statement loads, "__init__" for
+    a name the package itself defines; [] for any other node or package."""
+    if isinstance(node, ast.ImportFrom) and node.level:
+        if node.module:
+            return [node.module.split(".")[0]]
+        return [alias.name if alias.name in modules else "__init__" for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        names = [node.module]
+    elif isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        return []
+    return [(name.split(".") + ["__init__"])[1] for name in names
+            if name.split(".")[0] == "ramlab"]
+
+
+def test_package_imports_form_no_cycle():
+    # the modules depend on one another in one direction only, and each
+    # imports the others at its top: a function body may import scipy, but
+    # never a ramlab module, so no cycle hides behind a deferred import
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "ramlab").glob("*.py"))}
+    graph = {name: {target for node in ast.walk(tree) for target in _ramlab_imports(node, trees)}
+             for name, tree in trees.items()}
+    deferred = sorted({f"{name}.{func.name}" for name, tree in trees.items()
+                       for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                       for node in ast.walk(func) if _ramlab_imports(node, trees)})
+    assert not deferred, f"functions that import a ramlab module: {deferred}"
+    try:
+        cycle = None
+        list(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        cycle = exc.args[1]
+    assert cycle is None, f"import cycle: {' -> '.join(cycle)}"

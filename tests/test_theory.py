@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramlab import graph_core, theory, walk_engine
+from ramlab import graph_core, theory
 from ramlab.errors import AlphaDegenerate, UsageError
 
 
@@ -116,8 +116,8 @@ def test_lp_lower_bound_p1_trivial():
 
 def test_lp_lower_bound_infty_formula():
     d, n, t = 3, 100, 6
-    row = dict(walk_engine.tree_rows(d, t))[t]
-    sizes = walk_engine.sphere_sizes(d, t)
+    row = dict(theory.tree_rows(d, t))[t]
+    sizes = theory.sphere_sizes(d, t)
     want = n * float((row / sizes).max()) - 1
     assert theory.lp_lower_bound(n, d, math.inf, t) == pytest.approx(want)
 

@@ -11,16 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ramlab import builders, graph_core, walk_engine
+from ramlab import builders, graph_core, theory, walk_engine
 from ramlab.errors import ParityOnNonBipartite, SpaceMismatch, SupportViolation, UsageError
+from ramlab.theory import tree_lp_norm, tree_rows
 from ramlab.walk_engine import (
     MixingCurve,
     evolve,
     mixing_curve,
     nbrw_projected,
     stationary,
-    tree_lp_norm,
-    tree_rows,
 )
 
 
@@ -582,7 +581,7 @@ def test_tree_recursion_property():
 @pytest.mark.parametrize("d", [3, 4, 6, 7])
 def test_tree_rows_match_full_length_oracle_bitwise(d, log):
     # the oracle recomputes all 301 entries every step; tree_rows only the
-    # k <= t of the right parity, which must not change a bit
+    # k <= t, which must not change a bit
     t_max = 300
     step = oracles.tree_log_step if log else oracles.tree_step
     full = np.full(t_max + 1, -np.inf if log else 0.0)
@@ -607,7 +606,7 @@ def test_tree_lp_norms():
     row = _tree_row(3, 9)
     assert math.isclose(tree_lp_norm(3, row, 1), 1.0, rel_tol=1e-12)
     # p=2 norm against direct summation over tree vertices
-    sizes = walk_engine.sphere_sizes(3, 9)
+    sizes = theory.sphere_sizes(3, 9)
     direct = math.sqrt(float(((row / sizes) ** 2 * sizes).sum()))
     assert math.isclose(tree_lp_norm(3, row, 2), direct, rel_tol=1e-12)
     assert math.isclose(tree_lp_norm(3, row, math.inf), float((row / sizes).max()),
