@@ -10,10 +10,13 @@ bipartite), then runs of -1 and +1 of lengths fixed by n and N. It is built
 here from the adjacency eigenvectors via the edge lift (T_theta f)(x,y) =
 theta f(y) - f(x) and the star-space construction for the +-1 eigenvectors.
 
-scipy is imported by the functions that call it (Lanczos, the sparse B, the
-pivoted QR, the Hermitian Gram product and the sparse LU), so that the
-exact spectrum and every other path that needs none of them leave it
-unloaded.
+scipy is imported by the functions that call it (Lanczos, the sparse B,
+LAPACK's pivoted QR, the packed Hermitian Gram product and the sparse LU),
+so that the exact spectrum and every other path that needs none of them
+leave it unloaded. Besides U (16N^2 bytes) a dense decomposition holds no
+N x N array: the star-space QR works on N/2-row arrays and writes its
+basis straight into U's columns, and verification packs the Gram
+triangle U*U into N(N+1)/2 entries, half of U.
 """
 
 import cmath
@@ -266,29 +269,53 @@ class BlockDecomposition:
     plus_one_multiplicity: int
 
 
-def _star_complement(graph: RegularGraph, sign: int) -> np.ndarray:
-    """Orthonormal basis of the -sign eigenspace of B: edge functions with
+def _lapack(routine, *args, **kwargs):
+    """Call a scipy.linalg.lapack routine with the workspace its lwork=-1
+    query asks for, as scipy.linalg.qr does, so that the blocking, and with
+    it every bit of the result, matches scipy's. Returns the routine's
+    outputs without its work array and info."""
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    if info < 0:
+        raise ValueError(f"illegal argument {-info} to {routine.__name__}")
+    return out
+
+
+def _star_complement(graph: RegularGraph, sign: int, out: np.ndarray) -> None:
+    """Write an orthonormal basis of the -sign eigenspace of B into the
+    columns of `out`, an N-row view of U: edge functions with
     f(rev e) = sign f(e) orthogonal to the star vectors 1_{tail x} + sign
     1_{head x}. In the half-edge basis (delta_rep + sign delta_rev)/sqrt(2)
     the stars are the columns of `coords`; the columns of a pivoted QR's Q
     past the numerical rank (scipy.linalg.null_space's threshold) span their
-    complement."""
-    import scipy.linalg
+    complement. The QR makes scipy.linalg.qr(coords, pivoting=True)'s own
+    LAPACK calls in place, so Q is bit for bit scipy's, without R or
+    scipy's copies. VerificationFailed unless the eigenspace has exactly
+    out.shape[1] dimensions."""
+    import scipy.linalg.lapack
 
     rev = graph.rev
     reps = np.flatnonzero(np.arange(rev.size) < rev)
     rows = np.arange(reps.size)
-    coords = np.zeros((reps.size, graph.n))
+    coords = np.zeros((reps.size, graph.n), order="F")
     coords[rows, reps // graph.d] += math.sqrt(2)
     coords[rows, graph.indices[reps].astype(np.int64)] += sign * math.sqrt(2)
-    q, r, _ = scipy.linalg.qr(coords, pivoting=True)
-    r_diag = np.abs(np.diag(r))
-    rank = int((r_diag > max(coords.shape) * np.finfo(float).eps * r_diag[0]).sum())
-    z = q[:, rank:] / math.sqrt(2)
-    cols = np.zeros((rev.size, z.shape[1]))
-    cols[reps] = z
-    cols[rev[reps]] = sign * z
-    return cols
+    qr, _, tau = _lapack(scipy.linalg.lapack.dgeqp3, coords, overwrite_a=1)
+    r_diag = np.abs(np.diag(qr))
+    rank = int((r_diag > max(qr.shape) * np.finfo(float).eps * r_diag[0]).sum())
+    if reps.size - rank != out.shape[1]:
+        raise VerificationFailed(
+            "star_space", f"{-sign:+d} eigenspace dim {reps.size - rank} != {out.shape[1]}")
+    q = np.empty((reps.size, reps.size), order="F")
+    q[:, : graph.n] = qr
+    del qr, coords
+    (q,) = _lapack(scipy.linalg.lapack.dorgqr, q, tau, overwrite_a=1)
+    z = q[:, rank:]
+    z /= math.sqrt(2)
+    out[reps] = z
+    if sign < 0:
+        np.negative(z, out=z)
+    out[rev[reps]] = z
 
 
 def build_decomposition(graph: RegularGraph) -> BlockDecomposition:
@@ -362,24 +389,14 @@ def build_decomposition(graph: RegularGraph) -> BlockDecomposition:
         diag[col : col + 2] = th, thp
         col += 2
 
-    plus_cols = _star_complement(graph, sign=-1)
-    minus_cols = _star_complement(graph, sign=+1)
-
     m_plus_expected = N // 2 - n + 1
     m_minus_expected = N // 2 - n + 1 if graph.bipartite else N // 2 - n
-    if plus_cols.shape[1] != m_plus_expected:
-        raise VerificationFailed(
-            "star_space", f"+1 eigenspace dim {plus_cols.shape[1]} != {m_plus_expected}")
-    if minus_cols.shape[1] != m_minus_expected:
-        raise VerificationFailed(
-            "star_space", f"-1 eigenspace dim {minus_cols.shape[1]} != {m_minus_expected}")
-
-    U[:, col : col + m_minus_expected] = minus_cols
-    diag[col : col + m_minus_expected] = -1.0
-    col += m_minus_expected
-    U[:, col : col + m_plus_expected] = plus_cols
-    diag[col : col + m_plus_expected] = 1.0
-    col += m_plus_expected
+    minus, plus = col, col + m_minus_expected
+    col = plus + m_plus_expected
+    _star_complement(graph, -1, U[:, plus:col])
+    _star_complement(graph, +1, U[:, minus:plus])
+    diag[minus:plus] = -1.0
+    diag[plus:col] = 1.0
     if col != N:
         raise VerificationFailed("dimension", f"assembled {col} columns, expected {N}")
 
@@ -439,6 +456,22 @@ def _row_norms_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
+def _rfp_rows(arf: np.ndarray, r0: int, r1: int, out: np.ndarray) -> None:
+    """Rows r0..r1-1 of the lower triangle of a Hermitian matrix of even
+    order N = 2k held in rectangular full packed form (LAPACK's TRANSR='N',
+    UPLO='L'; `arf` the (N+1) x k F-ordered array), written into `out`'s
+    rows with zeros past the diagonal. Row j is arf[j+1, :j+1] for j < k;
+    for j >= k it is arf[j+1, :k] followed by conj(arf[:j-k+1, j-k]), as
+    the trailing k x k triangle is packed by its upper, conjugate half."""
+    k = arf.shape[1]
+    out[:, :k] = arf[r0 + 1 : r1 + 1]
+    tail = max(r0, k)
+    if tail < r1:
+        np.conjugate(arf[:k, tail - k : r1 - k].T, out=out[tail - r0 :, k:])
+    for i, j in enumerate(range(r0, r1)):
+        out[i, j + 1 :] = 0.0
+
+
 def verify_decomposition(b, dec: BlockDecomposition,
                          tol_recon: float = 1e-8, tol_unitary: float = 1e-10,
                          tol_bass: float = 1e-9, tol_alpha: float = 1e-8,
@@ -457,33 +490,41 @@ def verify_decomposition(b, dec: BlockDecomposition,
     the diagonal of Lambda at the fixed Bass points (Ihara-Bass:
     det(I - uB) = prod (1 - u mu) over the spectrum of B).
 
-    U*U is the only cubic step: one Hermitian product (ZHERK), which stores
-    one triangle at half the flops of a full complex product. Its defects
-    and the rows of R = B U - U Lambda (a sparse product, a column scaling
-    and the alpha terms) are reduced one row block of at most _BLOCK_BYTES
-    at a time, so besides U the check holds one N x N array, the Gram
-    triangle, and no other. Each row is reduced whole, so the report does
-    not depend on the block height."""
-    import scipy.linalg.blas
+    U*U is the only cubic step: one Hermitian product (LAPACK's ZHFRK, at
+    ZHERK's speed and half the flops of a full complex product), which
+    stores one triangle in rectangular full packed form, N(N+1)/2 entries.
+    Its defects and the rows of R = B U - U Lambda (a sparse product, a
+    column scaling and the alpha terms) are reduced one row block of at
+    most _BLOCK_BYTES at a time, each Gram row unpacked whole into a
+    zero-padded buffer, so besides U the check holds half an N x N array,
+    the packed triangle, and no other. Each row is reduced whole, so the
+    report does not depend on the block height."""
+    import scipy.linalg.lapack
     import scipy.sparse
 
     U, N, top, diag = np.ascontiguousarray(dec.U), dec.N, dec.d - 1, dec.diag
-    height = max(1, _BLOCK_BYTES // (16 * N))
-    row_blocks = [slice(r0, r0 + height) for r0 in range(0, N, height)]
+    height = min(N, max(1, _BLOCK_BYTES // (16 * N)))
+    row_blocks = [slice(r0, min(r0 + height, N)) for r0 in range(0, N, height)]
 
-    # U.T is an F-ordered view, on which zherk gives conj(U*U) in its upper
-    # triangle and zeros below: the C-ordered view gram holds the lower
-    # triangle, so row i is zero past column i
-    gram = scipy.linalg.blas.zherk(1.0, U.T).T
-    gram[np.diag_indices(N)] -= 1.0
-    unitary, gram_sq = 0.0, np.empty(N)
+    # on the F-ordered view U.T, zhfrk packs the lower triangle of
+    # conj(U*U) in rectangular full packed form, N(N+1)/2 entries; each row
+    # block of that triangle is unpacked into one zero-padded buffer
+    arf = scipy.linalg.lapack.zhfrk(N, N, 1.0, U.T, 0.0, np.empty(N * (N + 1) // 2, complex),
+                                    transr="N", uplo="L", trans="N", overwrite_c=1)
+    arf = arf.reshape(N + 1, N // 2, order="F")
+    buf = np.zeros((height, N), dtype=complex)
+    unitary, gram_sq, gram_diag = 0.0, np.empty(N), np.empty(N, dtype=complex)
     for rows in row_blocks:
-        unitary = max(unitary, float(np.abs(gram[rows, : rows.stop]).max()))
-        gram_sq[rows] = _row_norms_sq(gram[rows])
-    gram_diag = gram.diagonal()
+        block = buf[: rows.stop - rows.start]
+        _rfp_rows(arf, rows.start, rows.stop, block)
+        on_diag = np.arange(len(block)), np.arange(rows.start, rows.stop)
+        block[on_diag] -= 1.0
+        gram_diag[rows] = block[on_diag]
+        unitary = max(unitary, float(np.abs(block[:, : rows.stop]).max()))
+        gram_sq[rows] = _row_norms_sq(block)
     # ||U*U - I||_F^2 counts each off-diagonal entry of the triangle twice
     gram_err = math.sqrt(2 * float(gram_sq.sum()) - float(np.vdot(gram_diag, gram_diag).real))
-    del gram, gram_diag
+    del arf, buf, block
 
     b_csr = scipy.sparse.csr_array(b)
     first, k = 1 + dec.bipartite, dec.alpha.size

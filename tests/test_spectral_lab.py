@@ -6,13 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from ramlab import builders, graph_core, spectral_lab, walk_engine
-from ramlab.errors import SizeCap
+from ramlab.errors import SizeCap, VerificationFailed
 from ramlab.spectral_lab import (
     adjacency_spectrum,
     alpha_exact,
@@ -444,22 +446,81 @@ def test_verify_fortran_ordered_u(petersen, c6_x_k4, rand3_50):
         assert verify_decomposition(b, dec_f) == verify_decomposition(b, dec)
 
 
-def test_verify_holds_one_dense_temporary():
-    # besides U, verification holds one N x N complex array (the Gram
-    # triangle) and row blocks; a full U*U next to a conjugate copy of U
-    # reads 2.0
+def _traced_peak(call):
+    """The peak of tracemalloc's traced bytes over one call and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_holds_no_second_dense_array():
+    # besides U, verification holds the packed Gram triangle (half an N x N
+    # complex array) and row blocks, so any second full N x N complex array
+    # fails; the full zherk triangle read 1.09, a full U*U next to a
+    # conjugate copy of U 2.0
     g = builders.build_random_regular(400, 3, 0)
     dec, b = build_decomposition(g), build_B(g)
     assert dec.N == 1200
     verify_decomposition(b, dec)  # scipy's first-call allocations stay out
-    tracemalloc.start()
-    try:
-        rep = verify_decomposition(b, dec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, rep = _traced_peak(lambda: verify_decomposition(b, dec))
     assert rep["ok"], rep
+    assert peak < 1.0 * 16 * dec.N**2, peak / (16 * dec.N**2)
+
+
+def test_build_holds_u_and_small_temporaries():
+    # U plus the n x n eigensolve and the star-space QR, written straight
+    # into U's columns; scipy's Q, R and copies and the separate basis
+    # arrays read 1.78
+    g = builders.build_random_regular(400, 3, 0)
+    build_decomposition(g)  # scipy's first-call allocations stay out
+    peak, dec = _traced_peak(lambda: build_decomposition(g))
+    assert dec.N == 1200
     assert peak < 1.5 * 16 * dec.N**2, peak / (16 * dec.N**2)
+
+
+@pytest.mark.parametrize("N", range(2, 41, 2))
+def test_rfp_rows_match_ztfttr(N):
+    # every row of the lower triangle, one row at a time and in one block,
+    # is the row of LAPACK's own unpacking, zero past the diagonal
+    k = N // 2
+    rng = np.random.default_rng(N)
+    packed = rng.standard_normal(N * (N + 1) // 2) + 1j * rng.standard_normal(N * (N + 1) // 2)
+    full, info = scipy.linalg.lapack.ztfttr(N, packed, transr="N", uplo="L")
+    assert info == 0
+    arf = packed.reshape(N + 1, k, order="F")
+    rows = np.full((N, N), np.nan + 0j)
+    spectral_lab._rfp_rows(arf, 0, N, rows)
+    assert np.array_equal(rows, np.tril(full))
+    for j in range(N):
+        row = np.full((1, N), np.nan + 0j)
+        spectral_lab._rfp_rows(arf, j, j + 1, row)
+        assert np.array_equal(row[0], np.tril(full)[j]), j
+
+
+@pytest.mark.parametrize("sign", (+1, -1))
+def test_star_complement_is_scipy_qr(k33, petersen, c6_x_k4, rand3_50, sign):
+    # the in-place LAPACK calls give the columns of scipy.linalg.qr's Q past
+    # the rank, over sqrt 2, bit for bit, on the representative rows and
+    # sign times them on the reversed ones
+    for g in (k33, petersen, c6_x_k4, rand3_50):
+        rev = g.rev
+        reps = np.flatnonzero(np.arange(rev.size) < rev)
+        coords = np.zeros((reps.size, g.n))
+        coords[np.arange(reps.size), reps // g.d] += math.sqrt(2)
+        coords[np.arange(reps.size), g.indices[reps]] += sign * math.sqrt(2)
+        q, r, _ = scipy.linalg.qr(coords, pivoting=True)
+        r_diag = np.abs(np.diag(r))
+        rank = int((r_diag > max(coords.shape) * np.finfo(float).eps * r_diag[0]).sum())
+        z = q[:, rank:] / math.sqrt(2)
+        out = np.full((rev.size, z.shape[1]), np.nan + 0j)
+        spectral_lab._star_complement(g, sign, out)
+        assert np.array_equal(out[reps], z), g.provenance
+        assert np.array_equal(out[rev[reps]], sign * z), g.provenance
+        with pytest.raises(VerificationFailed):
+            spectral_lab._star_complement(g, sign, out[:, 1:])
 
 
 def _add_b_entry(b, dec):
