@@ -271,9 +271,8 @@ class BlockDecomposition:
 
 def _lapack(routine, *args, **kwargs):
     """Call a scipy.linalg.lapack routine with the workspace its lwork=-1
-    query asks for, as scipy.linalg.qr does, so that the blocking, and with
-    it every bit of the result, matches scipy's. Returns the routine's
-    outputs without its work array and info."""
+    query asks for. Returns the routine's outputs without its work array
+    and info."""
     lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
     *out, _, info = routine(*args, lwork=lwork, **kwargs)
     if info < 0:
@@ -286,12 +285,14 @@ def _star_complement(graph: RegularGraph, sign: int, out: np.ndarray) -> None:
     columns of `out`, an N-row view of U: edge functions with
     f(rev e) = sign f(e) orthogonal to the star vectors 1_{tail x} + sign
     1_{head x}. In the half-edge basis (delta_rep + sign delta_rev)/sqrt(2)
-    the stars are the columns of `coords`; the columns of a pivoted QR's Q
-    past the numerical rank (scipy.linalg.null_space's threshold) span their
-    complement. The QR makes scipy.linalg.qr(coords, pivoting=True)'s own
-    LAPACK calls in place, so Q is bit for bit scipy's, without R or
-    scipy's copies. VerificationFailed unless the eigenspace has exactly
-    out.shape[1] dimensions."""
+    the stars are the columns of `coords`; the columns of an unpivoted
+    Householder QR's Q past the numerical rank (scipy.linalg.null_space's
+    threshold on |diag R|) span their complement, and dormqr forms only
+    those columns. No pivoting is needed: the graph is connected, so any
+    n - 1 stars are independent and the one possible dependency involves
+    every star, which puts the one small diagonal entry of R last.
+    VerificationFailed unless the small entries all come last and the
+    eigenspace has exactly out.shape[1] dimensions."""
     import scipy.linalg.lapack
 
     rev = graph.rev
@@ -300,17 +301,19 @@ def _star_complement(graph: RegularGraph, sign: int, out: np.ndarray) -> None:
     coords = np.zeros((reps.size, graph.n), order="F")
     coords[rows, reps // graph.d] += math.sqrt(2)
     coords[rows, graph.indices[reps].astype(np.int64)] += sign * math.sqrt(2)
-    qr, _, tau = _lapack(scipy.linalg.lapack.dgeqp3, coords, overwrite_a=1)
+    qr, tau = _lapack(scipy.linalg.lapack.dgeqrf, coords, overwrite_a=1)
     r_diag = np.abs(np.diag(qr))
-    rank = int((r_diag > max(qr.shape) * np.finfo(float).eps * r_diag[0]).sum())
+    large = r_diag > max(qr.shape) * np.finfo(float).eps * r_diag.max()
+    rank = int(large.sum())
+    if not large[:rank].all():
+        raise VerificationFailed(
+            "star_space", f"{-sign:+d} star columns dependent before the last")
     if reps.size - rank != out.shape[1]:
         raise VerificationFailed(
             "star_space", f"{-sign:+d} eigenspace dim {reps.size - rank} != {out.shape[1]}")
-    q = np.empty((reps.size, reps.size), order="F")
-    q[:, : graph.n] = qr
-    del qr, coords
-    (q,) = _lapack(scipy.linalg.lapack.dorgqr, q, tau, overwrite_a=1)
-    z = q[:, rank:]
+    z = np.zeros((reps.size, out.shape[1]), order="F")
+    np.fill_diagonal(z[rank:], 1.0)
+    (z,) = _lapack(scipy.linalg.lapack.dormqr, "L", "N", qr, tau, z, overwrite_c=1)
     z /= math.sqrt(2)
     out[reps] = z
     if sign < 0:

@@ -79,10 +79,11 @@ def _cpu_count() -> int:
 
 def _check_laws(x: np.ndarray) -> np.ndarray:
     """Return x if x (or each column of a 2-D x) is a probability law."""
-    # written so that NaN fails both checks
-    if not (x >= 0).all():
+    # written so that NaN fails both checks; min and einsum's column sums
+    # make no bool temporary and no strided axis-0 reduction
+    if not x.min() >= 0:
         raise ValueError("probability vector has negative or NaN entries")
-    sums = x.sum(axis=0)
+    sums = np.einsum("i...->...", x)
     if not (abs(sums - 1.0) <= _SUM_TOL).all():
         raise ValueError(f"probability vector sums to {sums!r}, not 1")
     return x

@@ -230,6 +230,17 @@ def test_deterministic_outputs(tmp_path):
     assert read(os.path.join(a, "manifest.json")) != b""
 
 
+def test_decompose_deterministic_outputs(tmp_path):
+    # the star-space QR, the eigensolve and the checks repeat bit for bit
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    args = ["decompose", "--family", "random_regular", "--n", "50", "--d", "3",
+            "--seed", "100"]
+    assert run(args + ["--out-dir", a]) == 0
+    assert run(args + ["--out-dir", b]) == 0
+    for name in ("blocks.csv", "decomposition.json"):
+        assert read(os.path.join(a, name)) == read(os.path.join(b, name)), name
+
+
 def test_outputs_reference_manifest(tmp_path):
     import hashlib
 

@@ -195,6 +195,30 @@ def test_evolve_checks_every_column(petersen):
         next(evolve(petersen, "srw", bad))
 
 
+def _negative_entry(col):
+    col[0] -= 0.5
+    col[1] += 0.5
+
+
+def _nan_entry(col):
+    col[0] = np.nan
+
+
+def _sum_above_one(col):
+    col[0] += 1e-9
+
+
+@pytest.mark.parametrize("kernel", ["srw", "nbrw"])
+@pytest.mark.parametrize("spoil", [_negative_entry, _nan_entry, _sum_above_one])
+def test_evolve_rejects_one_bad_column(petersen, kernel, spoil):
+    # the only bad column of the batch sits between two good ones
+    size = petersen.n if kernel == "srw" else petersen.n * petersen.d
+    laws = np.full((size, 3), 1.0 / size)
+    spoil(laws[:, 1])
+    with pytest.raises(ValueError):
+        next(evolve(petersen, kernel, laws))
+
+
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 10])
 def test_profile_blocks_keep_every_start(rand3_50, monkeypatch, width):
     # the start with the largest TV sits at every position of a block in
