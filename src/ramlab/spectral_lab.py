@@ -10,13 +10,17 @@ bipartite), then runs of -1 and +1 of lengths fixed by n and N. It is built
 here from the adjacency eigenvectors via the edge lift (T_theta f)(x,y) =
 theta f(y) - f(x) and the star-space construction for the +-1 eigenvectors.
 
-scipy is imported by the functions that call it (Lanczos, the sparse B,
-LAPACK's pivoted QR, the packed Hermitian Gram product and the sparse LU),
-so that the exact spectrum and every other path that needs none of them
-leave it unloaded. Besides U (16N^2 bytes) a dense decomposition holds no
-N x N array: the star-space QR works on N/2-row arrays and writes its
-basis straight into U's columns, and verification packs the Gram
-triangle U*U into N(N+1)/2 entries, half of U.
+scipy is imported by the functions that call it: Lanczos, the sparse B,
+the decomposition's eigensolve (LAPACK's dsyevd) and its Gram check (BLAS
+dsyrk), the star spaces' unpivoted QR (dgeqrf with dormqr), the packed
+Hermitian Gram product and the sparse LU. The exact spectrum and every
+other path that needs none of them leave it unloaded, which is why the
+spectrum's solves stay on numpy's eigvalsh. Every dense step of the
+decomposition and its check runs on scipy's BLAS, so that one OpenBLAS
+thread pool serves them all. Besides U (16N^2 bytes) a dense
+decomposition holds no N x N array: the star-space QR works on N/2-row
+arrays and writes its basis straight into U's columns, and verification
+packs the Gram triangle U*U into N(N+1)/2 entries, half of U.
 """
 
 import cmath
@@ -330,8 +334,13 @@ def build_decomposition(graph: RegularGraph) -> BlockDecomposition:
     T_theta' f against w (T_{1+theta} f at the threshold, where the block is
     a Jordan cell), then orthonormal bases of the +-1 eigenspaces obtained by
     projecting the star vectors out of the (anti)symmetric half-edge spaces.
+    The adjacency eigenpairs come from LAPACK's divide-and-conquer dsyevd
+    (scipy.linalg.eigh, in place on A) and are checked orthonormal by one
+    BLAS dsyrk; the star spaces from an unpivoted Householder QR (dgeqrf,
+    with dormqr forming only the columns of Q past the rank).
     SizeCap when N > DENSE_CAP.
     """
+    import scipy.linalg
     n, d = graph.n, graph.d
     N = n * d
     if N > DENSE_CAP:
@@ -339,10 +348,22 @@ def build_decomposition(graph: RegularGraph) -> BlockDecomposition:
     head = graph.indices.astype(np.int64)
     tail = np.repeat(np.arange(n, dtype=np.int64), d)
 
-    eigs, vecs = np.linalg.eigh(adjacency_sparse(graph).toarray())
+    # numpy and scipy each bundle an OpenBLAS with its own thread pool, whose
+    # idle workers spin for a while after each threaded call and so take a
+    # core from the other pool's next call. Every dense step of the build
+    # and of verify_decomposition therefore runs on scipy's: this eigensolve
+    # (the same dsyevd as np.linalg.eigh; the F-ordered A is overwritten by
+    # the eigenvectors, with no copy), the Gram check, the star QR and
+    # zhfrk. A test patches numpy's LAPACK entry points to hold the rule;
+    # it cannot catch @ between dense arrays, so use none here.
+    eigs, vecs = scipy.linalg.eigh(adjacency_sparse(graph).toarray(order="F"),
+                                   driver="evd", overwrite_a=True)
+    gram = scipy.linalg.blas.dsyrk(1.0, vecs, trans=1)  # V^T V above, zeros below
+    gram[np.diag_indices(n)] -= 1.0
+    ortho = np.abs(gram, out=gram).max()
+    del gram
     order = np.argsort(eigs)[::-1]
     eigs, vecs = eigs[order], vecs[:, order]
-    ortho = np.abs(vecs.T @ vecs - np.eye(n)).max()
     if ortho > 1e-10:
         raise EigenbasisNotOrthonormal(f"adjacency eigenbasis residual {ortho:g}")
 
@@ -509,7 +530,8 @@ def verify_decomposition(b, dec: BlockDecomposition,
     height = min(N, max(1, _BLOCK_BYTES // (16 * N)))
     row_blocks = [slice(r0, min(r0 + height, N)) for r0 in range(0, N, height)]
 
-    # on the F-ordered view U.T, zhfrk packs the lower triangle of
+    # scipy's BLAS, not a numpy product: see build_decomposition's eigensolve.
+    # On the F-ordered view U.T, zhfrk packs the lower triangle of
     # conj(U*U) in rectangular full packed form, N(N+1)/2 entries; each row
     # block of that triangle is unpacked into one zero-padded buffer
     arf = scipy.linalg.lapack.zhfrk(N, N, 1.0, U.T, 0.0, np.empty(N * (N + 1) // 2, complex),

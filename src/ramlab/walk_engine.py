@@ -126,7 +126,9 @@ def evolve(graph: RegularGraph, kernel: str, starts):
     if base == "srw":
         size, adj = graph.n, adjacency_sparse(graph)
     else:
-        size, rev = graph.n * d, validate_and_index(graph)
+        # intp once per walk: np.take would convert the int32 rev, an 8N-byte
+        # copy, on every step
+        size, rev = graph.n * d, validate_and_index(graph).astype(np.intp)
     starts = np.asarray(starts)
     if starts.dtype.kind == "f":
         if starts.shape[:1] != (size,):

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import oracles
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
@@ -610,8 +611,11 @@ def test_library_failure_exit_code(tmp_path, capsys, monkeypatch, exc):
         raise exc
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)  # dense and block spectra
-    for graph in (["--name", "petersen"], ["--family", "lps", "--p", "5", "--q", "13"]):
-        assert run(["spectrum", *graph, "--out-dir", str(tmp_path)]) == 4
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)  # decompose's eigenbasis
+    for cmd, *graph in (["spectrum", "--name", "petersen"],
+                        ["spectrum", "--family", "lps", "--p", "5", "--q", "13"],
+                        ["decompose", "--name", "petersen"]):
+        assert run([cmd, *graph, "--out-dir", str(tmp_path)]) == 4
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == type(exc).__name__
         assert list(tmp_path.iterdir()) == []
