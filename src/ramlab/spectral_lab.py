@@ -15,12 +15,11 @@ the decomposition's eigensolve (LAPACK's dsyevd) and its Gram check (BLAS
 dsyrk), the star spaces' unpivoted QR (dgeqrf with dormqr), the packed
 Hermitian Gram product and the sparse LU. The exact spectrum and every
 other path that needs none of them leave it unloaded, which is why the
-spectrum's solves stay on numpy's eigvalsh. Every dense step of the
-decomposition and its check runs on scipy's BLAS, so that one OpenBLAS
-thread pool serves them all. Besides U (16N^2 bytes) a dense
-decomposition holds no N x N array: the star-space QR works on N/2-row
-arrays and writes its basis straight into U's columns, and verification
-packs the Gram triangle U*U into N(N+1)/2 entries, half of U.
+spectrum's solves stay on numpy's eigvalsh. Besides U (16N^2 bytes) a
+dense decomposition holds no N x N array: the eigensolve overwrites the
+n x n A in place, the star-space QR works on N/2-row arrays and writes its
+basis straight into U's columns, and verification packs the Gram triangle
+U*U into N(N+1)/2 entries, half of U.
 """
 
 import cmath
@@ -348,14 +347,8 @@ def build_decomposition(graph: RegularGraph) -> BlockDecomposition:
     head = graph.indices.astype(np.int64)
     tail = np.repeat(np.arange(n, dtype=np.int64), d)
 
-    # numpy and scipy each bundle an OpenBLAS with its own thread pool, whose
-    # idle workers spin for a while after each threaded call and so take a
-    # core from the other pool's next call. Every dense step of the build
-    # and of verify_decomposition therefore runs on scipy's: this eigensolve
-    # (the same dsyevd as np.linalg.eigh; the F-ordered A is overwritten by
-    # the eigenvectors, with no copy), the Gram check, the star QR and
-    # zhfrk. A test patches numpy's LAPACK entry points to hold the rule;
-    # it cannot catch @ between dense arrays, so use none here.
+    # the same dsyevd as np.linalg.eigh, but the F-ordered A is overwritten
+    # by the eigenvectors with no copy, and the check holds one n x n triangle
     eigs, vecs = scipy.linalg.eigh(adjacency_sparse(graph).toarray(order="F"),
                                    driver="evd", overwrite_a=True)
     gram = scipy.linalg.blas.dsyrk(1.0, vecs, trans=1)  # V^T V above, zeros below
@@ -530,8 +523,7 @@ def verify_decomposition(b, dec: BlockDecomposition,
     height = min(N, max(1, _BLOCK_BYTES // (16 * N)))
     row_blocks = [slice(r0, min(r0 + height, N)) for r0 in range(0, N, height)]
 
-    # scipy's BLAS, not a numpy product: see build_decomposition's eigensolve.
-    # On the F-ordered view U.T, zhfrk packs the lower triangle of
+    # on the F-ordered view U.T, zhfrk packs the lower triangle of
     # conj(U*U) in rectangular full packed form, N(N+1)/2 entries; each row
     # block of that triangle is unpacked into one zero-padded buffer
     arf = scipy.linalg.lapack.zhfrk(N, N, 1.0, U.T, 0.0, np.empty(N * (N + 1) // 2, complex),

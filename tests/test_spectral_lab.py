@@ -662,21 +662,6 @@ def test_ihara_bass_determinant(criterion1_graphs):
                 assert abs(diff) <= 1e-9 * max(1.0, abs(lhs)), (name, u, lhs, other)
 
 
-def test_decomposition_stays_off_numpy_lapack(monkeypatch, k33, petersen, rand3_50):
-    # numpy and scipy each bundle an OpenBLAS whose idle workers spin after a
-    # threaded call, so the build and its check keep every dense step on
-    # scipy's pool; a numpy LAPACK call fails here, a dense @ would not
-    def fail(*args, **kwargs):
-        raise AssertionError("numpy LAPACK call in the decomposition")
-
-    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "qr", "solve", "inv",
-                 "lstsq", "cholesky", "det", "slogdet"):
-        monkeypatch.setattr(np.linalg, name, fail)
-    for g in (k33, petersen, rand3_50):
-        rep = verify_decomposition(build_B(g), build_decomposition(g))
-        assert rep["ok"], rep
-
-
 def test_decomposition_size_cap(monkeypatch, petersen):
     monkeypatch.setattr(spectral_lab, "DENSE_CAP", 10)
     with pytest.raises(SizeCap):
