@@ -12,7 +12,6 @@ artifacts afterwards, so a refused run leaves none.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -167,8 +166,7 @@ def cmd_metrics(args) -> int:
         "n": graph.n,
         "d": graph.d,
         "volume_lower_bound": theory.diameter_volume_lower_bound(graph.n, graph.d),
-        "profile": {**dataclasses.asdict(profile),
-                    "exceedance_fraction": profile.exceedance_fraction},
+        "profile": profile,
     }
     sha = write_manifest(args.out_dir, "metrics", _config_of(args))
     emit_json(os.path.join(args.out_dir, "metrics.json"), payload, sha)

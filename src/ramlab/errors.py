@@ -66,10 +66,6 @@ class InvariantViolation(RamlabError):
 
 # --- walk engine ------------------------------------------------------------
 
-class ParityOnNonBipartite(RamlabError):
-    """Parity-restricted stationary measure requested on a non-bipartite graph."""
-
-
 class SpaceMismatch(RamlabError):
     """Distribution lives on the wrong state space for the kernel."""
 

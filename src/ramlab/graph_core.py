@@ -256,27 +256,9 @@ def bfs_distances(graph: RegularGraph, x: int) -> np.ndarray:
     return dist
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Histogram of distances from one source vertex."""
-
-    source: int
-    histogram: np.ndarray
-    median: int
-    window_radius: float
-    exceedance: int
-
-    @property
-    def n(self) -> int:
-        return int(self.histogram.sum())
-
-    @property
-    def exceedance_fraction(self) -> float:
-        return self.exceedance / self.n
-
-
-def distance_profile(graph: RegularGraph, x: int, window_radius: float) -> DistanceProfile:
-    """Distance histogram plus the count of y with |dist(x,y) - log_{d-1} n|
+def distance_profile(graph: RegularGraph, x: int, window_radius: float) -> dict:
+    """Histogram of the distances from source x, their median, and the
+    count ("exceedance") and fraction of the y with |dist(x,y) - log_{d-1} n|
     exceeding the window radius."""
     if not window_radius >= 0:
         raise UsageError(f"window_radius must be >= 0, got {window_radius}")
@@ -286,8 +268,8 @@ def distance_profile(graph: RegularGraph, x: int, window_radius: float) -> Dista
     exceed = int(np.count_nonzero(np.abs(dist - center) > window_radius))
     cum = np.cumsum(hist)
     median = int(np.searchsorted(cum, (graph.n + 1) // 2))
-    return DistanceProfile(source=x, histogram=hist, median=median,
-                           window_radius=window_radius, exceedance=exceed)
+    return {"source": x, "histogram": hist, "median": median, "window_radius": window_radius,
+            "exceedance": exceed, "exceedance_fraction": exceed / graph.n}
 
 
 def graph_metrics(graph: RegularGraph) -> dict:

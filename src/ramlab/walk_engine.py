@@ -1,9 +1,12 @@
 """Exact walk-distribution evolution and mixing measurements.
 
-Distributions are dense arrays over vertices (SRW) or directed edges (NBRW).
-The generator ``evolve`` advances a batch of them, one column per start. The
-mixing curve and the all-starts cutoff profile are thin callers of one
-max-over-starts pass over it; the NBRW projection reads one law from it.
+Distributions are dense arrays over the kernel's states: the vertices for
+``srw*``, the arcs for ``nbrw*``, where arc e = d*tail + rank lies on its
+tail's side of a bipartition. The generator ``evolve`` advances a batch of
+them, one column per start. The mixing curve and the all-starts cutoff
+profile are thin callers of one max-over-starts pass over it, which
+measures each law from the uniform law on all states or on one side; the
+NBRW projection reads one law from it.
 The cutoff profile's predictions come from ``theory``, the home of the
 closed forms and of the infinite tree; nothing there imports this module.
 """
@@ -16,12 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import theory
-from .errors import (ParityOnNonBipartite, SizeCap, SpaceMismatch, SupportViolation,
-                     UsageError)
+from .errors import SizeCap, SpaceMismatch, SupportViolation, UsageError
 from .graph_core import RegularGraph, adjacency_sparse, validate_and_index
-
-VERTICES = "vertices"
-EDGES = "edges"
 
 KERNELS = ("srw", "nbrw", "srw_lazy", "nbrw_lazy")
 
@@ -89,27 +88,13 @@ def _check_laws(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def stationary(space: str, graph: RegularGraph,
-               parity: int | None = None) -> np.ndarray:
-    """Uniform stationary measure, optionally restricted to a parity class.
-
-    For vertices, parity selects one side of the bipartition; for edges it
-    selects the N/2 directed edges originating from that side.
-    """
-    if space not in (VERTICES, EDGES):
-        raise SpaceMismatch(f"unknown space {space!r}")
-    if parity is None:
-        size = graph.n if space == VERTICES else graph.n * graph.d
-        return np.full(size, 1.0 / size)
-    if not graph.bipartite:
-        raise ParityOnNonBipartite("parity restriction requires a bipartite graph")
-    if parity not in (0, 1):
-        raise UsageError(f"parity must be 0 or 1, got {parity}")
-    if space == VERTICES:
-        mask = graph.bipartition == parity
-    else:
-        mask = np.repeat(graph.bipartition == parity, graph.d)
-    return np.where(mask, 1.0 / int(mask.sum()), 0.0)
+def _per_vertex(graph: RegularGraph, kernel: str) -> int:
+    """States per vertex of `kernel`'s state space: 1 for ``srw*``, whose
+    states are the vertices, d for ``nbrw*``, whose state e = d*tail + rank
+    is an arc. UsageError for a kernel outside KERNELS."""
+    if kernel not in KERNELS:
+        raise UsageError(f"unknown kernel {kernel!r}, expected one of {', '.join(KERNELS)}")
+    return 1 if kernel.startswith("srw") else graph.d
 
 
 def evolve(graph: RegularGraph, kernel: str, starts):
@@ -120,15 +105,14 @@ def evolve(graph: RegularGraph, kernel: str, starts):
     column; callers must not modify it. A yielded array is never written
     again, here or by a later step, so another thread may read it while
     the next step is computed."""
-    if kernel not in KERNELS:
-        raise SpaceMismatch(f"unknown kernel {kernel!r}")
+    size = graph.n * _per_vertex(graph, kernel)
     base, d = kernel.removesuffix("_lazy"), graph.d
     if base == "srw":
-        size, adj = graph.n, adjacency_sparse(graph)
+        adj = adjacency_sparse(graph)
     else:
         # intp once per walk: np.take would convert the int32 rev, an 8N-byte
         # copy, on every step
-        size, rev = graph.n * d, validate_and_index(graph).astype(np.intp)
+        rev = validate_and_index(graph).astype(np.intp)
     starts = np.asarray(starts)
     if starts.dtype.kind == "f":
         if starts.shape[:1] != (size,):
@@ -162,17 +146,17 @@ def evolve(graph: RegularGraph, kernel: str, starts):
 
 
 class _Reference:
-    """A reference law that is uniform on its support (every ``stationary``
-    law is), held as that support and its one weight; per law, one
-    difference pass gives the TV and one ratio pass D_inf and every D_p.
-    The passes write into scratch arrays the caller owns, so a reduction
-    allocates nothing of state size."""
+    """The uniform law on a boolean support mask over the states, held as
+    that support and its one weight 1/count; per law, one difference pass
+    gives the TV and one ratio pass D_inf and every D_p. The passes write
+    into scratch arrays the caller owns, so a reduction allocates nothing of
+    state size."""
 
-    def __init__(self, values: np.ndarray):
-        self.support = None if (values > 0).all() else values > 0
-        self.weight = values.max()
+    def __init__(self, support: np.ndarray):
+        self.weight = 1.0 / int(np.count_nonzero(support))
+        self.support = None if support.all() else support
         # a scalar broadcasts to the same bits as the full uniform array
-        self.values = self.weight if self.support is None else values
+        self.values = self.weight if self.support is None else np.where(support, self.weight, 0.0)
         if self.support is not None:
             # the indices of x[support] and x[~support], in the order a mask takes them
             self.inside = np.flatnonzero(self.support)
@@ -220,12 +204,12 @@ def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
     and of D_p for each p in p_list (inf allowed) at times[i], an increasing
     range or list that is tested for membership, never expanded; distances
     are taken at those times alone. With `parity`, on a bipartite graph and
-    a pure kernel, a walk from side q (bipartition[x] for a vertex x,
-    bipartition[e // d] for an edge e) is compared at time t with the
-    uniform law on side (q + t) % 2 ("parity-alternating"), else with the
-    uniform law ("full"). UsageError for no start or one outside the states;
-    SizeCap before the first step above the walk budget (_check_work, which
-    counts the finite p).
+    a pure kernel, a walk from a state on side q (a vertex's side, or an
+    arc's tail's side) is compared at time t with the uniform law on the
+    states of side (q + t) % 2 ("parity-alternating"), else with the
+    uniform law on all states ("full"). UsageError for an unknown kernel, no
+    start or one outside the states; SizeCap before the first step above
+    the walk budget (_check_work, which counts the finite p).
 
     Starts evolve in blocks of at most _BLOCK_BYTES per (states x block)
     array, each on one side of a bipartite graph. With one CPU in the
@@ -243,8 +227,8 @@ def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
     block and then over blocks, so the rows do not depend on the block
     width, the worker count or the helper. An error raised in a block or in
     the helper propagates to the caller."""
-    space = VERTICES if kernel.startswith("srw") else EDGES
-    states = graph.n if space == VERTICES else graph.n * graph.d
+    per_vertex = _per_vertex(graph, kernel)
+    states = graph.n * per_vertex
     starts = np.asarray(list(starts))
     if not starts.size:
         raise UsageError("need at least one start vertex")
@@ -255,10 +239,11 @@ def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
     _check_work(states, starts.size, t_max, sum(not math.isinf(p) for p in p_list))
 
     if parity and graph.bipartite and not kernel.endswith("_lazy"):
-        refs = [_Reference(stationary(space, graph, parity=q)) for q in (0, 1)]
-        side = graph.bipartition[starts if space == VERTICES else starts // graph.d]
+        sides = np.repeat(graph.bipartition, per_vertex)
+        refs = [_Reference(sides == q) for q in (0, 1)]
+        side = sides[starts]
     else:
-        refs = [_Reference(stationary(space, graph))]
+        refs = [_Reference(np.ones(states, bool))]
         side = np.zeros(starts.size, dtype=int)
     width = max(1, _BLOCK_BYTES // (8 * states))
     blocks = [(q, group[i : i + width]) for q in (0, 1) for group in [starts[side == q]]

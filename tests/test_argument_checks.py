@@ -35,8 +35,11 @@ _CASES = [
      r"start 18 outside \[0, 18\) for nbrw"),
     ("evolve_start", lambda g: next(walk_engine.evolve(g["petersen"], "srw", [0, 10])),
      r"start states must lie in \[0, 10\) for srw"),
-    ("stationary_parity", lambda g: walk_engine.stationary("vertices", g["k33"], parity=2),
-     r"parity must be 0 or 1, got 2"),
+    ("evolve_kernel", lambda g: next(walk_engine.evolve(g["petersen"], "bogus", [0])),
+     r"unknown kernel 'bogus'"),
+    # the kernel is checked before the start is read as a vertex or an arc
+    ("mixing_curve_kernel", lambda g: walk_engine.mixing_curve(g["petersen"], "bogus", 0, 3),
+     r"unknown kernel 'bogus'"),
     ("default_start_sample", lambda g: walk_engine.default_start_sample(g["petersen"],
                                                                          sample_size=0),
      r"sample size 0 outside \[1, n=10\]"),

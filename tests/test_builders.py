@@ -115,9 +115,9 @@ def test_lps_vertex_transitive_profiles(lps13):
     # vertex-transitivity spot check: identical distance histograms from
     # 10 random sources
     rng = np.random.default_rng(1)
-    base = graph_core.distance_profile(lps13, 0, 0.0).histogram.tolist()
+    base = graph_core.distance_profile(lps13, 0, 0.0)["histogram"].tolist()
     for x in rng.choice(lps13.n, 10, replace=False):
-        hist = graph_core.distance_profile(lps13, int(x), 0.0).histogram.tolist()
+        hist = graph_core.distance_profile(lps13, int(x), 0.0)["histogram"].tolist()
         assert hist == base
 
 

@@ -97,24 +97,24 @@ def test_metrics_match_oracles(rand3_50, lift20, c6_x_k4):
 def test_distance_profile_k4(k4):
     prof = graph_core.distance_profile(k4, 0, 0.0)
     # distances {0,1,1,1} all differ from log_2 4 = 2, so every vertex exceeds
-    assert prof.histogram.tolist() == [1, 3]
-    assert prof.exceedance == 4
-    assert prof.n == 4
-    assert prof.median == 1
+    assert prof["histogram"].tolist() == [1, 3]
+    assert prof["exceedance"] == 4
+    assert prof["exceedance_fraction"] == 1.0
+    assert prof["median"] == 1
 
 
 def test_distance_profile_full_window(test_graphs):
     for g in test_graphs.values():
         prof = graph_core.distance_profile(g, 0, float(g.n))
-        assert prof.exceedance == 0
-        assert prof.histogram.sum() == g.n
+        assert prof["exceedance"] == 0
+        assert prof["histogram"].sum() == g.n
 
 
 def test_histogram_growth_bound(test_graphs):
     # sphere sizes in a d-regular graph: hist[l] <= d (d-1)^(l-1)
     for g in test_graphs.values():
         prof = graph_core.distance_profile(g, 0, 0.0)
-        for level, count in enumerate(prof.histogram):
+        for level, count in enumerate(prof["histogram"]):
             if level == 0:
                 assert count == 1
             else:

@@ -1,6 +1,7 @@
 """Every public function, class, method and property in src/ramlab has a
-caller in the library or the benchmark: code that only tests call belongs
-in tests/oracles.py. The modules import one another without a cycle."""
+caller in the library or the benchmark, and every public module-level
+constant a reader: code that only tests call belongs in tests/oracles.py.
+The modules import one another without a cycle."""
 
 import ast
 import graphlib
@@ -19,8 +20,8 @@ ALLOWLIST = {
 
 def _unreferenced() -> list:
     """Public names defined in src/ramlab and used nowhere in src/ramlab or
-    perfbench/ outside their own definition. A module-level function or
-    class is used by a bare name or an attribute access; a method or
+    perfbench/ outside their own definition. A module-level function, class
+    or constant is used by a bare name or an attribute access; a method or
     property only by an attribute access, so that a local variable of the
     same name does not count."""
     trees = {path: ast.parse(path.read_text()) for path in
@@ -35,17 +36,22 @@ def _unreferenced() -> list:
     for path, tree in trees.items():
         if path.parent.name != "ramlab":
             continue
-        defs = [(node, False) for node in tree.body
+        defs = [(node.name, node, False) for node in tree.body
                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-        defs += [(member, True) for node, _ in defs if isinstance(node, ast.ClassDef)
+        defs += [(member.name, member, True) for _, node, _ in defs
+                 if isinstance(node, ast.ClassDef)
                  for member in node.body if isinstance(member, ast.FunctionDef)]
-        for node, member in defs:
-            if node.name.startswith("_"):
+        defs += [(target.id, node, False) for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if isinstance(target, ast.Name)]
+        for def_name, node, member in defs:
+            if def_name.startswith("_"):
                 continue
-            if not any(name == node.name and (attribute or not member)
+            if not any(name == def_name and (attribute or not member)
                        and not (where == path and node.lineno <= line <= node.end_lineno)
                        for name, where, line, attribute in refs):
-                missing.append(node.name)
+                missing.append(def_name)
     return missing
 
 

@@ -12,43 +12,9 @@ from hypothesis import strategies as st
 
 import oracles
 from ramlab import builders, graph_core, theory, walk_engine
-from ramlab.errors import ParityOnNonBipartite, SpaceMismatch, SupportViolation, UsageError
+from ramlab.errors import SpaceMismatch, SupportViolation, UsageError
 from ramlab.theory import tree_lp_norm, tree_rows
-from ramlab.walk_engine import (
-    MixingCurve,
-    evolve,
-    mixing_curve,
-    nbrw_projected,
-    stationary,
-)
-
-
-# --- stationary measures ------------------------------------------------------
-
-
-def test_stationary_vertices_k4(k4):
-    pi = stationary("vertices", k4)
-    assert np.allclose(pi, 0.25)
-
-
-def test_stationary_edges_k4(k4):
-    pi = stationary("edges", k4)
-    assert np.allclose(pi, 1 / 12)
-
-
-def test_stationary_parity_k33(k33):
-    pi0 = stationary("vertices", k33, parity=0)
-    side = k33.bipartition == 0
-    assert np.allclose(pi0[side], 1 / 3)
-    assert np.allclose(pi0[~side], 0.0)
-    pie = stationary("edges", k33, parity=0)
-    assert np.isclose(pie.sum(), 1.0)
-    assert (pie > 0).sum() == 9  # N/2 directed edges out of one side
-
-
-def test_parity_requires_bipartite(k4):
-    with pytest.raises(ParityOnNonBipartite):
-        stationary("vertices", k4, parity=0)
+from ramlab.walk_engine import MixingCurve, evolve, mixing_curve, nbrw_projected
 
 
 # --- kernel steps ---------------------------------------------------------------
@@ -76,21 +42,20 @@ def test_nbrw_step_k4(k4):
 
 def test_nbrw_uniform_fixed_point(test_graphs):
     for g in test_graphs.values():
-        pi = stationary("edges", g)
+        pi = np.full(g.n * g.d, 1.0 / (g.n * g.d))
         out = _law_at(g, "nbrw", pi, 1)
         assert np.abs(out - pi).max() < 1e-16
 
 
 def test_space_mismatch(k4):
-    # a law over the other state space, an unknown kernel, an unknown space
+    # a law over the other state space; an unknown kernel is an argument
+    # out of range, not a law on the wrong space
     with pytest.raises(SpaceMismatch):
-        next(evolve(k4, "nbrw", stationary("vertices", k4)))
+        next(evolve(k4, "nbrw", np.full(4, 1 / 4)))
     with pytest.raises(SpaceMismatch):
-        next(evolve(k4, "srw", stationary("edges", k4)))
-    with pytest.raises(SpaceMismatch):
+        next(evolve(k4, "srw", np.full(12, 1 / 12)))
+    with pytest.raises(UsageError, match="unknown kernel 'lazy'"):
         next(evolve(k4, "lazy", [0]))
-    with pytest.raises(SpaceMismatch):
-        stationary("arcs", k4)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -174,7 +139,7 @@ def test_evolve_matches_dense_oracles_beyond_unrolled_sums():
 
 
 def test_evolve_from_initial_laws(petersen):
-    law = stationary("edges", petersen)
+    law = np.full(30, 1 / 30)
     for t, x in evolve(petersen, "nbrw", law):
         assert x.shape == (30, 1)
         assert np.abs(x[:, 0] - law).max() < 1e-16
@@ -384,6 +349,37 @@ def test_bipartite_profile_compares_each_side_with_its_parity(request, monkeypat
                                      for x in starts), r
 
 
+def _uniform(g, kernel, side=None):
+    """The uniform law on the kernel's states, a vertex for srw and an arc
+    e = d*tail + rank for nbrw, or on the states of one side of the
+    bipartition: its n/2 vertices, or the N/2 arcs out of them."""
+    per_vertex = 1 if kernel.startswith("srw") else g.d
+    if side is None:
+        return np.full(g.n * per_vertex, 1.0 / (g.n * per_vertex))
+    on_side = np.repeat(g.bipartition == side, per_vertex)
+    return np.where(on_side, 1.0 / (g.n * per_vertex // 2), 0.0)
+
+
+def test_curves_measure_from_the_uniform_law_on_the_walks_side(k33, k33_lift20):
+    # on a bipartite graph a pure walk from a state on side q is measured at
+    # t from the uniform law on the states of side (q + t) % 2, and
+    # reference='full' from the uniform law on all states, to the last bit
+    # of the direct TV; from either side, for vertices and for arcs
+    for g, kernel, q in itertools.product((k33, k33_lift20), ("srw", "nbrw"), (0, 1)):
+        vertex = int(np.flatnonzero(g.bipartition == q)[-1])
+        start = vertex if kernel == "srw" else vertex * g.d + g.d - 1
+        laws = _single_laws(g, kernel, start, 12)
+        for reference in ("auto", "full"):
+            curve = mixing_curve(g, kernel, start, 12, reference=reference)
+            for t, mu in enumerate(laws):
+                ref = (_uniform(g, kernel, (q + t) % 2) if reference == "auto"
+                       else _uniform(g, kernel))
+                assert curve.d_tv[t] == oracles.tv_direct(mu, ref), (g.n, kernel, q, t)
+        # the walk only ever visits the states of the side the reference takes
+        assert all(mu[_uniform(g, kernel, (q + t) % 2) == 0].max() == 0
+                   for t, mu in enumerate(laws))
+
+
 @pytest.mark.parametrize("reference", ["auto", "full"])
 @pytest.mark.parametrize("kernel", ["srw", "nbrw"])
 @pytest.mark.parametrize("name", ["k33", "lps13"])
@@ -391,13 +387,12 @@ def test_curve_columns_equal_public_distances(name, kernel, reference, request):
     # one ratio pass per time gives the same bits as the naive reductions;
     # k33 and lps13 are bipartite, so 'auto' alternates the parity reference
     g = request.getfixturevalue(name)
-    space = "vertices" if kernel == "srw" else "edges"
     p_list = [1.0, 1.5, 2.0, 3.0]
     curve = mixing_curve(g, kernel, 1, 15, p_list=p_list, reference=reference)
     p0 = int(g.bipartition[1 if kernel == "srw" else 1 // g.d])
     for t, mu in enumerate(_single_laws(g, kernel, 1, 15)):
-        ref = (stationary(space, g, parity=(p0 + t) % 2) if reference == "auto"
-               else stationary(space, g))
+        ref = (_uniform(g, kernel, (p0 + t) % 2) if reference == "auto"
+               else _uniform(g, kernel))
         assert curve.d_tv[t] == oracles.tv_direct(mu, ref)
         assert curve.d_inf[t] == oracles.lp_distance_direct(mu, ref, math.inf)
         for p in p_list:
@@ -460,9 +455,9 @@ def test_chi2_expansion_cross_check(petersen):
 
 def test_support_violation(k33):
     side = int(k33.bipartition[0])
-    wrong_side = walk_engine._Reference(stationary("vertices", k33, parity=1 - side))
+    wrong_side = walk_engine._Reference(k33.bipartition == 1 - side)
     with pytest.raises(SupportViolation):
-        wrong_side.lp(stationary("vertices", k33, parity=side), [2.0], *np.empty((2, k33.n)))
+        wrong_side.lp(_uniform(k33, "srw", side), [2.0], *np.empty((2, k33.n)))
 
 
 # --- mixing curves ---------------------------------------------------------------
@@ -503,7 +498,7 @@ def test_lazy_kernel_mixes_bipartite(k33):
 def test_lazy_is_half_sum_of_pure(k33):
     pure = [x[:, 0].copy() for _, x in itertools.islice(evolve(k33, "srw", [0]), 6)]
     lazy = mixing_curve(k33, "srw_lazy", 0, 5, p_list=[2.0])
-    ref = stationary("vertices", k33)
+    ref = np.full(6, 1 / 6)
     for t in range(1, 6):
         mixed = 0.5 * (pure[t - 1] + pure[t])
         assert math.isclose(lazy.d_tv[t], oracles.tv_direct(mixed, ref), abs_tol=1e-15)
