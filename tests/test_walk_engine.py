@@ -17,6 +17,44 @@ from ramlab.theory import tree_lp_norm, tree_rows
 from ramlab.walk_engine import MixingCurve, evolve, mixing_curve, nbrw_projected
 
 
+# --- stationary measures ------------------------------------------------------
+# the engine measures a walk from the uniform law on its states, or on one
+# side's states; at t = 0 the law is a point mass, so the distance from the
+# uniform law on m states is 1 - 1/m in TV and m - 1 in L^inf
+
+
+def test_stationary_vertices_k4(k4):
+    assert np.allclose(_uniform(k4, "srw"), 0.25)
+    curve = mixing_curve(k4, "srw", 0, 0)
+    assert np.isclose(curve.d_tv[0], 3 / 4)
+    assert np.isclose(curve.d_inf[0], 3.0)
+
+
+def test_stationary_edges_k4(k4):
+    assert np.allclose(_uniform(k4, "nbrw"), 1 / 12)
+    curve = mixing_curve(k4, "nbrw", 0, 0)
+    assert np.isclose(curve.d_tv[0], 11 / 12)
+    assert np.isclose(curve.d_inf[0], 11.0)
+
+
+def test_stationary_parity_k33(k33):
+    pi0 = _uniform(k33, "srw", 0)
+    side = k33.bipartition == 0
+    assert np.allclose(pi0[side], 1 / 3)
+    assert np.allclose(pi0[~side], 0.0)
+    pie = _uniform(k33, "nbrw", 0)
+    assert np.isclose(pie.sum(), 1.0)
+    assert (pie > 0).sum() == 9  # N/2 directed edges out of one side
+    vertex = int(np.flatnonzero(side)[0])
+    # 'auto' takes the start's side: 3 vertices, or the 9 arcs out of them;
+    # 'full' takes all 6 vertices, or all 18 arcs
+    for kernel, start, m in (("srw", vertex, 3), ("nbrw", vertex * k33.d, 9)):
+        auto = mixing_curve(k33, kernel, start, 0)
+        full = mixing_curve(k33, kernel, start, 0, reference="full")
+        assert np.isclose(auto.d_tv[0], 1 - 1 / m), kernel
+        assert np.isclose(full.d_tv[0], 1 - 1 / (2 * m)), kernel
+
+
 # --- kernel steps ---------------------------------------------------------------
 
 
