@@ -146,11 +146,16 @@ def build_lps(params: LpsParams) -> RegularGraph:
     its neighbours are the products v * s over the generators s. Every
     product must be an enumerated element, and the constructor's
     connectivity check proves that the generators generate the group.
-    Left multiplication by u = [[1, 1], [0, 1]] commutes with the right
-    products, so it is a fixed-point-free automorphism of order q (u lies
-    in PSL, so it also keeps the bipartition); it goes to the constructor
-    as the graph's translation. SizeCap, before any element is listed, where
-    the group's q(q^2-1)/2 or q(q^2-1) vertices have more than 2^31 - 1 arcs."""
+    Left multiplication by any element commutes with the right products, so
+    it is an automorphism. Left multiplication by u = [[1, 1], [0, 1]] fixes
+    no vertex and has order q (u lies in PSL, so it also keeps the
+    bipartition); it goes to the constructor as the graph's translation.
+    Left multiplication by w = [[1, 0], [1, 1]] goes as an automorphism, and
+    u and w generate SL(2, F_q); on PGL, so does diag(nu, 1) for the
+    smallest non-residue nu, which swaps the two cosets of PSL. The graph is
+    then vertex-transitive, with representatives [0], and InvariantViolation
+    is raised otherwise. SizeCap, before any element is listed, where the
+    group's q(q^2-1)/2 or q(q^2-1) vertices have more than 2^31 - 1 arcs."""
     q, d = params.q, params.degree
     graph_core._check_size(q * (q * q - 1) // (2 if params.psl_case else 1), d)
     elems = _group_elements(q, params.psl_case)
@@ -169,6 +174,11 @@ def build_lps(params: LpsParams) -> RegularGraph:
     rows = np.stack([vertices(mats @ s.reshape(2, 2))
                      for s in lps_generator_matrices(params)], axis=1)
     translation = vertices(np.array([[1, 1], [0, 1]]) @ mats)
+    left = [[[1, 0], [1, 1]]]
+    if not params.psl_case:
+        nu = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
+        left.append([[nu, 0], [0, 1]])
+    automorphisms = [vertices(np.array(g) @ mats) for g in left]
 
     provenance = {
         "family": "lps",
@@ -178,9 +188,12 @@ def build_lps(params: LpsParams) -> RegularGraph:
         "bipartite": not params.psl_case,
     }
     graph = RegularGraph(n=len(elems), d=d, indices=rows, provenance=provenance,
-                         translation=translation)
+                         translation=translation, automorphisms=automorphisms)
     if graph.bipartite != (not params.psl_case):
         raise InvariantViolation("LPS bipartiteness disagrees with the residue test")
+    if graph.representatives.size != 1:
+        raise InvariantViolation(f"left multiplications leave {graph.representatives.size} "
+                                 f"vertex orbits of {params.group}, not one")
     return graph
 
 

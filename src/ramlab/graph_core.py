@@ -4,8 +4,13 @@ A graph is made in one of two ways: ``RegularGraph(n, d, indices)`` from
 n*d integers, its n neighbour rows one after another, each in any order, or
 ``from_edges(n, d, edges)`` from an undirected edge list. Either way it is
 checked once, when it is made, and carries its edge reversal ``rev``, its
-two-colouring ``bipartition`` and, when it was given a free cyclic
-automorphism, that automorphism's orbit table ``orbits``.
+two-colouring ``bipartition``, the orbit table ``orbits`` of its free cyclic
+``translation`` when it was given one, and, when it was given any
+automorphism, the smallest vertex of each orbit of the group they generate,
+``representatives``.
+``graph_metrics`` sweeps BFS from those representatives only: an
+automorphism preserves distances and maps cycles onto cycles, so one source
+per orbit gives the exact diameter and girth.
 
 A graph is stored in compressed row form: ``indices`` is a flat int32 array
 of length n*d whose slice [u*d:(u+1)*d] lists the (sorted) neighbors of u.
@@ -57,25 +62,34 @@ class RegularGraph:
     no (N, d) array is made: ``indices``, ``rev``, one column gather and one
     mask are the N-size arrays alive at once.
 
-    ``translation``, when given, is a vertex permutation sigma that must be
-    an automorphism whose cyclic group acts freely (every orbit has
-    m = ord(sigma) >= 2 vertices); it is kept as the (n/m, m) int32 table
-    orbits[i, k] = sigma^k(r_i), r_i the smallest vertex of the i-th orbit
-    and r_0 < r_1 < ..., and InvariantViolation is raised otherwise."""
+    ``translation`` and each of ``automorphisms``, when given, are vertex
+    permutations that must map neighbour rows onto neighbour rows; each is
+    checked once, and InvariantViolation is raised otherwise.
+    ``translation`` is a permutation sigma whose cyclic group must act
+    freely (every orbit has m = ord(sigma) >= 2 vertices); it is kept as the
+    (n/m, m) int32 table orbits[i, k] = sigma^k(r_i), r_i the smallest
+    vertex of the i-th orbit and r_0 < r_1 < ... The group that the
+    translation and the automorphisms generate need not act freely; its
+    orbits are kept as ``representatives``, the smallest vertex of each,
+    ascending. ``orbits`` is None without a translation, and
+    ``representatives`` is None for a graph given no permutation."""
 
     n: int
     d: int
     indices: np.ndarray
     provenance: dict = field(default_factory=dict)
     translation: InitVar[np.ndarray | None] = None
+    automorphisms: InitVar[tuple] = ()
     # set by the constructor, read-only: the edge reversal (validate_and_index),
-    # the int8 two-colouring, None unless the graph is bipartite, and the
-    # orbit table of the translation, None without one
+    # the int8 two-colouring, None unless the graph is bipartite, the orbit
+    # table of the translation, None without one, and the int32 orbit
+    # representatives of the group, None without a permutation
     rev: np.ndarray = field(init=False, repr=False)
     bipartition: np.ndarray | None = field(init=False, repr=False)
     orbits: np.ndarray | None = field(init=False, repr=False)
+    representatives: np.ndarray | None = field(init=False, repr=False)
 
-    def __post_init__(self, translation):
+    def __post_init__(self, translation, automorphisms):
         n, d = self.n, self.d
         _check_size(n, d)
         try:
@@ -117,8 +131,13 @@ class RegularGraph:
         rev = rev.ravel()
         parity = (bfs_distances(self, 0) % 2).astype(np.int8)
         bipartition = parity if np.all(parity[rows] != parity[:, None]) else None
-        orbits = None if translation is None else _orbit_table(rows, translation)
-        for name, values in (("rev", rev), ("bipartition", bipartition), ("orbits", orbits)):
+        group = [] if translation is None else [_automorphism(rows, translation, "translation")]
+        orbits = _orbit_table(group[0]) if group else None
+        group += [_automorphism(rows, perm, f"automorphisms[{i}]")
+                  for i, perm in enumerate(automorphisms)]
+        representatives = _orbit_representatives(group) if group else None
+        for name, values in (("rev", rev), ("bipartition", bipartition), ("orbits", orbits),
+                             ("representatives", representatives)):
             if values is not None:
                 values.setflags(write=False)
             object.__setattr__(self, name, values)
@@ -193,20 +212,28 @@ def _check_size(n: int, d: int):
         raise SizeCap(f"n*d = {n * d} arcs exceed the int32 arc ids' cap of {_MAX_ARCS}")
 
 
-def _orbit_table(rows: np.ndarray, translation) -> np.ndarray:
-    """The orbit table of a free cyclic automorphism of the graph whose
-    sorted neighbour rows are ``rows`` (see RegularGraph)."""
+def _automorphism(rows: np.ndarray, perm, name: str) -> np.ndarray:
+    """``perm`` as an intp array, checked to be a vertex permutation that
+    maps the sorted neighbour rows ``rows`` onto rows (InvariantViolation
+    otherwise)."""
     n = len(rows)
-    sigma = np.asarray(translation)
+    sigma = np.asarray(perm)
     if not (sigma.shape == (n,) and sigma.dtype.kind in "iu"
             and np.array_equal(np.sort(sigma), np.arange(n))):
-        raise InvariantViolation(f"translation is not a permutation of [0, {n})")
-    sigma = sigma.astype(np.int64)
+        raise InvariantViolation(f"{name} is not a permutation of [0, {n})")
+    sigma = sigma.astype(np.intp)
     moved = np.flatnonzero((np.sort(sigma[rows], axis=1) != rows[sigma]).any(axis=1))
     if moved.size:
         raise InvariantViolation(
-            f"translation is not an automorphism: it does not map the neighbours "
+            f"{name} is not an automorphism: it does not map the neighbours "
             f"of vertex {moved[0]} onto those of its image {sigma[moved[0]]}")
+    return sigma
+
+
+def _orbit_table(sigma: np.ndarray) -> np.ndarray:
+    """The orbit table of a checked automorphism sigma whose cyclic group
+    must act freely (see RegularGraph)."""
+    n = len(sigma)
     # pointer doubling: low[v] = min sigma^i(v) over i < 2^k, ptr = sigma^(2^k)
     low, ptr = np.arange(n), sigma
     for _ in range((n - 1).bit_length()):
@@ -223,6 +250,25 @@ def _orbit_table(rows: np.ndarray, translation) -> np.ndarray:
     for k in range(1, m):
         orbits[:, k] = sigma[orbits[:, k - 1]]
     return orbits
+
+
+def _orbit_representatives(group: list) -> np.ndarray:
+    """The smallest vertex of each orbit of the group that the permutations
+    in ``group`` generate, ascending: the components of the Schreier graph
+    v ~ g(v), found by min-label propagation with pointer jumping. label[v]
+    is always a vertex of v's orbit no larger than v, so it only falls, and
+    once no edge lowers it every orbit holds its smallest vertex."""
+    n = len(group[0])
+    label = np.arange(n)
+    while True:
+        before = label.copy()
+        for g in group:
+            np.minimum(label, label[g], out=label)
+            label[g] = np.minimum(label[g], label)  # g is one-to-one
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+        if np.array_equal(label, before):
+            return np.flatnonzero(label == np.arange(n)).astype(np.int32)
 
 
 def validate_and_index(graph: RegularGraph) -> np.ndarray:
@@ -273,9 +319,15 @@ def distance_profile(graph: RegularGraph, x: int, window_radius: float) -> dict:
 
 
 def graph_metrics(graph: RegularGraph) -> dict:
-    """Exact diameter and girth, both from one bit-parallel all-sources BFS
-    sweep (64 sources per uint64 word), plus the bipartiteness flag."""
-    ecc, girth = _eccentricities_and_girth(graph.indices, graph.d)
+    """Exact diameter and girth, both from one bit-parallel BFS sweep (64
+    sources per uint64 word) from one source per orbit of the graph's group,
+    ``representatives``, or from every vertex of a graph with no group, plus
+    the bipartiteness flag. An automorphism preserves distances, so the
+    diameter is the largest eccentricity of a representative; every cycle is
+    the image of a cycle through a representative, so the girth is the
+    shortest cycle a representative sees."""
+    sources = np.arange(graph.n) if graph.representatives is None else graph.representatives
+    ecc, girth = _eccentricities_and_girth(graph.indices, graph.d, sources)
     if (ecc < 0).any():
         raise Disconnected("graph is not connected")
     return {
@@ -286,7 +338,7 @@ def graph_metrics(graph: RegularGraph) -> dict:
 
 
 # --------------------------------------------------------------------------
-# All-sources BFS: every eccentricity and the girth in one bit-parallel sweep
+# Multi-source BFS: eccentricities and the girth in one bit-parallel sweep
 # --------------------------------------------------------------------------
 
 # Sources per sweep are at most 64 * _BLOCK_WORDS; each of the sweep's six
@@ -300,30 +352,32 @@ def _source_bits(words, width):
     return np.unpackbits(raw, bitorder="little")[:width].astype(bool)
 
 
-def _eccentricities_and_girth(indices, d):
-    """Per-source eccentricities (-1 for a source that misses a vertex) and
-    the girth (2n+1 if acyclic), by multi-source BFS (Then et al., "The More
-    the Merrier", PVLDB 2014).
+def _eccentricities_and_girth(indices, d, sources):
+    """The eccentricity of each of ``sources`` (-1 for a source that misses
+    a vertex) and the length of the shortest cycle they see (2n+1 if none),
+    by multi-source BFS (Then et al., "The More the Merrier", PVLDB 2014).
 
     Vertex v holds the set of sources that have reached it, 64 per uint64
     word, so one level of every BFS in a block is d row gathers plus bitwise
     ops. Until the girth is found the same gathers look for the shortest
     cycle through a source at level L: an edge inside the frontier closes
     one of length 2L+1, and a new vertex reached from two frontier neighbors
-    closes one of length 2L+2. Every source on a shortest cycle sees it.
+    closes one of length 2L+2. A source s sees min |C| + 2 dist(s, C) over
+    the cycles C, so every source on a shortest cycle sees it.
     """
     n = indices.shape[0] // d
     cols = [indices[j::d].astype(np.intp) for j in range(d)]
-    ecc = np.empty(n, np.int32)
+    ecc = np.empty(sources.size, np.int32)
     best = 2 * n + 1
-    words = min(_BLOCK_WORDS, (n + 63) // 64)
+    words = min(_BLOCK_WORDS, (sources.size + 63) // 64)
     frontier, unseen, reach, twice, gather, tmp = (
         np.empty((n, words), np.uint64) for _ in range(6))
-    for start in range(0, n, 64 * words):
-        width = min(64 * words, n - start)
+    for start in range(0, sources.size, 64 * words):
+        width = min(64 * words, sources.size - start)
         src = np.arange(width)
         frontier.fill(0)
-        frontier[start + src, src >> 6] = np.uint64(1) << (src & 63).astype(np.uint64)
+        frontier[sources[start:start + width], src >> 6] = (
+            np.uint64(1) << (src & 63).astype(np.uint64))
         np.invert(frontier, out=unseen)
         last = np.zeros(width, np.int32)
         level = 0

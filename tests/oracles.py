@@ -188,6 +188,19 @@ def girth_edge_removal(adj: dict) -> int:
     return best
 
 
+def girth_through(adj: dict, v: int):
+    """Shortest cycle through v, None if v lies on none: for each edge at v,
+    remove it and add one to the distance from v to the other end."""
+    best = None
+    for u in adj[v]:
+        trimmed = {**adj, v: [x for x in adj[v] if x != u],
+                   u: [x for x in adj[u] if x != v]}
+        dist = bfs_dict(trimmed, v)
+        if u in dist and (best is None or dist[u] + 1 < best):
+            best = dist[u] + 1
+    return best
+
+
 def srw_dense(graph, x: int, t: int) -> np.ndarray:
     """SRW law via dense matrix powers of A/d."""
     a = np.zeros((graph.n, graph.n))

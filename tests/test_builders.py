@@ -79,6 +79,19 @@ def test_lps_translation_matches_oracle(p, q):
     assert np.array_equal(g.orbits[:, 0], np.sort(g.orbits.min(axis=1)))
 
 
+@pytest.mark.parametrize("kept, orbits", [(0, 168), (1, 2)])
+def test_lps_refuses_more_than_one_orbit(monkeypatch, kept, orbits):
+    # the translation alone leaves n/q orbits, and u and w without diag(nu, 1)
+    # leave the two cosets of PSL in PGL
+    def fewer(*args, automorphisms, **kwargs):
+        return graph_core.RegularGraph(*args, automorphisms=automorphisms[:kept], **kwargs)
+
+    monkeypatch.setattr(builders, "RegularGraph", fewer)
+    with pytest.raises(InvariantViolation,
+                       match=rf"leave {orbits} vertex orbits of PGL\(2,13\), not one"):
+        builders.build_lps(LpsParams(5, 13))
+
+
 def test_lps_generators_must_generate_the_group(monkeypatch):
     # 5 is a square mod 29: the generators reach only PSL(2,29), half of PGL(2,29)
     monkeypatch.setattr(LpsParams, "psl_case", property(lambda self: False))

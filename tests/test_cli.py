@@ -802,6 +802,21 @@ def test_build_json_echoes_provenance(tmp_path):
     assert sidecar["provenance"] == payload["provenance"]
 
 
+def test_metrics_of_lps_file_equal_metrics_of_lps_family(tmp_path):
+    # a graph read with --file carries no group and takes the all-sources
+    # sweep; the family build sweeps its one representative
+    lps = ["--family", "lps", "--p", "5", "--q", "13"]
+    assert run(["build", *lps, "--out-dir", str(tmp_path / "build")]) == 0
+    payloads = []
+    for flags, out in ((lps, "family"), (["--file", str(tmp_path / "build" / "graph.edges")],
+                                         "file")):
+        assert run(["metrics", *flags, "--out-dir", str(tmp_path / out)]) == 0
+        payload = json.loads(read(tmp_path / out / "metrics.json"))
+        del payload["_manifest_sha256"]  # the manifests echo different graph flags
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+
+
 def test_build_json_does_not_depend_on_out_dir(tmp_path):
     # build.json names the edge list beside the manifest, not under --out-dir
     outs = [tmp_path / "a", tmp_path / "deeper" / "b"]

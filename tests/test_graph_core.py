@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from ramlab import builders, graph_core, theory
-from ramlab.builders import LiftSpec
+from ramlab.builders import LiftSpec, LpsParams
 from ramlab.errors import (
     Asymmetric,
     DegreeTooSmall,
@@ -425,3 +425,75 @@ def test_translation_must_act_freely(name, translation, sizes):
     graph = builders.build_named(name)
     with pytest.raises(InvariantViolation, match=re.escape(f"orbits have sizes {sizes}")):
         _with_translation(graph, translation)
+
+
+# --- automorphism groups --------------------------------------------------------
+
+# outer i -> inner 5 + 2i, inner 5 + i -> outer 2i (mod 5): swaps the two 5-cycles
+_PETERSEN_SWAP = [5, 7, 9, 6, 8, 0, 2, 4, 1, 3]
+
+
+def _c6_x_k4_group(c6_x_k4, k4_cycle):
+    shift = (np.arange(24) + 4) % 24  # (i, j) -> (i + 1, j)
+    cycle = [4 * (v // 4) + (v + 1) % 4 for v in range(24)]  # (i, j) -> (i, j + 1)
+    return graph_core.RegularGraph(n=24, d=5, indices=c6_x_k4.indices, translation=shift,
+                                   automorphisms=[cycle] if k4_cycle else [])
+
+
+@pytest.mark.parametrize("automorphism", [
+    [1, 2, 3, 4, 0, 6, 7, 8, 9, 9],           # not one-to-one
+    [1, 2, 3, 4, 0, 6, 7, 8, 9, -5],          # negative
+    np.array(_PETERSEN_ROTATION, dtype=float),
+], ids=["repeat", "negative", "float"])
+def test_automorphisms_must_be_permutations(petersen, automorphism):
+    with pytest.raises(InvariantViolation, match=r"^automorphisms\[1\] is not a permutation"):
+        graph_core.RegularGraph(n=10, d=3, indices=petersen.indices,
+                                automorphisms=[_PETERSEN_SWAP, automorphism])
+
+
+def test_automorphisms_must_map_rows_onto_rows(petersen):
+    swap = list(range(10))
+    swap[0], swap[1] = 1, 0  # the edge {0, 4} would go to {1, 4}
+    with pytest.raises(InvariantViolation, match=r"^automorphisms\[0\] is not an automorphism"):
+        graph_core.RegularGraph(n=10, d=3, indices=petersen.indices, automorphisms=[swap])
+
+
+@pytest.mark.parametrize("translation, automorphisms, representatives", [
+    (_PETERSEN_ROTATION, [], [0, 5]),
+    (None, [_PETERSEN_ROTATION], [0, 5]),
+    (None, [[0, 4, 3, 2, 1, 5, 9, 8, 7, 6]], [0, 1, 2, 5, 6, 7]),  # a reflection
+    (_PETERSEN_ROTATION, [_PETERSEN_SWAP], [0]),
+    (None, [_PETERSEN_SWAP], [0, 1, 2]),
+], ids=["rotation", "rotation_as_automorphism", "reflection", "rotation_and_swap", "swap"])
+def test_representatives_are_the_smallest_vertex_of_each_orbit(
+        petersen, translation, automorphisms, representatives):
+    g = graph_core.RegularGraph(n=10, d=3, indices=petersen.indices, translation=translation,
+                                automorphisms=automorphisms)
+    assert g.representatives.tolist() == representatives
+    assert g.representatives.dtype == np.int32 and not g.representatives.flags.writeable
+
+
+def test_lps_graphs_are_one_orbit(lps13, lps29):
+    for g in (lps13, builders.build_lps(LpsParams(5, 17)), lps29):
+        assert g.representatives.tolist() == [0]
+
+
+def test_graphs_without_a_group_keep_no_representatives(test_graphs, c6_x_k4):
+    for name in ("k4", "k33", "petersen", "rand3_50", "lift20"):
+        assert test_graphs[name].representatives is None, name
+    assert c6_x_k4.representatives is None
+
+
+@pytest.mark.parametrize("name", ["lps13", "lps29", "petersen", "c6_x_k4", "c6_x_k4_cycle"])
+def test_metrics_from_representatives_equal_the_all_sources_sweep(request, name):
+    if name == "petersen":
+        g = _with_translation(request.getfixturevalue(name), _PETERSEN_ROTATION)
+        assert g.representatives.tolist() == [0, 5]
+    elif name.startswith("c6_x_k4"):
+        g = _c6_x_k4_group(request.getfixturevalue("c6_x_k4"), name.endswith("cycle"))
+        assert g.representatives.tolist() == ([0] if name.endswith("cycle") else [0, 1, 2, 3])
+    else:
+        g = request.getfixturevalue(name)
+    ecc, girth = graph_core._eccentricities_and_girth(g.indices, g.d, np.arange(g.n))
+    assert graph_core.graph_metrics(g) == {"diameter": int(ecc.max()), "girth": girth,
+                                           "bipartite": g.bipartite}

@@ -84,7 +84,7 @@ def test_bfs_distances_match_deque_oracle(request, k4, name):
 
 def _check_sweep(adj: dict, d: int, block_words: int):
     with mock.patch.object(graph_core, "_BLOCK_WORDS", block_words):
-        ecc, girth = graph_core._eccentricities_and_girth(_indices(adj), d)
+        ecc, girth = graph_core._eccentricities_and_girth(_indices(adj), d, np.arange(len(adj)))
     assert ecc.tolist() == _oracle_eccentricities(adj)
     assert girth == oracles.girth_edge_removal(adj)
 
@@ -92,15 +92,52 @@ def _check_sweep(adj: dict, d: int, block_words: int):
 @pytest.mark.parametrize("name", ["petersen", "k33", "rand3_50", "lift20", "c6_x_k4"])
 def test_eccentricities_match_oracle(name, request):
     g = request.getfixturevalue(name)
-    ecc, _ = graph_core._eccentricities_and_girth(g.indices, g.d)
+    ecc, _ = graph_core._eccentricities_and_girth(g.indices, g.d, np.arange(g.n))
     assert ecc.tolist() == _oracle_eccentricities(oracles.adjacency_dict(g))
 
 
 @pytest.mark.parametrize("name", ["petersen", "k33", "rand3_50", "lift20", "c6_x_k4"])
 def test_girth_matches_oracle(name, request):
     g = request.getfixturevalue(name)
-    _, girth = graph_core._eccentricities_and_girth(g.indices, g.d)
+    _, girth = graph_core._eccentricities_and_girth(g.indices, g.d, np.arange(g.n))
     assert girth == oracles.girth_edge_removal(oracles.adjacency_dict(g))
+
+
+def _seen_cycle(adj: dict, sources) -> int:
+    """The shortest cycle the sweep from ``sources`` reports: a source s
+    sees min |C| + 2 dist(s, C) over the cycles C, that is min over w of
+    girth_through(w) + 2 dist(s, w); 2n+1 if no source sees a cycle."""
+    through = {w: oracles.girth_through(adj, w) for w in adj}
+    seen = [length + 2 * dist
+            for s in sources for w, dist in oracles.bfs_dict(adj, s).items()
+            if (length := through[w]) is not None]
+    return min(seen, default=2 * len(adj) + 1)
+
+
+@given(n=st.sampled_from([63, 64, 65, 127, 128, 129]), d=st.sampled_from([3, 4, 5]),
+       block_words=st.sampled_from([1, 2, graph_core._BLOCK_WORDS]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_sweep_from_a_subset_of_sources_matches_oracles(n, d, block_words, seed, data):
+    # the sources cross word and block edges in any order; each keeps its
+    # own eccentricity, and the girth is the shortest cycle one of them sees
+    assume(n * d % 2 == 0)
+    adj = _random_regular_adjacency(n, d, seed)
+    sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    with mock.patch.object(graph_core, "_BLOCK_WORDS", block_words):
+        ecc, girth = graph_core._eccentricities_and_girth(_indices(adj), d, np.array(sources))
+    everyone = _oracle_eccentricities(adj)
+    assert ecc.tolist() == [everyone[s] for s in sources]
+    assert girth == _seen_cycle(adj, sources)
+
+
+def test_a_source_sees_a_cycle_it_does_not_lie_on(rand3_50):
+    # the shortest cycle through vertex 1 has length 6, but a 3-cycle lies
+    # one step away, and the sweep from 1 alone reports 3 + 2*1
+    adj = oracles.adjacency_dict(rand3_50)
+    _, girth = graph_core._eccentricities_and_girth(rand3_50.indices, 3, np.array([1]))
+    assert oracles.girth_through(adj, 1) == 6
+    assert girth == _seen_cycle(adj, [1]) == 5
 
 
 @given(n=st.sampled_from([63, 64, 65, 127, 128, 129]), d=st.sampled_from([3, 4, 5]),
@@ -125,6 +162,7 @@ def test_sweep_matches_oracles_on_cubic_lifts(base, k, block_words, seed):
 
 def test_disjoint_petersens_have_no_eccentricity(petersen):
     indices = np.concatenate([petersen.indices, petersen.indices + petersen.n])
-    ecc, girth = graph_core._eccentricities_and_girth(indices, petersen.d)
+    ecc, girth = graph_core._eccentricities_and_girth(indices, petersen.d,
+                                                      np.arange(2 * petersen.n))
     assert ecc.tolist() == [-1] * (2 * petersen.n)
     assert girth == 5
