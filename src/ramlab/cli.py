@@ -157,8 +157,8 @@ def cmd_metrics(args) -> int:
     graph = resolve_graph(args)
     radius = args.window_radius
     if radius is None:
-        # log log n is negative below n = 10
-        radius = max(0.0, 3 * math.log(math.log10(graph.n)) / math.log(graph.d - 1))
+        # the window is negative below n = 10
+        radius = max(0.0, theory.log_log_window(graph.n, graph.d))
     profile = graph_core.distance_profile(graph, args.source, radius)
     metrics = graph_core.graph_metrics(graph)
     payload = {

@@ -18,8 +18,9 @@ other path that needs none of them leave it unloaded, which is why the
 spectrum's solves stay on numpy's eigvalsh. Besides U (16N^2 bytes) a
 dense decomposition holds no N x N array: the eigensolve overwrites the
 n x n A in place, the star-space QR works on N/2-row arrays and writes its
-basis straight into U's columns, and verification packs the Gram triangle
-U*U into N(N+1)/2 entries, half of U.
+basis straight into U's columns, and verification reduces the Gram
+triangle of U*U in the packed form LAPACK writes it in, N(N+1)/2 entries
+(half of U), with no unpacked copy.
 """
 
 import cmath
@@ -37,8 +38,9 @@ JORDAN_TOL = 1e-9
 TRIVIAL_TOL = 1e-8
 EPS_PRIME = 0.01  # certify: no exception may come this close to d
 
-# Byte budget of one row block of an N-column complex array in
-# verify_decomposition; a block step holds a few such arrays at once.
+# Byte budget of one row block of an N-column complex array, and of one
+# column chunk of the packed Gram triangle, in verify_decomposition; a
+# block step holds a few such arrays at once.
 _BLOCK_BYTES = 1 << 22
 
 
@@ -473,22 +475,6 @@ def _row_norms_sq(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _rfp_rows(arf: np.ndarray, r0: int, r1: int, out: np.ndarray) -> None:
-    """Rows r0..r1-1 of the lower triangle of a Hermitian matrix of even
-    order N = 2k held in rectangular full packed form (LAPACK's TRANSR='N',
-    UPLO='L'; `arf` the (N+1) x k F-ordered array), written into `out`'s
-    rows with zeros past the diagonal. Row j is arf[j+1, :j+1] for j < k;
-    for j >= k it is arf[j+1, :k] followed by conj(arf[:j-k+1, j-k]), as
-    the trailing k x k triangle is packed by its upper, conjugate half."""
-    k = arf.shape[1]
-    out[:, :k] = arf[r0 + 1 : r1 + 1]
-    tail = max(r0, k)
-    if tail < r1:
-        np.conjugate(arf[:k, tail - k : r1 - k].T, out=out[tail - r0 :, k:])
-    for i, j in enumerate(range(r0, r1)):
-        out[i, j + 1 :] = 0.0
-
-
 def verify_decomposition(b, dec: BlockDecomposition,
                          tol_recon: float = 1e-8, tol_unitary: float = 1e-10,
                          tol_bass: float = 1e-9, tol_alpha: float = 1e-8,
@@ -509,13 +495,17 @@ def verify_decomposition(b, dec: BlockDecomposition,
 
     U*U is the only cubic step: one Hermitian product (LAPACK's ZHFRK, at
     ZHERK's speed and half the flops of a full complex product), which
-    stores one triangle in rectangular full packed form, N(N+1)/2 entries.
-    Its defects and the rows of R = B U - U Lambda (a sparse product, a
-    column scaling and the alpha terms) are reduced one row block of at
-    most _BLOCK_BYTES at a time, each Gram row unpacked whole into a
-    zero-padded buffer, so besides U the check holds half an N x N array,
-    the packed triangle, and no other. Each row is reduced whole, so the
-    report does not depend on the block height."""
+    stores one triangle in rectangular full packed form, N(N+1)/2 entries,
+    each once. The max and the sum of squares of its defects do not depend
+    on where an entry lies, so they are taken on the packed array itself,
+    after 1 is subtracted at the N places that hold the diagonal: the
+    modulus one column chunk of at most _BLOCK_BYTES at a time, the squares
+    with no temporary. Besides U the check holds the packed triangle, half
+    an N x N array, and one column chunk; it frees the triangle before the
+    rows of R = B U - U Lambda (a sparse product, a column scaling and the
+    alpha terms) are reduced one row block of at most _BLOCK_BYTES at a
+    time. Each row of R is reduced whole, so the report does not depend on
+    the block height or the chunk width."""
     import scipy.linalg.lapack
     import scipy.sparse
 
@@ -524,24 +514,23 @@ def verify_decomposition(b, dec: BlockDecomposition,
     row_blocks = [slice(r0, min(r0 + height, N)) for r0 in range(0, N, height)]
 
     # on the F-ordered view U.T, zhfrk packs the lower triangle of
-    # conj(U*U) in rectangular full packed form, N(N+1)/2 entries; each row
-    # block of that triangle is unpacked into one zero-padded buffer
+    # conj(U*U) into an (N+1) x N/2 F-ordered array (LAPACK's TRANSR='N',
+    # UPLO='L'; N = nd is even). Row i < N/2 of the triangle ends at
+    # arf[i+1, i] and row N/2 + i at arf[i, i]: those are the diagonal.
     arf = scipy.linalg.lapack.zhfrk(N, N, 1.0, U.T, 0.0, np.empty(N * (N + 1) // 2, complex),
                                     transr="N", uplo="L", trans="N", overwrite_c=1)
     arf = arf.reshape(N + 1, N // 2, order="F")
-    buf = np.zeros((height, N), dtype=complex)
-    unitary, gram_sq, gram_diag = 0.0, np.empty(N), np.empty(N, dtype=complex)
-    for rows in row_blocks:
-        block = buf[: rows.stop - rows.start]
-        _rfp_rows(arf, rows.start, rows.stop, block)
-        on_diag = np.arange(len(block)), np.arange(rows.start, rows.stop)
-        block[on_diag] -= 1.0
-        gram_diag[rows] = block[on_diag]
-        unitary = max(unitary, float(np.abs(block[:, : rows.stop]).max()))
-        gram_sq[rows] = _row_norms_sq(block)
-    # ||U*U - I||_F^2 counts each off-diagonal entry of the triangle twice
-    gram_err = math.sqrt(2 * float(gram_sq.sum()) - float(np.vdot(gram_diag, gram_diag).real))
-    del arf, buf, block
+    half = np.arange(N // 2)
+    arf[half + 1, half] -= 1.0
+    arf[half, half] -= 1.0
+    gram_diag = np.concatenate((arf[half + 1, half], arf[half, half]))
+    width = max(1, _BLOCK_BYTES // (16 * (N + 1)))
+    unitary = max(float(np.abs(arf[:, c0 : c0 + width]).max()) for c0 in range(0, N // 2, width))
+    # ||U*U - I||_F^2 counts each off-diagonal entry of the triangle twice;
+    # arf.T is C-ordered, so its row norms need no copy
+    gram_err = math.sqrt(2 * float(_row_norms_sq(arf.T).sum())
+                         - float(np.vdot(gram_diag, gram_diag).real))
+    del arf
 
     b_csr = scipy.sparse.csr_array(b)
     first, k = 1 + dec.bipartite, dec.alpha.size

@@ -195,14 +195,18 @@ def nbrw_threshold_time(n: int, d: int) -> int:
     return weakly_adjusted_time(n, d, 0.0)
 
 
+def log_log_window(n: int, d: int) -> float:
+    """3 log_{d-1} log n with log n in base 10, the additive window of the
+    threshold times; negative for n < 10."""
+    return 3 * math.log(math.log10(n)) / math.log(d - 1)
+
+
 def weakly_adjusted_time(n: int, d: int, delta: float) -> int:
     """ceil((1 + 5 sqrt(delta)) log_{d-1} n + 3 log_{d-1} log n); at
     delta=0 this is the Ramanujan threshold time."""
     if not (math.isfinite(delta) and delta >= 0):
         raise UsageError(f"delta must be finite and >= 0, got {delta}")
-    main = (1 + 5 * math.sqrt(delta)) * _log_base(n, d - 1)
-    window = 3 * _log_base(math.log10(n), d - 1)
-    return _iceil(main + window)
+    return _iceil((1 + 5 * math.sqrt(delta)) * _log_base(n, d - 1) + log_log_window(n, d))
 
 
 def l1_l2_gap(d: float) -> dict:

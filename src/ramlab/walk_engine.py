@@ -99,7 +99,8 @@ def _per_vertex(graph: RegularGraph, kernel: str) -> int:
 
 def evolve(graph: RegularGraph, kernel: str, starts):
     """Yield (t, X) for t = 0, 1, ...: column j of X is the law at time t of
-    the walk from state starts[j] (a float ``starts`` holds initial laws).
+    the walk from state starts[j] (a float ``starts`` holds initial laws;
+    any dtype but integers or floats is a UsageError).
     Lazy kernels yield the mean of the pure laws at t-1 and t for t >= 1.
     Each step is taken on demand and every array is checked column by
     column; callers must not modify it. A yielded array is never written
@@ -118,6 +119,8 @@ def evolve(graph: RegularGraph, kernel: str, starts):
         if starts.shape[:1] != (size,):
             raise SpaceMismatch(f"{kernel} laws live on {size} states, got {starts.shape}")
         x = np.array(starts).reshape(size, -1)
+    elif starts.dtype.kind not in "iu":
+        raise UsageError(f"starts must be integer states or float laws, got dtype {starts.dtype}")
     else:
         if not ((starts >= 0) & (starts < size)).all():
             raise UsageError(f"start states must lie in [0, {size}) for {kernel}")
@@ -208,8 +211,9 @@ def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
     arc's tail's side) is compared at time t with the uniform law on the
     states of side (q + t) % 2 ("parity-alternating"), else with the
     uniform law on all states ("full"). UsageError for an unknown kernel, no
-    start or one outside the states; SizeCap before the first step above
-    the walk budget (_check_work, which counts the finite p).
+    start, starts that are not integers, or a start outside the states;
+    SizeCap before the first step above the walk budget (_check_work, which
+    counts the finite p).
 
     Starts evolve in blocks of at most _BLOCK_BYTES per (states x block)
     array, each on one side of a bipartite graph. With one CPU in the
@@ -232,6 +236,8 @@ def _max_over_starts(graph: RegularGraph, kernel: str, starts, times, p_list,
     starts = np.asarray(list(starts))
     if not starts.size:
         raise UsageError("need at least one start vertex")
+    if starts.dtype.kind not in "iu":
+        raise UsageError(f"start states must be integers, got dtype {starts.dtype}")
     outside = starts[(starts < 0) | (starts >= states)]
     if outside.size:
         raise UsageError(f"start {outside[0]} outside [0, {states}) for {kernel}")

@@ -35,6 +35,20 @@ _CASES = [
      r"start 18 outside \[0, 18\) for nbrw"),
     ("evolve_start", lambda g: next(walk_engine.evolve(g["petersen"], "srw", [0, 10])),
      r"start states must lie in \[0, 10\) for srw"),
+    # a start that is not an integer is refused before it is read as an
+    # index (a bool or a float would index the bipartition, or pass as a law)
+    ("mixing_curve_start_float", lambda g: walk_engine.mixing_curve(g["k33"], "srw", 1.5, 2),
+     r"start states must be integers, got dtype float64"),
+    ("mixing_curve_start_bool", lambda g: walk_engine.mixing_curve(g["k33"], "srw", True, 2),
+     r"start states must be integers, got dtype bool"),
+    ("profile_start_float",
+     lambda g: walk_engine.empirical_cutoff_profile(g["petersen"], [1.5], [0.0]),
+     r"start states must be integers, got dtype float64"),
+    ("profile_starts_float",
+     lambda g: walk_engine.empirical_cutoff_profile(g["petersen"], [0.0, 1.0], [0.0]),
+     r"start states must be integers, got dtype float64"),
+    ("evolve_start_string", lambda g: next(walk_engine.evolve(g["petersen"], "srw", ["1"])),
+     r"starts must be integer states or float laws, got dtype <U1"),
     ("evolve_kernel", lambda g: next(walk_engine.evolve(g["petersen"], "bogus", [0])),
      r"unknown kernel 'bogus'"),
     # the kernel is checked before the start is read as a vertex or an arc
