@@ -15,17 +15,17 @@ import numpy as np
 
 from . import graph_core
 from .errors import (
-    BadParams,
-    DegreeTooSmall,
     Disconnected,
     InvariantViolation,
     NonSimple,
     ParseError,
     RamlabError,
     SamplingExhausted,
-    UnknownName,
+    SizeCap,
+    UsageError,
 )
 from .graph_core import RegularGraph
+from .theory import check_regular
 
 RETRY_BUDGET = 100
 MAX_EXPECTED_ATTEMPTS = 1e5  # of random_regular pairings per simple graph
@@ -51,7 +51,7 @@ def _grid(*axes) -> np.ndarray:
 def _sqrt_minus_one(q: int) -> int:
     roots = np.flatnonzero(np.arange(q) ** 2 % q == q - 1)
     if roots.size == 0:
-        raise BadParams(f"-1 is not a square mod {q}; need q = 1 (mod 4)")
+        raise InvariantViolation(f"-1 is not a square mod {q}; need q = 1 (mod 4)")
     return int(roots[0])
 
 
@@ -70,13 +70,13 @@ class LpsParams:
     def __post_init__(self):
         p, q = self.p, self.q
         if not (_is_prime(p) and _is_prime(q)):
-            raise BadParams(f"p={p}, q={q} must both be prime")
+            raise UsageError(f"p={p}, q={q} must both be prime")
         if p % 4 != 1 or q % 4 != 1:
-            raise BadParams("p and q must both be congruent to 1 mod 4")
+            raise UsageError("p and q must both be congruent to 1 mod 4")
         if p == q:
-            raise BadParams("p and q must be distinct")
+            raise UsageError("p and q must be distinct")
         if q * q <= 4 * p:
-            raise BadParams(f"need q > 2*sqrt(p), got q={q}, p={p}")
+            raise UsageError(f"need q > 2*sqrt(p), got q={q}, p={p}")
 
     @property
     def degree(self) -> int:
@@ -99,7 +99,8 @@ def _quaternion_generators(p: int) -> np.ndarray:
     sols = _grid(np.arange(1, r + 1, 2), even, even, even)
     sols = sols[(sols**2).sum(axis=1) == p]
     if len(sols) != p + 1:
-        raise BadParams(f"found {len(sols)} quaternion solutions for p={p}, expected {p + 1}")
+        raise InvariantViolation(f"found {len(sols)} quaternion solutions for p={p}, "
+                                 f"expected {p + 1}")
     return sols
 
 
@@ -164,11 +165,11 @@ def build_lps(params: LpsParams) -> RegularGraph:
     mats = elems.reshape(-1, 2, 2)
 
     def vertices(products: np.ndarray) -> np.ndarray:
-        """The vertex of each product; BadParams unless it is an element."""
+        """The vertex of each product; InvariantViolation unless it is one."""
         prod = _canon(products.reshape(-1, 4) % q, q) @ place
         found = np.searchsorted(keys, prod)
         if not np.array_equal(keys[np.minimum(found, len(keys) - 1)], prod):
-            raise BadParams(f"a product with a generator lies outside {params.group}")
+            raise InvariantViolation(f"a product with a generator lies outside {params.group}")
         return found
 
     rows = np.stack([vertices(mats @ s.reshape(2, 2))
@@ -207,23 +208,20 @@ def build_random_regular(n: int, d: int, seed: int) -> RegularGraph:
     the configuration model. All attempts draw from one default_rng(seed)
     stream, so different seeds give independent samples. A uniform pairing
     is simple with probability about e^{-(d^2-1)/4}, so at most
-    ceil(20 e^{(d^2-1)/4}) pairings are drawn; where e^{(d^2-1)/4} exceeds
-    MAX_EXPECTED_ATTEMPTS (d >= 7), SamplingExhausted is raised at once,
-    and SizeCap where the n*d arcs exceed 2^31 - 1, before any draw."""
-    if d < 3:
-        raise DegreeTooSmall(f"this package requires d >= 3, got d={d}")
+    ceil(20 e^{(d^2-1)/4}) pairings are drawn. Before any draw: UsageError
+    unless check_regular(n, d) passes, n*d is even and seed >= 0, then
+    SizeCap above 2^31 - 1 arcs or MAX_EXPECTED_ATTEMPTS (d >= 7)."""
+    check_regular(n, d)
     if (n * d) % 2:
-        raise BadParams(f"n*d must be even, got n={n}, d={d}")
-    if n <= d:
-        raise BadParams(f"need n > d, got n={n}, d={d}")
+        raise UsageError(f"n*d must be even, got n={n}, d={d}")
     if seed < 0:
-        raise BadParams(f"seed must be >= 0, got {seed}")
+        raise UsageError(f"seed must be >= 0, got {seed}")
+    graph_core._check_size(n, d)
     log_expected = (d * d - 1) / 4
     if log_expected > math.log(MAX_EXPECTED_ATTEMPTS):
-        raise SamplingExhausted(
+        raise SizeCap(
             f"d={d} needs about e^{log_expected:g} pairings per simple graph, "
             f"more than {MAX_EXPECTED_ATTEMPTS:g}; random_regular takes d <= 6")
-    graph_core._check_size(n, d)
     budget = math.ceil(20 * math.exp(log_expected))
     provenance = {"family": "random_regular", "n": n, "d": d, "seed": seed}
     rng = np.random.default_rng(seed)
@@ -259,9 +257,9 @@ class LiftSpec:
 
     def __post_init__(self):
         if self.n < 1:
-            raise BadParams(f"cover number must be >= 1, got {self.n}")
+            raise UsageError(f"cover number must be >= 1, got {self.n}")
         if self.seed < 0:
-            raise BadParams(f"seed must be >= 0, got {self.seed}")
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 def build_random_lift(spec: LiftSpec) -> RegularGraph:
@@ -303,22 +301,21 @@ _NAME_RE = re.compile(r"^([a-z_]+)(?:\((\d+)\))?$")
 
 
 def build_named(name: str) -> RegularGraph:
-    """Named small graphs: complete(k), complete_bipartite(k), petersen."""
+    """Named small graphs: complete(k), complete_bipartite(k), petersen;
+    UsageError for another name or a degree below 3, as in complete(3)."""
     m = _NAME_RE.match(name.strip().lower())
     if not m:
-        raise UnknownName(f"cannot parse graph name {name!r}")
+        raise UsageError(f"cannot parse graph name {name!r}")
     base, arg = m.group(1), m.group(2)
-    k = int(arg) if arg is not None else None
-    if base == "cycle":
-        raise DegreeTooSmall("cycles have degree 2; this package requires d >= 3")
-    if base == "complete":
-        if k is None or k < 4:
-            raise DegreeTooSmall(f"complete(k) needs k >= 4, got {k}")
-        edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
-        return graph_core.from_edges(k, k - 1, edges, {"family": "complete", "k": k})
-    if base == "complete_bipartite":
-        if k is None or k < 3:
-            raise DegreeTooSmall(f"complete_bipartite(k) needs k >= 3, got {k}")
+    if base == "cycle":  # cycle(k) is 2-regular
+        check_regular(None, 2)
+    if base in ("complete", "complete_bipartite"):
+        if arg is None:
+            raise UsageError(f"{base}(k) needs its k, got {name!r}")
+        k = int(arg)
+        if base == "complete":
+            edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+            return graph_core.from_edges(k, k - 1, edges, {"family": "complete", "k": k})
         edges = [(u, k + v) for u in range(k) for v in range(k)]
         return graph_core.from_edges(2 * k, k, edges,
                                      {"family": "complete_bipartite", "k": k})
@@ -329,7 +326,7 @@ def build_named(name: str) -> RegularGraph:
             edges.append((i, 5 + i))                # spokes
             edges.append((5 + i, 5 + (i + 2) % 5))  # inner pentagram
         return graph_core.from_edges(10, 3, edges, {"family": "petersen"})
-    raise UnknownName(f"unknown graph name {name!r}")
+    raise UsageError(f"unknown graph name {name!r}")
 
 
 # --------------------------------------------------------------------------

@@ -95,9 +95,7 @@ def resolve_graph(args) -> graph_core.RegularGraph:
                 else builders.build_named(args.base))
         return builders.build_random_lift(
             builders.LiftSpec(base=base, n=args.cover, seed=args.seed))
-    if family == "named":
-        return builders.build_named(args.name)
-    raise RamlabError(f"unknown family {family!r}")
+    return builders.build_named(args.name)  # argparse allows only "named" here
 
 
 def _graph_args(sub):

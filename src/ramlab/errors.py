@@ -16,8 +16,8 @@ class UsageError(RamlabError, ValueError):
 
 class IrregularGraph(RamlabError):
     """The input is not n vertices of exactly d neighbors each: a vertex of
-    another degree, n <= d, a neighbor outside [0, n), or input that is not
-    n*d integers or (u, v) integer pairs."""
+    another degree, a neighbor outside [0, n), or input that is not n*d
+    integers or (u, v) integer pairs."""
 
 
 class SelfLoop(RamlabError):
@@ -36,20 +36,8 @@ class NonSimple(RamlabError):
     """A constructor produced a parallel edge or loop."""
 
 
-class BadParams(RamlabError):
-    """Constructor parameters violate primality/congruence/size conditions."""
-
-
 class SamplingExhausted(RamlabError):
     """Rejection sampling failed within the retry budget."""
-
-
-class UnknownName(RamlabError):
-    """Unrecognized named-graph identifier."""
-
-
-class DegreeTooSmall(RamlabError):
-    """Requested family has degree < 3."""
 
 
 class ParseError(RamlabError):
@@ -77,9 +65,10 @@ class SupportViolation(RamlabError):
 # --- spectral lab -----------------------------------------------------------
 
 class SizeCap(RamlabError):
-    """A computation was requested above its size cap: a dense solve above
-    its order, a walk above the state-step budget, or a graph with more
-    than 2**31 - 1 arcs, whose arc ids would not fit in int32."""
+    """A computation above its size cap, refused before it began: a
+    decomposition above its order, a walk above the state-step budget,
+    random_regular at d >= 7 (too few pairings are simple), or more than
+    2**31 - 1 arcs, whose arc ids would not fit in int32."""
 
 
 class EigenbasisNotOrthonormal(RamlabError):

@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import (
     Asymmetric,
-    DegreeTooSmall,
     Disconnected,
     InvariantViolation,
     IrregularGraph,
@@ -47,6 +46,7 @@ from .errors import (
     SizeCap,
     UsageError,
 )
+from .theory import check_regular
 
 _MAX_ARCS = 2**31 - 1  # arc ids and rev are int32
 
@@ -203,11 +203,9 @@ def from_edges(n: int, d: int, edges, provenance: dict | None = None) -> Regular
 
 
 def _check_size(n: int, d: int):
-    """Raise unless d >= 3, n > d and the n*d arc ids fit in int32."""
-    if d < 3:
-        raise DegreeTooSmall(f"this package requires d >= 3, got d={d}")
-    if n <= d:
-        raise IrregularGraph(f"need n > d, got n={n}, d={d}")
+    """UsageError unless d >= 3 and n > d (theory.check_regular), then
+    SizeCap unless the n*d arc ids fit in int32."""
+    check_regular(n, d)
     if n * d > _MAX_ARCS:
         raise SizeCap(f"n*d = {n * d} arcs exceed the int32 arc ids' cap of {_MAX_ARCS}")
 

@@ -505,7 +505,8 @@ def verify_decomposition(b, dec: BlockDecomposition,
     rows of R = B U - U Lambda (a sparse product, a column scaling and the
     alpha terms) are reduced one row block of at most _BLOCK_BYTES at a
     time. Each row of R is reduced whole, so the report does not depend on
-    the block height or the chunk width."""
+    the block height or the chunk width. Every reduction carries a NaN
+    through to its key, so a NaN in B, U, Lambda, alpha or lam gives ok False."""
     import scipy.linalg.lapack
     import scipy.sparse
 
@@ -525,7 +526,7 @@ def verify_decomposition(b, dec: BlockDecomposition,
     arf[half, half] -= 1.0
     gram_diag = np.concatenate((arf[half + 1, half], arf[half, half]))
     width = max(1, _BLOCK_BYTES // (16 * (N + 1)))
-    unitary = max(float(np.abs(arf[:, c0 : c0 + width]).max()) for c0 in range(0, N // 2, width))
+    unitary = float(np.max([np.abs(arf[:, c : c + width]).max() for c in range(0, N // 2, width)]))
     # ||U*U - I||_F^2 counts each off-diagonal entry of the triangle twice;
     # arf.T is C-ordered, so its row norms need no copy
     gram_err = math.sqrt(2 * float(_row_norms_sq(arf.T).sum())
@@ -534,12 +535,13 @@ def verify_decomposition(b, dec: BlockDecomposition,
 
     b_csr = scipy.sparse.csr_array(b)
     first, k = 1 + dec.bipartite, dec.alpha.size
-    resid_sq = 0.0
+    row_max = []
     for rows in row_blocks:
         resid = b_csr[rows] @ U
         resid -= U[rows] * diag
         resid[:, first + 1 : first + 2 * k : 2] -= U[rows, first : first + 2 * k : 2] * dec.alpha
-        resid_sq = max(resid_sq, float(_row_norms_sq(resid).max()))
+        row_max.append(_row_norms_sq(resid).max())
+    resid_sq = float(np.max(row_max))
     b_row = math.sqrt(float(b_csr.power(2).sum(axis=1).max()))
     recon = (math.sqrt(resid_sq) * math.sqrt(float(_row_norms_sq(U).max()))
              + b_row * gram_err)
@@ -550,12 +552,12 @@ def verify_decomposition(b, dec: BlockDecomposition,
     low = math.sqrt(float(col_sums @ col_sums) / N)
     b_abs = abs(b_csr)
     high = math.sqrt(float((b_abs @ b_abs.sum(axis=0)).max()))
-    opnorm_err = max(abs(high - top), abs(low - top))
+    opnorm_err = float(np.max([abs(high - top), abs(low - top)]))
 
     # np.abs rounds a complex modulus differently from abs(); hypot does not
-    alpha_err = 0.0
-    for a, lam in zip(np.hypot(dec.alpha.real, dec.alpha.imag).tolist(), dec.lam.tolist()):
-        alpha_err = max(alpha_err, abs(a - alpha_exact(lam, dec.d)))
+    alpha_abs = np.hypot(dec.alpha.real, dec.alpha.imag).tolist()
+    alpha_err = float(np.max([abs(a - alpha_exact(lam, dec.d))
+                              for a, lam in zip(alpha_abs, dec.lam.tolist())], initial=0.0))
 
     return {
         "reconstruction": recon,

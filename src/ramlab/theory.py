@@ -4,7 +4,8 @@ Houses the radial walk on the tree (``tree_rows``, with sphere sizes and L^p
 norms), the cutoff location t_star = (d/(d-2)) log_{d-1} n with its Gaussian
 profile, the L^p cutoff locations via the relative-entropy optimization, the
 tree-based L^p lower bounds, diameter bounds (ball-volume and spectral), and
-the bipartite/weakly adjusted times. The walk module imports this one.
+the bipartite/weakly adjusted times, and ``check_regular``, the one (n, d)
+rule. graph_core, builders and the walk module import this one.
 
 Logarithm conventions: spectral formulas use natural logs; the log n inside
 the additive 3 log_{d-1} log n window terms is base 10, which pins the
@@ -31,6 +32,16 @@ def _log_base(x: float, base: float) -> float:
     return math.log(x) / math.log(base)
 
 
+def check_regular(n: int | None, d: int):
+    """UsageError unless d >= 3 and, where n is given, n > d (no simple
+    d-regular graph has n <= d vertices): the one statement of the rule,
+    which graph_core and builders call too."""
+    if d < 3:
+        raise UsageError(f"need d >= 3, got d={d}")
+    if n is not None and not n > d:
+        raise UsageError(f"need n > d, got n={n}, d={d}")
+
+
 @dataclass(frozen=True)
 class CutoffPrediction:
     """Total-variation cutoff location, window, and profile constants."""
@@ -45,24 +56,20 @@ class CutoffPrediction:
 
 def _profile_constant(d: int) -> float:
     """c_d = (d-2)^(3/2) / (2 sqrt(d(d-1))); UsageError unless d >= 3."""
-    if d < 3:
-        raise UsageError(f"need d >= 3, got d={d}")
+    check_regular(None, d)
     return (d - 2) ** 1.5 / (2 * math.sqrt(d * (d - 1)))
 
 
 def cutoff_prediction(n: int, d: int) -> CutoffPrediction:
-    """UsageError unless d >= 3 and n > d: no simple d-regular graph has
-    n <= d vertices."""
-    c_d = _profile_constant(d)
-    if not n > d:
-        raise UsageError(f"need n > d, got n={n}, d={d}")
+    """UsageError unless d >= 3 and n > d (check_regular)."""
+    check_regular(n, d)
     log_n = _log_base(n, d - 1)
     return CutoffPrediction(
         n=n,
         d=d,
         t_star=d / (d - 2) * log_n,
         window=math.sqrt(log_n),
-        c_d=c_d,
+        c_d=_profile_constant(d),
         rho=2 * math.sqrt(d - 1) / d,
     )
 
@@ -121,8 +128,7 @@ def lp_prediction(p: float, d: int, n: int) -> LpPrediction:
     p = float(p)
     if not (p > 1):
         raise UsageError(f"p must lie in (1, inf], got {p}")
-    if d < 3:
-        raise UsageError(f"need d >= 3, got d={d}")
+    check_regular(n, d)
     beta_star = max(1.0 / ((d - 1) ** _frac(p, "pm2_over_p") + 1.0), 0.5)
     h = relative_entropy(beta_star, (d - 1) / d, d - 1)
     c_dp = 1.0 / ((2 * beta_star - 1) + _frac(p, "p_over_pm1") * h)
@@ -138,6 +144,7 @@ def lp_prediction(p: float, d: int, n: int) -> LpPrediction:
 def lp_lower_bound(n: int, d: int, p: float, t: int) -> float:
     """Rigorous tree lower bound on D_p(t): n^((p-1)/p) ||Q^t(root,.)||_p - 1,
     with the tree norm taken from the exact radial DP."""
+    check_regular(n, d)
     if t < 1:
         raise UsageError(f"t must be >= 1, got {t}")
     _, row = next(itertools.islice(tree_rows(d, t), t, None))
@@ -163,6 +170,7 @@ def nbrw_tmix_lower(n: int, d: int, eps: float) -> int:
     """Counting lower bound on NBRW t_mix(1 - eps):
     ceil(log_{d-1}(d n)) - ceil(log_{d-1}(1/eps)), the second log taken as
     -log(eps) / log(d-1) so that a subnormal eps does not overflow 1/eps."""
+    check_regular(n, d)
     if not 0 < eps <= 1:
         raise UsageError(f"eps must be in (0,1], got {eps}")
     return _iceil(_log_base(d * n, d - 1)) - _iceil(-math.log(eps) / math.log(d - 1))
@@ -170,12 +178,14 @@ def nbrw_tmix_lower(n: int, d: int, eps: float) -> int:
 
 def diameter_volume_lower_bound(n: int, d: int) -> float:
     """Ball-volume diameter lower bound log_{d-1}((n-1)(d-2)/d + 1) - 1."""
+    check_regular(n, d)
     return math.log((n - 1) * (d - 2) / d + 1) / math.log(d - 1) - 1
 
 
 def diameter_bounds(n: int, d: int, lam: float) -> dict:
     """Diameter upper bounds from the nontrivial spectral radius lam:
     Alon-Milman, Chung, and the Chebyshev-polynomial (CFM) bound."""
+    check_regular(n, d)
     if not 0 < lam < d:
         raise UsageError(f"need 0 < lambda < d, got lambda={lam}, d={d}")
     x = d / lam
@@ -198,12 +208,14 @@ def nbrw_threshold_time(n: int, d: int) -> int:
 def log_log_window(n: int, d: int) -> float:
     """3 log_{d-1} log n with log n in base 10, the additive window of the
     threshold times; negative for n < 10."""
+    check_regular(n, d)
     return 3 * math.log(math.log10(n)) / math.log(d - 1)
 
 
 def weakly_adjusted_time(n: int, d: int, delta: float) -> int:
     """ceil((1 + 5 sqrt(delta)) log_{d-1} n + 3 log_{d-1} log n); at
     delta=0 this is the Ramanujan threshold time."""
+    check_regular(n, d)
     if not (math.isfinite(delta) and delta >= 0):
         raise UsageError(f"delta must be finite and >= 0, got {delta}")
     return _iceil((1 + 5 * math.sqrt(delta)) * _log_base(n, d - 1) + log_log_window(n, d))
@@ -289,8 +301,7 @@ def tree_rows(d: int, t_max: int, log: bool = False):
     end; a wrong-parity entry is zero + zero and the top one x + zero, sums
     that are exact in linear and log space (logaddexp(x, -inf) == x).
     """
-    if d < 3:
-        raise UsageError(f"tree walk requires d >= 3, got d={d}")
+    check_regular(None, d)
     if t_max < 0:
         raise UsageError(f"t_max must be >= 0, got {t_max}")
     if log:

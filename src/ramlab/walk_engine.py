@@ -380,11 +380,13 @@ def default_start_sample(graph: RegularGraph, seed: int = 0,
 
 def nbrw_projected(graph: RegularGraph, x: int, k: int) -> np.ndarray:
     """Law of the head vertex after k-1 NBRW steps from a uniform edge out
-    of x (k=0 gives the point mass at x, k=1 the uniform neighbor)."""
+    of x (k=0 gives the point mass at x, k=1 the uniform neighbor); SizeCap
+    before the first step above the walk budget (_check_work)."""
     if k < 0:
         raise UsageError(f"k must be >= 0, got {k}")
     if not 0 <= x < graph.n:
         raise UsageError(f"start vertex {x} outside [0, {graph.n})")
+    _check_work(graph.n * graph.d, 1, k - 1)
     if k == 0:
         point = np.zeros(graph.n)
         point[x] = 1.0

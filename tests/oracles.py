@@ -21,11 +21,11 @@ import scipy.linalg
 from ramlab import theory, walk_engine
 from ramlab.errors import (
     Asymmetric,
-    DegreeTooSmall,
     Disconnected,
     IrregularGraph,
     NonSimple,
     SelfLoop,
+    UsageError,
 )
 from ramlab.spectral_lab import alpha_exact, bass_points
 
@@ -61,9 +61,9 @@ def regular_graph_loop(adj, d: int):
     parities give the two-colouring."""
     n = len(adj)
     if d < 3:
-        raise DegreeTooSmall(f"this package requires d >= 3, got d={d}")
+        raise UsageError(f"need d >= 3, got d={d}")
     if n <= d:
-        raise IrregularGraph(f"need n > d, got n={n}, d={d}")
+        raise UsageError(f"need n > d, got n={n}, d={d}")
     indices = np.empty(n * d, dtype=np.int32)
     rows = {}
     for u in range(n):

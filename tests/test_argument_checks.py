@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from ramlab import graph_core, spectral_lab, theory, walk_engine
+from ramlab import builders, graph_core, spectral_lab, theory, walk_engine
+from ramlab.builders import LiftSpec, LpsParams
 from ramlab.errors import UsageError
 
 
@@ -100,10 +101,36 @@ _CASES = [
      r"exceptional budget must be >= 0, got -1"),
     ("theta_pair", lambda g: spectral_lab.theta_pair(3.5, 3), r"\|lambda\| must be <= d"),
     ("alpha_exact", lambda g: spectral_lab.alpha_exact(3.0, 3), r"lambda != d"),
-    # theory
-    ("cutoff_prediction_d", lambda g: theory.cutoff_prediction(100, 2), r"need d >= 3, got d=2"),
-    ("cutoff_prediction_n", lambda g: theory.cutoff_prediction(3, 3),
+    # graph_core: the (n, d) rule, checked before the rows are read
+    ("from_edges_d", lambda g: graph_core.from_edges(3, 2, [(0, 1), (0, 2), (1, 2)]),
+     r"need d >= 3, got d=2"),
+    ("regular_graph_n", lambda g: graph_core.RegularGraph(n=3, d=3, indices=[1, 2, 0] * 3),
      r"need n > d, got n=3, d=3"),
+    # builders: every parameter check
+    ("lps_not_prime", lambda g: LpsParams(4, 13), r"p=4, q=13 must both be prime"),
+    ("lps_not_one_mod_four", lambda g: LpsParams(5, 11), r"congruent to 1 mod 4"),
+    ("lps_equal", lambda g: LpsParams(5, 5), r"must be distinct"),
+    ("lps_q_small", lambda g: LpsParams(13, 5), r"need q > 2\*sqrt\(p\), got q=5, p=13"),
+    ("lift_cover", lambda g: LiftSpec(g["petersen"], 0, 0), r"cover number must be >= 1, got 0"),
+    ("lift_seed", lambda g: LiftSpec(g["petersen"], 2, -1), r"seed must be >= 0, got -1"),
+    ("named_unparsed", lambda g: builders.build_named("k4!"), r"cannot parse graph name 'k4!'"),
+    ("named_unknown", lambda g: builders.build_named("dodecahedron"),
+     r"unknown graph name 'dodecahedron'"),
+    ("named_cycle", lambda g: builders.build_named("cycle(5)"), r"need d >= 3, got d=2"),
+    ("named_complete_no_k", lambda g: builders.build_named("complete"),
+     r"complete\(k\) needs its k"),
+    ("named_complete_3", lambda g: builders.build_named("complete(3)"), r"need d >= 3, got d=2"),
+    ("named_complete_bipartite_2", lambda g: builders.build_named("complete_bipartite(2)"),
+     r"need d >= 3, got d=2"),
+    ("random_regular_d", lambda g: builders.build_random_regular(5, -2, 0),
+     r"need d >= 3, got d=-2"),
+    ("random_regular_n", lambda g: builders.build_random_regular(4, 4, 0),
+     r"need n > d, got n=4, d=4"),
+    ("random_regular_odd", lambda g: builders.build_random_regular(5, 3, 0),
+     r"n\*d must be even, got n=5, d=3"),
+    ("random_regular_seed", lambda g: builders.build_random_regular(10, 3, -1),
+     r"seed must be >= 0, got -1"),
+    # theory
     ("profile_value_d", lambda g: theory.profile_value(0.0, 2), r"need d >= 3, got d=2"),
     ("relative_entropy_beta", lambda g: theory.relative_entropy(1.5, 0.5, 2.0),
      r"beta and alpha must lie in \[0, 1\]"),
@@ -111,7 +138,6 @@ _CASES = [
      r"base must exceed 1, got 1.0"),
     ("lp_prediction_p", lambda g: theory.lp_prediction(1.0, 3, 100),
      r"p must lie in \(1, inf\], got 1.0"),
-    ("lp_prediction_d", lambda g: theory.lp_prediction(2.0, 2, 100), r"need d >= 3, got d=2"),
     ("lp_lower_bound_t", lambda g: theory.lp_lower_bound(100, 3, 2.0, 0),
      r"t must be >= 1, got 0"),
     ("srw_lower_profile_eps", lambda g: theory.srw_lower_profile(100, 3, 1.0, 0.0),
@@ -125,11 +151,29 @@ _CASES = [
     ("weakly_adjusted_time_delta", lambda g: theory.weakly_adjusted_time(100, 3, math.inf),
      r"delta must be finite and >= 0, got inf"),
     ("l1_l2_gap_d", lambda g: theory.l1_l2_gap(2), r"need d > 2, got d=2"),
-    ("tree_rows_d", lambda g: theory.tree_rows(2, 5), r"requires d >= 3, got d=2"),
+    ("tree_rows_d", lambda g: theory.tree_rows(2, 5), r"need d >= 3, got d=2"),
     ("tree_rows_t_max", lambda g: theory.tree_rows(3, -1), r"t_max must be >= 0, got -1"),
     ("tree_lp_norm_p", lambda g: theory.tree_lp_norm(3, theory.sphere_sizes(3, 2), 0.5),
      r"p must be in \[1, inf\], got 0.5"),
 ]
+
+# theory: every function that takes n and d refuses d < 3 at (100, 2) and
+# n <= d at (3, 3) through check_regular
+_ND_CALLS = {
+    "cutoff_prediction": theory.cutoff_prediction,
+    "lp_prediction": lambda n, d: theory.lp_prediction(2.0, d, n),
+    "lp_lower_bound": lambda n, d: theory.lp_lower_bound(n, d, 2.0, 3),
+    "nbrw_tmix_lower": lambda n, d: theory.nbrw_tmix_lower(n, d, 0.5),
+    "diameter_volume_lower_bound": theory.diameter_volume_lower_bound,
+    "diameter_bounds": lambda n, d: theory.diameter_bounds(n, d, 1.0),
+    "nbrw_threshold_time": theory.nbrw_threshold_time,
+    "log_log_window": theory.log_log_window,
+    "weakly_adjusted_time": lambda n, d: theory.weakly_adjusted_time(n, d, 0.0),
+}
+_CASES += [(f"{name}_{which}", lambda g, call=call, n=n, d=d: call(n, d), match)
+           for name, call in _ND_CALLS.items()
+           for which, n, d, match in [("d", 100, 2, r"need d >= 3, got d=2"),
+                                      ("n", 3, 3, r"need n > d, got n=3, d=3")]]
 
 
 @pytest.mark.parametrize("call, match", [case[1:] for case in _CASES],

@@ -7,13 +7,11 @@ import oracles
 from ramlab import builders, graph_core
 from ramlab.builders import LiftSpec, LpsParams
 from ramlab.errors import (
-    BadParams,
-    DegreeTooSmall,
     Disconnected,
     InvariantViolation,
     ParseError,
-    SamplingExhausted,
-    UnknownName,
+    SizeCap,
+    UsageError,
 )
 
 
@@ -21,13 +19,13 @@ from ramlab.errors import (
 
 
 def test_lps_params_validation():
-    with pytest.raises(BadParams):
+    with pytest.raises(UsageError):
         LpsParams(4, 13)           # p not prime
-    with pytest.raises(BadParams):
+    with pytest.raises(UsageError):
         LpsParams(5, 11)           # q = 3 mod 4
-    with pytest.raises(BadParams):
+    with pytest.raises(UsageError):
         LpsParams(5, 5)            # p = q
-    with pytest.raises(BadParams):
+    with pytest.raises(UsageError):
         LpsParams(13, 5)           # q <= 2 sqrt(p)
 
 
@@ -102,7 +100,7 @@ def test_lps_generators_must_generate_the_group(monkeypatch):
 def test_lps_products_must_stay_in_the_group(monkeypatch):
     # 5 is not a square mod 13: each generator maps PSL(2,13) to its other coset
     monkeypatch.setattr(LpsParams, "psl_case", property(lambda self: True))
-    with pytest.raises(BadParams, match=r"outside PSL\(2,13\)"):
+    with pytest.raises(InvariantViolation, match=r"outside PSL\(2,13\)"):
         builders.build_lps(LpsParams(5, 13))
 
 
@@ -175,7 +173,7 @@ def test_random_regular_refuses_degree_seven_before_sampling(monkeypatch):
         raise AssertionError("sampled")
 
     monkeypatch.setattr(np.random, "default_rng", no_sampling)
-    with pytest.raises(SamplingExhausted, match="d=7"):
+    with pytest.raises(SizeCap, match="d=7"):
         builders.build_random_regular(100, 7, 0)
 
 
@@ -185,12 +183,12 @@ def test_random_regular_refuses_degree_below_three_before_sampling(monkeypatch, 
         raise AssertionError("sampled")
 
     monkeypatch.setattr(np.random, "default_rng", no_sampling)
-    with pytest.raises(DegreeTooSmall, match=f"d={d}"):
+    with pytest.raises(UsageError, match=f"d={d}"):
         builders.build_random_regular(n, d, 0)
 
 
 def test_random_regular_rejects_odd_total():
-    with pytest.raises(BadParams):
+    with pytest.raises(UsageError):
         builders.build_random_regular(5, 3, 0)
 
 
@@ -242,12 +240,12 @@ def test_named_petersen(petersen):
 
 
 def test_named_cycle_rejected():
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(UsageError):
         builders.build_named("cycle")
 
 
 def test_named_unknown():
-    with pytest.raises(UnknownName):
+    with pytest.raises(UsageError):
         builders.build_named("dodecahedron")
 
 

@@ -4,11 +4,13 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -346,9 +348,9 @@ def test_mix_helper_error_exit_code(tmp_path, capsys, monkeypatch, exc):
 
 
 def test_computation_error_exit_code(tmp_path):
-    # invalid LPS parameters -> machine-readable error, exit 4
+    # invalid LPS parameters are an argument out of range: exit 2
     assert run(["build", "--family", "lps", "--p", "4", "--q", "13",
-                "--out-dir", str(tmp_path)]) == 4
+                "--out-dir", str(tmp_path)]) == 2
 
 
 @pytest.mark.parametrize("name", ["complete(4)", "complete_bipartite(3)"])
@@ -429,6 +431,11 @@ def test_metrics_out_of_range_exit_code(tmp_path, capsys, flags):
     ["spectrum", "--name", "petersen", "--delta-threshold", "-1"],
     ["certify", "--name", "petersen", "--delta-threshold", "inf"],
     ["certify", "--name", "petersen", "--exceptional-budget", "-1"],
+    ["build", "--family", "lps", "--p", "4", "--q", "13"],
+    ["build", "--name", "complete(3)"],
+    ["build", "--name", "dodecahedron"],
+    ["build", "--family", "random_lift", "--cover", "0"],
+    ["build", "--family", "random_lift", "--base", "complete(3)"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_out_of_range_exit_code(tmp_path, capsys, argv):
     _assert_rejected(tmp_path, capsys, argv)
@@ -449,14 +456,16 @@ def test_malformed_sidecar_exit_code(tmp_path, capsys, sidecar):
                                   ["spectrum"], ["decompose"]],
                          ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_degree_below_three_exit_code(tmp_path, capsys, argv, source):
-    # the triangle is 2-regular: every subcommand refuses it with exit 4
+    # the triangle is 2-regular: every subcommand refuses it, as a flag out
+    # of range (exit 2) or as a faulty input file (exit 4)
     if source == "file":
         path = tmp_path / "triangle.edges"
         path.write_text("3 2\n0 1\n0 2\n1 2\n")
-        graph, error = ["--file", str(path)], "InvariantViolation"
+        graph, code, error = ["--file", str(path)], 4, "InvariantViolation"
     else:
-        graph, error = ["--family", "random_regular", "--n", "3", "--d", "2"], "DegreeTooSmall"
-    _assert_rejected(tmp_path / "out", capsys, argv + graph, 4, error)
+        graph, code, error = (["--family", "random_regular", "--n", "3", "--d", "2"],
+                              2, "UsageError")
+    _assert_rejected(tmp_path / "out", capsys, argv + graph, code, error)
 
 
 @pytest.mark.parametrize("argv", [
@@ -464,7 +473,7 @@ def test_degree_below_three_exit_code(tmp_path, capsys, argv, source):
     ["build", "--family", "random_lift", "--cover", "3", "--seed", "-1"],
 ], ids=["random_regular", "random_lift"])
 def test_negative_seed_exit_code(tmp_path, capsys, argv):
-    _assert_rejected(tmp_path, capsys, argv, 4, "BadParams")
+    _assert_rejected(tmp_path, capsys, argv)
 
 
 @pytest.mark.parametrize("argv", [
@@ -496,22 +505,38 @@ def test_random_regular_degree_seven_exit_code(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", no_sampling)
     _assert_rejected(tmp_path, capsys, ["build", "--family", "random_regular",
-                                        "--n", "100", "--d", "7"], 4, "SamplingExhausted")
+                                        "--n", "100", "--d", "7"], 4, "SizeCap")
 
 
 @pytest.mark.parametrize("d", ["-2", "0", "1"])
 def test_random_regular_degree_below_three_exit_code(tmp_path, capsys, d):
     # refused before sampling, where a negative degree used to reach np.repeat
     _assert_rejected(tmp_path, capsys, ["build", "--family", "random_regular",
-                                        "--n", "5", "--d", d], 4, "DegreeTooSmall")
+                                        "--n", "5", "--d", d])
+
+
+# The error names that an exit-4 line may carry; README's exit-code
+# paragraph lists the same names.
+EXIT_4_ERRORS = ("SizeCap", "SamplingExhausted", "ParseError", "InvariantViolation",
+                 "IrregularGraph", "SelfLoop", "Asymmetric", "Disconnected", "NonSimple",
+                 "SpaceMismatch", "SupportViolation", "EigenbasisNotOrthonormal",
+                 "AlphaDegenerate", "MemoryError", "LinAlgError", "ArpackError",
+                 "OverflowError", "OSError")
+
+
+def test_readme_lists_the_exit_4_errors():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    sentence = readme[readme.index("An exit-4 line names one of"):].split(" (an `OSError`")[0]
+    assert re.findall(r"`(\w+)`", sentence) == list(EXIT_4_ERRORS)
 
 
 # Numeric flag values: small integers with 0 and negatives, a fraction, NaN
-# and infinities. No value exceeds 12, which bounds every graph (n <= 12),
-# --horizon, --starts and --start. theory's --n and --d and
-# tree's --d only enter closed forms, so they also draw integers near and
-# beyond the float range. --tmax and the --s-grid entries also draw times far
-# beyond the walk budget, which must be refused before the first step.
+# and infinities. No value exceeds 12, which bounds --horizon, --starts and
+# --start, and every graph but the one valid LPS pair, LPS(5,13) (n = 2184),
+# to n <= 30. theory's --n and --d and tree's --d only enter closed forms,
+# so they also draw integers near and beyond the float range. --tmax and the
+# --s-grid entries also draw times far beyond the walk budget, which must be
+# refused before the first step.
 _NUMBER = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(["0.5", "nan", "inf", "-inf"]))
 _CLOSED_FORM_INT = st.one_of(_NUMBER, st.sampled_from([10**300, 10**308, 10**309, 10**400])
                              .map(str))
@@ -525,6 +550,13 @@ _GRAPH = st.one_of(
     .map(lambda name: ["--family", "named", "--name", name]),
     st.tuples(st.integers(-1, 12), st.integers(-2, 5), st.integers(-1, 3))
     .map(lambda t: ["--family", "random_regular", "--n", str(t[0]), "--d", str(t[1]),
+                    "--seed", str(t[2])]),
+    st.tuples(st.sampled_from(["-1", "2", "4", "5", "13"]),
+              st.sampled_from(["-1", "5", "11", "13"]))
+    .map(lambda pq: ["--family", "lps", "--p", pq[0], "--q", pq[1]]),
+    st.tuples(st.sampled_from(["petersen", "complete(3)", "complete(4)", "cycle(5)"]),
+              st.integers(-1, 3), st.integers(-1, 3))
+    .map(lambda t: ["--family", "random_lift", "--base", t[0], "--cover", str(t[1]),
                     "--seed", str(t[2])]),
 )
 _SPECTRUM_FLAGS = {"--delta-threshold": _NUMBER, "--exceptional-budget": _NUMBER}
@@ -562,9 +594,10 @@ def _argv(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_fuzzed_argv_exit_code(argv):
     # every argument vector ends in a documented exit code, never a
-    # traceback; derandomized, so every run draws the same 300 vectors. A
-    # vector that asks for a time beyond the walk budget is refused within a
-    # second, with one JSON line and no artifact
+    # traceback; derandomized, so every run draws the same 300 vectors. An
+    # exit 2 that argparse did not give names UsageError, and an exit 4 one
+    # of EXIT_4_ERRORS. A vector that asks for a time beyond the walk budget
+    # is refused within a second, with one JSON line and no artifact
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
@@ -577,6 +610,10 @@ def test_fuzzed_argv_exit_code(argv):
         artifacts = os.listdir(out)
     assert code in (0, 2, 3, 4), code
     assert "Traceback" not in err.getvalue()
+    if parsed and code in (2, 4):
+        line, = err.getvalue().splitlines()
+        error = json.loads(line)["error"]
+        assert error == "UsageError" if code == 2 else error in EXIT_4_ERRORS, (argv, line)
     if parsed and any(value in _HUGE_TIMES for value in ",".join(argv).split(",")):
         assert elapsed < 1.0, elapsed
         assert code != 0 and artifacts == [], (code, artifacts)

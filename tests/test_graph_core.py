@@ -9,7 +9,6 @@ from ramlab import builders, graph_core, theory
 from ramlab.builders import LiftSpec, LpsParams
 from ramlab.errors import (
     Asymmetric,
-    DegreeTooSmall,
     Disconnected,
     InvariantViolation,
     IrregularGraph,
@@ -167,7 +166,7 @@ def test_asymmetric_rows_name_the_edge():
 
 @pytest.mark.parametrize("n, d, edges", [(3, 2, [(0, 1), (0, 2), (1, 2)]), (2, 1, [(0, 1)])])
 def test_rejects_degree_below_three(n, d, edges):
-    with pytest.raises(DegreeTooSmall):
+    with pytest.raises(UsageError):
         graph_core.from_edges(n, d, edges)
 
 

@@ -655,6 +655,20 @@ def test_verify_detects_corruption(k4, k33, petersen, c6_x_k4):
                 assert oracle["eigvals_multiset"] <= 1e-6, oracle
 
 
+def test_verify_carries_nan_to_the_keys_it_reaches(petersen):
+    # Python's max(x, nan) is x: each reduction must carry a NaN through, so
+    # that a NaN alpha, lambda or entry of B fails the verdict
+    dec, b = _decomposed(petersen)
+    alpha, lam, b_nan = dec.alpha.copy(), dec.lam.copy(), b.copy()
+    alpha[0], lam[0], b_nan[0, 1] = np.nan, np.nan, np.nan
+    for b_bad, dec_bad, keys in ((b, replace(dec, alpha=alpha), ("alpha", "reconstruction")),
+                                 (b, replace(dec, lam=lam), ("alpha",)),
+                                 (b_nan, dec, ("reconstruction", "operator_norm"))):
+        rep = verify_decomposition(b_bad, dec_bad)
+        assert not rep["ok"], rep
+        assert all(math.isnan(rep[key]) for key in keys), (keys, rep)
+
+
 def test_bass_check_survives_a_failed_factor(petersen, monkeypatch):
     # a NaN in B or in the multiset, or an I - uB that SuperLU finds
     # singular: the check reports inf and the verdict fails, with no exception

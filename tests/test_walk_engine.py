@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ramlab import builders, graph_core, theory, walk_engine
-from ramlab.errors import SpaceMismatch, SupportViolation, UsageError
+from ramlab.errors import SizeCap, SpaceMismatch, SupportViolation, UsageError
 from ramlab.theory import tree_lp_norm, tree_rows
 from ramlab.walk_engine import MixingCurve, evolve, mixing_curve, nbrw_projected
 
@@ -567,6 +567,17 @@ def test_nbrw_projected_petersen_depth2(petersen):
     assert far.sum() == 6
     assert np.allclose(mu[far], 1 / 6)
     assert np.allclose(mu[~far], 0.0)
+
+
+def test_nbrw_projected_beyond_budget_raises_size_cap(petersen, monkeypatch):
+    # charged for its k - 1 steps over the 30 arcs like every evolution, and
+    # refused before the first step
+    def no_steps(*args, **kwargs):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(walk_engine, "evolve", no_steps)
+    with pytest.raises(SizeCap, match=r"^evolving 1 start\(s\) over 30 states to t=9999999999 "):
+        nbrw_projected(petersen, 0, 10**10)
 
 
 @pytest.mark.parametrize("x", [-1, 10])
