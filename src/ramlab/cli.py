@@ -302,19 +302,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ramlab",
         description="Random-walk mixing laboratory for regular graphs")
     subs = parser.add_subparsers(dest="subcommand", required=True)
+    # the graph flags are made once and shared, ahead of each subcommand's own
+    graph = argparse.ArgumentParser(add_help=False)
+    _graph_args(graph)
 
-    p = subs.add_parser("build", help="construct a graph and write its edge list")
-    _graph_args(p)
+    p = subs.add_parser("build", parents=[graph],
+                        help="construct a graph and write its edge list")
     p.set_defaults(func=cmd_build)
 
-    p = subs.add_parser("metrics", help="diameter/girth/distance-profile JSON")
-    _graph_args(p)
+    p = subs.add_parser("metrics", parents=[graph],
+                        help="diameter/girth/distance-profile JSON")
     p.add_argument("--source", type=int, default=0)
     p.add_argument("--window-radius", type=float, default=None)
     p.set_defaults(func=cmd_metrics)
 
-    p = subs.add_parser("mix", help="mixing-curve CSV for one start state")
-    _graph_args(p)
+    p = subs.add_parser("mix", parents=[graph], help="mixing-curve CSV for one start state")
     p.add_argument("--kernel", choices=list(walk_engine.KERNELS), default="srw")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--tmax", type=int, default=30)
@@ -323,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", choices=["auto", "full"], default="auto")
     p.set_defaults(func=cmd_mix)
 
-    p = subs.add_parser("profile", help="cutoff-profile CSV (empirical vs Gaussian)")
-    _graph_args(p)
+    p = subs.add_parser("profile", parents=[graph],
+                        help="cutoff-profile CSV (empirical vs Gaussian)")
     p.add_argument("--s-grid", default="-2,-1,0,1,2")
     p.add_argument("--starts", type=int, default=None,
                    help="number of seeded starts (default: every vertex up to n = 2000, "
@@ -335,14 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
     # which name was typed
     for name, text in (("spectrum", "eigenvalue CSV plus certificate JSON"),
                        ("certify", "Ramanujan / weakly-Ramanujan certificate")):
-        p = subs.add_parser(name, help=text)
-        _graph_args(p)
+        p = subs.add_parser(name, parents=[graph], help=text)
         p.add_argument("--delta-threshold", type=float, default=0.1)
         p.add_argument("--exceptional-budget", type=int, default=0)
         p.set_defaults(func=cmd_spectrum)
 
-    p = subs.add_parser("decompose", help="block decomposition residual report")
-    _graph_args(p)
+    p = subs.add_parser("decompose", parents=[graph],
+                        help="block decomposition residual report")
     p.set_defaults(func=cmd_decompose)
 
     p = subs.add_parser("theory", help="closed-form prediction JSON")

@@ -21,14 +21,17 @@ threads.
 
 A build works in int32, one neighbour column at a time. The constructor
 range-checks the given integers in their own dtype, casts them once to
-int32 (the kept ``indices``) and sorts each row in place; it then counts
-each arc's reverse rank into the kept ``rev`` one column of the rows at a
-time. Besides the caller's array, its N-size arrays (N = n*d arcs) alive at
-once are ``indices``, ``rev``, one int32 column gather and one boolean mask:
-about 15 bytes per arc at its peak for d = 3. ``from_edges`` sorts one
-int64 key per arc, tail*n + head for both orientations, in place and takes
-it mod n as the rows: about 26 bytes per arc at its peak for d = 3, the
-constructor's arrays included.
+int32 (the kept ``indices``) and sorts the rows in place unless one flat
+comparison finds them sorted already, as ``from_edges`` and the lifts give
+them; it then counts each arc's reverse rank into the kept ``rev`` one
+column of the rows at a time. Besides the caller's array, its N-size
+arrays (N = n*d arcs) alive at once are ``indices``, ``rev``, one int32
+column gather and one boolean mask: 14.4 bytes per arc at its peak for
+d = 3 (tracemalloc, a 200k-vertex Petersen lift), on sorted and on
+reversed rows alike. ``from_edges`` sorts one int64 key per arc,
+tail*n + head for both orientations, in place and takes it mod n as the
+rows: 25.1 bytes per arc at its peak for d = 3, the constructor's arrays
+included.
 """
 
 import math
@@ -56,11 +59,12 @@ class RegularGraph:
     """Connected simple d-regular graph (d >= 3) with n*d <= 2**31 - 1 arcs,
     checked when it is made: ``indices`` must hold n*d integers, the n
     neighbour rows. The first out-of-range neighbor raises, checked in the
-    given dtype; the rows are then cast to int32 and sorted in place, and the
-    first self-loop, parallel edge, arc without reverse or unreachable vertex
-    raises. The reverse ranks are counted one neighbour column at a time, so
-    no (N, d) array is made: ``indices``, ``rev``, one column gather and one
-    mask are the N-size arrays alive at once.
+    given dtype; the rows are then cast to int32 and sorted in place where
+    they are not sorted yet, and the first self-loop, parallel edge, arc
+    without reverse or unreachable vertex raises. The reverse ranks are
+    counted one neighbour column at a time, so no (N, d) array is made:
+    ``indices``, ``rev``, one column gather and one mask are the N-size
+    arrays alive at once.
 
     ``translation`` and each of ``automorphisms``, when given, are vertex
     permutations that must map neighbour rows onto neighbour rows; each is
@@ -107,14 +111,8 @@ class RegularGraph:
             raise IrregularGraph(f"vertex {bad[0] // d} lists a neighbor outside [0, {n})")
         indices = flat.astype(np.int32, order="C").ravel()  # a copy: sorted in place
         rows = indices.reshape(n, d)
-        rows.sort(axis=1)
+        _sort_and_check_rows(indices, d)
         vertex = np.arange(n, dtype=np.int32)[:, None]
-        for fault, error, what in (
-                (rows == vertex, SelfLoop, "is adjacent to itself"),
-                (rows[:, 1:] == rows[:, :-1], NonSimple, "has a parallel edge")):
-            bad = np.flatnonzero(fault.any(axis=1))
-            if bad.size:
-                raise error(f"vertex {bad[0]} {what}")
         indices.setflags(write=False)
         object.__setattr__(self, "indices", indices)
         # rev[e] = d * head + rank, the tail's position in the head's sorted
@@ -210,6 +208,27 @@ def _check_size(n: int, d: int):
         raise SizeCap(f"n*d = {n * d} arcs exceed the int32 arc ids' cap of {_MAX_ARCS}")
 
 
+def _sort_and_check_rows(indices: np.ndarray, d: int):
+    """Sort the int32 rows of ``indices`` in place, unless they are sorted
+    already (from_edges and lifts give sorted rows), then raise for the first
+    vertex with a self-loop, else for the first with a parallel edge. Each
+    entry is compared with the next one, flat, the pairs across two rows (at
+    d*u + d - 1) masked off, so entry k of either mask names vertex k // d."""
+    rows = indices.reshape(-1, d)
+    pairs = np.less(indices[1:], indices[:-1])
+    pairs[d - 1 :: d] = False
+    if pairs.any():
+        rows.sort(axis=1)
+    np.equal(indices[1:], indices[:-1], out=pairs)
+    pairs[d - 1 :: d] = False
+    loops = rows == np.arange(len(rows), dtype=np.int32)[:, None]
+    for fault, error, what in ((loops, SelfLoop, "is adjacent to itself"),
+                               (pairs, NonSimple, "has a parallel edge")):
+        bad = np.flatnonzero(fault)
+        if bad.size:
+            raise error(f"vertex {bad[0] // d} {what}")
+
+
 def _automorphism(rows: np.ndarray, perm, name: str) -> np.ndarray:
     """``perm`` as an intp array, checked to be a vertex permutation that
     maps the sorted neighbour rows ``rows`` onto rows (InvariantViolation
@@ -220,11 +239,12 @@ def _automorphism(rows: np.ndarray, perm, name: str) -> np.ndarray:
             and np.array_equal(np.sort(sigma), np.arange(n))):
         raise InvariantViolation(f"{name} is not a permutation of [0, {n})")
     sigma = sigma.astype(np.intp)
-    moved = np.flatnonzero((np.sort(sigma[rows], axis=1) != rows[sigma]).any(axis=1))
+    moved = np.flatnonzero(np.sort(sigma[rows], axis=1) != rows[sigma])
     if moved.size:
+        v = moved[0] // rows.shape[1]
         raise InvariantViolation(
             f"{name} is not an automorphism: it does not map the neighbours "
-            f"of vertex {moved[0]} onto those of its image {sigma[moved[0]]}")
+            f"of vertex {v} onto those of its image {sigma[v]}")
     return sigma
 
 
@@ -287,7 +307,11 @@ def bfs_distances(graph: RegularGraph, x: int) -> np.ndarray:
     level = 0
     while frontier.size:
         # sorting, not np.unique's hashing, drops the repeats; the cost
-        # follows the frontier, not n, so long thin graphs stay cheap
+        # follows the frontier, not n, so long thin graphs stay cheap. A
+        # slot array (slot[v] = v's last position, keep the entries at their
+        # slot) was no faster on rand3(2000) and LPS(5,13) and took 1.2-1.3x
+        # as long on a 200k-vertex lift: the sorted frontier gathers its
+        # next rows in address order
         nb = rows[frontier].ravel()
         nb = np.sort(nb[dist[nb] < 0])
         level += 1
@@ -380,18 +404,23 @@ def _eccentricities_and_girth(indices, d, sources):
         last = np.zeros(width, np.int32)
         level = 0
         while True:
-            odd, even = 2 * level + 1 < best, 2 * level + 2 < best
-            reach.fill(0)
-            if even:
-                twice.fill(0)
-            for col in cols:
-                np.take(frontier, col, axis=0, out=gather)
-                if odd and np.bitwise_and(frontier, gather, out=tmp).any():
-                    best = 2 * level + 1
-                    odd = even = False
+            even = 2 * level + 2 < best
+            # the first column is gathered straight into reach, and the
+            # second (d >= 3) first writes twice. mode="clip" takes into the
+            # output unbuffered ("raise" copies it); the columns are in range
+            np.take(frontier, cols[0], axis=0, out=reach, mode="clip")
+            for j, col in enumerate(cols[1:]):
+                np.take(frontier, col, axis=0, out=gather, mode="clip")
                 if even:
-                    twice |= np.bitwise_and(reach, gather, out=tmp)
+                    if j == 0:
+                        np.bitwise_and(reach, gather, out=twice)
+                    else:
+                        twice |= np.bitwise_and(reach, gather, out=tmp)
                 reach |= gather
+            # an edge inside the frontier: v and a neighbour share a source
+            if 2 * level + 1 < best and np.bitwise_and(frontier, reach, out=tmp).any():
+                best = 2 * level + 1
+                even = False
             np.bitwise_and(reach, unseen, out=frontier)
             if even and np.bitwise_and(twice, frontier, out=tmp).any():
                 best = 2 * level + 2

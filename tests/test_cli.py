@@ -287,6 +287,29 @@ def test_profile_matches_per_start_oracle(tmp_path, monkeypatch, request, name, 
         assert lines == ["s,t,empirical,predicted"] + expected, workers
 
 
+def test_graph_subcommands_share_the_graph_flags():
+    # every subcommand that takes a graph lists build's graph flags (option
+    # strings, defaults, order) first, and its own flags after them in --help
+    subs, = (action for action in cli.build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction))
+
+    def flags(sub):
+        return [(tuple(a.option_strings), a.dest, a.default, a.type, a.choices, a.help)
+                for a in sub._actions if a.dest != "help"]
+
+    graph = flags(subs.choices["build"])
+    assert graph[0][0] == ("--file",) and graph[-1][0] == ("--out-dir",)
+    for name, sub in subs.choices.items():
+        if name in ("theory", "tree"):  # closed forms: no graph
+            continue
+        own = flags(sub)
+        assert own[:len(graph)] == graph, name
+        text = sub.format_help()
+        rows = [re.search(rf"^  {re.escape(a[0][0])}(?=[ ,\n])", text, re.M).start()
+                for a in own]
+        assert rows == sorted(rows), name
+
+
 @pytest.mark.parametrize("exc", [MemoryError("out of memory"),
                                  SupportViolation("mass outside the support"),
                                  UsageError("start outside the graph")],
@@ -480,7 +503,11 @@ def test_negative_seed_exit_code(tmp_path, capsys, argv):
     ["build", "--family", "random_regular", "--n", str(10**30), "--d", "4"],
     ["build", "--family", "random_lift", "--base", "petersen", "--cover", str(10**24)],
     ["build", "--family", "lps", "--p", "5", "--q", "1009"],
-], ids=["random_regular", "random_lift", "lps"])
+    # primes = 1 mod 4 whose trial division would take about 10^9 steps: the
+    # arc cap is checked before primality
+    ["build", "--family", "lps", "--p", "5", "--q", "1000000000000000009"],
+    ["build", "--family", "lps", "--p", "1000000000000000009", "--q", "2000000033"],
+], ids=["random_regular", "random_lift", "lps", "lps_huge_q", "lps_huge_p"])
 def test_builder_beyond_arc_cap_exit_code(tmp_path, capsys, argv):
     # refused before the first draw or group element, in well under a second
     start = time.perf_counter()

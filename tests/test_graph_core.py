@@ -64,13 +64,24 @@ def test_bfs_petersen_diameter_two(petersen):
         assert graph_core.bfs_distances(petersen, x).max() == 2
 
 
+def _circular_ladder(k):
+    """C_k x K2 from its edges: the cycles 0..k-1 and k..2k-1, and rungs i ~ k + i."""
+    cycle = [(i, (i + 1) % k) for i in range(k)]
+    edges = cycle + [(k + u, k + v) for u, v in cycle] + [(i, k + i) for i in range(k)]
+    return graph_core.from_edges(2 * k, 3, edges)
+
+
 def test_bfs_matches_dict_oracle(rand3_50, lift20):
-    for g in (rand3_50, lift20):
+    # the ladder is long and thin: about a thousand levels of at most four
+    # vertices each
+    ladder = _circular_ladder(2001)
+    for g in (rand3_50, lift20, ladder):
         adj = oracles.adjacency_dict(g)
         for x in (0, g.n // 2, g.n - 1):
             expected = oracles.bfs_dict(adj, x)
             got = graph_core.bfs_distances(g, x)
             assert [got[v] for v in range(g.n)] == [expected[v] for v in range(g.n)]
+    assert graph_core.bfs_distances(ladder, 0).max() == 1001
 
 
 def test_bfs_source_range(k4):
@@ -319,17 +330,24 @@ _FAULTS = [(fault, form)
 @pytest.mark.parametrize("fault", ["self_loop", "parallel", "above", "negative", "wide",
                                    "asymmetric", "disconnected"])
 def test_constructor_raises_as_loop_oracle(petersen, fault):
-    # a RegularGraph made from unsorted rows with one fault raises the
-    # error, word for word, that the per-vertex loop oracle raises for them
-    if fault == "disconnected":  # two disjoint copies of K4
-        rows = [[v + 4 * (u // 4) for v in range(4) if v != u % 4] for u in range(8)]
-    else:
-        rows, _ = _inject(petersen.indices.reshape(10, 3).tolist(), fault, 4)
-    rows = [row[::-1] for row in rows]
-    with pytest.raises(RamlabError) as expected:
-        oracles.regular_graph_loop(rows, 3)
-    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-        graph_core.RegularGraph(n=len(rows), d=3, indices=np.array(rows).ravel())
+    # a RegularGraph made from rows with one fault, at vertex 0, 4 or n - 1,
+    # raises the error, word for word, that the per-vertex loop oracle
+    # raises for them: every row reversed (each sorted by the constructor),
+    # every row sorted (none sorted), or only the faulty vertex's row reversed
+    for u in (0, 4, 9):
+        if fault == "disconnected":  # two disjoint copies of K4
+            rows = [[v + 4 * (w // 4) for v in range(4) if v != w % 4] for w in range(8)]
+            u = min(u, 7)
+        else:
+            rows, _ = _inject(petersen.indices.reshape(10, 3).tolist(), fault, u)
+        rows = [sorted(row) for row in rows]
+        for given in ([row[::-1] for row in rows], rows,
+                      [row[::-1] if w == u else row for w, row in enumerate(rows)]):
+            with pytest.raises(RamlabError) as expected:
+                oracles.regular_graph_loop(given, 3)
+            with pytest.raises(type(expected.value),
+                               match=f"^{re.escape(str(expected.value))}$"):
+                graph_core.RegularGraph(n=len(given), d=3, indices=np.array(given).ravel())
 
 
 def test_graph_carries_its_reversal(constructed_graphs):
